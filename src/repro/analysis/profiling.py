@@ -189,6 +189,22 @@ def profile_spec(spec: RunSpec, top: int = 15) -> ProfileReport:
     )
 
 
+def exclusive_shares(breakdown: Dict[str, float]) -> Dict[str, float]:
+    """Compute, the three waits and a remainder: slices of
+    :meth:`RunResult.time_breakdown` that sum to 100 %.
+
+    ``overhead`` is not a further slice.  Every wait window opens
+    before its request is sent, so send overhead, barrier-arrival diff
+    creation and the handler cycles charged while the application is
+    blocked lie inside a wait; handler cycles that interrupt
+    computation land in the remainder."""
+    shares = {name: breakdown[name]
+              for name in ("compute", "lock_wait", "barrier_wait",
+                           "miss_wait")}
+    shares["remainder"] = max(0.0, 1.0 - sum(shares.values()))
+    return shares
+
+
 def format_profile(report: ProfileReport, top: int = 15) -> str:
     """Render a report the way ``repro profile`` prints it."""
     lines = [
@@ -199,9 +215,13 @@ def format_profile(report: ProfileReport, top: int = 15) -> str:
         "simulated-time attribution (repro.obs):",
     ]
     if report.sim_time_breakdown:
+        exclusive = exclusive_shares(report.sim_time_breakdown)
         lines.append("  " + ", ".join(
-            f"{name} {share:.0%}"
-            for name, share in report.sim_time_breakdown.items()))
+            f"{name} {share:.1%}" for name, share in exclusive.items()))
+        lines.append(
+            f"  overhead {report.sim_time_breakdown['overhead']:.1%} "
+            "— overlaps the waits and the remainder (charged while "
+            "the application is blocked); not in the sum")
     else:
         lines.append("  (no node metrics)")
     lines += ["", "host-time by subsystem (cProfile self time):"]

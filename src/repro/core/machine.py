@@ -82,6 +82,8 @@ class Machine:
         self.network.attach_obs(self.obs)
         self.address_space = AddressSpace(config.words_per_page)
         self._page_owner_override: Dict[int, int] = {}
+        # Entry-consistency annotations (bind_lock): lock -> pages.
+        self.lock_bindings: Dict[int, set] = {}
 
         self.nodes: List[Node] = [Node(self, p)
                                   for p in range(config.nprocs)]
@@ -181,8 +183,6 @@ class Machine:
         ``lock_id``.  The 'ec' protocol moves exactly the bound pages'
         modifications with the lock grant; other protocols ignore
         bindings."""
-        if not hasattr(self, "lock_bindings"):
-            self.lock_bindings: Dict[int, set] = {}
         start = 0 if start is None else start
         end = segment.nwords if end is None else end
         pages = {page for page, _lo, _hi
@@ -190,8 +190,7 @@ class Machine:
         self.lock_bindings.setdefault(lock_id, set()).update(pages)
 
     def pages_bound_to(self, lock_id: int) -> frozenset:
-        bindings = getattr(self, "lock_bindings", {})
-        return frozenset(bindings.get(lock_id, ()))
+        return frozenset(self.lock_bindings.get(lock_id, ()))
 
     def barrier_master(self, barrier_id: int) -> int:
         return barrier_id % self.config.nprocs

@@ -219,11 +219,11 @@ def _encode_copysets(node) -> bytes:
             "copyset masks are serialized as u64; checkpointing needs "
             f"nprocs <= 64, machine has {node.config.nprocs}")
     w = _Writer()
-    masks = node.copysets._masks
-    w.u32(len(masks))
-    for page in sorted(masks):
+    entries = node.copysets.items()
+    w.u32(len(entries))
+    for page, mask in entries:
         w.u32(page)
-        w.u64(masks[page])
+        w.u64(mask)
     return w.payload()
 
 
@@ -308,7 +308,7 @@ def wipe_node(node) -> None:
     log._records.clear()
     log._by_proc.clear()
     node.diff_store._diffs.clear()
-    node.copysets._masks.clear()
+    node.copysets.clear()
     nprocs = node.config.nprocs
     node.vc = VectorClock.zero(nprocs)
     for proc in range(nprocs):
@@ -407,10 +407,10 @@ def _restore_diff_store(reader: _Reader, node) -> None:
 
 
 def _restore_copysets(reader: _Reader, node) -> None:
-    masks = node.copysets._masks
+    copysets = node.copysets
     for _ in range(reader.u32()):
         page = reader.u32()
-        masks[page] = reader.u64()
+        copysets.merge(page, reader.u64())
 
 
 def _restore_protocol(reader: _Reader, node) -> None:

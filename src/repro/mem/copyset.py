@@ -8,26 +8,16 @@ flush rounds, and the hybrid uses them as a heuristic for which diffs to
 piggyback on lock grants.
 
 Representation (docs/memory.md): one int bitmask per page — bit ``p``
-set means "processor ``p`` caches this page".  Membership tests and
-inserts are single bit ops, and the whole table is a flat
-``page -> int`` dict.  The set-returning accessors (:meth:`get`,
-:meth:`others`) materialize frozensets for callers that iterate.
+set means "processor ``p`` caches this page".  The mask is the only
+currency: membership tests and inserts are single bit ops, a copyset
+crosses the wire as its int (FLUSH_ACK, PAGE_REPLY), and the receiver
+folds it in with one ``|``.  Callers that need the members walk the
+set bits themselves (``low = mask & -mask``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable
-
-
-def _mask_to_set(mask: int) -> FrozenSet[int]:
-    procs = []
-    proc = 0
-    while mask:
-        if mask & 1:
-            procs.append(proc)
-        mask >>= 1
-        proc += 1
-    return frozenset(procs)
+from typing import Dict, List, Tuple
 
 
 class CopysetTable:
@@ -38,31 +28,34 @@ class CopysetTable:
         self._self_bit = 1 << self_proc
         self._masks: Dict[int, int] = {}
 
-    def get(self, page: int) -> FrozenSet[int]:
-        return _mask_to_set(self._masks.get(page, 0))
+    def mask(self, page: int) -> int:
+        """Believed cachers of ``page`` as a bitmask (0 if unknown)."""
+        return self._masks.get(page, 0)
 
-    def others(self, page: int) -> FrozenSet[int]:
-        return _mask_to_set(self._masks.get(page, 0) & ~self._self_bit)
+    def others_mask(self, page: int) -> int:
+        """:meth:`mask` without this node's own bit."""
+        return self._masks.get(page, 0) & ~self._self_bit
+
+    def merge(self, page: int, mask: int) -> None:
+        """Fold a received copyset mask into ours (union)."""
+        self._masks[page] = self._masks.get(page, 0) | mask
 
     def add(self, page: int, proc: int) -> None:
         self._masks[page] = self._masks.get(page, 0) | (1 << proc)
-
-    def add_many(self, page: int, procs: Iterable[int]) -> None:
-        mask = self._masks.get(page, 0)
-        for proc in procs:
-            mask |= 1 << proc
-        self._masks[page] = mask
 
     def remove(self, page: int, proc: int) -> None:
         mask = self._masks.get(page)
         if mask is not None:
             self._masks[page] = mask & ~(1 << proc)
 
-    def replace(self, page: int, procs: Iterable[int]) -> None:
-        mask = 0
-        for proc in procs:
-            mask |= 1 << proc
-        self._masks[page] = mask
-
     def believes_cached(self, page: int, proc: int) -> bool:
         return bool(self._masks.get(page, 0) & (1 << proc))
+
+    # -- checkpoint support (repro.mem.checkpoint) ------------------------
+
+    def items(self) -> List[Tuple[int, int]]:
+        """Every ``(page, mask)`` entry, pages ascending."""
+        return sorted(self._masks.items())
+
+    def clear(self) -> None:
+        self._masks.clear()

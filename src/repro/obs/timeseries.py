@@ -34,7 +34,7 @@ Window semantics (docs/observability.md):
 Zero overhead when disabled: a machine without a sampler takes the
 unmodified fast dispatch loops (one ``is None`` check per *run*, not
 per event) and the serving pump's ``if sampler is not None:`` guard
-never fires — the 19 golden dumps stay byte-identical and
+never fires — the 20 golden dumps stay byte-identical and
 ``benchmarks/test_perf_core.py`` bounds the instrumented-but-disabled
 configuration under 1%.  Enabled sampling is pure observation: it
 schedules nothing and only reads, so the simulation's event sequence,

@@ -576,7 +576,7 @@ class BaseProtocol:
         self.incorporate_records(payload.get("records", ()))
         self.store_diffs(payload.get("diffs", ()))
         if "copyset" in payload:
-            node.copysets.add_many(page, payload["copyset"])
+            node.copysets.merge(page, payload["copyset"])
 
     def _install_base(self, page: int, payload: dict) -> None:
         """Install page contents received from a peer, preserving our
@@ -626,7 +626,7 @@ class BaseProtocol:
                      "applied": dict(copy.applied),
                      "records": records,
                      "diffs": diffs,
-                     "copyset": set(node.copysets.get(page))},
+                     "copyset": node.copysets.mask(page)},
             data_bytes=node.config.page_size + sum(
                 self.diff_bytes(d) for _iid, d in diffs))
         node.handler_send(reply)

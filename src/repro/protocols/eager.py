@@ -91,7 +91,7 @@ class EagerBase(BaseProtocol):
             fresh.pending_notices = []
             node.metrics.page_transfers += 1
             node.ins.page_transfers.value += 1
-            node.copysets.add_many(page, reply.payload["copyset"])
+            node.copysets.merge(page, reply.payload["copyset"])
             node.copysets.add(page, node.proc)
             # Our own not-yet-flushed modifications are not at the home
             # yet: lay them back over the fetched copy.
@@ -145,7 +145,7 @@ class EagerBase(BaseProtocol):
             reply_to=message.msg_id,
             payload={"page": page, "values": copy.snapshot(),
                      "applied": dict(copy.applied),
-                     "copyset": set(node.copysets.get(page))},
+                     "copyset": node.copysets.mask(page)},
             data_bytes=node.config.page_size))
 
     # -- the release flush ---------------------------------------------------
@@ -164,42 +164,43 @@ class EagerBase(BaseProtocol):
         copy) plus invalidation notices to the other cachers, same ack
         and round structure.
         """
-        node = self.node
-        pending: List[Tuple[IntervalRecord, Set[int]]] = [
-            (node.interval_log.get(iid), set(iid_pages))
-            for iid, iid_pages in self.unpropagated.items()]
-        pages: Set[int] = set()
-        for _record, record_pages in pending:
-            pages.update(record_pages)
-        if not pages:
+        if not self.unpropagated:
             return
-        # Coverage is per (target, page): an ack can reveal that a
-        # target we already flushed other pages to also caches this
-        # page, in which case the next round must still reach it.
-        sent: Set[Tuple[int, int]] = set()
+        node = self.node
+        pending: List[Tuple[IntervalRecord, List[int]]] = [
+            (node.interval_log.get(iid), sorted(iid_pages))
+            for iid, iid_pages in self.unpropagated.items()]
+        # Each modified page's home as a bit (0 where we are the home):
+        # the home is always a destination, believed cacher or not.
+        home_bit: Dict[int, int] = {}
+        for _record, record_pages in pending:
+            for page in record_pages:
+                if page not in home_bit:
+                    home = node.page_owner(page)
+                    home_bit[page] = 0 if home == node.proc else 1 << home
+        # Coverage is per (target, page), kept as one target mask per
+        # page: an ack can reveal that a target we already flushed
+        # other pages to also caches this page, in which case the next
+        # round must still reach it.
+        sent: Dict[int, int] = dict.fromkeys(home_bit, 0)
+        mask_of = node.copysets.mask
         while True:
-            needed: Dict[int, Set[int]] = {}
-            for page in pages:
-                destinations = set(node.copysets.others(page))
-                home = node.page_owner(page)
-                if home != node.proc:
-                    destinations.add(home)
-                for target in destinations:
-                    if (target, page) not in sent:
-                        needed.setdefault(target, set()).add(page)
-            if not needed:
-                break
+            plan = self._flush_entries(pending, home_bit, sent)
             reply_events = []
-            for target, target_pages in sorted(needed.items()):
-                entries = self._flush_entries(pending, target,
-                                              target_pages)
-                sent.update((target, page) for page in target_pages)
+            for bit in sorted(plan):
+                # Membership re-check: with several threads per node
+                # another thread's ack can clear a bit while this
+                # round's earlier sends were paying their overhead.
+                entries = [entry for entry in plan[bit]
+                           if mask_of(entry[1]) & bit
+                           or home_bit[entry[1]] == bit]
                 if not entries:
                     continue
                 data = sum(self.diff_bytes(d)
                            for _r, _p, d in entries if d is not None)
                 message = Message(
-                    src=node.proc, dst=target, kind=MsgKind.FLUSH,
+                    src=node.proc, dst=bit.bit_length() - 1,
+                    kind=MsgKind.FLUSH,
                     payload={"entries": entries,
                              "update": self.flush_with_diffs},
                     data_bytes=data)
@@ -214,65 +215,86 @@ class EagerBase(BaseProtocol):
             for page in record_pages:
                 self.mark_propagated(record.interval_id, page)
 
-    def _flush_entries(self, pending, target, allowed_pages
-                       ) -> List[Tuple[IntervalRecord, int, object]]:
-        """(record, page, diff-or-None) entries relevant to ``target``,
-        restricted to ``allowed_pages`` (this round's coverage).
+    def _flush_entries(self, pending, home_bit: Dict[int, int],
+                       sent: Dict[int, int]
+                       ) -> Dict[int, List[Tuple[IntervalRecord, int,
+                                                 object]]]:
+        """One flush round's plan: target bit -> (record, page,
+        diff-or-None) entries for every (target, page) pair not yet in
+        ``sent`` (which is updated), record-major and page-ascending.
 
         EU sends a diff for every page the target is believed to cache.
         EI sends the diff when the target is the page's home (merge)
         and a bare notice (invalidation) when it is any other cacher.
         """
         node = self.node
-        entries = []
+        others_mask = node.copysets.others_mask
+        uncovered: Dict[int, int] = {}
+        for page, home in home_bit.items():
+            todo = (others_mask(page) | home) & ~sent[page]
+            if todo:
+                uncovered[page] = todo
+                sent[page] |= todo
+        plan: Dict[int, list] = {}
+        if not uncovered:
+            return plan
+        update = self.flush_with_diffs
+        get_diff = node.diff_store.get
         for record, record_pages in pending:
-            for page in sorted(record_pages):
-                if page not in allowed_pages:
+            for page in record_pages:
+                todo = uncovered.get(page)
+                if todo is None:
                     continue
-                is_home = node.page_owner(page) == target
-                cached = node.copysets.believes_cached(page, target)
-                if not cached and not is_home:
-                    continue
-                diff = None
-                if self.flush_with_diffs or is_home:
-                    diff = node.diff_store.get(record.proc,
-                                               record.index, page)
-                entries.append((record, page, diff))
-        return entries
+                home = home_bit[page]
+                notice = pushed = (record, page, None)
+                if update or todo & home:
+                    pushed = (record, page,
+                              get_diff(record.proc, record.index, page))
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    plan.setdefault(low, []).append(
+                        pushed if update or low == home else notice)
+        return plan
 
     def _absorb_flush_ack(self, reply: Message) -> None:
-        node = self.node
+        copysets = self.node.copysets
         payload = reply.payload
-        for page, copyset in payload["copysets"].items():
-            node.copysets.add_many(page, copyset)
+        for page, mask in payload["copysets"].items():
+            copysets.merge(page, mask)
         for page in payload["not_cached"]:
-            node.copysets.remove(page, reply.src)
+            copysets.remove(page, reply.src)
 
     def _handle_flush(self, message: Message) -> None:
         node = self.node
         entries = message.payload["entries"]
-        with_diffs = message.payload["update"]
-        copysets: Dict[int, set] = {}
-        not_cached: List[int] = []
-        invalidating = sorted({page for _r, page, diff in entries
-                               if diff is None})
-        if any(node.pagetable.copies.get(page) is not None
-               and node.pagetable.copies.get(page).dirty
-               for page in invalidating):
-            # Local concurrent modifications survive as sealed diffs
-            # and reach the home at our own next release.
-            self.seal_in_handler()
+        src = message.src
+        copysets = node.copysets
+        copies = node.pagetable.copies
+        # Our copyset of each flushed page as it stood before the
+        # flusher was added, returned so a stale flusher learns of
+        # cachers it missed.
+        ack_masks: Dict[int, int] = {}
+        # Insertion-ordered dedup (a page can recur across records).
+        not_cached: Dict[int, None] = {}
+        for _record, page, diff in entries:
+            if diff is None:
+                copy = copies.get(page)
+                if copy is not None and copy.dirty:
+                    # Local concurrent modifications survive as sealed
+                    # diffs and reach the home at our own next release.
+                    self.seal_in_handler()
+                    break
         for record, page, diff in entries:
             self.incorporate_records([record])
-            copysets[page] = set(node.copysets.get(page))
-            node.copysets.add(page, message.src)
-            copy = node.pagetable.copies.get(page)
-            in_flight = page in self._miss_in_flight
-            if in_flight:
+            ack_masks[page] = copysets.mask(page)
+            copysets.add(page, src)
+            if page in self._miss_in_flight:
                 # Reconciled after the racing fetch installs.
                 self._poison_records.setdefault(page, []).append(
                     (record, diff))
                 continue
+            copy = copies.get(page)
             if diff is not None:
                 if copy is None or not copy.valid:
                     raise ProtocolError(
@@ -288,14 +310,14 @@ class EagerBase(BaseProtocol):
             else:
                 # EI invalidation notice.
                 if copy is None:
-                    if page not in not_cached:
-                        not_cached.append(page)
+                    not_cached[page] = None
                 elif copy.valid:
                     self.invalidate_page(page)
         node.handler_send(Message(
-            src=node.proc, dst=message.src, kind=MsgKind.FLUSH_ACK,
+            src=node.proc, dst=src, kind=MsgKind.FLUSH_ACK,
             reply_to=message.msg_id,
-            payload={"copysets": copysets, "not_cached": not_cached}))
+            payload={"copysets": ack_masks,
+                     "not_cached": list(not_cached)}))
 
     # -- locks: no consistency information on grants -------------------------
 

@@ -2,9 +2,13 @@
 including the protocol-time buckets (interval-bookkeeping vs diff vs
 vector-clock)."""
 
+import re
+
+import pytest
+
 from repro.analysis.profiling import (PROTOCOL_BUCKETS, ProfileReport,
-                                      _protocol_bucket, format_profile,
-                                      profile_spec)
+                                      _protocol_bucket, exclusive_shares,
+                                      format_profile, profile_spec)
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.lab.spec import RunSpec
 
@@ -82,3 +86,38 @@ class TestProfileSpec:
         assert "protocol-time buckets" in text
         for name in PROTOCOL_BUCKETS:
             assert name in text
+
+
+class TestSimulatedTimeShares:
+    """ROADMAP 4(d): overhead overlaps the waits, so it is printed on
+    its own line and the exclusive slices sum to 100 %."""
+
+    def test_default_run_shares_sum_to_100_with_overhead_apart(
+            self, capsys):
+        from repro.cli import main
+        assert main(["profile", "jacobi", "--top", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("simulated-time attribution (repro.obs):")
+        shares, overhead = lines[at + 1], lines[at + 2]
+        names = re.findall(r"(\w+) [\d.]+%", shares)
+        assert names == ["compute", "lock_wait", "barrier_wait",
+                         "miss_wait", "remainder"]
+        printed = [float(v) for v in re.findall(r"([\d.]+)%", shares)]
+        # Five values rounded to 0.1 each.
+        assert sum(printed) == pytest.approx(100.0, abs=0.25)
+        assert overhead.strip().startswith("overhead ")
+        assert "overlaps the waits" in overhead
+        # The old single line summed past 100 % on this very run.
+        assert float(re.search(r"([\d.]+)%", overhead).group(1)) > 10
+
+    def test_exclusive_shares_leave_time_breakdown_untouched(self):
+        report = profile_spec(_spec(), top=0)
+        breakdown = report.result.time_breakdown()
+        assert report.sim_time_breakdown == breakdown
+        assert list(breakdown) == ["compute", "lock_wait",
+                                   "barrier_wait", "miss_wait",
+                                   "overhead", "other"]
+        shares = exclusive_shares(breakdown)
+        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(shares[name] == breakdown[name]
+                   for name in shares if name != "remainder")

@@ -87,24 +87,43 @@ class TestCopysetTable:
         table = CopysetTable(self_proc=2)
         table.add(0, 2)
         table.add(0, 3)
-        table.add_many(0, [1, 3])
-        assert table.get(0) == {1, 2, 3}
-        assert table.others(0) == {1, 3}
+        table.merge(0, 0b1010)
+        assert table.mask(0) == 0b1110
+        assert table.others_mask(0) == 0b1010
+        assert table.mask(7) == table.others_mask(7) == 0
 
-    def test_remove_and_replace(self):
+    def test_remove_and_merge(self):
         table = CopysetTable(0)
-        table.add_many(5, [0, 1, 2])
+        table.merge(5, 0b0111)
         table.remove(5, 1)
-        assert table.get(5) == {0, 2}
-        table.replace(5, [3])
-        assert table.get(5) == {3}
+        assert table.mask(5) == 0b0101
+        # merge is a union, never an assignment.
+        table.merge(5, 0b1000)
+        assert table.mask(5) == 0b1101
+        table.merge(5, 0)
+        assert table.mask(5) == 0b1101
         table.remove(99, 1)  # unknown page: no-op
+        assert table.mask(99) == 0
 
     def test_believes_cached(self):
         table = CopysetTable(0)
         assert not table.believes_cached(1, 0)
         table.add(1, 4)
         assert table.believes_cached(1, 4)
+        assert not table.believes_cached(1, 3)
+
+    def test_wide_masks_and_checkpoint_view(self):
+        table = CopysetTable(63)
+        table.add(9, 63)
+        table.add(2, 40)
+        table.remove(2, 40)
+        assert table.mask(9) == 1 << 63
+        assert table.others_mask(9) == 0
+        # items(): pages ascending, emptied entries kept (the RCKP
+        # CSET section serializes the table as it stands).
+        assert table.items() == [(2, 0), (9, 1 << 63)]
+        table.clear()
+        assert table.items() == []
 
 
 class TestWriteNotice:

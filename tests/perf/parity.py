@@ -76,6 +76,16 @@ def cases():
                         config=MachineConfig(
                             nprocs=32,
                             network=NetworkConfig.atm()))))
+    # The ledger's water_eu_16p run: the only eager golden wide enough
+    # for copyset bits above 3 and flushes that fan out to more than
+    # three targets.  Captured before the mask-only flush path landed.
+    out.append(("water_eu_atm16",
+                RunSpec("water", dict(nmols=96, steps=2,
+                                      cycles_per_pair=3700),
+                        protocol="eu",
+                        config=MachineConfig(
+                            nprocs=16,
+                            network=NetworkConfig.atm()))))
     return out
 
 

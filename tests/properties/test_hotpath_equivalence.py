@@ -16,7 +16,10 @@ operation sequences and demands equality (docs/performance.md):
   argument admits — including after an RCKP ILOG round trip;
 - :func:`repro.mem.wire.encode_diff` (memoized blob cache) vs an
   independent struct-level encoding of the documented RDIF layout —
-  cold, warm, decode-seeded, and across an RCKP DIFS round trip.
+  cold, warm, decode-seeded, and across an RCKP DIFS round trip;
+- :class:`repro.mem.copyset.CopysetTable` (one int mask per page,
+  masks on the wire) vs a plain ``dict[int, set[int]]``, at every
+  width up to the 64-proc RCKP limit and across a CSET round trip.
 """
 
 import struct
@@ -26,10 +29,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.checkpoint import (_Reader, _encode_diff_store,
+from repro.mem.checkpoint import (_Reader, _encode_copysets,
+                                  _encode_diff_store,
                                   _encode_interval_log,
+                                  _restore_copysets,
                                   _restore_diff_store,
                                   _restore_interval_log)
+from repro.mem.copyset import CopysetTable
 from repro.mem.diffs import Diff, normalize_ranges
 from repro.mem.intervals import (DiffStore, IntervalLog, IntervalRecord,
                                  WriteNotice)
@@ -290,3 +296,65 @@ def test_blob_cache_survives_rckp_diff_store_round_trip(entries):
         # Restored diffs re-encode (memo seeded by decode) to exactly
         # the oracle bytes of the original.
         assert encode_diff(twin) == _oracle_encode(diff)
+
+
+# -- copyset bitmasks vs a dict-of-sets model ---------------------------
+
+@st.composite
+def copyset_scripts(draw):
+    nprocs = draw(st.integers(1, 64))
+    self_proc = draw(st.integers(0, nprocs - 1))
+    page = st.integers(0, 5)
+    proc = st.integers(0, nprocs - 1)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("add"), page, proc),
+        st.tuples(st.just("merge"), page,
+                  st.sets(proc, max_size=nprocs)),
+        st.tuples(st.just("remove"), page, proc),
+        st.tuples(st.just("believes_cached"), page, proc),
+        st.tuples(st.just("others_mask"), page, st.none())),
+        max_size=40))
+    return nprocs, self_proc, ops
+
+
+def _members(mask):
+    return {proc for proc in range(mask.bit_length())
+            if mask >> proc & 1}
+
+
+@given(script=copyset_scripts())
+@settings(max_examples=200)
+def test_copyset_masks_match_dict_of_sets_model(script):
+    nprocs, self_proc, ops = script
+    table = CopysetTable(self_proc)
+    model = {}
+    for op, page, arg in ops:
+        if op == "add":
+            table.add(page, arg)
+            model.setdefault(page, set()).add(arg)
+        elif op == "merge":
+            table.merge(page, sum(1 << proc for proc in arg))
+            model.setdefault(page, set()).update(arg)
+        elif op == "remove":
+            table.remove(page, arg)
+            model.get(page, set()).discard(arg)
+        elif op == "believes_cached":
+            assert table.believes_cached(page, arg) \
+                == (arg in model.get(page, ()))
+        else:
+            assert _members(table.others_mask(page)) \
+                == model.get(page, set()) - {self_proc}
+    for page in range(6):
+        assert _members(table.mask(page)) == model.get(page, set())
+    # RCKP CSET round trip: the restored table is the same function
+    # of (page, proc) as the model, bit 63 included.
+    config = SimpleNamespace(nprocs=nprocs)
+    payload = _encode_copysets(
+        SimpleNamespace(copysets=table, config=config))
+    restored = CopysetTable(self_proc)
+    reader = _Reader(payload, nprocs)
+    _restore_copysets(reader, SimpleNamespace(copysets=restored))
+    assert reader.done()
+    assert restored.items() == table.items()
+    for page, members in model.items():
+        assert _members(restored.mask(page)) == members

@@ -1,5 +1,6 @@
 """Unit tests for protocol building blocks: interval sealing, notice
-incorporation, concurrent-last-modifier analysis, copyset upkeep."""
+incorporation, concurrent-last-modifier analysis, copyset upkeep, and
+the eager release flush driven node by node."""
 
 import numpy as np
 import pytest
@@ -7,14 +8,16 @@ import pytest
 from repro.core import Machine, MachineConfig, NetworkConfig
 from repro.mem.intervals import IntervalRecord, WriteNotice
 from repro.mem.timestamps import VectorClock
+from repro.net.message import Message, MsgKind
 from repro.protocols.base import ProtocolError
 
 
-def make_node(protocol="lh", nprocs=4):
+def make_node(protocol="lh", nprocs=4, pages=4):
     machine = Machine(MachineConfig(nprocs=nprocs,
                                     network=NetworkConfig.ideal()),
                       protocol=protocol)
-    machine.allocate("seg", machine.config.words_per_page * 4)
+    # Striped: page p is homed at node p % nprocs.
+    machine.allocate("seg", machine.config.words_per_page * pages)
     return machine, machine.nodes[0]
 
 
@@ -209,3 +212,144 @@ class TestGrantPayload:
             1, VectorClock.zero(4))
         assert payload is None
         assert data == 0
+
+
+# -- eager flush mechanics (copysets travel as int masks) ------------------
+
+def make_machine(protocol):
+    return make_node(protocol, pages=8)[0]
+
+
+def tap(machine):
+    """Record every message handed to the network, in send order."""
+    sent = []
+    real = machine.transmit
+
+    def transmit(message):
+        sent.append(message)
+        real(message)
+    machine.transmit = transmit
+    return sent
+
+
+def drive(machine, generator):
+    machine.sim.run_process(machine.sim.spawn(generator))
+
+
+def write_and_seal(node, page, value):
+    copy = node.pagetable.get(page) or node.pagetable.install(
+        page, valid=True)
+    copy.values[0] = value
+    node.protocol.record_write(page, 0, 1)
+    node.protocol.seal_interval()
+    return node.interval_log.get((node.proc, node.vc[node.proc]))
+
+
+def flushes(sent):
+    return [(m.dst, [page for _r, page, _d in m.payload["entries"]])
+            for m in sent if m.kind == MsgKind.FLUSH]
+
+
+class TestEagerFlush:
+    def test_stale_copyset_second_round_reaches_only_uncovered_pair(self):
+        machine = make_machine("eu")
+        flusher, one, two = machine.nodes[:3]
+        for node in (one, two):
+            for page in (0, 4):
+                node.pagetable.install(page, valid=True)
+        # Flusher's view: page 0 cached by {1}, page 4 by {1, 2}.
+        # Node 1 knows better: node 2 caches page 0 too.
+        flusher.copysets.add(0, 1)
+        flusher.copysets.merge(4, 0b0110)
+        one.copysets.add(0, 2)
+        write_and_seal(flusher, 0, 7.0)
+        write_and_seal(flusher, 4, 9.0)
+        sent = tap(machine)
+        drive(machine, flusher.protocol.flush())
+        # Round 1 covers (1,0) (1,4) (2,4); node 1's ack mask reveals
+        # (2,0); round 2 sends exactly that and re-sends nothing.
+        assert flushes(sent) == [(1, [0, 4]), (2, [4]), (2, [0])]
+        acks = [m for m in sent if m.kind == MsgKind.FLUSH_ACK]
+        assert all(isinstance(mask, int)
+                   for ack in acks
+                   for mask in ack.payload["copysets"].values())
+        assert acks[0].payload["copysets"][0] & 0b0100
+        assert flusher.copysets.believes_cached(0, 2)
+        assert two.pagetable.get(0).values[0] == 7.0
+        assert two.pagetable.get(4).values[0] == 9.0
+        assert flusher.protocol.unpropagated == {}
+
+    def test_flush_with_nothing_unpropagated_sends_nothing(self):
+        machine = make_machine("eu")
+        sent = tap(machine)
+        drive(machine, machine.nodes[0].protocol.flush())
+        assert sent == []
+
+    def test_ei_not_cached_clears_the_ackers_bit(self):
+        machine = make_machine("ei")
+        flusher, one = machine.nodes[:2]
+        flusher.copysets.add(0, 1)   # stale: node 1 holds no copy
+        write_and_seal(flusher, 0, 1.0)
+        write_and_seal(flusher, 0, 2.0)
+        sent = tap(machine)
+        drive(machine, flusher.protocol.flush())
+        assert flushes(sent) == [(1, [0, 0])]
+        (ack,) = [m for m in sent if m.kind == MsgKind.FLUSH_ACK]
+        assert ack.payload["not_cached"] == [0]   # deduplicated
+        assert not flusher.copysets.believes_cached(0, 1)
+        assert one.copysets.believes_cached(0, 0)
+
+    def test_ei_home_gets_diff_and_other_cachers_bare_notices(self):
+        machine = make_machine("ei")
+        flusher, home, other = machine.nodes[:3]
+        other.pagetable.install(1, valid=True)
+        flusher.copysets.add(1, 2)
+        write_and_seal(flusher, 1, 5.0)
+        sent = tap(machine)
+        drive(machine, flusher.protocol.flush())
+        by_dst = {m.dst: m.payload["entries"] for m in sent
+                  if m.kind == MsgKind.FLUSH}
+        assert sorted(by_dst) == [1, 2]
+        assert by_dst[1][0][2] is not None    # home: merge the diff
+        assert by_dst[2][0][2] is None        # cacher: invalidation
+        assert home.pagetable.get(1).values[0] == 5.0
+        assert not other.pagetable.get(1).valid
+
+    def test_flush_racing_a_miss_is_parked_and_reconciled(self):
+        machine = make_machine("eu")
+        flusher, home, misser = machine.nodes[:3]
+        record = write_and_seal(flusher, 1, 3.0)
+        diff = flusher.diff_store.get(0, record.index, 1)
+        misser.protocol._miss_in_flight.add(1)
+        flush = Message(src=0, dst=2, kind=MsgKind.FLUSH,
+                        payload={"entries": [(record, 1, diff)],
+                                 "update": True},
+                        data_bytes=diff.size_bytes)
+        acked = flusher.expect_reply(flush)
+        sent = tap(machine)
+        misser.protocol.handle(flush)
+        assert misser.protocol._poison_records[1] == [(record, diff)]
+        assert misser.copysets.believes_cached(1, 0)
+        machine.sim.run_until(acked)
+        # The ack must not tell the flusher to drop us.
+        assert sent[0].payload["not_cached"] == []
+        misser.protocol._miss_in_flight.discard(1)
+        # The home never saw the flush: only the parked diff can
+        # supply the value once the fetched copy is installed.
+        drive(machine, misser.protocol.ensure_valid(1, False))
+        assert misser.pagetable.get(1).values[0] == 3.0
+        assert misser.pagetable.get(1).is_applied(0, record.index)
+        assert 1 not in misser.protocol._poison_records
+
+    @pytest.mark.parametrize("protocol", ["eu", "li"])
+    def test_page_reply_copyset_mask_is_merged_not_assigned(
+            self, protocol):
+        machine = make_machine(protocol)
+        home, misser = machine.nodes[1], machine.nodes[2]
+        misser.copysets.add(1, 3)    # prior belief the home lacks
+        home.copysets.add(1, 0)      # home knowledge the misser lacks
+        sent = tap(machine)
+        drive(machine, misser.protocol.ensure_valid(1, False))
+        (reply,) = [m for m in sent if m.kind == MsgKind.PAGE_REPLY]
+        assert reply.payload["copyset"] == 0b0111
+        assert misser.copysets.mask(1) == 0b1111
