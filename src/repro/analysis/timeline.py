@@ -1,20 +1,25 @@
-"""Message timeline tap: observe every message a simulation sends.
+"""Message timeline: every message a simulation sends, as a query
+over the tracer's ``msg.send`` events.
 
-Wraps a machine's network with a recording layer.  Used for debugging
-protocol behaviour, for the fine-grained traffic statistics the paper
-quotes (e.g. "91% of EU's messages are updates sent during lock
-releases"), and by tests that pin down *when* and *why* traffic
-happens, not just how much.
+Used for debugging protocol behaviour, for the fine-grained traffic
+statistics the paper quotes (e.g. "91% of EU's messages are updates
+sent during lock releases"), and by tests that pin down *when* and
+*why* traffic happens, not just how much.  An event's time is the
+moment the node handed the message to the network stack (before its
+send overhead); under the reliable transport the timeline holds the
+protocol's messages, not the transport's acks and retransmissions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import MESSAGE_HEADER_BYTES
 from repro.core.machine import Machine
-from repro.net.message import Message, MsgKind
+from repro.net.message import MsgKind
+from repro.obs.tracer import NullSink, TraceEvent, TraceSink
 
 
 @dataclass(frozen=True)
@@ -29,17 +34,33 @@ class MessageEvent:
     size_bytes: int
 
 
-class MessageTimeline:
-    """Recorded transmissions, in send order."""
+class MessageTimeline(TraceSink):
+    """Recorded sends, in send order: a trace sink that keeps the
+    ``msg.send`` events and passes every event on to the sink it took
+    the place of.  Feed it a recorded trace (a ``MemorySink``'s
+    events, ``read_jsonl``) through :meth:`emit` for the same
+    timeline after the fact."""
 
-    def __init__(self) -> None:
+    def __init__(self, inner: Optional[TraceSink] = None) -> None:
         self.events: List[MessageEvent] = []
+        self._inner = inner if inner is not None else NullSink()
 
-    def record(self, time: float, message: Message) -> None:
-        self.events.append(MessageEvent(
-            time=time, src=message.src, dst=message.dst,
-            kind=message.kind, data_bytes=message.data_bytes,
-            size_bytes=message.size_bytes))
+    def emit(self, event: TraceEvent) -> None:
+        if event.name == "msg.send":
+            fields = event.fields
+            data_bytes = fields["data_bytes"]
+            self.events.append(MessageEvent(
+                time=event.ts, src=fields["src"], dst=fields["dst"],
+                kind=MsgKind(fields["kind"]), data_bytes=data_bytes,
+                size_bytes=MESSAGE_HEADER_BYTES + data_bytes))
+        if self._inner.enabled:
+            self._inner.emit(event)
+
+    def flush(self) -> None:
+        self._inner.flush()
+
+    def close(self) -> None:
+        self._inner.close()
 
     # -- queries -----------------------------------------------------------
 
@@ -83,14 +104,9 @@ class MessageTimeline:
 
 
 def attach_timeline(machine: Machine) -> MessageTimeline:
-    """Tap a machine's network; returns the timeline being filled."""
-    timeline = MessageTimeline()
-    network = machine.network
-    original = network.transmit
-
-    def tapped(message: Message):
-        timeline.record(machine.sim.now, message)
-        return original(message)
-
-    network.transmit = tapped
+    """Turn tracing on for ``machine`` (whatever sink its tracer had
+    keeps receiving every event); returns the timeline being
+    filled."""
+    tracer = machine.obs.tracer
+    tracer.sink = timeline = MessageTimeline(tracer.sink)
     return timeline

@@ -101,7 +101,7 @@ class EventDrivenApplication(Application):
                 yield arrival - api.now
             started = api.now
             tracer = api.tracer
-            if tracer:
+            if tracer.sink.enabled:
                 tracer.emit("req.arrive", req=request.req_id,
                             node=proc, key=request.key,
                             op=request.op, arrival=arrival)
@@ -110,7 +110,7 @@ class EventDrivenApplication(Application):
             latency = done - arrival
             if sampler is not None:
                 sampler.record_request(latency)
-            if tracer:
+            if tracer.sink.enabled:
                 tracer.emit("req.done", req=request.req_id,
                             node=proc, key=request.key,
                             op=request.op, latency_cycles=latency)

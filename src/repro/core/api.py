@@ -164,9 +164,8 @@ class DsmApi:
         started = node.sim.now
         yield from node.lock_manager.acquire(lock_id)
         waited = node.sim.now - started
-        node.metrics.lock_wait_cycles += waited
         node.ins.lock_wait.observe(waited)
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("sync.lock_acquired", lock=lock_id,
                              node=node.proc, wait_cycles=waited)
 
@@ -193,5 +192,5 @@ class DsmApi:
 
     @property
     def tracer(self):
-        """The run's tracer; truth-test before emitting."""
+        """The run's tracer; guard emission with ``tracer.sink.enabled``."""
         return self._node.tracer

@@ -7,7 +7,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import MachineConfig
-from repro.core.metrics import NodeMetrics, RunResult
+from repro.core.metrics import RunResult
 from repro.core.node import Node
 from repro.mem.addressing import AddressSpace, Segment
 from repro.net import build_network
@@ -77,8 +77,13 @@ class Machine:
                 self.sim, config, self.network, self._deliver,
                 obs=self.obs, tracer=self.obs.tracer)
             self.network.attach(self.transport.on_network_delivery)
-        else:
-            self.network.attach(self._deliver)
+        #: Node send entry point, bound once: the reliable transport
+        #: when the robustness layer is on, the raw network otherwise.
+        #: Nodes read this attribute per send, so assigning a wrapper
+        #: to it taps every message.
+        self.transmit: Callable[[Message], object] = (
+            self.transport.send if self.transport is not None
+            else self.network.transmit)
         self.network.attach_obs(self.obs)
         self.address_space = AddressSpace(config.words_per_page)
         self._page_owner_override: Dict[int, int] = {}
@@ -93,6 +98,12 @@ class Machine:
             node.lock_manager = LockManager(node,
                                             broadcast=lock_broadcast)
             node.barrier_manager = BarrierManager(node)
+            node.bind_handlers()
+        if self.transport is None:
+            # No layer in between: the network schedules each node's
+            # deliver directly.
+            self.network.attach_nodes(
+                [node.deliver for node in self.nodes])
 
         if self.faults is not None:
             self.faults.install_stalls(self)
@@ -197,18 +208,9 @@ class Machine:
 
     # -- message delivery ------------------------------------------------------
 
-    def transmit(self, message: Message) -> None:
-        """Node send entry point: reliable transport when the
-        robustness layer is on, the raw network otherwise.  Looked up
-        per call so taps on ``network.transmit`` (e.g.
-        :func:`repro.analysis.timeline.attach_timeline`) keep
-        working."""
-        if self.transport is not None:
-            self.transport.send(message)
-        else:
-            self.network.transmit(message)
-
     def _deliver(self, message: Message) -> None:
+        """The reliable transport's upcall (the raw network delivers
+        to the nodes directly)."""
         self.nodes[message.dst].deliver(message)
 
     # -- execution ---------------------------------------------------------------
@@ -286,7 +288,7 @@ class Machine:
             times = [self._finished[proc * threads_per_proc + thread]
                      for thread in range(threads_per_proc)]
             if all(t is not None for t in times):
-                node.metrics.finish_time = max(times)
+                node.finish_time = max(times)
         return RunResult(
             app=app,
             protocol=self.protocol_name,

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.net.message import Message, MsgKind
+from repro.net.message import MsgKind
 
 
 def json_safe(obj):
@@ -45,7 +45,10 @@ def json_safe(obj):
 
 @dataclass
 class NodeMetrics:
-    """Counters for one simulated processor."""
+    """Counters for one simulated processor: a plain, serialisable
+    record (the lab cache round-trips it).  No simulator code
+    increments one; :meth:`from_instruments` builds it from the
+    metrics registry."""
 
     proc: int
     messages_sent: Counter = field(default_factory=Counter)
@@ -69,10 +72,39 @@ class NodeMetrics:
     miss_wait_cycles: float = 0.0
     finish_time: float = 0.0
 
-    def record_send(self, message: Message) -> None:
-        self.messages_sent[message.kind] += 1
-        self.data_bytes_sent += message.data_bytes
-        self.wire_bytes_sent += message.size_bytes
+    @staticmethod
+    def from_instruments(proc: int, ins,
+                         finish_time: float = 0.0) -> "NodeMetrics":
+        """The record of one node's registry cells
+        (:class:`repro.obs.NodeInstruments`) — the only place these
+        facts are counted.  ``finish_time`` has no registry twin.  A
+        counter cell nothing touched holds int ``0``, so the cycle
+        fields are coerced: a dump must say ``0.0``."""
+        return NodeMetrics(
+            proc=proc,
+            messages_sent=Counter(
+                {kind: child.value
+                 for kind, child in ins.messages.items()}),
+            data_bytes_sent=ins.data_bytes.value,
+            wire_bytes_sent=ins.wire_bytes.value,
+            read_misses=ins.read_misses.value,
+            write_misses=ins.write_misses.value,
+            cold_misses=ins.cold_misses.value,
+            page_transfers=ins.page_transfers.value,
+            diffs_created=ins.diffs_created.value,
+            diff_words_created=ins.diff_words.value,
+            diffs_applied=ins.diffs_applied.value,
+            invalidations=ins.invalidations.value,
+            lock_acquires=ins.lock_acquires.value,
+            lock_local_acquires=ins.lock_local_acquires.value,
+            lock_wait_cycles=float(ins.lock_wait.sum),
+            barrier_waits=ins.barrier_waits.value,
+            barrier_wait_cycles=float(ins.barrier_wait.sum),
+            compute_cycles=float(ins.compute_cycles.value),
+            overhead_cycles=float(ins.overhead_cycles.value),
+            miss_wait_cycles=float(ins.miss_wait.sum),
+            finish_time=finish_time,
+        )
 
     @property
     def total_messages(self) -> int:

@@ -40,13 +40,14 @@ class Node:
         self.proc = proc
         self.sim: Simulator = machine.sim
         self.config: MachineConfig = machine.config
-        self.metrics = NodeMetrics(proc=proc)
-        # Observability: pre-bound registry children (repro.obs) and
-        # the machine's tracer.  Every legacy NodeMetrics increment is
-        # mirrored into the registry at the same site; the parity test
-        # in tests/obs keeps the two accountings identical.
+        # Observability: pre-bound registry children (repro.obs) —
+        # the one place this node's facts are counted — and the
+        # machine's tracer.
         self.ins = machine.obs.node_instruments(proc)
         self.tracer = machine.obs.tracer
+        # Set by Machine.run; the one NodeMetrics field the registry
+        # does not hold.
+        self.finish_time = 0.0
 
         # DSM state.
         self.pagetable = PageTable(self.config.words_per_page)
@@ -71,7 +72,7 @@ class Node:
 
         # CPU/interrupt model.  The overhead formula's constants are
         # pre-fetched: it runs twice per message (send + receive), and
-        # the inlined arithmetic in _message_overhead keeps the exact
+        # the arithmetic inlined at the three sites keeps the exact
         # operation order of OverheadConfig.message_cycles.
         overhead = self.config.overhead
         self._oh_scale = overhead.scale
@@ -99,10 +100,30 @@ class Node:
         # Request/reply correlation.
         self._pending_replies: Dict[int, Event] = {}
 
-        # Filled in by the machine.
+        # Filled in by the machine; bind_handlers() then builds the
+        # dispatch table from them.
         self.protocol = None
         self.lock_manager = None
         self.barrier_manager = None
+        self.handlers: Dict[MsgKind, Callable[[Message], None]] = {}
+
+    @property
+    def metrics(self) -> NodeMetrics:
+        """This node's counters as of now, read from the registry."""
+        return NodeMetrics.from_instruments(self.proc, self.ins,
+                                            self.finish_time)
+
+    def bind_handlers(self) -> None:
+        """Build the ``{MsgKind: bound handler}`` table ``_dispatch``
+        routes through (once, after the machine has set the protocol
+        and the sync managers)."""
+        sync = {MsgKind.LOCK_REQ: self.lock_manager.handle,
+                MsgKind.LOCK_FWD: self.lock_manager.handle,
+                MsgKind.LOCK_GRANT: self.lock_manager.handle,
+                MsgKind.BARRIER_ARRIVE: self.barrier_manager.handle,
+                MsgKind.BARRIER_DEPART: self.barrier_manager.handle}
+        self.handlers = {kind: sync.get(kind, self.protocol.handle)
+                         for kind in MsgKind}
 
     # -- identity helpers -------------------------------------------------
 
@@ -170,7 +191,6 @@ class Node:
         On a multithreaded node, threads serialize on the CPU."""
         if cycles < 0:
             raise ValueError(f"negative compute: {cycles}")
-        self.metrics.compute_cycles += cycles
         self.ins.compute_cycles.value += cycles
         if cycles == 0:
             return
@@ -190,7 +210,7 @@ class Node:
                 extra = stolen - paid
                 paid = stolen
                 yield extra
-            if self.tracer:
+            if self.tracer.sink.enabled:
                 self.tracer.emit("cpu.compute", node=self.proc,
                                  started=started, cycles=cycles)
         finally:
@@ -201,7 +221,6 @@ class Node:
         """Application-context protocol work (overhead, diff creation).
         Counted as overhead, not computation."""
         if cycles > 0:
-            self.metrics.overhead_cycles += cycles
             self.ins.overhead_cycles.value += cycles
             yield cycles
 
@@ -212,7 +231,6 @@ class Node:
         end = start + cycles
         self._handler_busy_until = end
         self._interrupt_cycles += cycles
-        self.metrics.overhead_cycles += cycles
         self.ins.overhead_cycles.value += cycles
         return end
 
@@ -231,47 +249,58 @@ class Node:
 
     # -- message costs -----------------------------------------------------
 
-    def _message_overhead(self, message: Message) -> float:
-        per_byte = (self._oh_per_byte_lazy if message.lazy
-                    else self._oh_per_byte)
-        return self._oh_scale * (self._oh_fixed
-                                 + message.size_bytes * per_byte)
-
     def diff_creation_cost(self) -> float:
         return self.config.overhead.diff_cycles(self.config.words_per_page)
 
     # -- sending -----------------------------------------------------------
+    # Each send runs in one frame: source check, lazy stamp, the
+    # registry count, and the overhead arithmetic
+    # (OverheadConfig.message_cycles, operation for operation).
 
     def app_send(self, message: Message) -> Generator:
         """Send from application context: the sender pays its software
         overhead inline, then hands the message to the network."""
-        self._stamp(message)
-        self.metrics.record_send(message)
-        self.ins.record_send(message)
-        if self.tracer:
+        if message.src != self.proc:
+            raise SimulationError(
+                f"node {self.proc} sending message with src={message.src}")
+        message.lazy = lazy = (self.protocol.is_lazy if self.protocol
+                               else False)
+        size = message.size_bytes
+        ins = self.ins
+        ins.messages[message.kind].value += 1
+        ins.data_bytes.value += message.data_bytes
+        ins.wire_bytes.value += size
+        if self.tracer.sink.enabled:
             self.tracer.emit("msg.send", msg=message.msg_id,
                              src=message.src,
                              dst=message.dst, kind=message.kind.value,
                              data_bytes=message.data_bytes,
                              context="app",
                              reply_to=message.reply_to)
-        # app_charge inlined: one generator allocation per send saved.
-        # The > 0 guard matches app_charge (the zero-overhead ablation
-        # must not yield, or event counts change).
-        cycles = self._message_overhead(message)
+        # The > 0 guard: the zero-overhead ablation must not yield, or
+        # event counts change.
+        cycles = self._oh_scale * (
+            self._oh_fixed + size * (self._oh_per_byte_lazy if lazy
+                                     else self._oh_per_byte))
         if cycles > 0:
-            self.metrics.overhead_cycles += cycles
-            self.ins.overhead_cycles.value += cycles
+            ins.overhead_cycles.value += cycles
             yield cycles
         self.machine.transmit(message)
 
     def handler_send(self, message: Message) -> float:
         """Send from handler (interrupt) context: overhead extends the
         handler-busy window and transmission starts when it ends."""
-        self._stamp(message)
-        self.metrics.record_send(message)
-        self.ins.record_send(message)
-        if self.tracer:
+        if message.src != self.proc:
+            raise SimulationError(
+                f"node {self.proc} sending message with src={message.src}")
+        message.lazy = lazy = (self.protocol.is_lazy if self.protocol
+                               else False)
+        size = message.size_bytes
+        ins = self.ins
+        ins.messages[message.kind].value += 1
+        ins.data_bytes.value += message.data_bytes
+        ins.wire_bytes.value += size
+        if self.tracer.sink.enabled:
             self.tracer.emit("msg.send", msg=message.msg_id,
                              src=message.src,
                              dst=message.dst, kind=message.kind.value,
@@ -279,16 +308,26 @@ class Node:
                              context="handler",
                              reply_to=message.reply_to,
                              cause=self._trace_cause)
-        ready = self.handler_charge(self._message_overhead(message))
-        self.sim.schedule(ready - self.sim.now,
-                          self.machine.transmit, message)
+        cycles = self._oh_scale * (
+            self._oh_fixed + size * (self._oh_per_byte_lazy if lazy
+                                     else self._oh_per_byte))
+        # handler_charge and Simulator.schedule, in this frame (same
+        # ``now + delay`` float arithmetic, same sequence numbering).
+        sim = self.sim
+        now = sim.now
+        busy = self._handler_busy_until
+        ready = (now if now > busy else busy) + cycles
+        self._handler_busy_until = ready
+        self._interrupt_cycles += cycles
+        ins.overhead_cycles.value += cycles
+        delay = ready - now
+        sim._seq = seq = sim._seq + 1
+        if delay == 0.0:
+            sim._ready.append((seq, self.machine.transmit, (message,)))
+        else:
+            heappush(sim._queue, (now + delay, seq,
+                                  self.machine.transmit, (message,)))
         return ready
-
-    def _stamp(self, message: Message) -> None:
-        if message.src != self.proc:
-            raise SimulationError(
-                f"node {self.proc} sending message with src={message.src}")
-        message.lazy = self.protocol.is_lazy if self.protocol else False
 
     # -- request/reply correlation ------------------------------------------
 
@@ -308,19 +347,6 @@ class Node:
         reply = yield reply_event
         return reply
 
-    def _resolve_reply(self, message: Message) -> bool:
-        if message.reply_to is None:
-            return False
-        event = self._pending_replies.pop(message.reply_to, None)
-        if event is None:
-            raise SimulationError(
-                f"unexpected reply {message} (no pending request)")
-        if self.tracer:
-            self.tracer.emit("sched.wake", node=self.proc,
-                             kind="reply", cause=message.msg_id)
-        event.succeed(message)
-        return True
-
     # -- receiving -----------------------------------------------------------
 
     def deliver(self, message: Message) -> None:
@@ -329,12 +355,12 @@ class Node:
         if message.dst != self.proc:
             raise SimulationError(
                 f"node {self.proc} received message for {message.dst}")
-        if self.tracer:
+        if self.tracer.sink.enabled:
             self.tracer.emit("msg.recv", msg=message.msg_id,
                              src=message.src,
                              dst=message.dst, kind=message.kind.value,
                              data_bytes=message.data_bytes)
-        # _message_overhead + handler_charge + schedule inlined: this
+        # Message overhead + handler_charge + schedule inlined: this
         # runs once per received message.  Identical arithmetic and
         # accounting; the queue insert mirrors Simulator.schedule
         # exactly (same ``now + delay`` float arithmetic, same
@@ -350,7 +376,6 @@ class Node:
         done = start + cycles
         self._handler_busy_until = done
         self._interrupt_cycles += cycles
-        self.metrics.overhead_cycles += cycles
         self.ins.overhead_cycles.value += cycles
         delay = done - now
         sim._seq = seq = sim._seq + 1
@@ -364,18 +389,20 @@ class Node:
         if self._down:
             self._crash_rx_log.append(message)
             return
-        if self.tracer:
+        tracing = self.tracer.sink.enabled
+        if tracing:
             self._trace_cause = message.msg_id
-        if self._resolve_reply(message):
+        if message.reply_to is not None:
+            event = self._pending_replies.pop(message.reply_to, None)
+            if event is None:
+                raise SimulationError(
+                    f"unexpected reply {message} (no pending request)")
+            if tracing:
+                self.tracer.emit("sched.wake", node=self.proc,
+                                 kind="reply", cause=message.msg_id)
+            event.succeed(message)
             return
-        kind = message.kind
-        if kind in (MsgKind.LOCK_REQ, MsgKind.LOCK_FWD,
-                    MsgKind.LOCK_GRANT):
-            self.lock_manager.handle(message)
-        elif kind in (MsgKind.BARRIER_ARRIVE, MsgKind.BARRIER_DEPART):
-            self.barrier_manager.handle(message)
-        else:
-            self.protocol.handle(message)
+        self.handlers[message.kind](message)
 
     def __repr__(self) -> str:
         return f"<Node {self.proc}>"

@@ -38,16 +38,25 @@ class AtmNetwork(Network):
 
     def _schedule(self, message: Message) -> float:
         now = self.sim.now
-        wire = self.wire_cycles(message)
+        size = message.size_bytes
+        wire = size * 8.0 / self._wire_bps * self._cycles_per_second
         start = max(now, self._out_free[message.src],
                     self._in_free[message.dst])
         waited = start - now
         if waited > 0 and self._obs_port_contention is not None:
-            self._obs_port_contention.inc()
+            self._obs_port_contention.value += 1
         end = start + wire
         self._out_free[message.src] = end
         self._in_free[message.dst] = end
-        self.stats.record(message, wire, waited)
+        stats = self.stats
+        stats.messages_cell.value += 1
+        stats.wire_bytes_cell.value += size
+        stats.data_bytes_cell.value += message.data_bytes
+        stats.wire_cycles_cell.value += wire
+        stats.contention_cell.value += waited
+        hist = stats.wire_hist
+        if hist is not None:
+            hist.observe(wire)
         tracer = self._tracer
         if tracer is not None and tracer.sink.enabled:
             tracer.emit("net.xmit", msg=message.msg_id,

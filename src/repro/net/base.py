@@ -9,65 +9,55 @@ in wire (serialization) time, propagation latency, and contention.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.config import MachineConfig
 from repro.net.message import Message
 from repro.sim.engine import Simulator
 
 
-@dataclass
 class NetworkStats:
-    """Aggregate traffic and contention accounting.
+    """Aggregate traffic and contention accounting: one set of cells,
+    written by the network models.  The cells are the stats' own until
+    :meth:`attach_obs` swaps in the registry's ``net.*`` children
+    (docs/observability.md); either way the public names are read-only
+    views of them."""
 
-    When observability is attached (see :meth:`Network.attach_obs`)
-    every record is mirrored into the metrics registry under the
-    ``net.*`` names documented in docs/observability.md."""
+    #: cell attribute -> the registry counter that takes its place.
+    CELLS = {
+        "messages_cell": "net.messages_total",
+        "wire_bytes_cell": "net.wire_bytes_total",
+        "data_bytes_cell": "net.data_bytes_total",
+        "wire_cycles_cell": "net.wire_cycles_total",
+        "contention_cell": "net.contention_cycles_total",
+        "collisions_cell": "net.collisions_total",
+    }
+    __slots__ = (*CELLS, "wire_hist")
 
-    messages: int = 0
-    bytes_sent: int = 0
-    data_bytes_sent: int = 0
-    busy_cycles: float = 0.0
-    contention_cycles: float = 0.0
-    collisions: int = 0
-    _obs: Optional[dict] = field(default=None, repr=False,
-                                 compare=False)
+    def __init__(self) -> None:
+        for attr in self.CELLS:
+            setattr(self, attr, SimpleNamespace(value=0))
+        #: ``net.wire_cycles`` histogram child; None until attached.
+        self.wire_hist = None
 
     def attach_obs(self, obs) -> None:
-        # Bound children, not Metric objects: record() runs once per
-        # message, so emission must be child.inc(), not a dict lookup
-        # plus Metric._sole() indirection per field.
         registry = obs.registry
-        self._obs = {
-            "messages": registry.get("net.messages_total").labels(),
-            "wire_bytes": registry.get("net.wire_bytes_total").labels(),
-            "data_bytes": registry.get("net.data_bytes_total").labels(),
-            "wire_cycles": registry.get("net.wire_cycles_total").labels(),
-            "contention": registry.get(
-                "net.contention_cycles_total").labels(),
-            "wire_hist": registry.get("net.wire_cycles").labels(),
-        }
+        for attr, name in self.CELLS.items():
+            child = registry.get(name).labels()
+            child.value += getattr(self, attr).value
+            setattr(self, attr, child)
+        self.wire_hist = registry.get("net.wire_cycles").labels()
 
-    def record(self, message: Message, wire: float, waited: float) -> None:
-        size = message.size_bytes
-        data = message.data_bytes
-        self.messages += 1
-        self.bytes_sent += size
-        self.data_bytes_sent += data
-        self.busy_cycles += wire
-        self.contention_cycles += waited
-        obs = self._obs
-        if obs is not None:
-            # Counter children are plain .value cells; skip the inc()
-            # call per field on this once-per-message path.
-            obs["messages"].value += 1
-            obs["wire_bytes"].value += size
-            obs["data_bytes"].value += data
-            obs["wire_cycles"].value += wire
-            obs["contention"].value += waited
-            obs["wire_hist"].observe(wire)
+    messages = property(lambda self: self.messages_cell.value)
+    bytes_sent = property(lambda self: self.wire_bytes_cell.value)
+    data_bytes_sent = property(lambda self: self.data_bytes_cell.value)
+    busy_cycles = property(
+        lambda self: float(self.wire_cycles_cell.value))
+    contention_cycles = property(
+        lambda self: float(self.contention_cell.value))
+    collisions = property(lambda self: self.collisions_cell.value)
 
 
 class Network(ABC):
@@ -91,41 +81,56 @@ class Network(ABC):
         self.config = config
         self.stats = NetworkStats()
         self.latency_cycles = config.us_to_cycles(config.network.latency_us)
-        # Wire-time constants pre-fetched: wire_cycles runs once per
-        # transmission; the inlined expression keeps the exact
-        # operation order of MachineConfig.wire_cycles.
+        # Wire-time constants pre-fetched: each model computes wire
+        # time once per transmission, inline, in the exact operation
+        # order of MachineConfig.wire_cycles.
         self._wire_bps = config.network.bandwidth_bps
         self._cycles_per_second = config.cycles_per_second
-        self._deliver: Optional[Callable[[Message], None]] = None
+        self._nprocs = config.nprocs
+        # Delivery callback per destination; None until attached.
+        self._sinks: Optional[List[Callable[[Message], None]]] = None
         self.faults = None
         self._tracer = None
 
     def attach(self, deliver: Callable[[Message], None]) -> None:
-        """Register the machine-level delivery callback."""
-        self._deliver = deliver
+        """Register one delivery callback for every destination (the
+        transport, the lifecycle gate, a test harness)."""
+        self._sinks = [deliver] * self._nprocs
+
+    def attach_nodes(
+            self, delivers: Sequence[Callable[[Message], None]]) -> None:
+        """Register one delivery callback per destination processor:
+        a delivery is then scheduled straight into the receiving
+        node."""
+        if len(delivers) != self._nprocs:
+            raise ValueError(
+                f"{len(delivers)} delivery callbacks for "
+                f"{self._nprocs} processors")
+        self._sinks = list(delivers)
 
     def attach_faults(self, injector) -> None:
         """Route every transmission through a fault injector."""
         self.faults = injector
 
     def attach_obs(self, obs) -> None:
-        """Mirror traffic stats into the metrics registry.  Subclasses
-        extend this with their model-specific metrics (collisions,
-        backoff, port contention)."""
+        """Count traffic in the metrics registry from here on.
+        Subclasses extend this with their model-specific metrics
+        (backoff, port contention)."""
         self.stats.attach_obs(obs)
         self._tracer = obs.tracer
-
-    def wire_cycles(self, message: Message) -> float:
-        return (message.size_bytes * 8.0 / self._wire_bps
-                * self._cycles_per_second)
 
     def transmit(self, message: Message) -> float:
         """Accept a message now; schedule delivery.  Returns the
         scheduled delivery time (useful for tests)."""
-        if self._deliver is None:
+        sinks = self._sinks
+        if sinks is None:
             raise RuntimeError("network not attached to a machine")
-        if not (0 <= message.dst < self.config.nprocs):
-            raise ValueError(f"destination {message.dst} out of range")
+        nprocs = self._nprocs
+        if not (0 <= message.src < nprocs and 0 <= message.dst < nprocs):
+            field = "dst" if 0 <= message.src < nprocs else "src"
+            raise ValueError(
+                f"message {field} {getattr(message, field)} out of "
+                f"range for {nprocs} processors")
         if self.faults is None:
             delivery_time = self._schedule(message)
             # Simulator.schedule inlined (one call per transmission):
@@ -137,15 +142,17 @@ class Network(ABC):
             now = sim.now
             delay = delivery_time - now
             sim._seq = seq = sim._seq + 1
+            deliver = sinks[message.dst]
             if delay == 0.0:
-                sim._ready.append((seq, self._deliver, (message,)))
+                sim._ready.append((seq, deliver, (message,)))
             else:
                 heappush(sim._queue,
-                         (now + delay, seq, self._deliver, (message,)))
+                         (now + delay, seq, deliver, (message,)))
             return delivery_time
-        return self._transmit_with_faults(message)
+        return self._transmit_with_faults(message, sinks[message.dst])
 
-    def _transmit_with_faults(self, message: Message) -> float:
+    def _transmit_with_faults(self, message: Message,
+                              deliver) -> float:
         decision = self.faults.decide(message)
         if (decision is not None and decision.drop
                 and not self.DROP_CONSUMES_WIRE):
@@ -154,7 +161,7 @@ class Network(ABC):
         delivery_time = self._schedule(message)
         if decision is None:
             self.sim.schedule(delivery_time - self.sim.now,
-                              self._deliver, message)
+                              deliver, message)
             return delivery_time
         if decision.drop:
             # Wire time and contention were paid; delivery never
@@ -162,16 +169,17 @@ class Network(ABC):
             return delivery_time
         delivery_time += decision.extra_delay
         self.sim.schedule(delivery_time - self.sim.now,
-                          self._deliver, message)
+                          deliver, message)
         if decision.duplicate:
             # The duplicate appears one latency later, without
             # consuming the medium again (modelled as a switch-side
             # replication, not a second send).
             gap = self.latency_cycles or 1.0
             self.sim.schedule(delivery_time + gap - self.sim.now,
-                              self._deliver, message)
+                              deliver, message)
         return delivery_time
 
     @abstractmethod
     def _schedule(self, message: Message) -> float:
-        """Model-specific: pick the delivery time and record stats."""
+        """Model-specific, one frame: compute the wire time, pick the
+        delivery time and write the ``stats`` cells."""

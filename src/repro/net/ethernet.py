@@ -35,19 +35,18 @@ class EthernetNetwork(Network):
         self._free_at = 0.0
         self._queued = 0
         self._rng = substream(config.seed, "ethernet")
-        self._obs_collisions = None
         self._obs_backoff = None
 
     def attach_obs(self, obs) -> None:
         super().attach_obs(obs)
-        self._obs_collisions = obs.registry.get(
-            "net.collisions_total").labels()
         self._obs_backoff = obs.registry.get(
             "net.backoff_cycles_total").labels()
 
     def _schedule(self, message: Message) -> float:
         now = self.sim.now
-        wire = self.wire_cycles(message)
+        size = message.size_bytes
+        wire = size * 8.0 / self._wire_bps * self._cycles_per_second
+        stats = self.stats
         start = max(now, self._free_at)
         waited = start - now
         if self.collisions and start > now:
@@ -63,17 +62,23 @@ class EthernetNetwork(Network):
             backoff = self._rng.uniform(0.0, window) * self.slot_cycles
             start += backoff
             waited += backoff
-            self.stats.collisions += 1
-            if self._obs_collisions is not None:
-                self._obs_collisions.inc()
-                self._obs_backoff.inc(backoff)
+            stats.collisions_cell.value += 1
+            if self._obs_backoff is not None:
+                self._obs_backoff.value += backoff
             end = start + wire
             self.sim.schedule(end - now, self._release_slot)
         else:
             backoff = 0.0
             end = start + wire
         self._free_at = end
-        self.stats.record(message, wire, waited)
+        stats.messages_cell.value += 1
+        stats.wire_bytes_cell.value += size
+        stats.data_bytes_cell.value += message.data_bytes
+        stats.wire_cycles_cell.value += wire
+        stats.contention_cell.value += waited
+        hist = stats.wire_hist
+        if hist is not None:
+            hist.observe(wire)
         tracer = self._tracer
         if tracer is not None and tracer.sink.enabled:
             tracer.emit("net.xmit", msg=message.msg_id,

@@ -44,7 +44,7 @@ class MsgKind(Enum):
     # Enum's default __hash__ is a Python-level call (hash of _name_);
     # members are singletons compared by identity, so the C-level
     # object hash is equivalent — and message kinds key the per-send
-    # metrics counters, twice per message.
+    # counter and the dispatch table, once each per message.
     __hash__ = object.__hash__
 
     @property
@@ -65,11 +65,11 @@ class Message:
     payload: Any = None
     data_bytes: int = 0  # shared data carried (diffs / page contents)
     lazy: bool = False   # lazy protocols pay doubled per-byte overhead
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
     reply_to: Optional[int] = None  # correlating request msg_id
     # Wire length (header + data), fixed at construction.  A plain
     # attribute: it is read several times per hop (overhead model,
-    # network serialization, two metrics mirrors).
+    # network serialization, traffic counters).
     size_bytes: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:

@@ -48,7 +48,8 @@ from repro.sim.engine import Simulator
 class Packet:
     """Transport envelope: one protocol message (or a pure ack) plus
     sequencing metadata.  Quacks enough like :class:`Message` for the
-    network models (``src``/``dst``/``size_bytes``/``data_bytes``).
+    network models (``src``/``dst``/``size_bytes``/``data_bytes``/
+    ``kind``/``msg_id``).
     The transport header rides inside the fixed message header."""
 
     __slots__ = ("src", "dst", "seq", "ack", "payload", "attempts",
@@ -78,6 +79,12 @@ class Packet:
     def kind(self) -> MsgKind:
         return (MsgKind.TRANSPORT_ACK if self.payload is None
                 else self.payload.kind)
+
+    @property
+    def msg_id(self) -> Optional[int]:
+        """The carried message's id (None for a pure ack): the
+        network models stamp ``net.xmit`` trace events with it."""
+        return None if self.payload is None else self.payload.msg_id
 
     def __repr__(self) -> str:
         what = "ack" if self.payload is None else repr(self.payload)
@@ -138,43 +145,34 @@ class ReliableTransport:
         seed = fault_seed if fault_seed is not None else config.seed
         self._jitter_rng = substream(seed, "transport.jitter")
         self._streams: Dict[Tuple[int, int], _Stream] = {}
-        self._obs = None
-        if obs is not None:
-            self.attach_obs(obs)
+        if obs is None:
+            from repro.obs import Observability
+            obs = Observability()
+        self.attach_obs(obs)
 
     def attach_obs(self, obs) -> None:
+        """Bind the ``transport.*`` cells (all label-free) as
+        attributes: the per-packet paths write ``cell.value += 1``."""
         from repro.obs import install_robustness
         registry = obs.registry
         install_robustness(registry)
-        # Bound children (all transport.* metrics are label-free):
-        # _inc() runs per packet, so skip Metric._sole() per call.
-        self._obs = {
-            "sent": registry.get("transport.packets_sent_total").labels(),
-            "received": registry.get(
-                "transport.packets_received_total").labels(),
-            "data": registry.get("transport.data_packets_total").labels(),
-            "retx": registry.get("transport.retransmits_total").labels(),
-            "timeouts": registry.get(
-                "transport.timeout_fires_total").labels(),
-            "acks": registry.get("transport.acks_sent_total").labels(),
-            "piggyback": registry.get(
-                "transport.acks_piggybacked_total").labels(),
-            "dups": registry.get(
-                "transport.duplicates_suppressed_total").labels(),
-            "ooo": registry.get("transport.out_of_order_total").labels(),
-            "delivered": registry.get(
-                "transport.delivered_total").labels(),
-            "recovery": registry.get(
-                "transport.recovery_cycles").labels(),
-            "peer_down": registry.get(
-                "transport.peer_down_timeouts_total").labels(),
-            "resets": registry.get(
-                "transport.session_resets_total").labels(),
-        }
 
-    def _inc(self, name: str, amount=1) -> None:
-        if self._obs is not None:
-            self._obs[name].inc(amount)
+        def cell(name):
+            return registry.get(f"transport.{name}").labels()
+
+        self._sent = cell("packets_sent_total")
+        self._received = cell("packets_received_total")
+        self._data = cell("data_packets_total")
+        self._retx = cell("retransmits_total")
+        self._timeouts = cell("timeout_fires_total")
+        self._acks = cell("acks_sent_total")
+        self._piggyback = cell("acks_piggybacked_total")
+        self._dups = cell("duplicates_suppressed_total")
+        self._ooo = cell("out_of_order_total")
+        self._delivered = cell("delivered_total")
+        self._recovery = cell("recovery_cycles")
+        self._peer_down = cell("peer_down_timeouts_total")
+        self._resets = cell("session_resets_total")
 
     def _stream(self, src: int, dst: int) -> _Stream:
         key = (src, dst)
@@ -194,13 +192,15 @@ class ReliableTransport:
     def send(self, message: Message) -> None:
         """Entry point for node sends (replaces raw network.transmit)."""
         stream = self._stream(message.src, message.dst)
+        reverse = self._stream(message.dst, message.src)
+        # The cumulative ack this packet carries: the highest in-order
+        # seq received on the reverse stream (-1: nothing yet).
         packet = Packet(message.src, message.dst, stream.next_seq,
-                        self._cumulative_ack(message.dst, message.src),
-                        message)
+                        reverse.expected - 1, message)
         stream.next_seq += 1
         packet.first_sent = self.sim.now
         stream.unacked[packet.seq] = packet
-        self._inc("data")
+        self._data.value += 1
         if (self.lifecycle is not None
                 and self.lifecycle.is_down(message.src)):
             # A handler completion scheduled before the crash landed
@@ -209,19 +209,18 @@ class ReliableTransport:
             return
         # Piggyback: this data packet carries the ack the reverse
         # stream may have owed, so cancel any pending pure ack.
-        reverse = self._stream(message.dst, message.src)
         if reverse.ack_pending:
             reverse.ack_pending = False
             if reverse.ack_timer is not None:
                 reverse.ack_timer.cancel()
                 reverse.ack_timer = None
-            self._inc("piggyback")
+            self._piggyback.value += 1
         if stream.timer is None:
             self._arm(stream)
         self._transmit(packet)
 
     def _transmit(self, packet: Packet) -> None:
-        self._inc("sent")
+        self._sent.value += 1
         self.network.transmit(packet)
 
     # -- retransmission timer -------------------------------------------
@@ -285,18 +284,18 @@ class ReliableTransport:
             # until recovery resets the session.
             self._arm(stream)
             return
-        self._inc("timeouts")
+        self._timeouts.value += 1
         stream.backoff_exp += 1
         if stream.backoff_exp > self.max_backoff_exp:
             # Repeated expiries at the backoff cap are the sender's
             # peer-death suspicion signal (probing a silent peer).
-            self._inc("peer_down")
+            self._peer_down.value += 1
         oldest = next(iter(stream.unacked.values()))
         oldest.attempts += 1
         # Refresh the piggybacked ack to the latest receiver state.
         oldest.ack = self._cumulative_ack(stream.dst, stream.src)
-        self._inc("retx")
-        if self.tracer:
+        self._retx.value += 1
+        if self.tracer is not None and self.tracer.sink.enabled:
             self.tracer.emit("transport.retx", src=stream.src,
                              dst=stream.dst, seq=oldest.seq,
                              attempt=oldest.attempts)
@@ -307,7 +306,7 @@ class ReliableTransport:
 
     def on_network_delivery(self, packet: Packet) -> None:
         """Attached as the network's delivery callback."""
-        self._inc("received")
+        self._received.value += 1
         # 1. The piggybacked ack acknowledges the reverse stream.
         self._process_ack(self._stream(packet.dst, packet.src),
                           packet.ack)
@@ -324,20 +323,20 @@ class ReliableTransport:
                 self._deliver_payload(queued)
         elif packet.seq > stream.expected:
             if packet.seq in stream.buffer:
-                self._inc("dups")
+                self._dups.value += 1
             else:
                 stream.buffer[packet.seq] = packet
-                self._inc("ooo")
+                self._ooo.value += 1
         else:
             # Already delivered: a duplicate (injected, or a
             # retransmission whose ack was lost).  Re-ack so the
             # sender stops retrying.
-            self._inc("dups")
+            self._dups.value += 1
         # 3. Owe the sender an ack (delayed, hoping to piggyback).
         self._schedule_ack(stream)
 
     def _deliver_payload(self, packet: Packet) -> None:
-        self._inc("delivered")
+        self._delivered.value += 1
         self._deliver_up(packet.payload)
 
     def _process_ack(self, stream: _Stream, ack: int) -> None:
@@ -353,8 +352,8 @@ class ReliableTransport:
             if packet.attempts == 0:
                 self._sample_rtt(stream,
                                  self.sim.now - packet.first_sent)
-            elif self._obs is not None:
-                self._obs["recovery"].observe(
+            else:
+                self._recovery.observe(
                     self.sim.now - packet.first_sent)
         if not advanced:
             return
@@ -387,7 +386,7 @@ class ReliableTransport:
         stream.ack_pending = False
         ack_packet = Packet(stream.dst, stream.src, -1,
                             stream.expected - 1, None)
-        self._inc("acks")
+        self._acks.value += 1
         self._transmit(ack_packet)
 
     # -- crash recovery -------------------------------------------------
@@ -415,14 +414,14 @@ class ReliableTransport:
                 oldest.attempts += 1
                 oldest.ack = self._cumulative_ack(stream.dst,
                                                   stream.src)
-                self._inc("retx")
+                self._retx.value += 1
                 self._transmit(oldest)
                 self._arm(stream)
             if stream.dst == proc and stream.ack_pending:
                 reset = True
                 self._flush_ack(stream, stream.ack_timer)
             if reset:
-                self._inc("resets")
+                self._resets.value += 1
 
     # -- introspection --------------------------------------------------
 

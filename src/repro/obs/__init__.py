@@ -47,15 +47,38 @@ __all__ = [
 ]
 
 
+class _MessageChildren(dict):
+    """One node's ``dsm.messages_total`` children keyed by
+    :class:`~repro.net.message.MsgKind` (the enum member hashes at C
+    level; ``kind.value`` is a Python-level descriptor call).  A
+    series appears in the dump the first time its kind is sent, so
+    the child is made on the first miss and a send costs one
+    subscript."""
+
+    __slots__ = ("_metric", "_node")
+
+    def __init__(self, metric, node: str) -> None:
+        self._metric = metric
+        self._node = node
+
+    def __missing__(self, kind):
+        child = self[kind] = self._metric.labels(node=self._node,
+                                                 msg_type=kind.value)
+        return child
+
+
 class NodeInstruments:
     """Pre-bound registry children for one node's hot paths.
 
     Binding the (node,) label once at construction keeps per-event
-    emission down to an attribute access plus an addition.
+    emission down to an attribute access plus an addition.  These
+    cells are the only place a node-level fact is counted;
+    :class:`repro.core.metrics.NodeMetrics` is built from them.
+    Counter children are bare ``.value`` cells, so hot paths write
+    ``child.value += n`` and skip the ``inc()`` frame.
     """
 
-    __slots__ = ("node_label", "messages", "_msg_children",
-                 "data_bytes", "wire_bytes",
+    __slots__ = ("messages", "data_bytes", "wire_bytes",
                  "read_misses", "write_misses", "cold_misses",
                  "page_transfers", "diffs_created", "diff_words",
                  "diffs_applied", "invalidations", "notices_created",
@@ -65,15 +88,12 @@ class NodeInstruments:
 
     def __init__(self, registry: MetricsRegistry, proc: int) -> None:
         node = str(proc)
-        self.node_label = node
 
         def bound(name):
             return registry.get(name).labels(node=node)
 
-        self.messages = registry.get("dsm.messages_total")
-        # Per-message-kind children resolved once on first use (the
-        # (node, msg_type) label pair is fixed per kind for this node).
-        self._msg_children = {}
+        self.messages = _MessageChildren(
+            registry.get("dsm.messages_total"), node)
         self.data_bytes = bound("dsm.data_bytes_total")
         self.wire_bytes = bound("dsm.wire_bytes_total")
         self.read_misses = bound("dsm.read_misses_total")
@@ -94,23 +114,6 @@ class NodeInstruments:
         self.barrier_wait = bound("sync.barrier_wait_cycles")
         self.compute_cycles = bound("cpu.compute_cycles_total")
         self.overhead_cycles = bound("cpu.overhead_cycles_total")
-
-    def record_send(self, message) -> None:
-        """Mirror of :meth:`NodeMetrics.record_send` into the registry."""
-        # Keyed by the enum member (C-level hash), not ``kind.value``:
-        # the .value descriptor is a Python call per message.
-        kind = message.kind
-        child = self._msg_children.get(kind)
-        if child is None:
-            child = self.messages.labels(node=self.node_label,
-                                         msg_type=kind.value)
-            self._msg_children[kind] = child
-        # Counter children are bare .value cells; this runs twice per
-        # message (send + its NodeMetrics mirror), so skip the inc()
-        # call frame per field.
-        child.value += 1
-        self.data_bytes.value += message.data_bytes
-        self.wire_bytes.value += message.size_bytes
 
 
 class Observability:

@@ -34,7 +34,7 @@ class Span:
     def __enter__(self) -> "Span":
         self.start = self._clock()
         tracer = self._tracer
-        if tracer:
+        if tracer is not None and tracer.sink.enabled:
             tracer.emit(self.name + ".begin", **self._fields)
         return self
 
@@ -43,7 +43,7 @@ class Span:
         if self._histogram is not None:
             self._histogram.observe(self.elapsed)
         tracer = self._tracer
-        if tracer:
+        if tracer is not None and tracer.sink.enabled:
             tracer.emit(self.name + ".end", cycles=self.elapsed,
                         **self._fields)
         return False

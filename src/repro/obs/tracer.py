@@ -3,7 +3,7 @@
 A :class:`Tracer` stamps every event with the *simulated* clock and
 hands it to its sink.  The disabled tracer (the default
 :class:`NullSink`) is free on the hot path: emission sites guard with
-``if tracer:`` and never even build the fields dict.
+``if tracer.sink.enabled:`` and never even build the fields dict.
 
 Sinks:
 
@@ -244,16 +244,19 @@ def read_jsonl(path: str) -> Iterator[TraceEvent]:
 class Tracer:
     """Emission front-end: ``tracer.emit("msg.send", src=0, dst=1)``.
 
-    Truth-testing a tracer answers "is anyone listening?", so hot
-    paths write ``if tracer: tracer.emit(...)`` and skip the call (and
-    its keyword-dict construction) entirely when tracing is off.  The
-    check reads ``sink.enabled`` live, so swapping ``tracer.sink``
-    mid-run enables or disables every emission site at once.
+    ``tracer.sink.enabled`` answers "is anyone listening?": emission
+    sites write ``if tracer.sink.enabled: tracer.emit(...)`` — two
+    attribute reads, no call — and skip the emit (and its keyword-dict
+    construction) entirely when tracing is off.  The guard reads the
+    sink live, so swapping ``tracer.sink`` mid-run enables or disables
+    every emission site at once.  Truth-testing the tracer gives the
+    same answer through a Python-level ``__bool__``; the simulator's
+    own sites do not use it.
     """
 
     def __init__(self, sink: Optional[TraceSink] = None,
                  clock: Optional[Callable[[], float]] = None) -> None:
-        self.sink = sink or NullSink()
+        self.sink = sink if sink is not None else NullSink()
         self.clock = clock or (lambda: 0.0)
 
     @property

@@ -163,8 +163,6 @@ class BaseProtocol:
             words_created += diff.word_count
             cost += per_diff_cost
         created = len(dirty)
-        node.metrics.diffs_created += created
-        node.metrics.diff_words_created += words_created
         node.ins.diffs_created.value += created
         node.ins.diff_words.value += words_created
         record = IntervalRecord(proc=node.proc, index=index, vc=node.vc,
@@ -172,7 +170,7 @@ class BaseProtocol:
                                 pending_ranges=pending_ranges)
         node.interval_log.add(record)
         node.ins.notices_created.value += len(record.pages)
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("protocol.seal", node=node.proc,
                              interval=index, pages=len(record.pages),
                              cost=cost, vc=list(node.vc.components))
@@ -218,7 +216,7 @@ class BaseProtocol:
         """Merge received interval records: log them and attach write
         notices to the affected page copies (or the orphan list)."""
         node = self.node
-        if node.tracer and records:
+        if node.tracer.sink.enabled and records:
             node.tracer.emit("protocol.notices_in", node=node.proc,
                              records=len(records),
                              pages=sum(len(r.pages) for r in records))
@@ -282,7 +280,6 @@ class BaseProtocol:
                     diffs: Sequence[Tuple[IntervalId, Diff]]) -> None:
         for (proc, index), diff in diffs:
             self.node.diff_store.put(proc, index, diff)
-            self.node.metrics.diffs_applied += 1
             self.node.ins.diffs_applied.value += 1
 
     # ------------------------------------------------------------------
@@ -382,7 +379,7 @@ class BaseProtocol:
             copy.mark_applied(notice.proc, notice.index)
         copy.remove_notices({n.interval_id for n in due})
         copy.valid = True
-        if self.node.tracer:
+        if self.node.tracer.sink.enabled:
             self.node.tracer.emit("protocol.diff_apply",
                                   page=copy.page, node=self.node.proc,
                                   diffs=len(notices))
@@ -398,7 +395,6 @@ class BaseProtocol:
                 f"{self.node.proc}: seal the interval first")
         if copy.valid:
             copy.valid = False
-            self.node.metrics.invalidations += 1
             self.node.ins.invalidations.value += 1
 
     # ------------------------------------------------------------------
@@ -586,7 +582,6 @@ class BaseProtocol:
                                       valid=False)
         copy.applied = dict(payload["applied"])
         copy.pending_notices = []
-        node.metrics.page_transfers += 1
         node.ins.page_transfers.value += 1
         # Merge notices parked while we had no copy.
         parked = self.orphan_notices.pop(page, None)
@@ -718,7 +713,6 @@ class BaseProtocol:
             self.incorporate_records([record])
             for diff in diffs:
                 node.diff_store.put(record.proc, record.index, diff)
-                node.metrics.diffs_applied += 1
                 node.ins.diffs_applied.value += 1
                 if not node.pagetable.has_copy(diff.page):
                     not_cached.append(diff.page)

@@ -62,15 +62,12 @@ class EagerBase(BaseProtocol):
             return
         started = node.sim.now
         if for_write:
-            node.metrics.write_misses += 1
             node.ins.write_misses.value += 1
         else:
-            node.metrics.read_misses += 1
             node.ins.read_misses.value += 1
         if copy is None:
-            node.metrics.cold_misses += 1
             node.ins.cold_misses.value += 1
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("protocol.page_fault", page=page,
                              node=node.proc, write=for_write,
                              cold=copy is None)
@@ -89,7 +86,6 @@ class EagerBase(BaseProtocol):
                                            valid=True)
             fresh.applied = dict(reply.payload["applied"])
             fresh.pending_notices = []
-            node.metrics.page_transfers += 1
             node.ins.page_transfers.value += 1
             node.copysets.merge(page, reply.payload["copyset"])
             node.copysets.add(page, node.proc)
@@ -114,9 +110,8 @@ class EagerBase(BaseProtocol):
             fresh.valid = False
             self._poison_records.setdefault(page, []).extend(unmet)
         waited = node.sim.now - started
-        node.metrics.miss_wait_cycles += waited
         node.ins.miss_wait.observe(waited)
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("protocol.fault_done", page=page,
                              node=node.proc, waited=waited)
 
@@ -305,7 +300,6 @@ class EagerBase(BaseProtocol):
                 diff.apply(copy)
                 copy.mark_applied(record.proc, record.index)
                 node.diff_store.put(record.proc, record.index, diff)
-                node.metrics.diffs_applied += 1
                 node.ins.diffs_applied.inc()
             else:
                 # EI invalidation notice.

@@ -49,23 +49,19 @@ class LazyBase(BaseProtocol):
             return
         started = node.sim.now
         if for_write:
-            node.metrics.write_misses += 1
             node.ins.write_misses.value += 1
         else:
-            node.metrics.read_misses += 1
             node.ins.read_misses.value += 1
         if copy is None:
-            node.metrics.cold_misses += 1
             node.ins.cold_misses.value += 1
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("protocol.page_fault", page=page,
                              node=node.proc, write=for_write,
                              cold=copy is None)
         yield from self.lazy_miss(page)
         waited = node.sim.now - started
-        node.metrics.miss_wait_cycles += waited
         node.ins.miss_wait.observe(waited)
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("protocol.fault_done", page=page,
                              node=node.proc, waited=waited)
 

@@ -102,15 +102,12 @@ class SequentialInvalidate(BaseProtocol):
             return
         started = node.sim.now
         if for_write:
-            node.metrics.write_misses += 1
             node.ins.write_misses.inc()
         else:
-            node.metrics.read_misses += 1
             node.ins.read_misses.inc()
         if node.pagetable.copies.get(page) is None:
-            node.metrics.cold_misses += 1
             node.ins.cold_misses.inc()
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("protocol.page_fault", page=page,
                              node=node.proc, write=for_write,
                              cold=node.pagetable.copies.get(page) is None)
@@ -135,9 +132,8 @@ class SequentialInvalidate(BaseProtocol):
             # An interleaved transaction snatched the page back
             # between our grant and our access: fault again.
         waited = node.sim.now - started
-        node.metrics.miss_wait_cycles += waited
         node.ins.miss_wait.observe(waited)
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("protocol.fault_done", page=page,
                              node=node.proc, waited=waited)
 
@@ -309,14 +305,12 @@ class SequentialInvalidate(BaseProtocol):
         answer = yield reply
         node.pagetable.install(page, values=answer.payload["values"],
                                valid=True)
-        node.metrics.page_transfers += 1
         node.ins.page_transfers.inc()
 
     def _drop_local(self, page: int) -> None:
         copy = self.node.pagetable.copies.get(page)
         if copy is not None and copy.valid:
             copy.valid = False
-            self.node.metrics.invalidations += 1
             self.node.ins.invalidations.inc()
         self.mode.pop(page, None)
 
@@ -389,12 +383,11 @@ class SequentialInvalidate(BaseProtocol):
         if payload["values"] is not None:
             node.pagetable.install(page, values=payload["values"],
                                    valid=True)
-            node.metrics.page_transfers += 1
             node.ins.page_transfers.inc()
         self.mode[page] = WRITE if payload["write"] else READ
         done = self._fault_done.get(page)
         if done is not None and not done.triggered:
-            if node.tracer:
+            if node.tracer.sink.enabled:
                 node.tracer.emit("sched.wake", node=node.proc,
                                  kind="sc_grant",
                                  cause=message.msg_id, page=page)

@@ -134,7 +134,7 @@ class NodeLifecycleManager:
         self._obs["ckpt_bytes"].observe(len(blob))
         down_cycles = (None if ev.down_us is None
                        else self.config.us_to_cycles(ev.down_us))
-        if self.tracer:
+        if self.tracer.sink.enabled:
             self.tracer.emit("node.crash", node=proc,
                              checkpoint_bytes=len(blob),
                              down_cycles=down_cycles,
@@ -172,6 +172,6 @@ class NodeLifecycleManager:
         self._obs["recoveries"].inc()
         self._obs["outage"].observe(outage)
         self._obs["replayed"].inc(replayed)
-        if self.tracer:
+        if self.tracer.sink.enabled:
             self.tracer.emit("node.recover", node=proc,
                              outage_cycles=outage, replayed=replayed)

@@ -66,7 +66,7 @@ class BarrierManager:
 
         master = node.machine.barrier_master(barrier_id)
         key = (barrier_id, episode)
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("sync.barrier_arrive", barrier=barrier_id,
                              episode=episode, node=node.proc,
                              master=master)
@@ -78,7 +78,7 @@ class BarrierManager:
                 yield state.all_arrived
             departures = node.protocol.master_combine(state.arrived)
             del self._master[key]
-            if node.tracer:
+            if node.tracer.sink.enabled:
                 node.tracer.emit("sync.barrier_depart",
                                  barrier=barrier_id, episode=episode,
                                  node=node.proc)
@@ -111,11 +111,9 @@ class BarrierManager:
         registry's sync.barrier_* metrics and an optional trace event."""
         node = self.node
         waited = self.sim.now - arrived_at
-        node.metrics.barrier_waits += 1
-        node.metrics.barrier_wait_cycles += waited
         node.ins.barrier_waits.value += 1
         node.ins.barrier_wait.observe(waited)
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("sync.barrier_done", barrier=barrier_id,
                              node=node.proc, wait_cycles=waited)
 
@@ -184,7 +182,7 @@ class BarrierManager:
             state.arrived[payload["proc"]] = payload["payload"]
             if (len(state.arrived) == node.config.nprocs
                     and state.all_arrived is not None):
-                if node.tracer:
+                if node.tracer.sink.enabled:
                     node.tracer.emit("sched.wake", node=node.proc,
                                      kind="barrier_all_arrived",
                                      cause=message.msg_id,
@@ -196,7 +194,7 @@ class BarrierManager:
                 raise SimulationError(
                     f"proc {self.node.proc} got unexpected departure "
                     f"for {key}")
-            if self.node.tracer:
+            if self.node.tracer.sink.enabled:
                 self.node.tracer.emit("sched.wake",
                                       node=self.node.proc,
                                       kind="barrier_depart",

@@ -94,22 +94,18 @@ class LockManager:
             handoff = self.sim.event(f"lock-{lock_id}-handoff")
             state.local_waiters.append(handoff)
             yield handoff
-            node.metrics.lock_acquires += 1
-            node.metrics.lock_local_acquires += 1
             node.ins.lock_acquires.inc()
             node.ins.lock_local_acquires.inc()
             return
         if state.has_token and not state.queue:
             # Token cached locally and nobody queued: free re-acquire.
             state.held = True
-            node.metrics.lock_acquires += 1
-            node.metrics.lock_local_acquires += 1
             node.ins.lock_acquires.inc()
             node.ins.lock_local_acquires.inc()
             return
         state.waiting = self.sim.event("lock-grant")
         if self.broadcast:
-            if node.tracer:
+            if node.tracer.sink.enabled:
                 node.tracer.emit("sync.lock_request", lock=lock_id,
                                  node=node.proc, target=None)
             yield from self._broadcast_request(lock_id, state)
@@ -121,7 +117,7 @@ class LockManager:
             # request straight down the chain.
             target = state.probable_tail
             state.probable_tail = node.proc
-            if node.tracer:
+            if node.tracer.sink.enabled:
                 node.tracer.emit("sync.lock_request", lock=lock_id,
                                  node=node.proc, target=target)
             yield from node.app_send(Message(
@@ -129,7 +125,7 @@ class LockManager:
                 payload={"lock": lock_id, "requester": node.proc,
                          "vc": node.vc}))
         else:
-            if node.tracer:
+            if node.tracer.sink.enabled:
                 node.tracer.emit("sync.lock_request", lock=lock_id,
                                  node=node.proc, target=owner)
             yield from node.app_send(Message(
@@ -185,7 +181,6 @@ class LockManager:
         state.queue.extend(state.early_forwards)
         state.early_forwards = []
         yield from node.protocol.apply_grant(grant["payload"])
-        node.metrics.lock_acquires += 1
         node.ins.lock_acquires.inc()
 
     def release(self, lock_id: int) -> Generator:
@@ -197,13 +192,13 @@ class LockManager:
         if not state.held:
             raise SimulationError(
                 f"proc {node.proc} releasing unheld lock {lock_id}")
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("sync.lock_release", lock=lock_id,
                              node=node.proc)
         if state.local_waiters:
             # Intra-node handoff: the lock stays held by this node and
             # no consistency information needs to move (same memory).
-            if node.tracer:
+            if node.tracer.sink.enabled:
                 node.tracer.emit("sync.lock_handoff", lock=lock_id,
                                  node=node.proc)
             state.local_waiters.pop(0).succeed()
@@ -224,7 +219,7 @@ class LockManager:
             requester, requester_vc, lock_id=lock_id)
         state.has_token = False
         state.last_granted_to = requester
-        if self.node.tracer:
+        if self.node.tracer.sink.enabled:
             self.node.tracer.emit("sync.lock_grant", lock=lock_id,
                                   node=self.node.proc, to=requester)
         yield from self.node.app_send(Message(
@@ -374,7 +369,7 @@ class LockManager:
             requester, requester_vc, lock_id=lock_id)
         state.has_token = False
         state.last_granted_to = requester
-        if node.tracer:
+        if node.tracer.sink.enabled:
             node.tracer.emit("sync.lock_grant", lock=lock_id,
                              node=node.proc, to=requester)
         node.handler_send(Message(
@@ -389,7 +384,7 @@ class LockManager:
             raise SimulationError(
                 f"proc {self.node.proc} got unsolicited grant of lock "
                 f"{payload['lock']}")
-        if self.node.tracer:
+        if self.node.tracer.sink.enabled:
             self.node.tracer.emit("sched.wake", node=self.node.proc,
                                   kind="lock_grant",
                                   cause=message.msg_id,

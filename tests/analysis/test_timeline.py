@@ -1,21 +1,29 @@
-"""Message timeline tap tests, including the paper's EU statistic."""
+"""Message timeline tests, including the paper's EU statistic."""
 
 from repro.analysis.timeline import MessageTimeline, attach_timeline
 from repro.apps import Water
 from repro.core import DsmApi, Machine, MachineConfig, NetworkConfig
+from repro.core.config import FaultConfig
 from repro.net.message import MsgKind
+from repro.obs import MemorySink, Observability, Tracer
 
 
 def run_water(protocol, nmols=16):
+    return run_water_result(protocol, nmols)[0]
+
+
+def run_water_result(protocol, nmols=16, obs=None,
+                     faults=FaultConfig()):
     app = Water(nmols=nmols, steps=1)
     machine = Machine(MachineConfig(nprocs=4,
-                                    network=NetworkConfig.atm()),
-                      protocol=protocol)
+                                    network=NetworkConfig.atm(),
+                                    faults=faults),
+                      protocol=protocol, obs=obs)
     timeline = attach_timeline(machine)
     shared = app.setup(machine)
-    machine.run(lambda p: app.worker(DsmApi(machine.nodes[p]), p,
-                                     shared))
-    return timeline
+    result = machine.run(
+        lambda p: app.worker(DsmApi(machine.nodes[p]), p, shared))
+    return timeline, result
 
 
 def test_timeline_counts_match_kinds():
@@ -52,6 +60,34 @@ def test_eu_flush_messages_dominate():
     flush_traffic = (by_kind.get(MsgKind.FLUSH, 0)
                      + by_kind.get(MsgKind.FLUSH_ACK, 0))
     assert flush_traffic / len(timeline) > 0.5
+
+
+def test_timeline_is_a_query_over_the_trace():
+    """The live timeline and a replay of the recorded events agree,
+    the sink the tracer already had keeps every event, and the counts
+    are the run's own."""
+    sink = MemorySink()
+    timeline, result = run_water_result(
+        "lh", obs=Observability(tracer=Tracer(sink)))
+    assert sink.named("msg.recv")
+    replay = MessageTimeline()
+    for event in sink.events:
+        replay.emit(event)
+    assert replay.events == timeline.events
+    assert timeline.count_by_kind() == result.messages_by_kind()
+    assert sum(timeline.data_by_kind().values()) / 1024.0 == \
+        result.data_kbytes
+
+
+def test_timeline_under_the_transport_holds_protocol_messages():
+    """With faults on, acks and retransmissions reach the network but
+    not the timeline (and tracing a lossy run works at all: the
+    network models stamp net.xmit with the packet's msg id)."""
+    timeline, result = run_water_result(
+        "lh", faults=FaultConfig(drop_prob=0.05, seed=3))
+    assert result.metric_total("transport.retransmits_total") > 0
+    assert len(timeline) == result.total_messages
+    assert len(timeline) < result.network_messages
 
 
 def test_empty_timeline_is_graceful():

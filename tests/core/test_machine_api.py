@@ -1,10 +1,14 @@
 """Unit tests for the machine, node CPU model, and application API."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core import DsmApi, Machine, MachineConfig, NetworkConfig
+from repro.core.config import FaultConfig, OverheadConfig
 from repro.net.message import Message, MsgKind
+from repro.obs import MemorySink, Observability, Tracer
 from repro.sim.engine import SimulationError
 
 
@@ -189,11 +193,125 @@ class TestMessagePlumbing:
         with pytest.raises(SimulationError, match="src"):
             machine.sim.run()
 
+    def test_handler_send_with_wrong_source_rejected(self):
+        machine = make_machine(nprocs=2)
+        message = Message(src=1, dst=0, kind=MsgKind.PAGE_REQ)
+        with pytest.raises(SimulationError, match="src=1"):
+            machine.nodes[0].handler_send(message)
+        # Rejected before anything was counted or scheduled.
+        assert machine.nodes[0].metrics.total_messages == 0
+        assert machine.sim.pending == 0
+
     def test_unexpected_reply_rejected(self):
         machine = make_machine(nprocs=2)
         message = Message(src=1, dst=0, kind=MsgKind.PAGE_REPLY,
                           reply_to=12345)
-        machine.nodes[1].metrics.record_send(message)
         machine.network.transmit(message)
         with pytest.raises(SimulationError, match="unexpected reply"):
             machine.sim.run()
+
+    def test_zero_overhead_app_send_yields_nothing(self):
+        """The Table 3 zero-overhead ablation: a send that costs no
+        cycles must not yield, or every run gains one event per
+        message."""
+        machine = make_machine(nprocs=2,
+                               overhead=OverheadConfig(scale=0.0))
+        seen = []
+        machine.transmit = seen.append
+        message = Message(src=0, dst=1, kind=MsgKind.PAGE_REQ)
+        assert list(machine.nodes[0].app_send(message)) == []
+        assert seen == [message]
+        assert machine.nodes[0].metrics.overhead_cycles == 0.0
+
+    def test_zero_overhead_run_event_count_pinned(self):
+        """Event, message and cycle counts of a zero-overhead Jacobi
+        run, as dispatched before the send path was fused."""
+        from repro.apps import create_app
+        from repro.core.runner import run_app
+        result = run_app(
+            create_app("jacobi", n=24, iterations=3),
+            MachineConfig(nprocs=4, network=NetworkConfig.atm(),
+                          overhead=OverheadConfig(scale=0.0)),
+            protocol="li")
+        assert result.metric_total("sim.events_dispatched_total") == 328
+        assert result.total_messages == 96
+        assert result.elapsed_cycles == 125251.20000000016
+
+    @pytest.mark.parametrize("faults", [
+        FaultConfig(), FaultConfig(drop_prob=0.05, seed=7)],
+        ids=["raw", "transport"])
+    def test_transmit_tap_sees_every_message_once_in_send_order(
+            self, faults):
+        """``machine.transmit`` is read per send, so assigning a
+        wrapper taps every message — on the raw network and with the
+        reliable transport in between."""
+        sink = MemorySink()
+        # ATM: a dropped frame still crossed the switch, so every
+        # transmission leaves a net.xmit event.
+        machine = Machine(
+            MachineConfig(nprocs=4, network=NetworkConfig.atm(),
+                          faults=faults),
+            obs=Observability(tracer=Tracer(sink)))
+        assert (machine.transport is not None) == faults.enabled
+        seg = machine.allocate("a", machine.config.words_per_page * 4)
+        tapped = []
+        forward = machine.transmit
+
+        def tap(message):
+            tapped.append(message)
+            forward(message)
+
+        machine.transmit = tap
+
+        def worker(api, proc):
+            for lock in range(3):
+                yield from api.acquire(lock)
+                yield from api.write(seg, proc, float(proc))
+                yield from api.release(lock)
+            yield from api.barrier(0)
+
+        result = machine.run(
+            lambda p: worker(DsmApi(machine.nodes[p]), p))
+        assert len(tapped) == result.total_messages > 0
+        assert (Counter(m.kind for m in tapped)
+                == Counter(result.messages_by_kind()))
+        # Send order is the order the medium first accepted them
+        # (the transport adds acks, msg None, and retransmissions).
+        on_wire = [e.fields["msg"] for e in sink.named("net.xmit")
+                   if e.fields["msg"] is not None]
+        assert [m.msg_id for m in tapped] == list(dict.fromkeys(on_wire))
+
+    def test_node_metrics_mid_run_equal_the_registry(self):
+        machine = make_machine(nprocs=2)
+        seg = machine.allocate("a", 8, owner=0)
+        registry = machine.obs.registry
+        seen = {}
+
+        def worker(api, proc):
+            if proc == 1:
+                yield from api.read(seg, 0)
+                metrics = machine.nodes[1].metrics
+                by_node = registry.by_label("dsm.messages_total",
+                                            "node")
+                seen["messages"] = (metrics.total_messages,
+                                    by_node["1"])
+                seen["misses"] = (
+                    metrics.read_misses,
+                    registry.by_label("dsm.read_misses_total",
+                                      "node")["1"])
+                seen["overhead"] = (
+                    metrics.overhead_cycles,
+                    registry.by_label("cpu.overhead_cycles_total",
+                                      "node")["1"])
+                seen["finish"] = metrics.finish_time
+            yield from api.barrier(0)
+
+        result = machine.run(
+            lambda p: worker(DsmApi(machine.nodes[p]), p))
+        assert seen["messages"][0] == seen["messages"][1] >= 1
+        assert seen["misses"] == (1, 1)
+        assert seen["overhead"][0] == seen["overhead"][1] > 0
+        assert seen["finish"] == 0.0  # set when the run ends
+        assert result.node_metrics[1].finish_time > 0
+        assert result.node_metrics[1].total_messages > \
+            seen["messages"][0]

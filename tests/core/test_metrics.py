@@ -1,9 +1,12 @@
 """Unit tests for metrics aggregation."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.metrics import NodeMetrics, RunResult
-from repro.net.message import Message, MsgKind
+from repro.net.message import MsgKind
+from repro.obs import Observability
 
 
 def make_result(nodes=2, **overrides):
@@ -20,28 +23,46 @@ def make_result(nodes=2, **overrides):
     return RunResult(**defaults)
 
 
-def test_record_send_accumulates():
-    m = NodeMetrics(proc=0)
-    m.record_send(Message(src=0, dst=1, kind=MsgKind.LOCK_REQ))
-    m.record_send(Message(src=0, dst=1, kind=MsgKind.PAGE_REPLY,
-                          data_bytes=100))
+def test_messages_sent_counter_accumulates():
+    m = NodeMetrics(proc=0,
+                    messages_sent=Counter({MsgKind.LOCK_REQ: 1,
+                                           MsgKind.PAGE_REPLY: 1}),
+                    data_bytes_sent=100)
     assert m.total_messages == 2
     assert m.sync_messages == 1
-    assert m.data_bytes_sent == 100
-    assert m.wire_bytes_sent > 100  # headers included
+    assert NodeMetrics.from_dict(m.to_dict()) == m
 
 
 def test_run_result_aggregates_over_nodes():
     result = make_result(nodes=3)
-    result.node_metrics[0].record_send(
-        Message(src=0, dst=1, kind=MsgKind.DIFF_REPLY, data_bytes=512))
-    result.node_metrics[2].record_send(
-        Message(src=2, dst=0, kind=MsgKind.BARRIER_ARRIVE))
+    result.node_metrics[0].messages_sent[MsgKind.DIFF_REPLY] += 1
+    result.node_metrics[0].data_bytes_sent += 512
+    result.node_metrics[2].messages_sent[MsgKind.BARRIER_ARRIVE] += 1
     assert result.total_messages == 2
     assert result.sync_messages == 1
     assert result.data_kbytes == pytest.approx(0.5)
     by_kind = result.messages_by_kind()
     assert by_kind[MsgKind.DIFF_REPLY] == 1
+
+
+def test_from_instruments_reads_every_registry_cell():
+    """NodeMetrics is a view: each field comes from the node's
+    registry children, cycle fields as floats even when untouched."""
+    obs = Observability()
+    ins = obs.node_instruments(3)
+    ins.messages[MsgKind.FLUSH].value += 2
+    ins.data_bytes.value += 64
+    ins.diff_words.value += 7
+    ins.lock_wait.observe(12.5)
+    m = NodeMetrics.from_instruments(3, ins, finish_time=99.0)
+    assert m.proc == 3 and m.finish_time == 99.0
+    assert m.messages_sent == Counter({MsgKind.FLUSH: 2})
+    assert (m.data_bytes_sent, m.diff_words_created) == (64, 7)
+    assert m.lock_wait_cycles == 12.5
+    assert m.compute_cycles == 0.0
+    assert type(m.compute_cycles) is float
+    assert obs.registry.by_label("dsm.messages_total",
+                                 "msg_type") == {"flush": 2}
 
 
 def test_speedup_over():

@@ -1,0 +1,92 @@
+"""Keep-it-deleted lint: one counter per fact, one frame per hop.
+
+Every node- and network-level fact is counted in one registry cell
+(``NodeMetrics`` / ``NetworkStats`` are views), every tracer guard is
+the attribute read ``tracer.sink.enabled``, and the per-message
+helpers the fused send -> wire -> deliver -> dispatch path made
+unnecessary are gone.  This scans ``src/repro`` (comments and
+docstrings included — a stale mention misleads as well as a stale
+call) so the second accounting path cannot grow back one site at a
+time.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: (what it is, pattern, files exempt — relative to ``src/repro``).
+FORBIDDEN = [
+    ("write to a NodeMetrics field (count it in node.ins instead)",
+     re.compile(r"\.metrics\.\w+\s*(?:[-+*/]=|=(?!=))"), ()),
+    ("truthiness tracer guard (use `tracer.sink.enabled`)",
+     re.compile(r"\b(?:if|elif|and|or|not)\s+[\w.]*tracer\s*"
+                r"(?::|\band\b|\bor\b)"), ()),
+    ("Node._stamp", re.compile(r"\b_stamp\b"), ()),
+    ("Node._message_overhead",
+     re.compile(r"\b_message_overhead\b"), ()),
+    ("Node._resolve_reply", re.compile(r"\b_resolve_reply\b"), ()),
+    ("NodeMetrics.record_send / NodeInstruments.record_send",
+     re.compile(r"\brecord_send\b"), ()),
+    ("NetworkStats.record", re.compile(r"\bstats\.record\("), ()),
+    ("Network.wire_cycles (MachineConfig.wire_cycles is the model's "
+     "definition; the network models inline it)",
+     re.compile(r"\bdef wire_cycles\b|\bself\.wire_cycles\("),
+     ("core/config.py",)),
+    ("ReliableTransport._inc", re.compile(r"\b_inc\("), ()),
+]
+
+
+def _offenders(pattern, exempt):
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        if name in exempt:
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if pattern.search(line):
+                hits.append(f"{name}:{number}: {line.strip()}")
+    return hits
+
+
+@pytest.mark.parametrize("what,pattern,exempt", FORBIDDEN,
+                         ids=[entry[0].split(" (")[0]
+                              for entry in FORBIDDEN])
+def test_deleted_accounting_path_stays_deleted(what, pattern, exempt):
+    assert list(SRC.rglob("*.py")), "source glob matched nothing"
+    hits = _offenders(pattern, exempt)
+    assert not hits, f"{what} is back:\n" + "\n".join(hits)
+
+
+def test_machine_transmit_is_bound_once_not_a_method():
+    """``Machine.transmit`` is an instance attribute (the transport's
+    ``send`` or the network's ``transmit``), not a per-message frame
+    that re-resolves its target."""
+    from repro.core import Machine, MachineConfig
+    assert "transmit" not in vars(Machine)
+    assert "transmit" in vars(Machine(MachineConfig(nprocs=2)))
+
+
+@pytest.mark.parametrize("line,index", [
+    ("        node.metrics.lock_acquires += 1", 0),
+    ("        self.metrics.finish_time = max(times)", 0),
+    ("        if self.tracer:", 1),
+    ("        if node.tracer and records:", 1),
+    ("            if tracer:", 1),
+    ("        elif not self._tracer:", 1),
+])
+def test_the_patterns_catch_what_was_deleted(line, index):
+    assert FORBIDDEN[index][1].search(line)
+
+
+@pytest.mark.parametrize("line", [
+    "        if self.tracer.sink.enabled:",
+    "        if tracer is not None and tracer.sink.enabled:",
+    "        if node.metrics.lock_acquires == 0:",
+    "            node_metrics=[node.metrics for node in self.nodes],",
+])
+def test_the_patterns_pass_the_current_idioms(line):
+    assert not any(pattern.search(line)
+                   for _what, pattern, _exempt in FORBIDDEN[:2])

@@ -54,6 +54,24 @@ def test_restored_results_answer_the_same_queries(results, app):
     assert restored.speedup_over(result) == 1.0
 
 
+def test_untouched_cycle_fields_dump_as_floats(results):
+    """Jacobi takes no lock, so its ``sync.lock_wait_cycles`` cells
+    were never written; the NodeMetrics built from the registry must
+    still say ``0.0`` (a golden dump is compared byte for byte), and
+    the dump must restore exactly."""
+    result = results["jacobi"]
+    data = result.to_dict()
+    for node in data["node_metrics"]:
+        assert node["lock_acquires"] == 0
+        for name in ("lock_wait_cycles", "barrier_wait_cycles",
+                     "compute_cycles", "overhead_cycles",
+                     "miss_wait_cycles", "finish_time"):
+            assert type(node[name]) is float, name
+        assert node["lock_wait_cycles"] == 0.0
+    assert type(data["network_contention_cycles"]) is float
+    assert RunResult.from_dict(data).to_dict() == data
+
+
 def test_schema_version_is_checked(results):
     data = results["jacobi"].to_dict()
     assert data["schema"] == RunResult.SCHEMA_VERSION

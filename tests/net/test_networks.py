@@ -39,8 +39,62 @@ def test_message_to_self_rejected():
 
 def test_destination_out_of_range_rejected():
     sim, config, network, _ = make(NetworkConfig.ideal())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dst 99"):
         network.transmit(msg(0, 99))
+
+
+@pytest.mark.parametrize("model", [NetworkConfig.ideal,
+                                   NetworkConfig.atm,
+                                   NetworkConfig.ethernet])
+@pytest.mark.parametrize("src,dst,named", [
+    (-1, 0, "src -1"), (4, 0, "src 4"), (0, -1, "dst -1"),
+    (0, 4, "dst 4")])
+def test_endpoint_out_of_range_rejected(model, src, dst, named):
+    """Both ends are checked on every model; a negative source used
+    to index the ATM port table from the end and book node
+    nprocs-1's output port."""
+    sim, config, network, delivered = make(model())
+    with pytest.raises(ValueError, match=named):
+        network.transmit(msg(src, dst))
+    assert network.stats.messages == 0
+    sim.run()
+    assert delivered == []
+
+
+def test_transmit_before_attach_rejected():
+    sim = Simulator()
+    network = build_network(
+        sim, MachineConfig(nprocs=2, network=NetworkConfig.atm()))
+    with pytest.raises(RuntimeError, match="not attached"):
+        network.transmit(msg(0, 1))
+
+
+def test_attach_nodes_delivers_to_the_destination_callback():
+    sim, config, network, shared = make(NetworkConfig.ideal())
+    inboxes = [[] for _ in range(config.nprocs)]
+    network.attach_nodes([inbox.append for inbox in inboxes])
+    first, second = msg(0, 2), msg(3, 1)
+    network.transmit(first)
+    network.transmit(second)
+    sim.run()
+    assert inboxes == [[], [second], [first], []]
+    assert shared == []
+    with pytest.raises(ValueError, match="3 delivery callbacks"):
+        network.attach_nodes(inboxes[:3])
+
+
+def test_stats_counted_before_attach_obs_carry_into_the_registry():
+    from repro.obs import Observability
+    sim, config, network, _ = make(NetworkConfig.atm())
+    network.transmit(msg(0, 1, data=100))
+    obs = Observability()
+    network.attach_obs(obs)
+    network.transmit(msg(1, 2, data=50))
+    assert network.stats.messages == 2
+    assert obs.registry.total("net.messages_total") == 2
+    assert obs.registry.total("net.data_bytes_total") == 150
+    with pytest.raises(AttributeError):
+        network.stats.messages = 0
 
 
 def test_ideal_network_fixed_latency_no_contention():

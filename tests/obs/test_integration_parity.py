@@ -1,10 +1,13 @@
-"""Registry vs. legacy-counter parity on a real run.
+"""``NodeMetrics`` / ``NetworkStats`` are views of the registry.
 
-Every legacy ``NodeMetrics`` / ``NetworkStats`` increment is mirrored
-into the metrics registry at the same call site, in the same order, so
-the two accountings must agree *bit for bit* — including float cycle
-sums.  A Jacobi run on the 100 Mbit ATM network exercises every layer:
-the event kernel, the ATM model, the protocol engine, and the
+Each fact is counted once, in a registry cell; ``NodeMetrics`` is
+built from a node's cells and ``NetworkStats`` reads the ``net.*``
+ones.  What is left to pin on a real run is the wiring of the view —
+every field reads *its* metric, per node — and that the per-kind /
+per-node breakdowns agree with the ``RunResult`` helpers.  (The test
+names keep "legacy" from when the two were separate accountings.)  A
+Jacobi run on the 100 Mbit ATM network exercises every layer: the
+event kernel, the ATM model, the protocol engine, and the
 lock/barrier managers.
 """
 
@@ -88,8 +91,8 @@ def test_counter_totals_match_legacy(result, metric, attr):
     ("cpu.overhead_cycles_total", "overhead_cycles"),
 ])
 def test_cycle_sums_match_legacy_bit_for_bit(result, metric, attr):
-    # Float sums: mirrored at the same sites in the same order, so
-    # exact equality is required, not approx.
+    # The view copies the cell (coerced to float), so exact equality
+    # is required, not approx.
     registry = result.registry
     legacy = sum(getattr(m, attr) for m in result.node_metrics)
     assert registry.total(metric) == legacy
