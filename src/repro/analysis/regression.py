@@ -45,8 +45,7 @@ from typing import List, Optional
 BENCH_SUMMARY_SCHEMA = "repro.bench.summary/1"
 
 #: Default fractional drop that counts as a regression, per record
-#: (matches benchmarks/check_core_regression.py: the core32 arm runs
-#: reduced sampling in CI so it gets more slack).
+#: (the core32 arm runs reduced sampling in CI so it gets more slack).
 DEFAULT_THRESHOLD = 0.10
 DEFAULT_THRESHOLD32 = 0.15
 

@@ -60,106 +60,54 @@ def _app(args):
     return create_app(args.app, **_app_params(args))
 
 
-def _probability(text: str) -> float:
-    """Argparse type for per-message fault rates: a float in
-    [0.0, 1.0) — the injector's domain — rejected here with a clear
-    message instead of failing deep inside config validation."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a probability, got {text!r}")
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"probability must be at least 0.0 and below 1.0, "
-            f"got {value}")
-    return value
+def _float_arg(what: str, accept, rule: str):
+    """Argparse type factory for a range-checked float: out-of-range
+    input is rejected at the command line with a clear message instead
+    of failing deep inside config validation."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+    return parse
 
 
-def _nonnegative_us(text: str) -> float:
-    """Argparse type for durations/times in microseconds (>= 0)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected microseconds, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"microseconds must be non-negative, got {value}")
-    return value
-
-
-def _positive_rate(text: str) -> float:
-    """Argparse type for offered load: requests/second, strictly
-    positive (an open-loop generator with no arrivals is a mistake,
-    not a workload)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected requests/second, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(
-            f"arrival rate must be > 0 requests/s, got {value}")
-    return value
-
-
-def _unit_fraction(text: str) -> float:
-    """Argparse type for mix fractions: a float in [0.0, 1.0]
-    (inclusive — an all-read or all-write mix is legitimate)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a fraction, got {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"fraction must be within [0, 1], got {value}")
-    return value
-
-
-def _window_us(text: str) -> float:
-    """Argparse type for the telemetry window: microseconds, strictly
-    positive.  (The companion check — a window smaller than the
-    scheduler tick — needs the machine's clock rate, so it happens at
-    sampler bind time and surfaces as a clean error too.)"""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a window in microseconds, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(
-            f"window must be > 0 µs, got {value}")
-    return value
-
-
-def _slo_target(text: str) -> float:
-    """Argparse type for the SLO attainment target: strictly inside
-    (0, 1) — at 1.0 the burn rate divides by zero, at 0 every window
-    trivially passes."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an SLO target, got {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"SLO target must be within (0, 1), got {value}")
-    return value
-
-
-def _zipf_exponent(text: str) -> float:
-    """Argparse type for the Zipf skew: >= 0 (0 = uniform keys)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a Zipf exponent, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"Zipf exponent must be >= 0, got {value}")
-    return value
+# Per-message fault rates: [0.0, 1.0), the injector's domain.
+_probability = _float_arg(
+    "a probability", lambda v: 0.0 <= v < 1.0,
+    "probability must be at least 0.0 and below 1.0")
+# Durations/times in microseconds.
+_nonnegative_us = _float_arg(
+    "microseconds", lambda v: not v < 0,
+    "microseconds must be non-negative")
+# Offered load: an open-loop generator with no arrivals is a mistake,
+# not a workload.
+_positive_rate = _float_arg(
+    "requests/second", lambda v: v > 0,
+    "arrival rate must be > 0 requests/s")
+# Mix fractions: inclusive — an all-read or all-write mix is legitimate.
+_unit_fraction = _float_arg(
+    "a fraction", lambda v: 0.0 <= v <= 1.0,
+    "fraction must be within [0, 1]")
+# Telemetry window.  (The companion check — a window smaller than the
+# scheduler tick — needs the machine's clock rate, so it happens at
+# sampler bind time and surfaces as a clean error too.)
+_window_us = _float_arg(
+    "a window in microseconds", lambda v: v > 0,
+    "window must be > 0 µs")
+# SLO attainment target: at 1.0 the burn rate divides by zero, at 0
+# every window trivially passes.
+_slo_target = _float_arg(
+    "an SLO target", lambda v: 0.0 < v < 1.0,
+    "SLO target must be within (0, 1)")
+# Zipf skew (0 = uniform keys).
+_zipf_exponent = _float_arg(
+    "a Zipf exponent", lambda v: not v < 0,
+    "Zipf exponent must be >= 0")
 
 
 def _parse_stall(spec: str) -> StallSpec:

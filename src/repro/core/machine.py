@@ -13,7 +13,8 @@ from repro.mem.addressing import AddressSpace, Segment
 from repro.net import build_network
 from repro.net.message import Message
 from repro.obs import Observability
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import (SimulationError, Simulator,
+                              unfinished_reason)
 from repro.sim.events import Event
 
 
@@ -54,7 +55,7 @@ class Machine:
         # Windowed telemetry (docs/observability.md): a
         # TimeseriesSampler rides along as a side channel like the
         # tracer — read-only, schedules nothing, and absent by default
-        # so unsampled runs take the unmodified dispatch loops.
+        # (the dispatch loop's window boundary is then ``inf``).
         self.sampler = sampler
         if sampler is not None:
             sampler.bind(self)
@@ -276,8 +277,9 @@ class Machine:
                 unfinished = [i for i, t in enumerate(self._finished)
                               if t is None]
                 raise SimulationError(
-                    f"workers {unfinished} did not finish "
-                    "(deadlock or event budget exceeded)")
+                    f"workers {unfinished} did not finish: "
+                    + unfinished_reason(self.sim, "those workers",
+                                        max_events))
             # Partial completion (crash-stop availability runs):
             # elapsed covers what actually ran; dead workers keep
             # finish_time's default and a None app_result.
@@ -314,7 +316,6 @@ class Machine:
         self._app_results[proc] = result
 
     def _all_finished(self) -> bool:
-        # O(1): run_all's stop callback runs once per dispatched event.
         return self._unfinished == 0
 
     def completion(self) -> tuple:

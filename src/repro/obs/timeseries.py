@@ -31,10 +31,11 @@ Window semantics (docs/observability.md):
   ``k * window_us`` would have recorded — the associativity property
   ``tests/properties/test_timeseries_merge.py`` pins.
 
-Zero overhead when disabled: a machine without a sampler takes the
-unmodified fast dispatch loops (one ``is None`` check per *run*, not
-per event) and the serving pump's ``if sampler is not None:`` guard
-never fires — the 20 golden dumps stay byte-identical and
+Free when disabled: the dispatch loop compares the clock against the
+next window boundary only on a heap pop — the one place the clock
+moves — and without a sampler that boundary is ``inf``; zero-delay
+events never see the check, and the serving pump's ``if sampler is not
+None:`` guard never fires — the 20 golden dumps stay byte-identical and
 ``benchmarks/test_perf_core.py`` bounds the instrumented-but-disabled
 configuration under 1%.  Enabled sampling is pure observation: it
 schedules nothing and only reads, so the simulation's event sequence,
@@ -132,8 +133,8 @@ class TimeseriesSampler:
     Construct with the window size (and SLO parameters for the serving
     probes), then hand it to :func:`repro.core.runner.run_app` (or
     :class:`repro.core.machine.Machine`) via the ``sampler`` keyword —
-    the machine calls :meth:`bind`, the scheduler's sampled dispatch
-    loop calls :meth:`advance_to` on boundary crossings, the serving
+    the machine calls :meth:`bind`, the scheduler's dispatch loop
+    calls :meth:`advance_to` on boundary crossings, the serving
     pump feeds :meth:`record_request`, and the machine closes the
     trailing window with :meth:`finish` when the run ends.
     """
@@ -195,9 +196,10 @@ class TimeseriesSampler:
     def _snapshot(self) -> dict:
         """Cumulative probe values.  Every probe is *live* mid-run:
         the message/byte/lock/diff metrics are incremented per event
-        by pre-bound registry children, and the sampled dispatch loop
-        maintains ``processed_events`` per event (the batched obs
-        counter flushes only at loop exit, so it is not read here)."""
+        by pre-bound registry children, and the dispatch loop brings
+        ``processed_events`` up to date just before it calls
+        :meth:`advance_to` (the batched obs counter is folded in only
+        at loop exit, so it is not read here)."""
         registry = self._registry
         return {
             "events": self._sim.processed_events,
@@ -215,9 +217,9 @@ class TimeseriesSampler:
 
     def advance_to(self, time: float) -> float:
         """Close every window whose boundary is at or before ``time``;
-        returns the new next boundary.  Called by the sampled dispatch
-        loop on the heap pop that advances the clock, *before* the
-        popped callback runs."""
+        returns the new next boundary, which the dispatch loop keeps
+        in a local.  Called on the heap pop that advances the clock,
+        *before* the popped callback runs."""
         boundary = self.next_boundary
         while time >= boundary:
             self._close(boundary)

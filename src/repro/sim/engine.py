@@ -22,17 +22,20 @@ cancellation is lazy: a cancelled :class:`~repro.sim.events.Timer`
 stays queued and its dispatch becomes a no-op, so cancellation never
 pays a heap repair (see :class:`repro.sim.events.Timer`).
 
-Performance notes: :meth:`Simulator.run` and :meth:`Simulator.run_all`
-inline the dispatch loop rather than calling :meth:`Simulator.step` per
-event, batch the event/queue-depth observability counters into local
-ints flushed after the loop, and plain numeric yields take a fast path
-that never allocates an :class:`Event`.
+There is one dispatch loop, :meth:`Simulator._dispatch`, so the pop
+rule appears once; ``run``, ``run_until``, ``run_process`` and ``step``
+only choose its stop conditions (an object whose ``.triggered`` ends
+the run, an ``until`` time, an event budget).  It dispatches inline (no
+method call per event) and batches the event/queue-depth counters into
+local ints folded in when it exits; plain numeric yields take a fast
+path that never allocates an :class:`Event`.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from math import inf
 from typing import (Any, Callable, Deque, Generator, List, Optional,
                     Tuple)
 
@@ -41,6 +44,12 @@ from repro.sim.events import AllOf, Condition, Event, Timeout, Timer
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
+
+
+#: Stop object for runs that wait on nothing (``run``, ``step``): "no
+#: stop event" is an event nobody can fire rather than a branch (and
+#: the loop head reads ``.triggered`` off one type either way).
+_NEVER = Event(None, "never")
 
 
 class Process(Event):
@@ -136,7 +145,7 @@ class Simulator:
       to zero in float arithmetic — the pop rule covers that corner).
 
     Invariant: every ready entry is due exactly at ``now`` (entries are
-    appended at the current time and the loops never advance ``now``
+    appended at the current time and the loop never advances ``now``
     while the bucket is non-empty), so dispatch order is the global
     ``(time, seq)`` order even across the two tiers.
     """
@@ -150,16 +159,14 @@ class Simulator:
         # Observability (optional): bound registry *children* (one
         # attribute access + one addition per flush), attached by the
         # machine via attach_obs().  The tracer reference only feeds
-        # the rare spawn/finish events — the dispatch loops never
-        # touch it.
+        # the rare spawn/finish events — the dispatch loop never
+        # touches it.
         self._obs_events = None
         self._obs_queue_depth = None
         self.tracer = None
         # Windowed telemetry (optional): a TimeseriesSampler attached
-        # by the machine.  The unsampled loops below never touch it —
-        # each run method checks it exactly once and hands off to
-        # _run_sampled, so a machine without a sampler pays one `is
-        # None` per *run call*, not per event.
+        # by the machine, read once per dispatch call; without one the
+        # loop's window boundary is ``inf``.
         self._sampler = None
 
     def attach_obs(self, obs) -> None:
@@ -172,10 +179,9 @@ class Simulator:
         self.tracer = obs.tracer
 
     def attach_sampler(self, sampler) -> None:
-        """Route subsequent runs through the sampled dispatch loop,
-        closing a telemetry window whenever a heap pop advances the
-        clock past ``sampler.next_boundary`` (see
-        :mod:`repro.obs.timeseries`)."""
+        """Have subsequent runs close a telemetry window whenever a
+        heap pop advances the clock to or past
+        ``sampler.next_boundary`` (see :mod:`repro.obs.timeseries`)."""
         self._sampler = sampler
 
     # -- scheduling ------------------------------------------------------
@@ -219,254 +225,114 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def _flush_counters(self, dispatched: int, depth_peak: int) -> None:
-        """Fold a loop's locally-batched counters into the shared
-        bookkeeping (always runs, even when the loop raises)."""
-        self.processed_events += dispatched
-        if self._obs_events is not None and dispatched:
-            self._obs_events.inc(dispatched)
-        if self._obs_queue_depth is not None:
-            self._obs_queue_depth.set_max(depth_peak)
+    def _dispatch(self, stop, until: float = inf,
+                  max_events: Optional[int] = None) -> None:
+        """The one dispatch loop: runs events in ``(time, seq)`` order
+        until both tiers drain, ``stop.triggered`` turns true,
+        ``max_events`` callbacks have returned, or the next event lies
+        beyond ``until`` (the clock then stops at ``until``; if
+        ``max_events`` ends the run first it stays where it is).
 
-    def step(self) -> bool:
-        """Run the earliest pending event.  Returns False when empty.
+        ``until`` and the sampler are checked only on the heap-pop
+        branch, where the clock moves: every ready entry is due at
+        ``now``, and ``now <= until`` and ``now < boundary`` hold on
+        entry and after every heap pop.  A telemetry window closes on
+        the heap pop that reaches its boundary, *before* the popped
+        callback runs — an event at exactly ``k * window`` lands in
+        window ``k`` whatever the window size, the exact-merge property
+        the timeseries tests pin.
 
-        Convenience/debug entry point: the batch loops below inline
-        this body instead of paying a method call per event."""
-        ready = self._ready
-        queue = self._queue
-        if not ready and not queue:
-            return False
-        if self._obs_queue_depth is not None:
-            self._obs_queue_depth.set_max(len(ready) + len(queue))
-        if ready and not (queue and queue[0][0] == self.now
-                          and queue[0][1] < ready[0][0]):
-            _seq, callback, args = ready.popleft()
-        else:
-            time, _seq, callback, args = heapq.heappop(queue)
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            sampler = self._sampler
-            if sampler is not None and time >= sampler.next_boundary:
-                sampler.advance_to(time)
-        callback(*args)
-        self.processed_events += 1
-        if self._obs_events is not None:
-            self._obs_events.inc()
-        return True
-
-    def _run_sampled(self, stop: Optional[Callable[[], bool]] = None,
-                     until: Optional[float] = None,
-                     max_events: Optional[int] = None) -> float:
-        """The dispatch loop with telemetry-window sampling: identical
-        pop rule, depth accounting, and stop conditions as the plain
-        loops, plus a boundary check on every clock advance.  Windows
-        close *before* the boundary-crossing callback runs, so an event
-        at exactly ``k * window`` lands in window ``k`` regardless of
-        the window size — the exact-merge property the timeseries tests
-        pin.  ``processed_events`` is maintained inline (per event)
-        rather than batch-flushed so the sampler's events probe is live
-        mid-run; the finally block flushes only the obs children."""
-        sampler = self._sampler
+        Counters are batched in locals and folded in by the ``finally``
+        — whether or not a callback raised, exactly those that returned
+        are counted — and ``processed_events`` is also made current
+        just before the sampler reads it."""
         ready = self._ready
         queue = self._queue
         pop = heapq.heappop
         popleft = ready.popleft
+        # ``now`` mirrors self.now in a local (an attribute read per
+        # dispatched event otherwise); callbacks never advance time —
+        # only the heap pops below do — so the mirror cannot go stale.
+        now = self.now
+        if until < now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is at {now}")
+        sampler = self._sampler
+        boundary = inf if sampler is None else sampler.next_boundary
+        base = self.processed_events
         dispatched = 0
         depth_peak = 0
-        now = self.now
         try:
-            while ready or queue:
-                if stop is not None and stop():
-                    break
-                if until is not None:
-                    earliest = now if ready else queue[0][0]
-                    if earliest > until:
-                        self.now = until
-                        break
+            while (ready or queue) and not stop.triggered:
                 if max_events is not None and dispatched >= max_events:
                     break
                 depth = len(ready) + len(queue)
-                if depth > depth_peak:
-                    depth_peak = depth
                 if ready and not (queue and queue[0][0] == now
                                   and queue[0][1] < ready[0][0]):
                     _seq, callback, args = popleft()
                 else:
+                    if queue[0][0] > until:
+                        # Not recorded in depth_peak: the tail beyond
+                        # ``until`` was never up for dispatch.
+                        self.now = until
+                        break
                     time, _seq, callback, args = pop(queue)
                     if time < now:
                         raise SimulationError("time went backwards")
                     self.now = now = time
-                    if time >= sampler.next_boundary:
-                        sampler.advance_to(time)
+                    if time >= boundary:
+                        self.processed_events = base + dispatched
+                        boundary = sampler.advance_to(time)
+                if depth > depth_peak:
+                    depth_peak = depth
                 callback(*args)
                 dispatched += 1
-                self.processed_events += 1
         finally:
+            self.processed_events = base + dispatched
             if self._obs_events is not None and dispatched:
                 self._obs_events.inc(dispatched)
             if self._obs_queue_depth is not None:
                 self._obs_queue_depth.set_max(depth_peak)
-        return self.now
+
+    def step(self) -> bool:
+        """Run the earliest pending event.  Returns False when empty."""
+        if not self.pending:
+            return False
+        self._dispatch(_NEVER, max_events=1)
+        return True
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or
         ``max_events`` have been processed.  Returns the final time."""
-        if self._sampler is not None:
-            return self._run_sampled(until=until, max_events=max_events)
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        popleft = ready.popleft
-        dispatched = 0
-        depth_peak = 0
-        # ``now`` mirrors self.now in a local (an attribute read per
-        # dispatched event otherwise); callbacks never advance time —
-        # only the heap pops below do — so the mirror cannot go stale.
-        now = self.now
-        try:
-            while ready or queue:
-                if until is not None:
-                    earliest = now if ready else queue[0][0]
-                    if earliest > until:
-                        self.now = until
-                        break
-                if max_events is not None and dispatched >= max_events:
-                    break
-                depth = len(ready) + len(queue)
-                if depth > depth_peak:
-                    depth_peak = depth
-                if ready and not (queue and queue[0][0] == now
-                                  and queue[0][1] < ready[0][0]):
-                    _seq, callback, args = popleft()
-                else:
-                    time, _seq, callback, args = pop(queue)
-                    if time < now:
-                        raise SimulationError("time went backwards")
-                    self.now = now = time
-                callback(*args)
-                dispatched += 1
-        finally:
-            self._flush_counters(dispatched, depth_peak)
+        self._dispatch(_NEVER, inf if until is None else until,
+                       max_events)
         return self.now
 
     def run_process(self, process: Process,
                     max_events: Optional[int] = None) -> Any:
         """Run until ``process`` completes; returns its return value."""
-        if self._sampler is not None:
-            self._run_sampled(stop=lambda: process.triggered,
-                              max_events=max_events)
-            if not process.triggered:
-                raise SimulationError(
-                    f"process {process.name!r} did not finish "
-                    f"(deadlock or max_events={max_events} exceeded)")
-            return process.value
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        popleft = ready.popleft
-        dispatched = 0
-        depth_peak = 0
-        # Same loop as run_all with the stop predicate inlined to a
-        # plain attribute read (the lambda-per-event version showed up
-        # in whole-run profiles).
-        now = self.now
-        try:
-            while (ready or queue) and not process.triggered:
-                if max_events is not None and dispatched >= max_events:
-                    break
-                depth = len(ready) + len(queue)
-                if depth > depth_peak:
-                    depth_peak = depth
-                if ready and not (queue and queue[0][0] == now
-                                  and queue[0][1] < ready[0][0]):
-                    _seq, callback, args = popleft()
-                else:
-                    time, _seq, callback, args = pop(queue)
-                    if time < now:
-                        raise SimulationError("time went backwards")
-                    self.now = now = time
-                callback(*args)
-                dispatched += 1
-        finally:
-            self._flush_counters(dispatched, depth_peak)
+        self._dispatch(process, max_events=max_events)
         if not process.triggered:
             raise SimulationError(
-                f"process {process.name!r} did not finish "
-                f"(deadlock or max_events={max_events} exceeded)")
+                f"process {process.name!r} did not finish: "
+                + unfinished_reason(self, "the process", max_events))
         return process.value
 
     def run_until(self, event: Event,
                   max_events: Optional[int] = None) -> float:
         """Run until ``event`` triggers, the queue drains, or
-        ``max_events`` have been processed.  Returns the final time.
-
-        Same loop as :meth:`run_process` with the stop condition as a
-        plain attribute read — a callback-based stop predicate costs a
-        Python call per dispatched event."""
-        if self._sampler is not None:
-            return self._run_sampled(stop=lambda: event.triggered,
-                                     max_events=max_events)
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        popleft = ready.popleft
-        dispatched = 0
-        depth_peak = 0
-        now = self.now
-        try:
-            while (ready or queue) and not event.triggered:
-                if max_events is not None and dispatched >= max_events:
-                    break
-                depth = len(ready) + len(queue)
-                if depth > depth_peak:
-                    depth_peak = depth
-                if ready and not (queue and queue[0][0] == now
-                                  and queue[0][1] < ready[0][0]):
-                    _seq, callback, args = popleft()
-                else:
-                    time, _seq, callback, args = pop(queue)
-                    if time < now:
-                        raise SimulationError("time went backwards")
-                    self.now = now = time
-                callback(*args)
-                dispatched += 1
-        finally:
-            self._flush_counters(dispatched, depth_peak)
+        ``max_events`` have been processed.  Returns the final time."""
+        self._dispatch(event, max_events=max_events)
         return self.now
 
-    def run_all(self, stop: Optional[Callable[[], bool]] = None,
-                max_events: Optional[int] = None) -> float:
-        if self._sampler is not None:
-            return self._run_sampled(stop=stop, max_events=max_events)
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        popleft = ready.popleft
-        dispatched = 0
-        depth_peak = 0
-        now = self.now
-        try:
-            while ready or queue:
-                if stop is not None and stop():
-                    break
-                if max_events is not None and dispatched >= max_events:
-                    break
-                depth = len(ready) + len(queue)
-                if depth > depth_peak:
-                    depth_peak = depth
-                if ready and not (queue and queue[0][0] == now
-                                  and queue[0][1] < ready[0][0]):
-                    _seq, callback, args = popleft()
-                else:
-                    time, _seq, callback, args = pop(queue)
-                    if time < now:
-                        raise SimulationError("time went backwards")
-                    self.now = now = time
-                callback(*args)
-                dispatched += 1
-        finally:
-            self._flush_counters(dispatched, depth_peak)
-        return self.now
+
+def unfinished_reason(sim: Simulator, who: str,
+                      max_events: Optional[int]) -> str:
+    """Why a run ended with ``who`` still waiting: only ``max_events``
+    stops the loop early, so an empty queue is a deadlock."""
+    if not sim.pending:
+        return (f"event queue drained at t={sim.now:g} with {who} "
+                "blocked (deadlock)")
+    return (f"stopped at max_events={max_events} with {sim.pending} "
+            f"events pending at t={sim.now:g}")

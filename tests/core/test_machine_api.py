@@ -89,8 +89,27 @@ class TestRun:
             else:
                 yield from api.compute(1)
 
-        with pytest.raises(SimulationError, match=r"\[0\]"):
+        with pytest.raises(SimulationError, match=r"\[0\]") as err:
             machine.run(lambda p: worker(DsmApi(machine.nodes[p]), p))
+        # Nothing left to dispatch: a deadlock, and the report says so.
+        assert "did not finish: event queue drained at t=" in str(
+            err.value)
+        assert "(deadlock)" in str(err.value)
+
+    def test_event_budget_reported_apart_from_deadlock(self):
+        machine = make_machine(nprocs=2)
+        machine.allocate("a", 8)
+
+        def worker(api):
+            for _ in range(50):
+                yield from api.compute(10)
+
+        with pytest.raises(
+                SimulationError,
+                match=r"workers \[0, 1\] did not finish: stopped at "
+                      r"max_events=20 with \d+ events pending at t="):
+            machine.run(lambda p: worker(DsmApi(machine.nodes[p])),
+                        max_events=20)
 
 
 class TestApi:

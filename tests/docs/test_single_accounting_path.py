@@ -1,10 +1,12 @@
-"""Keep-it-deleted lint: one counter per fact, one frame per hop.
+"""Keep-it-deleted lint: one counter per fact, one frame per hop, one
+dispatch loop.
 
 Every node- and network-level fact is counted in one registry cell
 (``NodeMetrics`` / ``NetworkStats`` are views), every tracer guard is
-the attribute read ``tracer.sink.enabled``, and the per-message
-helpers the fused send -> wire -> deliver -> dispatch path made
-unnecessary are gone.  This scans ``src/repro`` (comments and
+the attribute read ``tracer.sink.enabled``, the per-message helpers
+the fused send -> wire -> deliver -> dispatch path made unnecessary
+are gone, and ``sim/engine.py`` pops events in exactly one place
+(``Simulator._dispatch``).  This scans ``src/repro`` (comments and
 docstrings included — a stale mention misleads as well as a stale
 call) so the second accounting path cannot grow back one site at a
 time.
@@ -36,6 +38,21 @@ FORBIDDEN = [
      re.compile(r"\bdef wire_cycles\b|\bself\.wire_cycles\("),
      ("core/config.py",)),
     ("ReliableTransport._inc", re.compile(r"\b_inc\("), ()),
+    ("Simulator._run_sampled (the sampler is a boundary inside the "
+     "one loop)", re.compile(r"\b_run_sampled\b"), ()),
+    ("Simulator.run_all (pass run_until the event to wait for)",
+     re.compile(r"\brun_all\b"), ()),
+    ("Simulator._flush_counters (the one loop folds its counters in "
+     "its own finally)", re.compile(r"\b_flush_counters\b"), ()),
+]
+
+#: (what it is, pattern): each occurs exactly once in sim/engine.py —
+#: a second occurrence is a second dispatch loop.
+ENGINE_ONCE = [
+    ("heap-pop call site", re.compile(r"\bheappop\(|\bpop\(queue\)")),
+    ("ready-deque pop call site", re.compile(r"\bpopleft\(\)")),
+    ("copy of the pop rule",
+     re.compile(r"queue\[0\]\[1\] < ready\[0\]\[0\]")),
 ]
 
 
@@ -60,6 +77,17 @@ def test_deleted_accounting_path_stays_deleted(what, pattern, exempt):
     assert not hits, f"{what} is back:\n" + "\n".join(hits)
 
 
+@pytest.mark.parametrize("what,pattern", ENGINE_ONCE,
+                         ids=[entry[0] for entry in ENGINE_ONCE])
+def test_engine_has_one_dispatch_loop(what, pattern):
+    source = (SRC / "sim" / "engine.py").read_text()
+    hits = [line.strip() for line in source.splitlines()
+            if pattern.search(line)]
+    assert len(hits) == 1, (
+        f"expected one {what} in sim/engine.py, found:\n"
+        + "\n".join(hits))
+
+
 def test_machine_transmit_is_bound_once_not_a_method():
     """``Machine.transmit`` is an instance attribute (the transport's
     ``send`` or the network's ``transmit``), not a per-message frame
@@ -76,6 +104,9 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("        if node.tracer and records:", 1),
     ("            if tracer:", 1),
     ("        elif not self._tracer:", 1),
+    ("            return self._run_sampled(stop=stop)", 9),
+    ("        sim.run_all(stop=self._all_finished)", 10),
+    ("            self._flush_counters(dispatched, depth_peak)", 11),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

@@ -2,11 +2,13 @@
 guarantee, golden parity, and the Perfetto counter tracks."""
 
 import json
+import os
+from dataclasses import replace
 
 import pytest
 
 from repro.apps import create_app
-from repro.core.config import MachineConfig, NetworkConfig
+from repro.core.config import FaultConfig, MachineConfig, NetworkConfig
 from repro.core.runner import run_app
 from repro.obs import (CausalTrace, MemorySink, Observability,
                        TIMESERIES_SCHEMA, TimeseriesSampler, Tracer,
@@ -17,16 +19,17 @@ from repro.serve.workload import SERVE_APP_PARAMS
 CONFIG = MachineConfig(nprocs=4, network=NetworkConfig.atm())
 
 
-def _run_sampled(window_us=200.0, app="jacobi", obs=None, **kwargs):
+def _run_sampled(window_us=200.0, app="jacobi", obs=None,
+                 config=CONFIG, **kwargs):
     sampler = TimeseriesSampler(window_us=window_us, **kwargs)
     if app == "kvstore":
         result = run_app(create_app("kvstore",
                                     **SERVE_APP_PARAMS["small"]),
-                         CONFIG, protocol="lh", obs=obs,
+                         config, protocol="lh", obs=obs,
                          sampler=sampler)
     else:
         result = run_app(create_app("jacobi", n=24, iterations=4),
-                         CONFIG, protocol="li", obs=obs,
+                         config, protocol="li", obs=obs,
                          sampler=sampler)
     return sampler, result
 
@@ -115,6 +118,31 @@ def test_export_schema_and_table():
     table = format_timeseries_table(sampler)
     assert "burn" in table.splitlines()[0]
     assert len(table.splitlines()) == len(sampler.windows) + 1
+
+
+#: Window goldens: the full export of a small kvstore run, clean and
+#: over a lossy link (retransmission timers put many more clock
+#: advances between boundaries).  Dumped from the source *before* the
+#: six dispatch loops became one, so they pin where each window closes
+#: relative to the crossing pop — every window's ``events`` and
+#: ``queue_depth`` — not just that the totals add up.
+WINDOW_GOLDENS = {
+    "kvstore_windows_clean": FaultConfig(),
+    "kvstore_windows_lossy": FaultConfig(drop_prob=0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_GOLDENS))
+def test_window_golden_parity(name):
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        name + ".json")
+    with open(path) as handle:
+        golden = handle.read()
+    sampler, _result = _run_sampled(
+        app="kvstore",
+        config=replace(CONFIG, faults=WINDOW_GOLDENS[name]))
+    assert sampler.as_json() + "\n" == golden, (
+        f"sampler windows diverged from golden {name!r}")
 
 
 def test_merge_windows_matches_coarser_sampling():

@@ -3,7 +3,7 @@
 Two gates around :mod:`repro.obs.timeseries`:
 
 - **disabled**: a run threaded through ``run_app(..., sampler=None)``
-  — exercising the engine's per-run sampler check, the machine
+  — exercising the engine's ``inf`` window boundary, the machine
   attribute, and the worker-pump guard — must reproduce every golden
   dump byte for byte (the zero-overhead-when-off contract also bounded
   by BENCH_core's NullSink arm);
@@ -25,7 +25,7 @@ CASES = cases()
 #: Enabled-sampler parity runs a representative subset (three apps,
 #: lazy and eager, both networks) — the full matrix would double the
 #: slowest suite in the tree for no additional coverage of the
-#: sampled dispatch loop.
+#: dispatch loop's sampler boundary.
 ENABLED_CASES = [(name, spec) for name, spec in CASES
                  if name in ("jacobi_lh_atm4", "jacobi_lh_eth4",
                              "tsp_li_atm4", "water_eu_atm4")]

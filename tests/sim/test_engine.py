@@ -165,8 +165,46 @@ def test_deadlock_detected_by_run_process():
     def stuck():
         yield sim.event("never")
 
-    with pytest.raises(SimulationError, match="did not finish"):
+    with pytest.raises(
+            SimulationError,
+            match=r"did not finish: event queue drained at t=0 with "
+                  r"the process blocked \(deadlock\)"):
         sim.run_process(sim.spawn(stuck()))
+
+
+def test_event_budget_reported_apart_from_deadlock():
+    sim = Simulator()
+
+    def slow():
+        for _ in range(10):
+            yield 1.0
+
+    with pytest.raises(
+            SimulationError,
+            match=r"did not finish: stopped at max_events=5 with 1 "
+                  r"events pending at t=2"):
+        sim.run_process(sim.spawn(slow()), max_events=5)
+
+
+def test_run_until_cannot_rewind_the_clock():
+    """``run(until=t)`` with ``t`` behind the clock used to set ``now``
+    back to ``t``; an event then scheduled with delay 1.0 fired at
+    ``t + 1`` — before events that had already run."""
+    sim = Simulator()
+    sim.schedule(30.0, lambda: None)
+    sim.run(until=20.0)
+    with pytest.raises(SimulationError, match=r"until 5\.0.*at 20\.0"):
+        sim.run(until=5.0)
+    assert sim.now == 20.0
+    assert sim.run(until=20.0) == 20.0      # the present is allowed
+    assert sim.run() == 30.0
+
+
+def test_run_until_leaves_clock_alone_when_queue_drains_first():
+    sim = Simulator()
+    sim.schedule(3.0, lambda: None)
+    assert sim.run(until=10.0) == 3.0
+    assert sim.run(max_events=0) == 3.0
 
 
 def test_condition_notify_all():
@@ -232,9 +270,9 @@ class TestResource:
 
 
 class TestObsCounterBatching:
-    """The inlined dispatch loops batch event counters locally and
-    fold them into the metrics registry once per run — exactly once,
-    whether events flow through run(), run_all(), or step()."""
+    """The dispatch loop batches event counters locally and folds them
+    into the metrics registry once per call — exactly once, whether
+    events flow through run(), run_until(), or step()."""
 
     @staticmethod
     def _observed_sim():
@@ -279,7 +317,7 @@ class TestObsCounterBatching:
         assert sim.processed_events == 1
         assert events.labels().value == 1
 
-    def test_run_all_counts_match_plain_run(self):
+    def test_run_until_counts_match_plain_run(self):
         def program(sim):
             def proc():
                 for _ in range(3):
@@ -293,7 +331,7 @@ class TestObsCounterBatching:
         sim_a.run()
         sim_b, events_b = self._observed_sim()
         program(sim_b)
-        sim_b.run_all()
+        sim_b.run_until(sim_b.event("never"))
         assert events_a.labels().value == events_b.labels().value
         assert sim_a.processed_events == sim_b.processed_events
 
