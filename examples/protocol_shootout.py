@@ -13,7 +13,7 @@ Run:  python examples/protocol_shootout.py [nprocs]
 import sys
 
 from repro import (MachineConfig, NetworkConfig, PROTOCOL_NAMES,
-                   run_app, sequential_baseline)
+                   run_app)
 from repro.apps import Water
 
 
@@ -26,7 +26,7 @@ def main() -> None:
 
     print(f"Water ({fresh_app().nmols} molecules, 2 steps) on "
           f"{nprocs} processors, 100 Mbit ATM\n")
-    baseline = sequential_baseline(fresh_app, config)
+    baseline = run_app(fresh_app(), config.replace(nprocs=1))
     print(f"{'proto':>6s} {'speedup':>8s} {'messages':>9s} "
           f"{'data KB':>8s} {'misses':>7s} {'lock wait Mcycles':>18s}")
     rows = []

@@ -10,8 +10,8 @@ Public API highlights:
   architectural model (processors, pages, Ethernet/ATM, overheads);
 - :class:`repro.Machine` + :class:`repro.DsmApi` — build and program a
   simulated DSM cluster;
-- :func:`repro.run_app` / :func:`repro.speedup_curve` — run the bundled
-  applications (Jacobi, TSP, Water, Cholesky) under any protocol:
+- :func:`repro.run_app` — run one of the bundled applications
+  (Jacobi, TSP, Water, Cholesky) under any protocol:
   the paper's five ('lh', 'li', 'lu', 'ei', 'eu'), the Ivy-style
   sequentially-consistent baseline ('sc'), or Midway-style entry
   consistency ('ec');
@@ -21,9 +21,7 @@ Public API highlights:
 """
 
 from repro.core import (DsmApi, Machine, MachineConfig, NetworkConfig,
-                        NodeMetrics, OverheadConfig, RunResult, run_app,
-                        run_protocols, sequential_baseline,
-                        speedup_curve)
+                        NodeMetrics, OverheadConfig, RunResult, run_app)
 from repro.obs import (JsonlSink, MemorySink, MetricsRegistry,
                        Observability, Tracer, read_jsonl)
 from repro.protocols import (ALL_PROTOCOL_NAMES, PROTOCOL_NAMES,
@@ -36,6 +34,5 @@ __all__ = [
     "MachineConfig", "MemorySink", "MetricsRegistry", "NetworkConfig",
     "NodeMetrics", "Observability", "OverheadConfig", "PROTOCOL_NAMES",
     "RunResult", "Tracer", "create_protocol", "read_jsonl", "run_app",
-    "run_protocols", "sequential_baseline", "speedup_curve",
     "__version__",
 ]

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.api import DsmApi
+from repro.apps import create_app
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.machine import Machine
 
@@ -72,7 +72,7 @@ def _mean_outage(registry) -> float:
     return child.sum / child.count if child.count else 0.0
 
 
-def availability_sweep(app_factory: Callable,
+def availability_sweep(app: str, app_params: Optional[dict] = None,
                        config: Optional[MachineConfig] = None,
                        mttfs: Sequence[float] = DEFAULT_MTTFS,
                        mttr_us: float = DEFAULT_MTTR_US,
@@ -85,10 +85,11 @@ def availability_sweep(app_factory: Callable,
     """Run the grid; returns ``{(protocol, network): [point, ...]}``
     in ``mttfs`` order.
 
-    ``app_factory`` is a zero-argument callable returning a fresh app
-    instance.  Each cell executes in-process (crash-stop cells need
-    ``allow_unfinished``, which the lab's cached path does not carry).
-    The first entry of ``mttfs`` should be 0.0: it becomes the
+    Each cell runs a fresh instance of the named ``app`` in-process
+    (crash-stop cells need ``allow_unfinished``, which the lab's
+    cached path does not carry); a cell whose workers all finish has
+    its answer checked against the sequential oracle like any other
+    run.  The first entry of ``mttfs`` should be 0.0: it becomes the
     message-overhead baseline for its (protocol, network) row.
     """
     if config is None:
@@ -114,14 +115,10 @@ def availability_sweep(app_factory: Callable,
                         network=network,
                         transport=dataclasses.replace(
                             config.transport, force=True))
-                app = app_factory()
                 machine = Machine(cell, protocol=protocol)
-                shared = app.setup(machine)
-                result = machine.run(
-                    lambda proc: app.worker(
-                        DsmApi(machine.nodes[proc]), proc, shared),
-                    app=app.name, max_events=max_events,
-                    allow_unfinished=True)
+                result = machine.run_app(
+                    create_app(app, **(app_params or {})),
+                    max_events=max_events, allow_unfinished=True)
                 finished, total = machine.completion()
                 registry = result.registry
                 sent = _metric(registry,

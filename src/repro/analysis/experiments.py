@@ -19,9 +19,8 @@ unique configuration simulates exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.apps import create_app
 from repro.core.config import (ATM_MBPS, ETHERNET_MBPS, GIGABIT_MBPS,
                                SMALL_PAGE_SIZE, MachineConfig,
                                NetworkConfig, OverheadConfig)
@@ -87,11 +86,6 @@ class FigureResult:
     def best_protocol_at(self, nprocs: int) -> str:
         return max(self.curves,
                    key=lambda p: self.curves[p].speedup.get(nprocs, 0.0))
-
-
-def _app_factory(app: str, scale: str) -> Callable:
-    params = APP_PARAMS[scale][app]
-    return lambda: create_app(app, **params)
 
 
 def _ensure_lab(lab: Optional[Lab]) -> Lab:

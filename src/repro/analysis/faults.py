@@ -13,10 +13,9 @@ table is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.config import FaultConfig, MachineConfig
-from repro.core.runner import run_app
+from repro.core.config import MachineConfig
 from repro.lab import Lab, RunSpec
 from repro.protocols import PROTOCOL_NAMES
 
@@ -43,23 +42,17 @@ def _metric(registry, name: str) -> float:
     return registry.total(name) if name in registry else 0.0
 
 
-def loss_sweep(app_factory: Optional[Callable] = None,
-               config: Optional[MachineConfig] = None,
+def loss_sweep(app: str, config: MachineConfig,
                rates: Sequence[float] = DEFAULT_RATES,
                protocols: Optional[Sequence[str]] = None,
-               *,
-               app: Optional[str] = None,
                app_params: Optional[dict] = None,
                lab: Optional[Lab] = None,
                ) -> Dict[str, List[LossPoint]]:
     """Run the application for every protocol at every drop rate.
 
-    Pass either a legacy ``app_factory`` (a zero-argument callable
-    returning a fresh app instance, always run serially in-process) or
-    an ``app`` name with ``app_params``, in which case each cell
-    becomes a :class:`repro.lab.RunSpec` and the whole grid resolves
-    through ``lab`` (fanned across cores and cached when the lab is
-    configured to).
+    Each cell is a :class:`repro.lab.RunSpec` of the named ``app``
+    and the whole grid resolves through ``lab`` (fanned across cores
+    and cached when the lab is configured to).
 
     The first entry of ``rates`` is each protocol's slowdown baseline
     (pass 0.0 first — the default — to measure against a fault-free
@@ -67,37 +60,21 @@ def loss_sweep(app_factory: Optional[Callable] = None,
     """
     if not rates:
         raise ValueError("rates must be non-empty")
-    if (app_factory is None) == (app is None):
-        raise ValueError("pass exactly one of app_factory or app")
-    if config is None:
-        raise ValueError("config is required")
     protocols = list(protocols) if protocols else list(PROTOCOL_NAMES)
-
-    if app is not None:
-        if lab is None:
-            lab = Lab()
-        specs = [RunSpec(app, app_params or {}, protocol=protocol,
-                         config=config.replace(
-                             faults=config.faults.replace(
-                                 drop_prob=rate)))
-                 for protocol in protocols for rate in rates]
-        run_results = iter(lab.run_many(specs))
-
-        def _cell(protocol: str, rate: float):
-            return next(run_results)
-    else:
-        def _cell(protocol: str, rate: float):
-            faults = config.faults.replace(drop_prob=rate)
-            return run_app(app_factory(),
-                           config.replace(faults=faults),
-                           protocol=protocol)
+    if lab is None:
+        lab = Lab()
+    specs = [RunSpec(app, app_params or {}, protocol=protocol,
+                     config=config.replace(
+                         faults=config.faults.replace(drop_prob=rate)))
+             for protocol in protocols for rate in rates]
+    run_results = iter(lab.run_many(specs))
 
     results: Dict[str, List[LossPoint]] = {}
     for protocol in protocols:
         points: List[LossPoint] = []
         baseline: Optional[float] = None
         for rate in rates:
-            result = _cell(protocol, rate)
+            result = next(run_results)
             if baseline is None:
                 baseline = result.elapsed_cycles
             registry = result.registry

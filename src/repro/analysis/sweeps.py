@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import MachineConfig, NetworkConfig
-from repro.core.metrics import RunResult
-from repro.core.runner import run_app
 from repro.lab import Lab, RunSpec
-
-#: run-target axis names a :class:`repro.lab.RunSpec` can carry.
-_SPEC_RUN_FIELDS = frozenset({"protocol", "protocol_options",
-                              "lock_broadcast", "threads_per_proc",
-                              "max_events"})
 
 
 @dataclass
@@ -63,37 +56,27 @@ class SweepRecord:
 
 
 class Sweep:
-    """Cartesian sweep over machine/app/run parameters.
+    """Cartesian sweep over machine/app/run parameters of a named
+    application: a ``"config"`` axis names a ``MachineConfig`` field
+    (or brings a ``setter``), an ``"app"`` axis an application
+    parameter, a ``"run"`` axis a :class:`RunSpec` field
+    (``protocol``, ``protocol_options``, ``max_events``, ...).
 
-    >>> sweep = Sweep(lambda **kw: Jacobi(n=64, iterations=3, **kw))
+    >>> sweep = Sweep("jacobi", dict(n=64, iterations=3))
     >>> sweep.axis("nprocs", [2, 4, 8])
     >>> sweep.axis("protocol", ["lh", "ei"], target="run")
     >>> records = sweep.run()          # doctest: +SKIP
     """
 
-    def __init__(self, app_factory: Optional[Callable] = None,
+    def __init__(self, app: str, app_params: Optional[dict] = None,
                  base_config: Optional[MachineConfig] = None,
-                 baseline: bool = True, *,
-                 app: Optional[str] = None,
-                 app_params: Optional[dict] = None) -> None:
-        if (app_factory is None) == (app is None):
-            raise ValueError("pass exactly one of app_factory or app")
-        self.app_factory = app_factory
+                 baseline: bool = True) -> None:
         self.app = app
         self.app_params = dict(app_params or {})
         self.base_config = base_config or MachineConfig(
             network=NetworkConfig.atm())
         self.compute_baseline = baseline
         self.axes: List[SweepAxis] = []
-
-    @classmethod
-    def for_app(cls, name: str, params: Optional[dict] = None,
-                base_config: Optional[MachineConfig] = None,
-                baseline: bool = True) -> "Sweep":
-        """A sweep over a named app, resolvable through a
-        :class:`repro.lab.Lab` (parallel fan-out + result cache)."""
-        return cls(app=name, app_params=params,
-                   base_config=base_config, baseline=baseline)
 
     def axis(self, name: str, values: Sequence,
              target: str = "config",
@@ -121,87 +104,44 @@ class Sweep:
                 run_kwargs[axis.name] = value
         return config, app_kwargs, run_kwargs
 
-    @staticmethod
-    def _record(settings: Dict[str, object], result: RunResult,
-                baseline: Optional[RunResult]) -> SweepRecord:
-        return SweepRecord(
-            settings=settings,
-            elapsed_cycles=result.elapsed_cycles,
-            speedup=(result.speedup_over(baseline)
-                     if baseline is not None else None),
-            messages=result.total_messages,
-            sync_messages=result.sync_messages,
-            data_kbytes=result.data_kbytes,
-            access_misses=result.access_misses)
-
     def run(self, lab: Optional[Lab] = None) -> List[SweepRecord]:
+        """Every cell becomes a :class:`RunSpec`, followed (with
+        ``baseline``) by the ``nprocs=1`` run of the same app and
+        config, and the grid resolves in one ``run_many`` batch: it
+        fans out across cores, repeats hit the cache, and baselines
+        shared between cells are simulated once (the lab runs each
+        distinct fingerprint of a batch once)."""
         if not self.axes:
             raise ValueError("sweep has no axes")
-        combos = [dict(combo) for combo in itertools.product(
-            *(axis.entries() for axis in self.axes))]
-        if self.app is not None:
-            return self._run_specs(combos, lab)
-        if lab is not None:
-            raise ValueError(
-                "lab= requires an app-name sweep (Sweep.for_app); "
-                "factory-based sweeps cannot cross process boundaries")
-        return self._run_factory(combos)
-
-    def _run_factory(self, combos) -> List[SweepRecord]:
-        records: List[SweepRecord] = []
-        baseline_cache: Dict[tuple, RunResult] = {}
-        for settings in combos:
-            config, app_kwargs, run_kwargs = self._resolve(settings)
-            result = run_app(self.app_factory(**app_kwargs), config,
-                             **run_kwargs)
-            baseline = None
-            if self.compute_baseline:
-                key = tuple(sorted(app_kwargs.items()))
-                baseline = baseline_cache.get(key)
-                if baseline is None:
-                    baseline = run_app(
-                        self.app_factory(**app_kwargs),
-                        config.replace(nprocs=1))
-                    baseline_cache[key] = baseline
-            records.append(self._record(settings, result, baseline))
-        return records
-
-    def _run_specs(self, combos,
-                   lab: Optional[Lab]) -> List[SweepRecord]:
-        """App-name mode: every cell (and each distinct baseline)
-        becomes a :class:`RunSpec` resolved in one ``run_many`` batch,
-        so the grid fans out across cores and repeats hit the cache."""
         if lab is None:
             lab = Lab()
+        combos = [dict(combo) for combo in itertools.product(
+            *(axis.entries() for axis in self.axes))]
         specs: List[RunSpec] = []
-        main_slots: List[int] = []
-        baseline_slots: Dict[tuple, int] = {}
-        combo_keys: List[Optional[tuple]] = []
         for settings in combos:
             config, app_kwargs, run_kwargs = self._resolve(settings)
-            bad = set(run_kwargs) - _SPEC_RUN_FIELDS
-            if bad:
-                raise ValueError(
-                    f"run axes {sorted(bad)} not supported by RunSpec")
             params = {**self.app_params, **app_kwargs}
-            main_slots.append(len(specs))
             specs.append(RunSpec(self.app, params, config=config,
                                  **run_kwargs))
-            key = None
             if self.compute_baseline:
-                key = tuple(sorted(app_kwargs.items()))
-                if key not in baseline_slots:
-                    baseline_slots[key] = len(specs)
-                    specs.append(RunSpec(
-                        self.app, params,
-                        config=config.replace(nprocs=1)))
-            combo_keys.append(key)
-        results = lab.run_many(specs)
-        return [self._record(settings, results[main_slots[i]],
-                             results[baseline_slots[key]]
-                             if key is not None else None)
-                for i, (settings, key)
-                in enumerate(zip(combos, combo_keys))]
+                specs.append(RunSpec(self.app, params,
+                                     config=config.replace(nprocs=1)))
+        results = iter(lab.run_many(specs))
+        records: List[SweepRecord] = []
+        for settings in combos:
+            result = next(results)
+            baseline = (next(results) if self.compute_baseline
+                        else None)
+            records.append(SweepRecord(
+                settings=settings,
+                elapsed_cycles=result.elapsed_cycles,
+                speedup=(result.speedup_over(baseline)
+                         if baseline is not None else None),
+                messages=result.total_messages,
+                sync_messages=result.sync_messages,
+                data_kbytes=result.data_kbytes,
+                access_misses=result.access_misses))
+        return records
 
 
 def to_csv(records: Iterable[SweepRecord],

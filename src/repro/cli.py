@@ -14,7 +14,8 @@ Every simulating subcommand resolves its runs through
 :class:`repro.lab.Lab`: ``--jobs N`` fans independent runs across N
 worker processes, and results are memoized in a content-addressed
 cache (``--cache-dir``, default ``.repro-cache/``; ``--no-cache``
-disables it).  See docs/lab.md.
+disables it).  See docs/lab.md.  (``crashsweep`` runs its cells
+in-process under an event budget and takes none of these.)
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.experiments import APP_PARAMS, protocol_sweep
-from repro.apps import APP_NAMES, create_app
+from repro.apps import APP_NAMES
 from repro.core.config import (CrashSpec, FaultConfig, MachineConfig,
                                NetworkConfig, StallSpec)
 from repro.core.metrics import RunResult
-from repro.core.runner import run_app
-from repro.lab import DEFAULT_CACHE_DIR, Lab, RunSpec
+from repro.lab import DEFAULT_CACHE_DIR, Lab, RunSpec, execute_spec
 from repro.protocols import PROTOCOL_NAMES
 from repro.serve.workload import SERVE_APP_PARAMS
 
@@ -40,12 +40,33 @@ from repro.serve.workload import SERVE_APP_PARAMS
 CLI_APP_CHOICES = APP_NAMES + ["kvstore"]
 
 
-def _network(args) -> NetworkConfig:
-    if args.network == "ethernet":
+def _network(args, name: Optional[str] = None) -> NetworkConfig:
+    """The network called ``name`` (default: ``--network``), shaped by
+    ``--bandwidth`` and ``--no-collisions``."""
+    name = name or args.network
+    if name == "ethernet":
         return NetworkConfig.ethernet(collisions=not args.no_collisions)
-    if args.network == "atm":
+    if name == "atm":
         return NetworkConfig.atm(args.bandwidth)
-    return NetworkConfig.ideal()
+    if name == "ideal":
+        return NetworkConfig.ideal()
+    raise SystemExit(f"unknown network {name!r}")
+
+
+def _networks(args) -> list:
+    """The ``--networks`` list as ``(name, NetworkConfig)`` cells."""
+    return [(name, _network(args, name))
+            for name in args.networks.split(",")]
+
+
+def _protocols(args) -> List[str]:
+    """The ``--protocols`` list, checked (unset: all five)."""
+    protocols = (args.protocols.split(",") if args.protocols
+                 else list(PROTOCOL_NAMES))
+    for protocol in protocols:
+        if protocol not in PROTOCOL_NAMES:
+            raise SystemExit(f"unknown protocol {protocol!r}")
+    return protocols
 
 
 def _app_params(args) -> dict:
@@ -54,10 +75,6 @@ def _app_params(args) -> dict:
     if args.app == "kvstore":
         return dict(SERVE_APP_PARAMS[args.scale])
     return dict(APP_PARAMS[args.scale][args.app])
-
-
-def _app(args):
-    return create_app(args.app, **_app_params(args))
 
 
 def _float_arg(what: str, accept, rule: str):
@@ -153,50 +170,47 @@ def _parse_crash(spec: str) -> CrashSpec:
 
 
 def _faults(args) -> FaultConfig:
-    return FaultConfig(drop_prob=getattr(args, "loss", 0.0),
-                       dup_prob=getattr(args, "dup", 0.0),
-                       reorder_prob=getattr(args, "reorder", 0.0),
-                       stalls=tuple(getattr(args, "stall", None) or ()),
-                       crashes=tuple(getattr(args, "crash", None)
-                                     or ()),
-                       crash_mttf_us=getattr(args, "crash_mttf", 0.0),
-                       crash_mttr_us=getattr(args, "crash_mttr", 0.0),
-                       crash_horizon_us=getattr(args, "crash_horizon",
-                                                0.0),
-                       seed=getattr(args, "fault_seed", None))
+    return FaultConfig(drop_prob=args.loss,
+                       dup_prob=args.dup,
+                       reorder_prob=args.reorder,
+                       stalls=tuple(args.stall or ()),
+                       crashes=tuple(args.crash or ()),
+                       crash_mttf_us=args.crash_mttf,
+                       crash_mttr_us=args.crash_mttr,
+                       crash_horizon_us=args.crash_horizon,
+                       seed=args.fault_seed)
 
 
-def _config(args, nprocs: Optional[int] = None) -> MachineConfig:
+def _config(args, nprocs: Optional[int] = None,
+            network: Optional[NetworkConfig] = None) -> MachineConfig:
+    """The machine the shared flags describe.  ``network`` stands in
+    for ``--network`` on the subcommands that sweep several."""
     return MachineConfig(nprocs=nprocs or args.procs,
                          cpu_mhz=args.mhz,
                          page_size=args.page_size,
-                         network=_network(args),
+                         network=network or _network(args),
                          faults=_faults(args))
 
 
 def _lab(args) -> Lab:
     """The experiment harness configured by the shared CLI flags."""
-    no_cache = getattr(args, "no_cache", False)
-    return Lab(jobs=getattr(args, "jobs", None),
-               cache_dir=getattr(args, "cache_dir", DEFAULT_CACHE_DIR),
-               cache=not no_cache,
-               progress=True,
-               trace_dir=getattr(args, "trace_dir", None))
+    return Lab(jobs=args.jobs, cache_dir=args.cache_dir,
+               cache=not args.no_cache, progress=True,
+               trace_dir=args.trace_dir)
 
 
 def _spec(args, nprocs: Optional[int] = None,
-          protocol: Optional[str] = None) -> RunSpec:
+          protocol: Optional[str] = None,
+          network: Optional[NetworkConfig] = None) -> RunSpec:
     return RunSpec(args.app, _app_params(args),
                    protocol=protocol or args.protocol,
-                   config=_config(args, nprocs=nprocs))
+                   config=_config(args, nprocs=nprocs, network=network))
 
 
-def _baseline_spec(args) -> RunSpec:
-    """The 1-processor run used as the speedup denominator (matches
-    :func:`repro.core.runner.sequential_baseline`)."""
-    return RunSpec(args.app, _app_params(args),
-                   protocol="lh",
-                   config=_config(args, nprocs=1))
+def _baseline_spec(args,
+                   network: Optional[NetworkConfig] = None) -> RunSpec:
+    """The 1-processor run used as the speedup denominator."""
+    return _spec(args, nprocs=1, protocol="lh", network=network)
 
 
 def cmd_run(args) -> int:
@@ -250,7 +264,8 @@ def cmd_sweep(args) -> int:
     with _lab(args) as lab:
         result = protocol_sweep(args.app, _network(args), proc_counts,
                                 protocols=[args.protocol],
-                                scale=args.scale, lab=lab)
+                                scale=args.scale,
+                                config=_config(args), lab=lab)
     curve = result.curves[args.protocol]
     print(f"{args.app}/{args.protocol} on {args.network}")
     for nprocs in proc_counts:
@@ -263,17 +278,14 @@ def cmd_sweep(args) -> int:
 def cmd_networks(args) -> int:
     """One application across the paper's five networks (Table 2)."""
     from repro.analysis.experiments import TABLE2_NETWORKS
-    params = APP_PARAMS[args.scale][args.app]
     with _lab(args) as lab:
-        specs = [RunSpec(args.app, params,
-                         config=MachineConfig(nprocs=1))]
-        specs += [RunSpec(args.app, params, protocol="lh",
-                          config=MachineConfig(nprocs=args.procs,
-                                               network=network))
+        # The sequential baseline sends no message: any network does.
+        specs = [_baseline_spec(args, network=NetworkConfig.atm())]
+        specs += [_spec(args, network=network)
                   for _, network in TABLE2_NETWORKS]
         results = lab.run_many(specs)
     baseline = results[0]
-    print(f"{args.app} (LH, {args.procs} procs)")
+    print(f"{args.app} ({args.protocol.upper()}, {args.procs} procs)")
     for (name, _), result in zip(TABLE2_NETWORKS, results[1:]):
         print(f"{name:<26s} speedup={result.speedup_over(baseline):6.2f}")
     return 0
@@ -284,8 +296,6 @@ def cmd_stats(args) -> int:
     default, or a text table), optionally tracing to a JSONL file; or
     inspect a result saved earlier with ``--save``/the lab cache via
     ``--load``."""
-    from repro.obs import JsonlSink, Observability, Tracer
-
     if args.load:
         with open(args.load) as handle:
             data = json.load(handle)
@@ -298,10 +308,7 @@ def cmd_stats(args) -> int:
     elif args.trace:
         # Tracing is a side effect of simulating, so a traced run
         # bypasses the lab cache and always executes in-process.
-        obs = Observability(tracer=Tracer(JsonlSink(args.trace)))
-        result = run_app(_app(args), _config(args),
-                         protocol=args.protocol, obs=obs)
-        obs.close()
+        result = execute_spec(_spec(args), trace_path=args.trace)
     else:
         with _lab(args) as lab:
             result = lab.run(_spec(args))
@@ -350,18 +357,13 @@ def cmd_losssweep(args) -> int:
         rates = [_probability(r) for r in args.rates.split(",")]
     except argparse.ArgumentTypeError as exc:
         raise SystemExit(f"losssweep: {exc}")
-    protocols = (args.protocols.split(",") if args.protocols
-                 else list(PROTOCOL_NAMES))
-    for protocol in protocols:
-        if protocol not in PROTOCOL_NAMES:
-            raise SystemExit(f"unknown protocol {protocol!r}")
+    protocols = _protocols(args)
     print(f"{args.app} on {args.procs} procs ({args.network}), "
           f"loss rates {rates}")
     with _lab(args) as lab:
-        results = loss_sweep(config=_config(args), rates=rates,
-                             protocols=protocols, app=args.app,
-                             app_params=_app_params(args),
-                             lab=lab)
+        results = loss_sweep(args.app, _config(args), rates=rates,
+                             protocols=protocols,
+                             app_params=_app_params(args), lab=lab)
     print(format_loss_table(results))
     return 0
 
@@ -376,58 +378,21 @@ def cmd_crashsweep(args) -> int:
         mttfs = [_nonnegative_us(r) for r in args.mttfs.split(",")]
     except argparse.ArgumentTypeError as exc:
         raise SystemExit(f"crashsweep: {exc}")
-    protocols = (args.protocols.split(",") if args.protocols
-                 else ["li", "lh"])
-    for protocol in protocols:
-        if protocol not in PROTOCOL_NAMES:
-            raise SystemExit(f"unknown protocol {protocol!r}")
-    network_names = args.networks.split(",")
-    networks = []
-    for name in network_names:
-        if name == "ethernet":
-            networks.append((name, NetworkConfig.ethernet()))
-        elif name == "atm":
-            networks.append((name, NetworkConfig.atm(args.bandwidth)))
-        elif name == "ideal":
-            networks.append((name, NetworkConfig.ideal()))
-        else:
-            raise SystemExit(f"unknown network {name!r}")
-    params = _app_params(args)
+    protocols = _protocols(args)
+    networks = _networks(args)
     print(f"{args.app} on {args.procs} procs, "
           f"mttf {mttfs} µs, mttr {args.crash_mttr} µs, "
           f"horizon {args.crash_horizon} µs")
+    # Every cell is the machine the shared flags describe (message
+    # faults and stalls included), on its own network and crash rate.
     results = availability_sweep(
-        lambda: create_app(args.app, **params),
-        config=MachineConfig(nprocs=args.procs, cpu_mhz=args.mhz,
-                             page_size=args.page_size),
+        args.app, _app_params(args),
+        config=_config(args, network=networks[0][1]),
         mttfs=mttfs, mttr_us=args.crash_mttr,
         horizon_us=args.crash_horizon, protocols=protocols,
         networks=networks, max_events=args.max_events)
     print(format_availability_table(results))
     return 0
-
-
-def _serve_networks(args):
-    """Parse the ``--networks`` list shared by serve/servesweep."""
-    networks = []
-    for name in args.networks.split(","):
-        if name == "ethernet":
-            networks.append((name, NetworkConfig.ethernet()))
-        elif name == "atm":
-            networks.append((name, NetworkConfig.atm(args.bandwidth)))
-        elif name == "ideal":
-            networks.append((name, NetworkConfig.ideal()))
-        else:
-            raise SystemExit(f"unknown network {name!r}")
-    return networks
-
-
-def _serve_protocols(args):
-    protocols = args.protocols.split(",")
-    for protocol in protocols:
-        if protocol not in PROTOCOL_NAMES:
-            raise SystemExit(f"unknown protocol {protocol!r}")
-    return protocols
 
 
 def _serve_overrides(args) -> dict:
@@ -475,8 +440,8 @@ def cmd_serve(args) -> int:
                                         format_serving_table,
                                         serving_grid)
 
-    protocols = _serve_protocols(args)
-    networks = _serve_networks(args)
+    protocols = _protocols(args)
+    networks = _networks(args)
     config = _serve_config(args)
     print(f"kvstore open-loop at {args.rate:.0f} req/s on "
           f"{args.procs} procs (scale {args.scale}, "
@@ -490,9 +455,7 @@ def cmd_serve(args) -> int:
             lab=lab)
     print(format_serving_table(reports))
     if args.tail:
-        from repro.obs import (CausalTrace, MemorySink, Observability,
-                               Tracer)
-        from repro.serve.workload import SERVE_APP_PARAMS
+        from repro.obs import CausalTrace, MemorySink
 
         # Tracing is a side effect, so the tail run executes
         # in-process (first protocol x first network cell).
@@ -501,10 +464,9 @@ def cmd_serve(args) -> int:
         params.update(_serve_overrides(args))
         params["rate_rps"] = args.rate
         sink = MemorySink()
-        obs = Observability(tracer=Tracer(sink))
-        run_app(create_app("kvstore", **params),
-                config.replace(network=network),
-                protocol=protocol, obs=obs)
+        execute_spec(RunSpec("kvstore", params, protocol=protocol,
+                             config=config.replace(network=network)),
+                     sink=sink)
         print(f"\nslowest {args.tail} requests "
               f"({protocol}/{net_name}, cycles):")
         print(format_attribution_table(
@@ -525,8 +487,8 @@ def cmd_servesweep(args) -> int:
         rates = [_positive_rate(r) for r in args.rates.split(",")]
     except argparse.ArgumentTypeError as exc:
         raise SystemExit(f"servesweep: {exc}")
-    protocols = _serve_protocols(args)
-    networks = _serve_networks(args)
+    protocols = _protocols(args)
+    networks = _networks(args)
     config = _serve_config(args)
     print(f"kvstore capacity sweep, rates {rates} req/s on "
           f"{args.procs} procs (scale {args.scale}, "
@@ -556,7 +518,7 @@ def _timeseries_run(args, with_trace: bool = False):
     bypasses the lab cache (like ``trace`` and ``profile``).  With no
     app named, runs the kvstore serving workload so the request series
     (p50/p99, burn rate) is populated."""
-    from repro.obs import TimeseriesSampler
+    from repro.obs import MemorySink, TimeseriesSampler
 
     try:
         sampler = TimeseriesSampler(window_us=args.window_us,
@@ -565,7 +527,6 @@ def _timeseries_run(args, with_trace: bool = False):
     except ValueError as exc:
         raise SystemExit(f"timeseries: {exc}")
     if args.app is None:
-        from repro.serve.workload import SERVE_APP_PARAMS
         params = dict(SERVE_APP_PARAMS[args.scale])
         params["rate_rps"] = args.rate
         if args.requests is not None:
@@ -574,24 +535,17 @@ def _timeseries_run(args, with_trace: bool = False):
                     f"timeseries: need at least one request, "
                     f"got {args.requests}")
             params["requests"] = args.requests
-        app = create_app("kvstore", **params)
-        label = "kvstore"
+        spec = RunSpec("kvstore", params, protocol=args.protocol,
+                       config=_config(args))
     else:
-        app = _app(args)
-        label = args.app
-    sink = None
-    obs = None
-    if with_trace:
-        from repro.obs import MemorySink, Observability, Tracer
-        sink = MemorySink()
-        obs = Observability(tracer=Tracer(sink))
+        spec = _spec(args)
+    sink = MemorySink() if with_trace else None
     try:
-        run_app(app, _config(args), protocol=args.protocol, obs=obs,
-                sampler=sampler)
+        execute_spec(spec, sink=sink, sampler=sampler)
     except ValueError as exc:
         # bind() rejects windows finer than the scheduler tick.
         raise SystemExit(f"timeseries: {exc}")
-    return sampler, sink, label
+    return sampler, sink, spec.app
 
 
 def cmd_timeseries_report(args) -> int:
@@ -655,17 +609,14 @@ def _causal_trace(args):
     in-process with an in-memory sink (a traced run is all about the
     side effect, so it bypasses the lab cache like ``stats --trace``
     and ``profile`` do)."""
-    from repro.obs import (CausalTrace, MemorySink, Observability,
-                           Tracer)
+    from repro.obs import CausalTrace, MemorySink
 
     if args.from_file:
         return CausalTrace.from_jsonl(args.from_file)
     if args.app is None:
         raise SystemExit("trace: pass an app name or --from FILE")
     sink = MemorySink()
-    obs = Observability(tracer=Tracer(sink))
-    run_app(_app(args), _config(args), protocol=args.protocol,
-            obs=obs)
+    execute_spec(_spec(args), sink=sink)
     return CausalTrace(sink.events)
 
 
@@ -761,7 +712,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "nothing; combine with --no-cache to "
                             "trace everything — docs/tracing.md)")
 
-    def common(p, with_app=True, app_optional=False):
+    def common(p, with_app=True, app_optional=False, omit=(),
+               lab=True):
+        """The shared flags, minus those in ``omit`` (and the lab's
+        with ``lab=False``): what a subcommand would ignore is not
+        registered on it, so argparse rejects it."""
+        def flag(name, **kwargs):
+            if name not in omit:
+                p.add_argument(name, **kwargs)
+
         if with_app:
             if app_optional:
                 p.add_argument("app", nargs="?",
@@ -769,56 +728,57 @@ def build_parser() -> argparse.ArgumentParser:
                                default=None)
             else:
                 p.add_argument("app", choices=CLI_APP_CHOICES)
-        p.add_argument("--procs", type=int, default=8)
-        p.add_argument("--protocol", choices=PROTOCOL_NAMES,
-                       default="lh")
-        p.add_argument("--network", choices=["atm", "ethernet",
-                                             "ideal"], default="atm")
-        p.add_argument("--bandwidth", type=float, default=100.0,
-                       help="Mbit/s (ATM only)")
-        p.add_argument("--no-collisions", action="store_true")
-        p.add_argument("--mhz", type=float, default=40.0)
-        p.add_argument("--page-size", type=int, default=4096)
-        p.add_argument("--scale", choices=["small", "bench", "large"],
-                       default="bench")
+        flag("--procs", type=int, default=8)
+        flag("--protocol", choices=PROTOCOL_NAMES,
+             default="lh")
+        flag("--network", choices=["atm", "ethernet",
+                                   "ideal"], default="atm")
+        flag("--bandwidth", type=float, default=100.0,
+             help="Mbit/s (ATM only)")
+        flag("--no-collisions", action="store_true")
+        flag("--mhz", type=float, default=40.0)
+        flag("--page-size", type=int, default=4096)
+        flag("--scale", choices=["small", "bench", "large"],
+             default="bench")
         # Fault injection (docs/robustness.md).  Any non-zero rate,
         # stall, or crash enables the seeded injector and reliable
         # transport.
-        p.add_argument("--loss", type=_probability, default=0.0,
-                       metavar="PROB",
-                       help="per-message drop probability in [0, 1)")
-        p.add_argument("--dup", type=_probability, default=0.0,
-                       metavar="PROB",
-                       help="per-message duplication probability "
-                            "in [0, 1)")
-        p.add_argument("--reorder", type=_probability, default=0.0,
-                       metavar="PROB",
-                       help="per-message reorder probability "
-                            "in [0, 1)")
-        p.add_argument("--fault-seed", type=int, default=None,
-                       dest="fault_seed", metavar="SEED",
-                       help="fault-plan seed (default: machine seed)")
-        p.add_argument("--stall", type=_parse_stall, action="append",
-                       metavar="PROC:AT_US:DUR_US",
-                       help="inject a CPU stall (repeatable)")
-        p.add_argument("--crash", type=_parse_crash, action="append",
-                       metavar="PROC:AT_US[:DOWN_US]",
-                       help="crash a node at AT_US, recovering after "
-                            "DOWN_US (omit DOWN_US for crash-stop; "
-                            "repeatable)")
-        p.add_argument("--crash-mttf", type=_nonnegative_us,
-                       default=0.0, dest="crash_mttf", metavar="US",
-                       help="mean time to failure per node (µs); "
-                            "draws a seeded crash plan")
-        p.add_argument("--crash-mttr", type=_nonnegative_us,
-                       default=0.0, dest="crash_mttr", metavar="US",
-                       help="mean time to repair (µs); 0 with "
-                            "--crash-mttf means crash-stop")
-        p.add_argument("--crash-horizon", type=_nonnegative_us,
-                       default=0.0, dest="crash_horizon", metavar="US",
-                       help="pre-draw crashes up to this time "
-                            "(required with --crash-mttf)")
-        lab_flags(p)
+        flag("--loss", type=_probability, default=0.0,
+             metavar="PROB",
+             help="per-message drop probability in [0, 1)")
+        flag("--dup", type=_probability, default=0.0,
+             metavar="PROB",
+             help="per-message duplication probability "
+                  "in [0, 1)")
+        flag("--reorder", type=_probability, default=0.0,
+             metavar="PROB",
+             help="per-message reorder probability "
+                  "in [0, 1)")
+        flag("--fault-seed", type=int, default=None,
+             dest="fault_seed", metavar="SEED",
+             help="fault-plan seed (default: machine seed)")
+        flag("--stall", type=_parse_stall, action="append",
+             metavar="PROC:AT_US:DUR_US",
+             help="inject a CPU stall (repeatable)")
+        flag("--crash", type=_parse_crash, action="append",
+             metavar="PROC:AT_US[:DOWN_US]",
+             help="crash a node at AT_US, recovering after "
+                  "DOWN_US (omit DOWN_US for crash-stop; "
+                  "repeatable)")
+        flag("--crash-mttf", type=_nonnegative_us,
+             default=0.0, dest="crash_mttf", metavar="US",
+             help="mean time to failure per node (µs); "
+                  "draws a seeded crash plan")
+        flag("--crash-mttr", type=_nonnegative_us,
+             default=0.0, dest="crash_mttr", metavar="US",
+             help="mean time to repair (µs); 0 with "
+                  "--crash-mttf means crash-stop")
+        flag("--crash-horizon", type=_nonnegative_us,
+             default=0.0, dest="crash_horizon", metavar="US",
+             help="pre-draw crashes up to this time "
+                  "(required with --crash-mttf)")
+        if lab:
+            lab_flags(p)
 
     p_run = sub.add_parser("run", help=cmd_run.__doc__)
     common(p_run)
@@ -837,7 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_net = sub.add_parser("networks", help=cmd_networks.__doc__)
-    common(p_net, with_app=False)
+    # The five networks are Table 2's: there is none to choose.
+    common(p_net, with_app=False,
+           omit=("--network", "--bandwidth", "--no-collisions"))
     p_net.add_argument("--app", choices=APP_NAMES, default="jacobi")
     p_net.set_defaults(func=cmd_networks)
 
@@ -875,7 +837,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.set_defaults(func=cmd_losssweep)
 
     p_crash = sub.add_parser("crashsweep", help=cmd_crashsweep.__doc__)
-    common(p_crash)
+    # The cells come from --protocols x --networks x --mttfs and run
+    # in-process under an event budget, never through a Lab.
+    common(p_crash, lab=False,
+           omit=("--protocol", "--network", "--crash", "--crash-mttf"))
     p_crash.add_argument("--mttfs", default="0,50000,20000",
                          help="comma-separated per-node MTTFs in µs "
                               "(0 = the crash-free baseline; pass it "
@@ -891,6 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="event budget per cell (crash-stop "
                               "cells never drain on their own)")
     p_crash.set_defaults(func=cmd_crashsweep, procs=4, scale="small",
+                         crash=None, crash_mttf=0.0,
                          crash_mttr=5_000.0, crash_horizon=100_000.0)
 
     def serve_flags(p):

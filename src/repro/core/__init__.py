@@ -1,4 +1,4 @@
-"""Machine glue: configuration, nodes, metrics, the app API, runners."""
+"""Machine glue: configuration, nodes, metrics, the app API, the runner."""
 
 from repro.core.api import DsmApi
 from repro.core.config import (MachineConfig, NetworkConfig,
@@ -6,11 +6,9 @@ from repro.core.config import (MachineConfig, NetworkConfig,
 from repro.core.machine import Machine
 from repro.core.metrics import NodeMetrics, RunResult
 from repro.core.node import Node
-from repro.core.runner import (run_app, run_protocols,
-                               sequential_baseline, speedup_curve)
+from repro.core.runner import run_app
 
 __all__ = [
     "DsmApi", "Machine", "MachineConfig", "NetworkConfig", "Node",
     "NodeMetrics", "OverheadConfig", "RunResult", "run_app",
-    "run_protocols", "sequential_baseline", "speedup_curve",
 ]

@@ -6,6 +6,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.api import DsmApi
 from repro.core.config import MachineConfig
 from repro.core.metrics import RunResult
 from repro.core.node import Node
@@ -21,7 +22,7 @@ from repro.sim.events import Event
 class Machine:
     """A cluster of ``nprocs`` nodes running one DSM protocol.
 
-    Typical use (the :mod:`repro.core.runner` helpers wrap this):
+    Typical use (:func:`repro.core.runner.run_app` wraps this):
 
     >>> machine = Machine(MachineConfig(nprocs=4), protocol="lh")
     >>> seg = machine.allocate("data", nwords=1024)
@@ -304,6 +305,31 @@ class Machine:
             app_result=list(self._app_results),
             registry=self.obs.registry,
         )
+
+    def run_app(self, app, max_events: Optional[int] = None,
+                threads_per_proc: int = 1,
+                allow_unfinished: bool = False) -> RunResult:
+        """Run ``app`` on this machine: the one place the application
+        contract (:mod:`repro.apps.base`) is sequenced.  ``app.setup``
+        allocates the shared segments, every node runs ``app.worker``
+        — or, with ``threads_per_proc > 1`` (the multithreading
+        extension, paper section 8), that many ``app.worker_thread``
+        generators — and ``app.finish`` checks the answer against the
+        sequential oracle.  A run cut short under ``allow_unfinished``
+        has no answer to check, so ``finish`` is skipped for it."""
+        body = app.worker if threads_per_proc == 1 else app.worker_thread
+        shared = app.setup(self)
+
+        def worker(proc: int, *thread: int):
+            # ``run`` calls worker(proc) or worker(proc, thread).
+            return body(DsmApi(self.nodes[proc]), proc, *thread, shared)
+
+        result = self.run(worker, max_events=max_events, app=app.name,
+                          threads_per_proc=threads_per_proc,
+                          allow_unfinished=allow_unfinished)
+        if self._all_finished():
+            app.finish(self, shared, result)
+        return result
 
     def _wrap_worker(self, proc: int,
                      worker: Generator) -> Generator:

@@ -1,19 +1,16 @@
-"""High-level runners: build a machine, run an application, compare.
+"""The high-level runner: build a machine and run an application on it.
 
-The application contract (see :mod:`repro.apps.base`) is:
-
-- ``app.setup(machine)`` allocates shared segments and returns an
-  opaque shared-description object;
-- ``app.worker(api, proc, shared)`` returns the generator each node
-  runs;
-- ``app.name`` labels results.
+The application contract (``setup`` / ``worker`` / ``finish``) is
+defined in :mod:`repro.apps.base` and sequenced by
+:meth:`repro.core.machine.Machine.run_app`; an application is *named*
+(``RunSpec.app`` + ``app_params``, see :mod:`repro.lab`) wherever a
+run has to be described rather than executed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Optional
 
-from repro.core.api import DsmApi
 from repro.core.config import MachineConfig
 from repro.core.machine import Machine
 from repro.core.metrics import RunResult
@@ -23,57 +20,25 @@ def run_app(app, config: MachineConfig, protocol: str = "lh",
             max_events: Optional[int] = None,
             protocol_options: Optional[dict] = None,
             lock_broadcast: bool = False,
-            obs=None, sampler=None) -> RunResult:
+            obs=None, sampler=None,
+            threads_per_proc: int = 1) -> RunResult:
     """Simulate ``app`` on a machine described by ``config``.
 
     ``obs`` optionally supplies a pre-built
     :class:`repro.obs.Observability` context (e.g. one carrying a JSONL
     trace sink); by default the machine creates its own.  ``sampler``
     optionally attaches a :class:`repro.obs.TimeseriesSampler` that
-    records windowed telemetry as the run executes."""
+    records windowed telemetry as the run executes.
+    ``threads_per_proc > 1`` runs that many ``app.worker_thread``
+    generators per node (only Cholesky implements it)."""
+    if threads_per_proc != 1 and not hasattr(app, "worker_thread"):
+        raise ValueError(
+            f"threads_per_proc={threads_per_proc}: app {app.name!r} "
+            "has no worker_thread, so it runs one thread per "
+            "processor only")
     machine = Machine(config, protocol=protocol,
                       protocol_options=protocol_options,
                       lock_broadcast=lock_broadcast,
                       obs=obs, sampler=sampler)
-    shared = app.setup(machine)
-
-    def factory(proc: int):
-        return app.worker(DsmApi(machine.nodes[proc]), proc, shared)
-
-    result = machine.run(factory, max_events=max_events, app=app.name)
-    app.finish(machine, shared, result)
-    return result
-
-
-def run_protocols(app_factory, config: MachineConfig,
-                  protocols: Iterable[str],
-                  max_events: Optional[int] = None
-                  ) -> Dict[str, RunResult]:
-    """Run a fresh instance of the app under each protocol."""
-    return {name: run_app(app_factory(), config, protocol=name,
-                          max_events=max_events)
-            for name in protocols}
-
-
-def sequential_baseline(app_factory, config: MachineConfig,
-                        max_events: Optional[int] = None) -> RunResult:
-    """The one-processor run used as the speedup denominator."""
-    solo = config.replace(nprocs=1)
-    return run_app(app_factory(), solo, protocol="lh",
-                   max_events=max_events)
-
-
-def speedup_curve(app_factory, config: MachineConfig, protocol: str,
-                  proc_counts: List[int],
-                  baseline: Optional[RunResult] = None
-                  ) -> Dict[int, float]:
-    """Speedups over the sequential run for each processor count."""
-    if baseline is None:
-        baseline = sequential_baseline(app_factory, config)
-    curve = {}
-    for nprocs in proc_counts:
-        result = run_app(app_factory(),
-                         config.replace(nprocs=nprocs),
-                         protocol=protocol)
-        curve[nprocs] = result.speedup_over(baseline)
-    return curve
+    return machine.run_app(app, max_events=max_events,
+                           threads_per_proc=threads_per_proc)

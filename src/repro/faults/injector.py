@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 from repro.core.config import MachineConfig
@@ -60,7 +61,21 @@ class CrashEvent:
 
 
 class FaultInjector:
-    """Per-transmission fault decisions plus scheduled CPU stalls."""
+    """Per-transmission fault decisions plus scheduled CPU stalls.
+
+    Every injected fault is counted in one cell: the injector's own
+    until :meth:`attach_obs` swaps in the registry's ``faults.*`` child
+    (tests may run without obs), read through the public names."""
+
+    #: cell attribute -> the registry counter that takes its place.
+    CELLS = {
+        "_drops": "faults.drops_total",
+        "_duplicates": "faults.duplicates_total",
+        "_reorders": "faults.reorders_total",
+        "_delay": "faults.delay_cycles_total",
+        "_stalls": "faults.stalls_total",
+        "_stall_cycles": "faults.stall_cycles_total",
+    }
 
     def __init__(self, config: MachineConfig, obs=None) -> None:
         fc = config.faults
@@ -78,14 +93,8 @@ class FaultInjector:
         # of (seed, config), never of what the run does.
         self.crash_plan: Tuple[CrashEvent, ...] = \
             self._build_crash_plan(seed)
-        # Legacy-style counters, always kept (tests may run without obs).
-        self.drops = 0
-        self.duplicates = 0
-        self.reorders = 0
-        self.delay_cycles_injected = 0.0
-        self.stalls = 0
-        self.stall_cycles = 0.0
-        self._obs = None
+        for attr in self.CELLS:
+            setattr(self, attr, SimpleNamespace(value=0))
         if obs is not None:
             self.attach_obs(obs)
 
@@ -93,14 +102,19 @@ class FaultInjector:
         from repro.obs import install_robustness
         registry = obs.registry
         install_robustness(registry)
-        self._obs = {
-            "drops": registry.get("faults.drops_total"),
-            "dups": registry.get("faults.duplicates_total"),
-            "reorders": registry.get("faults.reorders_total"),
-            "delay": registry.get("faults.delay_cycles_total"),
-            "stalls": registry.get("faults.stalls_total"),
-            "stall_cycles": registry.get("faults.stall_cycles_total"),
-        }
+        for attr, name in self.CELLS.items():
+            child = registry.get(name).labels()
+            child.value += getattr(self, attr).value
+            setattr(self, attr, child)
+
+    drops = property(lambda self: self._drops.value)
+    duplicates = property(lambda self: self._duplicates.value)
+    reorders = property(lambda self: self._reorders.value)
+    delay_cycles_injected = property(
+        lambda self: float(self._delay.value))
+    stalls = property(lambda self: self._stalls.value)
+    stall_cycles = property(
+        lambda self: float(self._stall_cycles.value))
 
     # -- node-lifecycle plan --------------------------------------------
 
@@ -179,28 +193,20 @@ class FaultInjector:
         drop, dup, reorder, delay = self.rates_for(message.src,
                                                    message.dst)
         if u_drop < drop:
-            self.drops += 1
-            if self._obs is not None:
-                self._obs["drops"].inc()
+            self._drops.value += 1
             return Decision(drop=True)
         decision = None
         extra = 0.0
         if u_reorder < reorder:
-            self.reorders += 1
+            self._reorders.value += 1
             extra += self.reorder_delay
-            if self._obs is not None:
-                self._obs["reorders"].inc()
         if u_delay < delay:
             extra += self.delay_cycles
         if extra > 0.0:
-            self.delay_cycles_injected += extra
-            if self._obs is not None:
-                self._obs["delay"].inc(extra)
+            self._delay.value += extra
         duplicate = u_dup < dup
         if duplicate:
-            self.duplicates += 1
-            if self._obs is not None:
-                self._obs["dups"].inc()
+            self._duplicates.value += 1
         if duplicate or extra > 0.0:
             decision = Decision(duplicate=duplicate, extra_delay=extra)
         return decision
@@ -221,8 +227,5 @@ class FaultInjector:
 
     def _stall(self, node, cycles: float) -> None:
         node.stall(cycles)
-        self.stalls += 1
-        self.stall_cycles += cycles
-        if self._obs is not None:
-            self._obs["stalls"].inc()
-            self._obs["stall_cycles"].inc(cycles)
+        self._stalls.value += 1
+        self._stall_cycles.value += cycles

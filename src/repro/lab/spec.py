@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.core.config import MachineConfig
 from repro.core.metrics import RunResult, json_safe
+from repro.obs import JsonlSink, Observability, Tracer
 
 _code_version_cache: Optional[str] = None
 
@@ -127,51 +128,38 @@ def payload_fingerprint(kind: str, params: dict,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def execute_spec(spec: RunSpec,
-                 trace_path: Optional[str] = None) -> RunResult:
+def execute_spec(spec: RunSpec, trace_path: Optional[str] = None,
+                 sink=None, sampler=None) -> RunResult:
     """Run one spec in this process (workers and the serial path both
     land here).
 
-    ``trace_path`` optionally streams the run's trace events to a
-    JSONL file (gzipped for ``.gz`` paths).  The path is *not* part of
-    the spec and never enters the cache fingerprint — tracing observes
-    a run, it does not change one (determinism makes the traced run
-    identical to the cached one)."""
+    The optional observers are *not* part of the spec and never enter
+    the cache fingerprint — observing a run does not change it
+    (determinism makes the observed run identical to the cached one).
+    ``sink`` is any :class:`repro.obs.TraceSink` that receives the
+    run's trace events (a ``MemorySink`` to build a ``CausalTrace``
+    from); ``trace_path`` is shorthand for a JSONL sink on that file
+    (gzipped for ``.gz`` paths), closed when the run ends; ``sampler``
+    is a :class:`repro.obs.TimeseriesSampler` that records windowed
+    telemetry."""
     from repro.apps import create_app
     from repro.core.runner import run_app
 
-    obs = None
     if trace_path is not None:
-        from repro.obs import JsonlSink, Observability, Tracer
-        obs = Observability(tracer=Tracer(JsonlSink(str(trace_path))))
-
-    app = create_app(spec.app, **spec.app_params)
+        if sink is not None:
+            raise ValueError("pass trace_path or sink, not both")
+        sink = JsonlSink(str(trace_path))
+    obs = None
+    if sink is not None:
+        obs = Observability(tracer=Tracer(sink))
     try:
-        if spec.threads_per_proc == 1:
-            return run_app(app, spec.config, protocol=spec.protocol,
-                           max_events=spec.max_events,
-                           protocol_options=spec.protocol_options,
-                           lock_broadcast=spec.lock_broadcast,
-                           obs=obs)
-
-        # The multithreading extension (paper section 8): each node
-        # runs ``threads_per_proc`` generators from
-        # ``app.worker_thread``.
-        from repro.core.api import DsmApi
-        from repro.core.machine import Machine
-
-        machine = Machine(spec.config, protocol=spec.protocol,
-                          protocol_options=spec.protocol_options,
-                          lock_broadcast=spec.lock_broadcast,
-                          obs=obs)
-        shared = app.setup(machine)
-        result = machine.run(
-            lambda proc, thread: app.worker_thread(
-                DsmApi(machine.nodes[proc]), proc, thread, shared),
-            threads_per_proc=spec.threads_per_proc,
-            max_events=spec.max_events, app=app.name)
-        app.finish(machine, shared, result)
-        return result
+        return run_app(create_app(spec.app, **spec.app_params),
+                       spec.config, protocol=spec.protocol,
+                       max_events=spec.max_events,
+                       protocol_options=spec.protocol_options,
+                       lock_broadcast=spec.lock_broadcast,
+                       obs=obs, sampler=sampler,
+                       threads_per_proc=spec.threads_per_proc)
     finally:
-        if obs is not None:
-            obs.close()
+        if trace_path is not None:
+            sink.close()

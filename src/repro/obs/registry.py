@@ -273,9 +273,12 @@ class MetricsRegistry:
             buckets = None
             if entry["type"] == HISTOGRAM and entry["series"]:
                 # Sorted numerically: JSON stores (and sort_keys
-                # reorders) bucket bounds as string keys.
+                # reorders) bucket bounds as string keys.  A bound
+                # keeps its type, because ``str(bound)`` is the key:
+                # ``1024`` must not come back as ``1024.0``.
                 buckets = tuple(sorted(
-                    float(bound)
+                    float(bound) if "." in bound or "e" in bound
+                    else int(bound)
                     for bound in entry["series"][0]["buckets"]
                     if bound != "+inf"))
             metric = registry.from_spec(spec, buckets=buckets)

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.analysis.sweeps import Sweep, to_csv
-from repro.apps import Jacobi
 from repro.core import MachineConfig, NetworkConfig
+from repro.lab import Lab
+
+JACOBI = dict(n=16, iterations=2)
 
 
 def make_sweep(**kwargs):
-    return Sweep(lambda: Jacobi(n=16, iterations=2),
+    return Sweep("jacobi", JACOBI,
                  base_config=MachineConfig(network=NetworkConfig.atm()),
                  **kwargs)
 
@@ -32,6 +34,25 @@ def test_baseline_speedups_computed_once():
     assert all(r.speedup is not None for r in records)
 
 
+def test_grid_through_a_shared_lab_runs_each_baseline_once():
+    """2 x 2 cells, each followed by its own ``nprocs=1`` spec: the
+    two protocols share a baseline per page size, so the lab executes
+    4 + 2 runs, and a pool produces the serial records."""
+    def grid():
+        sweep = make_sweep(baseline=True)
+        sweep.axis("page_size", [2048, 4096])
+        sweep.axis("protocol", ["lh", "ei"], target="run")
+        return sweep
+
+    with Lab(cache=False) as lab:
+        serial = grid().run(lab=lab)
+        assert lab.stats()["executed"] == 6
+    assert len(serial) == 4
+    assert all(r.speedup is not None for r in serial)
+    with Lab(jobs=2, cache=False) as lab:
+        assert grid().run(lab=lab) == serial
+
+
 def test_custom_setter_axis():
     def set_bandwidth(config, mbps):
         return config.replace(network=NetworkConfig.atm(mbps))
@@ -47,8 +68,7 @@ def test_custom_setter_axis():
 
 
 def test_app_axis():
-    sweep = Sweep(lambda n=16: Jacobi(n=n, iterations=2),
-                  baseline=False)
+    sweep = Sweep("jacobi", JACOBI, baseline=False)
     sweep.axis("nprocs", [2])
     sweep.axis("n", [16, 32], target="app")
     records = sweep.run()

@@ -41,12 +41,64 @@ def test_sweep_command(capsys):
     assert "speedup=" in out
 
 
+def _last_line(capsys, argv):
+    assert main(argv + ["--no-cache"]) == 0
+    return capsys.readouterr().out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flag", [["--mhz", "80"], ["--loss", "0.05"],
+                                  ["--page-size", "1024"]])
+def test_sweep_honours_the_machine_and_fault_flags(capsys, flag):
+    """`sweep` once parsed these and simulated the default machine."""
+    argv = ["sweep", "jacobi", "--scale", "small", "--proc-list", "1,4"]
+    plain = _last_line(capsys, argv)
+    assert plain.startswith("   4p  speedup=")
+    assert _last_line(capsys, argv + flag) != plain
+
+
 def test_networks_command(capsys):
     assert main(["networks", "--app", "jacobi", "--procs", "2",
                  "--scale", "small"]) == 0
     out = capsys.readouterr().out
     assert "Ethernet" in out
     assert "ATM" in out
+    assert "jacobi (LH, 2 procs)" in out
+
+
+def test_networks_honours_protocol_and_machine_flags(capsys):
+    argv = ["networks", "--app", "jacobi", "--procs", "2",
+            "--scale", "small"]
+    plain = _last_line(capsys, argv)
+    assert _last_line(capsys, argv + ["--mhz", "80"]) != plain
+    assert main(argv + ["--protocol", "ei", "--no-cache"]) == 0
+    assert "jacobi (EI, 2 procs)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["crashsweep", "jacobi", "--jobs", "2"],
+    ["crashsweep", "jacobi", "--no-cache"],
+    ["crashsweep", "jacobi", "--crash", "0:5000"],
+    ["crashsweep", "jacobi", "--crash-mttf", "5000"],
+    ["networks", "--network", "atm"],
+    ["networks", "--bandwidth", "10"],
+])
+def test_flags_a_subcommand_cannot_honour_are_rejected(argv):
+    """(`crashsweep --protocol X` / `--network X` still parse: argparse
+    reads them as abbreviations of `--protocols` / `--networks`.)"""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+
+
+def test_crashsweep_composes_message_faults_with_the_crash_plan(capsys):
+    argv = ["crashsweep", "jacobi", "--mttfs", "0,30000",
+            "--protocols", "li", "--networks", "ethernet"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert "100.00%" in plain
+    assert main(argv + ["--loss", "0.02"]) == 0
+    lossy = capsys.readouterr().out
+    assert lossy != plain and "100.00%" in lossy
 
 
 def test_run_with_loss_reports_transport_stats(capsys):

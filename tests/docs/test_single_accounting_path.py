@@ -1,15 +1,17 @@
 """Keep-it-deleted lint: one counter per fact, one frame per hop, one
-dispatch loop.
+dispatch loop, one way to name and execute a run.
 
 Every node- and network-level fact is counted in one registry cell
 (``NodeMetrics`` / ``NetworkStats`` are views), every tracer guard is
 the attribute read ``tracer.sink.enabled``, the per-message helpers
 the fused send -> wire -> deliver -> dispatch path made unnecessary
 are gone, and ``sim/engine.py`` pops events in exactly one place
-(``Simulator._dispatch``).  This scans ``src/repro`` (comments and
-docstrings included — a stale mention misleads as well as a stale
-call) so the second accounting path cannot grow back one site at a
-time.
+(``Simulator._dispatch``).  An application is named (``RunSpec.app``),
+never passed as a factory callable; ``Machine.run_app`` is the one
+run body and ``execute_spec`` the one place a trace sink is wired to
+a run.  This scans ``src/repro`` (comments and docstrings included —
+a stale mention misleads as well as a stale call) so the second
+accounting path cannot grow back one site at a time.
 """
 
 import re
@@ -44,6 +46,28 @@ FORBIDDEN = [
      re.compile(r"\brun_all\b"), ()),
     ("Simulator._flush_counters (the one loop folds its counters in "
      "its own finally)", re.compile(r"\b_flush_counters\b"), ()),
+    ("second FaultInjector count of a fault (write the one cell: "
+     "`self._drops.value += 1`)",
+     re.compile(r"self\.(?:drops|duplicates|reorders|stalls|"
+                r"stall_cycles|delay_cycles_injected)\s*\+="
+                r"|_obs\[\"(?:drops|dups|reorders|delay|stalls|"
+                r"stall_cycles)\"\]"), ()),
+    ("app-factory callable (name the app: RunSpec.app + app_params)",
+     re.compile(r"app_factory|\b_run_factory\b|\bfor_app\b"), ()),
+    ("factory runner helper (build RunSpecs and use Lab.run_many)",
+     re.compile(r"\brun_protocols\b|\bsequential_baseline\b"
+                r"|\bspeedup_curve\b"), ()),
+    ("per-subcommand list parser (cli._networks / cli._protocols)",
+     re.compile(r"\b_serve_networks\b|\b_serve_protocols\b"), ()),
+]
+
+#: (what it is, pattern, most files of ``src/repro`` it may occur in).
+AT_MOST = [
+    ("trace-sink wiring (pass execute_spec a sink= or trace_path=)",
+     re.compile(r"Observability\(tracer=Tracer\("), 1),
+    ("run body calling an application's setup (Machine.run_app, and "
+     "trace/recorder.py which wraps the machine it hands the app)",
+     re.compile(r"\.setup\("), 2),
 ]
 
 #: (what it is, pattern): each occurs exactly once in sim/engine.py —
@@ -77,6 +101,16 @@ def test_deleted_accounting_path_stays_deleted(what, pattern, exempt):
     assert not hits, f"{what} is back:\n" + "\n".join(hits)
 
 
+@pytest.mark.parametrize("what,pattern,limit", AT_MOST,
+                         ids=[entry[0].split(" (")[0]
+                              for entry in AT_MOST])
+def test_run_recipe_is_not_respelled(what, pattern, limit):
+    files = sorted({hit.split(":")[0]
+                    for hit in _offenders(pattern, ())})
+    assert 1 <= len(files) <= limit, (
+        f"{what}: expected at most {limit} file(s), found {files}")
+
+
 @pytest.mark.parametrize("what,pattern", ENGINE_ONCE,
                          ids=[entry[0] for entry in ENGINE_ONCE])
 def test_engine_has_one_dispatch_loop(what, pattern):
@@ -107,6 +141,12 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("            return self._run_sampled(stop=stop)", 9),
     ("        sim.run_all(stop=self._all_finished)", 10),
     ("            self._flush_counters(dispatched, depth_peak)", 11),
+    ("            self.drops += 1", 12),
+    ("                self._obs[\"delay\"].inc(extra)", 12),
+    ("def run_protocols(app_factory, config: MachineConfig,", 13),
+    ("    def for_app(cls, name: str, params=None):", 13),
+    ("    baseline = sequential_baseline(fresh_app, config)", 14),
+    ("    networks = _serve_networks(args)", 15),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

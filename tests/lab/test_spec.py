@@ -97,3 +97,52 @@ def test_execute_spec_matches_run_app():
     via_spec = execute_spec(spec)
     assert json.dumps(via_spec.to_dict(), sort_keys=True) == \
         json.dumps(direct.to_dict(), sort_keys=True)
+
+
+def test_observers_ride_along_without_changing_the_run():
+    """``sink`` and ``sampler`` observe: the result dump is byte-equal
+    to the unobserved run's, and the sink holds exactly the events a
+    hand-wired ``run_app(..., obs=...)`` records."""
+    from repro.obs import (MemorySink, Observability,
+                           TimeseriesSampler, Tracer)
+
+    spec = _spec(protocol="li")
+    sink = MemorySink()
+    sampler = TimeseriesSampler(window_us=250.0)
+    observed = execute_spec(spec, sink=sink, sampler=sampler)
+    assert json.dumps(observed.to_dict(), sort_keys=True) == \
+        json.dumps(execute_spec(spec).to_dict(), sort_keys=True)
+    assert sampler.windows
+
+    wired = MemorySink()
+    run_app(create_app("jacobi", **SMALL), spec.config, protocol="li",
+            obs=Observability(tracer=Tracer(wired)))
+
+    def stream(events):
+        # Message ids come from a process-wide counter: rebase them.
+        ids = ("msg", "reply_to", "cause")
+        base = min(e.fields["msg"] for e in events if "msg" in e.fields)
+        return [(e.ts, e.name,
+                 {k: v - base if k in ids and v is not None else v
+                  for k, v in e.fields.items()})
+                for e in events]
+
+    assert sink.events and stream(sink.events) == stream(wired.events)
+    assert spec.fingerprint() == _spec(protocol="li").fingerprint()
+
+
+def test_trace_path_and_sink_are_one_choice(tmp_path):
+    from repro.obs import MemorySink
+
+    with pytest.raises(ValueError, match="trace_path or sink"):
+        execute_spec(_spec(), trace_path=str(tmp_path / "t.jsonl"),
+                     sink=MemorySink())
+
+
+def test_threads_per_proc_needs_a_multithreaded_app():
+    """Only Cholesky implements ``worker_thread``; asking any other
+    app for two threads per processor is rejected up front, by name,
+    instead of failing inside the machine's spawn loop."""
+    with pytest.raises(ValueError,
+                       match="threads_per_proc=2.*'jacobi'"):
+        execute_spec(_spec(threads_per_proc=2))

@@ -166,3 +166,40 @@ def test_stats_cli_json_matches_run_counters():
         reference.diffs_created
     assert by_name["net.messages_total"]["total"] == \
         reference.network_messages
+
+
+def test_fault_injector_counters_are_views_of_the_registry():
+    """Like ``NetworkStats``: the injector counts each fault in one
+    cell — its own until ``attach_obs`` swaps in the ``faults.*``
+    children, carrying earlier counts over — and the public names
+    only read it."""
+    from repro.core.config import FaultConfig
+    from repro.faults import FaultInjector
+    from repro.net.message import Message
+    from repro.obs import Observability
+
+    injector = FaultInjector(MachineConfig(
+        nprocs=4, faults=FaultConfig(drop_prob=0.3, dup_prob=0.3,
+                                     reorder_prob=0.3)))
+    message = Message(src=0, dst=1, kind=MsgKind.FLUSH)
+
+    def counts():
+        return (injector.drops, injector.duplicates,
+                injector.reorders, injector.delay_cycles_injected)
+
+    for _ in range(60):
+        injector.decide(message)
+    before = counts()
+    assert all(before)
+    obs = Observability()
+    injector.attach_obs(obs)
+    registry = obs.registry
+    names = ("faults.drops_total", "faults.duplicates_total",
+             "faults.reorders_total", "faults.delay_cycles_total")
+    assert tuple(registry.total(name) for name in names) == before
+    for _ in range(60):
+        injector.decide(message)
+    assert tuple(registry.total(name) for name in names) == counts()
+    assert all(now > then for now, then in zip(counts(), before))
+    with pytest.raises(AttributeError):
+        injector.drops = 0

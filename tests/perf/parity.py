@@ -38,7 +38,8 @@ def cases():
     """(name, RunSpec) for every golden case: the three most
     protocol-exercising apps under all five protocols on ATM, plus one
     Ethernet run (contention/backoff path) and the BENCH_core
-    workload's exact jacobi/LI configuration."""
+    workload's exact jacobi/LI configuration, and the wide-eager and
+    multithreaded cases described where they are added."""
     out = []
     for app, params in _PARAMS.items():
         for protocol in PROTOCOLS:
@@ -86,6 +87,16 @@ def cases():
                         config=MachineConfig(
                             nprocs=16,
                             network=NetworkConfig.atm()))))
+    # The only multithreaded golden (``threads_per_proc=2``, paper
+    # section 8; Cholesky is the one app with ``worker_thread``).
+    # Captured while ``execute_spec`` still carried its own copy of
+    # the run body for this case, to pin the move into ``run_app``.
+    out.append(("cholesky_lh_atm4_t2",
+                RunSpec("cholesky", dict(k=4), protocol="lh",
+                        config=MachineConfig(
+                            nprocs=4,
+                            network=NetworkConfig.atm()),
+                        threads_per_proc=2)))
     return out
 
 

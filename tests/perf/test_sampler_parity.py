@@ -36,7 +36,8 @@ def _dump(spec, sampler):
                      spec.config, protocol=spec.protocol,
                      protocol_options=spec.protocol_options,
                      lock_broadcast=spec.lock_broadcast,
-                     sampler=sampler)
+                     sampler=sampler,
+                     threads_per_proc=spec.threads_per_proc)
     return json.dumps(result.to_dict(), sort_keys=True, indent=1)
 
 
