@@ -4,7 +4,7 @@ Examples::
 
     python -m repro run water --procs 8 --protocol lh
     python -m repro compare water --procs 16 --jobs 4
-    python -m repro sweep jacobi --protocol lh --procs 1,2,4,8,16
+    python -m repro sweep jacobi --protocol lh --proc-list 1,2,4,8,16
     python -m repro networks --app jacobi
     python -m repro stats jacobi --protocol li --network atm
     python -m repro stats --load result.json --format table
@@ -21,6 +21,7 @@ in-process under an event budget and takes none of these.)
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -262,10 +263,11 @@ def cmd_sweep(args) -> int:
     """Speedup curve across processor counts."""
     proc_counts = [int(p) for p in args.proc_list.split(",")]
     with _lab(args) as lab:
+        # protocol_sweep sets nprocs per point (there is no --procs).
         result = protocol_sweep(args.app, _network(args), proc_counts,
                                 protocols=[args.protocol],
                                 scale=args.scale,
-                                config=_config(args), lab=lab)
+                                config=_config(args, nprocs=1), lab=lab)
     curve = result.curves[args.protocol]
     print(f"{args.app}/{args.protocol} on {args.network}")
     for nprocs in proc_counts:
@@ -691,7 +693,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Release-consistent software DSM simulator "
                     "(ISCA 1993 reproduction)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A flag a subcommand does not register must exit 2, not be read
+    # as a prefix of one it does (`--protocol li` as `--protocols li`).
+    subparsers = dict(required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
+    sub = parser.add_subparsers(dest="command", **subparsers)
 
     def lab_flags(p):
         p.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -787,11 +793,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help=cmd_compare.__doc__)
-    common(p_cmp)
+    common(p_cmp, omit=("--protocol",))
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help=cmd_sweep.__doc__)
-    common(p_sweep)
+    common(p_sweep, omit=("--procs",))
     p_sweep.add_argument("--proc-list", default="1,2,4,8,16",
                          dest="proc_list")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -827,14 +833,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.set_defaults(func=cmd_profile)
 
     p_loss = sub.add_parser("losssweep", help=cmd_losssweep.__doc__)
-    common(p_loss)
+    common(p_loss, omit=("--protocol", "--loss"))
     p_loss.add_argument("--rates", default="0.0,0.001,0.01,0.05",
                         help="comma-separated drop probabilities "
                              "(first is the slowdown baseline)")
     p_loss.add_argument("--protocols", default=None,
                         help="comma-separated protocol subset "
                              "(default: all five)")
-    p_loss.set_defaults(func=cmd_losssweep)
+    p_loss.set_defaults(func=cmd_losssweep, loss=0.0)
 
     p_crash = sub.add_parser("crashsweep", help=cmd_crashsweep.__doc__)
     # The cells come from --protocols x --networks x --mttfs and run
@@ -887,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 500 µs)")
 
     p_serve = sub.add_parser("serve", help=cmd_serve.__doc__)
-    common(p_serve, with_app=False)
+    common(p_serve, with_app=False, omit=("--protocol", "--network"))
     serve_flags(p_serve)
     p_serve.add_argument("--rate", type=_positive_rate,
                          default=40_000.0, metavar="RPS",
@@ -900,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ssweep = sub.add_parser("servesweep",
                               help=cmd_servesweep.__doc__)
-    common(p_ssweep, with_app=False)
+    common(p_ssweep, with_app=False, omit=("--protocol", "--network"))
     serve_flags(p_ssweep)
     p_ssweep.add_argument("--rates", default="10000,20000,40000,80000",
                           help="comma-separated offered loads in "
@@ -914,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="windowed telemetry: per-window events/messages/bytes, "
              "serving p50/p99 and SLO burn rate, JSON + Perfetto "
              "counter-track export")
-    ts_sub = p_ts.add_subparsers(dest="action", required=True)
+    ts_sub = p_ts.add_subparsers(dest="action", **subparsers)
 
     def timeseries_common(p):
         common(p, app_optional=True)
@@ -962,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="causal-trace tools: Chrome/Perfetto export, "
              "critical-path breakdown, contention profiles")
-    trace_sub = p_trace.add_subparsers(dest="action", required=True)
+    trace_sub = p_trace.add_subparsers(dest="action", **subparsers)
 
     def trace_common(p):
         common(p, app_optional=True)

@@ -14,7 +14,7 @@ One :class:`Lab` owns three tiers of result resolution:
 Everything the harness does is observable through its own
 ``lab.*``-catalogued :class:`repro.obs.MetricsRegistry` (jobs run,
 cache hits per tier, retries, failures, wall time, worker
-utilization) — the warm-cache CI gate and ``BENCH_lab.json`` read it.
+utilization) — the warm-cache CI gate reads it.
 """
 
 from __future__ import annotations
@@ -87,9 +87,7 @@ def available_cpus() -> int:
     Resolution order: the ``REPRO_LAB_CPUS`` env override, then the
     minimum of every signal that answers (scheduler affinity mask,
     cgroup v2/v1 CPU quota, ``os.cpu_count()``).  Containers routinely
-    make ``os.cpu_count()`` wrong in both directions, which is how
-    BENCH_lab once reported ``effective_jobs: 1`` with a speedup of
-    1.0x on a multi-core runner."""
+    make ``os.cpu_count()`` wrong in both directions."""
     override = os.environ.get("REPRO_LAB_CPUS")
     if override:
         try:
@@ -244,7 +242,7 @@ class Lab:
         # shipped to pool workers so they never recompute it either.
         self._code_version: Optional[str] = None
         #: One-time pool spin-up cost (fork + imports + warm pings);
-        #: 0.0 until the first parallel batch.  BENCH_lab records it.
+        #: 0.0 until the first parallel batch.
         self.executor_startup_seconds = 0.0
 
         self.registry = registry or MetricsRegistry(
@@ -300,8 +298,7 @@ class Lab:
     def warm(self) -> float:
         """Spin up and warm the process pool now, instead of inside
         the first parallel batch (no-op for serial labs).  Returns the
-        measured startup seconds — BENCH_lab records this separately
-        from batch wall time."""
+        measured startup seconds."""
         if self.jobs is not None:
             self._executor()
         return self.executor_startup_seconds

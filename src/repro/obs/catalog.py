@@ -231,11 +231,11 @@ ROBUSTNESS_CATALOG: Tuple[MetricSpec, ...] = (
 LAB_CATALOG: Tuple[MetricSpec, ...] = (
     _spec("lab.jobs_executed_total", COUNTER, "runs",
           "Run specs actually simulated (cache misses that ran).",
-          consumers=("warm-cache CI gate", "BENCH_lab")),
+          consumers=("warm-cache CI gate",)),
     _spec("lab.cache_hits_total", COUNTER, "runs",
           "Run specs satisfied without simulating, by cache tier.",
           labels=("tier",),
-          consumers=("warm-cache CI gate", "BENCH_lab")),
+          consumers=("warm-cache CI gate",)),
     _spec("lab.cache_misses_total", COUNTER, "runs",
           "Run specs found in neither cache tier."),
     _spec("lab.retries_total", COUNTER, "attempts",
@@ -244,18 +244,18 @@ LAB_CATALOG: Tuple[MetricSpec, ...] = (
           "Run specs that failed every allowed attempt."),
     _spec("lab.wall_seconds_total", COUNTER, "seconds",
           "Real wall-clock time spent inside Lab.run_many.",
-          consumers=("BENCH_lab",)),
+          consumers=("Lab.format_stats",)),
     _spec("lab.run_seconds", HISTOGRAM, "seconds",
           "Per-run execution wall time, measured in the worker."),
     _spec("lab.worker_utilization", GAUGE, "ratio",
           "Busy-worker seconds over wall seconds x pool size, for "
           "the latest parallel batch.",
-          consumers=("BENCH_lab",)),
+          consumers=("diagnostics",)),
     _spec("lab.executor_startup_seconds", GAUGE, "seconds",
           "One-time cost of spinning up and warming the process pool "
           "(fork + imports + code-version seeding), measured at first "
           "parallel batch.",
-          consumers=("BENCH_lab",)),
+          consumers=("benchmarks/test_lab.py",)),
 )
 
 #: Metrics of the memory substrate (:mod:`repro.mem`, see

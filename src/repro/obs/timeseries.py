@@ -35,9 +35,9 @@ Free when disabled: the dispatch loop compares the clock against the
 next window boundary only on a heap pop — the one place the clock
 moves — and without a sampler that boundary is ``inf``; zero-delay
 events never see the check, and the serving pump's ``if sampler is not
-None:`` guard never fires — the 20 golden dumps stay byte-identical and
-``benchmarks/test_perf_core.py`` bounds the instrumented-but-disabled
-configuration under 1%.  Enabled sampling is pure observation: it
+None:`` guard never fires — the golden dumps stay byte-identical and
+the repo benchmark's ``obs.nullsink_overhead_ratio`` gate bounds the
+disabled configuration under 1%.  Enabled sampling is pure observation: it
 schedules nothing and only reads, so the simulation's event sequence,
 metrics, and :class:`~repro.core.metrics.RunResult` are *identical*
 with and without it (``tests/obs/test_timeseries.py`` asserts the

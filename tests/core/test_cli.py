@@ -81,13 +81,40 @@ def test_networks_honours_protocol_and_machine_flags(capsys):
     ["crashsweep", "jacobi", "--crash-mttf", "5000"],
     ["networks", "--network", "atm"],
     ["networks", "--bandwidth", "10"],
+    ["compare", "jacobi", "--protocol", "li"],
+    ["sweep", "jacobi", "--procs", "4"],
+    ["losssweep", "jacobi", "--protocol", "li"],
+    ["losssweep", "jacobi", "--loss", "0.1"],
+    ["serve", "--protocol", "li"],
+    ["serve", "--network", "atm"],
+    ["servesweep", "--protocol", "li"],
+    ["servesweep", "--network", "atm"],
+    ["crashsweep", "jacobi", "--protocol", "li"],
 ])
-def test_flags_a_subcommand_cannot_honour_are_rejected(argv):
-    """(`crashsweep --protocol X` / `--network X` still parse: argparse
-    reads them as abbreviations of `--protocols` / `--networks`.)"""
+def test_flags_a_subcommand_cannot_honour_are_rejected(argv, capsys):
+    """What a subcommand would parse and ignore is not registered on
+    it, and no flag is accepted as a prefix of another (`crashsweep
+    --protocol li` was once read as `--protocols li`)."""
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
+    flag = next(word for word in argv if word.startswith("--"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["crashsweep", "jacobi", "--scale", "small", "--mttfs", "0",
+      "--networks", "atm", "--protocols", "li"], "lh"),
+    (["serve", "--scale", "small", "--requests", "30",
+      "--protocols", "li", "--networks", "atm", "--no-cache"],
+     "ethernet"),
+])
+def test_the_list_flags_select_the_cells(argv, absent, capsys):
+    """The spelled-out forms of the flags rejected above."""
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    assert "    li       atm" in table
+    assert absent not in table
 
 
 def test_crashsweep_composes_message_faults_with_the_crash_plan(capsys):

@@ -1,5 +1,6 @@
 """Keep-it-deleted lint: one counter per fact, one frame per hop, one
-dispatch loop, one way to name and execute a run.
+dispatch loop, one way to name and execute a run, one benchmark
+harness.
 
 Every node- and network-level fact is counted in one registry cell
 (``NodeMetrics`` / ``NetworkStats`` are views), every tracer guard is
@@ -9,9 +10,12 @@ are gone, and ``sim/engine.py`` pops events in exactly one place
 (``Simulator._dispatch``).  An application is named (``RunSpec.app``),
 never passed as a factory callable; ``Machine.run_app`` is the one
 run body and ``execute_spec`` the one place a trace sink is wired to
-a run.  This scans ``src/repro`` (comments and docstrings included —
-a stale mention misleads as well as a stale call) so the second
-accounting path cannot grow back one site at a time.
+a run.  ``benchmarks/ledger`` is the only thing that times a run: the
+events/second harness, its committed baselines and the regression
+sentinel that read them are gone.  This scans ``src/repro`` (comments
+and docstrings included — a stale mention misleads as well as a stale
+call) so the second accounting path cannot grow back one site at a
+time.
 """
 
 import re
@@ -19,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 
 #: (what it is, pattern, files exempt — relative to ``src/repro``).
 FORBIDDEN = [
@@ -59,6 +64,22 @@ FORBIDDEN = [
                 r"|\bspeedup_curve\b"), ()),
     ("per-subcommand list parser (cli._networks / cli._protocols)",
      re.compile(r"\b_serve_networks\b|\b_serve_protocols\b"), ()),
+    ("first-harness artifact (the record is benchmarks/ledger's rows)",
+     re.compile(r"\bBENCH_\w+"), ()),
+    ("regression sentinel (an A/B verdict is benchmarks/ledger/"
+     "compare.py)",
+     re.compile(r"analysis\.regression|\bupdate_summary\b"), ()),
+    ("committed events/second baseline",
+     re.compile(r"\bcore(?:32)?_baseline\b"), ()),
+]
+
+#: The first benchmark harness, relative to the repo root.
+DELETED_FILES = [
+    "benchmarks/test_perf_core.py",
+    "benchmarks/core_baseline.json",
+    "benchmarks/core32_baseline.json",
+    "src/repro/analysis/regression.py",
+    "tests/analysis/test_regression.py",
 ]
 
 #: (what it is, pattern, most files of ``src/repro`` it may occur in).
@@ -99,6 +120,11 @@ def test_deleted_accounting_path_stays_deleted(what, pattern, exempt):
     assert list(SRC.rglob("*.py")), "source glob matched nothing"
     hits = _offenders(pattern, exempt)
     assert not hits, f"{what} is back:\n" + "\n".join(hits)
+
+
+def test_the_first_benchmark_harness_stays_deleted():
+    back = [name for name in DELETED_FILES if (ROOT / name).exists()]
+    assert not back, f"a second benchmark harness is back: {back}"
 
 
 @pytest.mark.parametrize("what,pattern,limit", AT_MOST,
@@ -147,6 +173,11 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("    def for_app(cls, name: str, params=None):", 13),
     ("    baseline = sequential_baseline(fresh_app, config)", 14),
     ("    networks = _serve_networks(args)", 15),
+    ("        #: One-time pool spin-up.  BENCH_lab records it.", 16),
+    ("    PYTHONPATH=src python -m repro.analysis.regression \\", 17),
+    ("    update_summary(SUMMARY, \"core\", section)", 17),
+    ("    baseline = root / \"benchmarks\" / \"core32_baseline.json\"",
+     18),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

@@ -37,8 +37,8 @@ PROTOCOLS = ("lh", "li", "lu", "ei", "eu")
 def cases():
     """(name, RunSpec) for every golden case: the three most
     protocol-exercising apps under all five protocols on ATM, plus one
-    Ethernet run (contention/backoff path) and the BENCH_core
-    workload's exact jacobi/LI configuration, and the wide-eager and
+    Ethernet run (contention/backoff path) and the repo benchmark's
+    two pinned jacobi/LI configurations, and the wide-eager and
     multithreaded cases described where they are added."""
     out = []
     for app, params in _PARAMS.items():
@@ -59,18 +59,17 @@ def cases():
                         config=MachineConfig(
                             nprocs=8,
                             network=NetworkConfig.atm()))))
-    # The exact benchmarks/test_perf_core.py workload (iterations=120):
-    # BENCH_core's byte_identical gate reuses this golden.
+    # The repo benchmark's jacobi_li_8p run (iterations=120), which
+    # re-checks this golden (benchmarks/ledger/workloads.py).
     out.append(("perfcore_jacobi_li_atm8_it120",
                 RunSpec("jacobi", dict(n=96, iterations=120),
                         protocol="li",
                         config=MachineConfig(
                             nprocs=8,
                             network=NetworkConfig.atm()))))
-    # The BENCH_core32 workload: the large-configuration arm (32
-    # processors) that keeps the scheduler/protocol fast paths honest
-    # at high nprocs; benchmarks/test_perf_core.py reuses this golden
-    # for its byte_identical gate.
+    # The repo benchmark's jacobi_li_32p run: the large configuration
+    # that keeps the scheduler/protocol fast paths honest at high
+    # nprocs; the ledger re-checks this golden too.
     out.append(("perfcore_jacobi_li_atm32",
                 RunSpec("jacobi", dict(n=128, iterations=40),
                         protocol="li",

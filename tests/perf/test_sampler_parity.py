@@ -6,7 +6,7 @@ Two gates around :mod:`repro.obs.timeseries`:
   — exercising the engine's ``inf`` window boundary, the machine
   attribute, and the worker-pump guard — must reproduce every golden
   dump byte for byte (the zero-overhead-when-off contract also bounded
-  by BENCH_core's NullSink arm);
+  by the repo benchmark's ``obs.nullsink_overhead_ratio``);
 - **enabled**: attaching a live sampler must *still* reproduce the
   golden bytes, because sampling only reads — it never schedules,
   never perturbs dispatch order, and never shows up in the RunResult.
