@@ -15,6 +15,7 @@ share a cache with other drivers, as ``repro report`` does).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.analysis.experiments import APP_PARAMS
@@ -24,18 +25,18 @@ from repro.core.metrics import RunResult
 from repro.lab import Lab, RunSpec
 
 
-def _run(app: str, scale: str, nprocs: int, protocol: str,
-         protocol_options: Optional[dict] = None,
-         lock_broadcast: bool = False,
-         overhead: Optional[OverheadConfig] = None,
-         lab: Optional[Lab] = None) -> RunResult:
-    config = MachineConfig(nprocs=nprocs, network=NetworkConfig.atm())
-    if overhead is not None:
-        config = config.replace(overhead=overhead)
-    spec = RunSpec(app, APP_PARAMS[scale][app], protocol=protocol,
-                   config=config, protocol_options=protocol_options,
-                   lock_broadcast=lock_broadcast)
-    return (lab if lab is not None else Lab()).run(spec)
+def _grid(app: str, scale: str, nprocs: int,
+          variants: Dict[str, dict],
+          lab: Optional[Lab]) -> Dict[str, RunResult]:
+    """``app`` under LH on ``nprocs`` ATM processors, once per variant
+    (``{label: RunSpec fields to replace}``), as one lab batch."""
+    base = RunSpec(app, APP_PARAMS[scale][app],
+                   config=MachineConfig(nprocs=nprocs,
+                                        network=NetworkConfig.atm()))
+    cells = {label: replace(base, **fields)
+             for label, fields in variants.items()}
+    lab = lab if lab is not None else Lab()
+    return dict(zip(cells, lab.run_many(list(cells.values()))))
 
 
 def ablate_diff_encoding(app: str = "water", nprocs: int = 16,
@@ -45,13 +46,10 @@ def ablate_diff_encoding(app: str = "water", nprocs: int = 16,
     """Diffs vs whole pages: price every diff at the full page size,
     modelling a DSM without run-length encoding.  The paper's diffs
     are what keep the update protocols' data volume reasonable."""
-    return {
-        "diffs": _run(app, scale, nprocs, "lh", lab=lab),
-        "whole_pages": _run(app, scale, nprocs, "lh",
-                            protocol_options={
-                                "price_diffs_as_pages": True},
-                            lab=lab),
-    }
+    return _grid(app, scale, nprocs, {
+        "diffs": {},
+        "whole_pages": {"protocol_options": {
+            "price_diffs_as_pages": True}}}, lab)
 
 
 def ablate_hybrid_heuristic(app: str = "water", nprocs: int = 16,
@@ -61,10 +59,9 @@ def ablate_hybrid_heuristic(app: str = "water", nprocs: int = 16,
     """LH's copyset piggyback rule vs always-push vs never-push.
     'never' degenerates toward LI (more misses); 'always' toward LU's
     data volume (useless diffs for uncached pages)."""
-    return {policy: _run(app, scale, nprocs, "lh",
-                         protocol_options={"piggyback_policy": policy},
-                         lab=lab)
-            for policy in ("copyset", "always", "never")}
+    return _grid(app, scale, nprocs, {
+        policy: {"protocol_options": {"piggyback_policy": policy}}
+        for policy in ("copyset", "always", "never")}, lab)
 
 
 def ablate_lock_broadcast(app: str = "cholesky", nprocs: int = 8,
@@ -74,11 +71,9 @@ def ablate_lock_broadcast(app: str = "cholesky", nprocs: int = 8,
     """Owner-forwarded lock requests (3 messages, up to 2 hops) vs
     broadcast requests (n messages, 1 hop): the latency/message-count
     trade the paper's conclusion points at."""
-    return {
-        "forwarding": _run(app, scale, nprocs, "lh", lab=lab),
-        "broadcast": _run(app, scale, nprocs, "lh",
-                          lock_broadcast=True, lab=lab),
-    }
+    return _grid(app, scale, nprocs, {
+        "forwarding": {},
+        "broadcast": {"lock_broadcast": True}}, lab)
 
 
 def ablate_lazy_overhead_factor(app: str = "water", nprocs: int = 16,
@@ -88,9 +83,8 @@ def ablate_lazy_overhead_factor(app: str = "water", nprocs: int = 16,
     """The simulation charges lazy protocols double the per-byte
     software overhead for their extra complexity; this quantifies how
     much of the eager/lazy gap that assumption gives back."""
-    return {
-        "doubled": _run(app, scale, nprocs, "lh", lab=lab),
-        "flat": _run(app, scale, nprocs, "lh",
-                     overhead=OverheadConfig(lazy_per_byte_factor=1.0),
-                     lab=lab),
-    }
+    flat = MachineConfig(
+        nprocs=nprocs, network=NetworkConfig.atm(),
+        overhead=OverheadConfig(lazy_per_byte_factor=1.0))
+    return _grid(app, scale, nprocs, {
+        "doubled": {}, "flat": {"config": flat}}, lab)

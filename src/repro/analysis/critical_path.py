@@ -223,8 +223,3 @@ def _attribute_local(trace: CausalTrace, proc: int, lo: float,
     dominant = max((("compute", pure), ("diff", diff),
                     ("overhead", overhead)), key=lambda kv: kv[1])[0]
     note(lo, hi, f"proc {proc}", dominant)
-
-
-def contention_stall(result: CriticalPathResult) -> float:
-    """Contention share of the path (medium queueing + backoff)."""
-    return result.categories["contention"]

@@ -18,7 +18,7 @@ unique configuration simulates exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import (ATM_MBPS, ETHERNET_MBPS, GIGABIT_MBPS,
@@ -83,10 +83,6 @@ class FigureResult:
     baseline_cycles: float
     paper_notes: str = ""
 
-    def best_protocol_at(self, nprocs: int) -> str:
-        return max(self.curves,
-                   key=lambda p: self.curves[p].speedup.get(nprocs, 0.0))
-
 
 def _ensure_lab(lab: Optional[Lab]) -> Lab:
     return lab if lab is not None else Lab()
@@ -100,29 +96,23 @@ def protocol_sweep(app: str, network: NetworkConfig,
                    lab: Optional[Lab] = None) -> FigureResult:
     """Run ``app`` under each protocol across processor counts."""
     lab = _ensure_lab(lab)
-    params = APP_PARAMS[scale][app]
-    base_config = config or MachineConfig()
-    specs = [RunSpec(app, params, protocol="lh",
-                     config=base_config.replace(nprocs=1,
-                                                network=network))]
-    index: Dict[tuple, int] = {}
+    one = RunSpec(app, APP_PARAMS[scale][app],
+                  config=(config or MachineConfig()).replace(
+                      network=network))
+    cells = {"baseline": one.baseline()}
     for protocol in protocols:
         for nprocs in proc_counts:
-            if nprocs == 1:
-                continue
-            index[(protocol, nprocs)] = len(specs)
-            specs.append(RunSpec(
-                app, params, protocol=protocol,
-                config=base_config.replace(nprocs=nprocs,
-                                           network=network)))
-    results = lab.run_many(specs)
-    baseline = results[0]
+            if nprocs != 1:
+                cells[protocol, nprocs] = replace(
+                    one, protocol=protocol,
+                    config=one.config.replace(nprocs=nprocs))
+    results = dict(zip(cells, lab.run_many(list(cells.values()))))
+    baseline = results["baseline"]
     curves: Dict[str, Curve] = {}
     for protocol in protocols:
         curve = Curve(protocol=protocol)
         for nprocs in proc_counts:
-            result = (baseline if nprocs == 1
-                      else results[index[(protocol, nprocs)]])
+            result = results.get((protocol, nprocs), baseline)
             curve.speedup[nprocs] = result.speedup_over(baseline)
             # Message/data series come from the metrics registry
             # (``dsm.messages_total`` / ``dsm.data_bytes_total``; see
@@ -225,40 +215,33 @@ TABLE2_NETWORKS: List = [
     ("1Gb ATM", NetworkConfig.atm(GIGABIT_MBPS)),
 ]
 
-#: Paper's Table 2 rows (LH, 16 processors): jacobi, water speedups.
-TABLE2_PAPER = {
-    "10Mb Ethernet w/ coll": (5.2, None),
-    "10Mb Ethernet w/o coll": (None, None),
-    "10Mb ATM": (None, None),
-    "100Mb ATM": (14.0, None),
-    "1Gb ATM": (None, None),
-}
+
+def _speedups(cells: Dict[tuple, RunSpec],
+              lab: Optional[Lab]) -> Dict[tuple, float]:
+    """Resolve a grid ``{key: RunSpec}`` and return each cell's
+    speedup over its :meth:`RunSpec.baseline`.  Cells and baselines
+    go to the lab as one batch, which simulates a baseline that
+    several cells share once."""
+    specs = list(cells.values())
+    results = _ensure_lab(lab).run_many(
+        specs + [spec.baseline() for spec in specs])
+    return {key: result.speedup_over(baseline)
+            for key, result, baseline
+            in zip(cells, results, results[len(specs):])}
 
 
 def tab2_networks(scale: str = "bench", nprocs: int = 16,
                   lab: Optional[Lab] = None
                   ) -> Dict[str, Dict[str, float]]:
     """Table 2: Jacobi and Water speedups (LH) on five networks."""
-    lab = _ensure_lab(lab)
     apps = ("jacobi", "water")
-    specs: List[RunSpec] = []
-    for app in apps:
-        params = APP_PARAMS[scale][app]
-        specs.append(RunSpec(app, params,
-                             config=MachineConfig(nprocs=1)))
-        for _name, network in TABLE2_NETWORKS:
-            specs.append(RunSpec(
-                app, params, protocol="lh",
-                config=MachineConfig(nprocs=nprocs,
-                                     network=network)))
-    results = iter(lab.run_many(specs))
-    rows: Dict[str, Dict[str, float]] = {}
-    for app in apps:
-        baseline = next(results)
-        for name, _network in TABLE2_NETWORKS:
-            rows.setdefault(name, {})[app] = \
-                next(results).speedup_over(baseline)
-    return rows
+    speedup = _speedups({
+        (name, app): RunSpec(
+            app, APP_PARAMS[scale][app],
+            config=MachineConfig(nprocs=nprocs, network=network))
+        for app in apps for name, network in TABLE2_NETWORKS}, lab)
+    return {name: {app: speedup[name, app] for app in apps}
+            for name, _network in TABLE2_NETWORKS}
 
 
 def tab3_overheads(scale: str = "bench", nprocs: int = 16,
@@ -269,30 +252,20 @@ def tab3_overheads(scale: str = "bench", nprocs: int = 16,
                    ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Table 3: speedups with zero / normal / double software overhead
     (16 processors, ATM)."""
-    lab = _ensure_lab(lab)
-    levels = (("zero", 0.0), ("normal", 1.0), ("double", 2.0))
-    specs: List[RunSpec] = []
-    for app in apps:
-        params = APP_PARAMS[scale][app]
-        for _label, overhead_scale in levels:
-            config = MachineConfig(
+    levels = {"zero": 0.0, "normal": 1.0, "double": 2.0}
+    speedup = _speedups({
+        (app, label, protocol): RunSpec(
+            app, APP_PARAMS[scale][app], protocol=protocol,
+            config=MachineConfig(
                 nprocs=nprocs, network=NetworkConfig.atm(),
-                overhead=OverheadConfig(scale=overhead_scale))
-            specs.append(RunSpec(app, params,
-                                 config=config.replace(nprocs=1)))
-            for protocol in protocols:
-                specs.append(RunSpec(app, params, protocol=protocol,
-                                     config=config))
-    results = iter(lab.run_many(specs))
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for app in apps:
-        out[app] = {}
-        for label, _overhead_scale in levels:
-            baseline = next(results)
-            out[app][label] = {
-                protocol: next(results).speedup_over(baseline)
-                for protocol in protocols}
-    return out
+                overhead=OverheadConfig(scale=overhead_scale)))
+        for app in apps
+        for label, overhead_scale in levels.items()
+        for protocol in protocols}, lab)
+    return {app: {label: {protocol: speedup[app, label, protocol]
+                          for protocol in protocols}
+                  for label in levels}
+            for app in apps}
 
 
 def tab4_cpu_speeds(scale: str = "bench", nprocs: int = 16,
@@ -304,25 +277,14 @@ def tab4_cpu_speeds(scale: str = "bench", nprocs: int = 16,
     """Table 4: LH speedups at different processor speeds.  The
     network stays fixed in physical time, so faster processors shift
     the compute/communication ratio against the DSM."""
-    lab = _ensure_lab(lab)
-    specs: List[RunSpec] = []
-    for app in apps:
-        params = APP_PARAMS[scale][app]
-        for mhz in speeds_mhz:
-            config = MachineConfig(nprocs=nprocs, cpu_mhz=mhz,
-                                   network=NetworkConfig.atm())
-            specs.append(RunSpec(app, params,
-                                 config=config.replace(nprocs=1)))
-            specs.append(RunSpec(app, params, protocol="lh",
-                                 config=config))
-    results = iter(lab.run_many(specs))
-    out: Dict[str, Dict[float, float]] = {}
-    for app in apps:
-        out[app] = {}
-        for mhz in speeds_mhz:
-            baseline = next(results)
-            out[app][mhz] = next(results).speedup_over(baseline)
-    return out
+    speedup = _speedups({
+        (app, mhz): RunSpec(
+            app, APP_PARAMS[scale][app],
+            config=MachineConfig(nprocs=nprocs, cpu_mhz=mhz,
+                                 network=NetworkConfig.atm()))
+        for app in apps for mhz in speeds_mhz}, lab)
+    return {app: {mhz: speedup[app, mhz] for mhz in speeds_mhz}
+            for app in apps}
 
 
 def tab5_page_size(scale: str = "bench",
@@ -333,30 +295,18 @@ def tab5_page_size(scale: str = "bench",
                    ) -> Dict[str, Dict[int, Dict[int, float]]]:
     """Table 5: LH speedups with 4096- vs 1024-byte pages.  Smaller
     pages reduce false sharing but raise the miss count."""
-    lab = _ensure_lab(lab)
     page_sizes = (4096, SMALL_PAGE_SIZE)
-    specs: List[RunSpec] = []
-    for app in apps:
-        params = APP_PARAMS[scale][app]
-        for page_size in page_sizes:
-            config = MachineConfig(page_size=page_size,
-                                   network=NetworkConfig.atm())
-            specs.append(RunSpec(app, params,
-                                 config=config.replace(nprocs=1)))
-            for nprocs in proc_counts:
-                specs.append(RunSpec(
-                    app, params, protocol="lh",
-                    config=config.replace(nprocs=nprocs)))
-    results = iter(lab.run_many(specs))
-    out: Dict[str, Dict[int, Dict[int, float]]] = {}
-    for app in apps:
-        out[app] = {}
-        for page_size in page_sizes:
-            baseline = next(results)
-            out[app][page_size] = {
-                nprocs: next(results).speedup_over(baseline)
-                for nprocs in proc_counts}
-    return out
+    speedup = _speedups({
+        (app, page_size, nprocs): RunSpec(
+            app, APP_PARAMS[scale][app],
+            config=MachineConfig(nprocs=nprocs, page_size=page_size,
+                                 network=NetworkConfig.atm()))
+        for app in apps for page_size in page_sizes
+        for nprocs in proc_counts}, lab)
+    return {app: {page_size: {nprocs: speedup[app, page_size, nprocs]
+                              for nprocs in proc_counts}
+                  for page_size in page_sizes}
+            for app in apps}
 
 
 def sync_message_fraction(app: str, protocol: str = "lh",

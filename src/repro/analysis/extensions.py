@@ -14,30 +14,12 @@ multiply the message count, exactly the tension the paper predicted.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.analysis.experiments import APP_PARAMS
 from repro.core.config import MachineConfig, NetworkConfig
-from repro.core.metrics import RunResult
 from repro.lab import Lab, RunSpec
-
-
-def _cholesky_spec(nprocs: int, threads: int, scale: str,
-                   protocol: str) -> RunSpec:
-    return RunSpec("cholesky", APP_PARAMS[scale]["cholesky"],
-                   protocol=protocol,
-                   config=MachineConfig(nprocs=nprocs,
-                                        network=NetworkConfig.atm()),
-                   threads_per_proc=threads)
-
-
-def run_threaded_cholesky(nprocs: int, threads: int,
-                          scale: str = "bench",
-                          protocol: str = "lh",
-                          lab: Optional[Lab] = None) -> RunResult:
-    """Cholesky with ``threads`` worker threads per node."""
-    spec = _cholesky_spec(nprocs, threads, scale, protocol)
-    return (lab if lab is not None else Lab()).run(spec)
 
 
 def multithreading_study(nprocs: int = 8,
@@ -50,19 +32,21 @@ def multithreading_study(nprocs: int = 8,
     thread count grows.  Returns per-thread-count summaries."""
     if lab is None:
         lab = Lab()
-    specs = [RunSpec("cholesky", APP_PARAMS[scale]["cholesky"],
-                     config=MachineConfig(nprocs=1))]
-    specs += [_cholesky_spec(nprocs, threads, scale, protocol)
-              for threads in thread_counts]
-    results = iter(lab.run_many(specs))
-    baseline = next(results)
+    spec = RunSpec("cholesky", APP_PARAMS[scale]["cholesky"],
+                   protocol=protocol,
+                   config=MachineConfig(nprocs=nprocs,
+                                        network=NetworkConfig.atm()))
+    cells = {"baseline": spec.baseline(),
+             **{threads: replace(spec, threads_per_proc=threads)
+                for threads in thread_counts}}
+    results = dict(zip(cells, lab.run_many(list(cells.values()))))
+    baseline = results.pop("baseline")
     study: Dict[int, Dict[str, float]] = {}
-    for threads in thread_counts:
-        result = next(results)
+    for threads, result in results.items():
         breakdown = result.time_breakdown()
         study[threads] = {
             "elapsed_cycles": result.elapsed_cycles,
-            "speedup": baseline.elapsed_cycles / result.elapsed_cycles,
+            "speedup": result.speedup_over(baseline),
             "messages": float(result.total_messages),
             "lock_wait_fraction": breakdown.get("lock_wait", 0.0),
         }

@@ -63,20 +63,19 @@ def loss_sweep(app: str, config: MachineConfig,
     protocols = list(protocols) if protocols else list(PROTOCOL_NAMES)
     if lab is None:
         lab = Lab()
-    specs = [RunSpec(app, app_params or {}, protocol=protocol,
-                     config=config.replace(
-                         faults=config.faults.replace(drop_prob=rate)))
-             for protocol in protocols for rate in rates]
-    run_results = iter(lab.run_many(specs))
+    cells = {(protocol, rate): RunSpec(
+                 app, app_params or {}, protocol=protocol,
+                 config=config.replace(
+                     faults=config.faults.replace(drop_prob=rate)))
+             for protocol in protocols for rate in rates}
+    run = dict(zip(cells, lab.run_many(list(cells.values()))))
 
     results: Dict[str, List[LossPoint]] = {}
     for protocol in protocols:
         points: List[LossPoint] = []
-        baseline: Optional[float] = None
+        baseline = run[protocol, rates[0]].elapsed_cycles
         for rate in rates:
-            result = next(run_results)
-            if baseline is None:
-                baseline = result.elapsed_cycles
+            result = run[protocol, rate]
             registry = result.registry
             points.append(LossPoint(
                 protocol=protocol,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.experiments import FigureResult
 
@@ -47,16 +47,3 @@ def format_matrix(title: str, rows: Dict[str, Dict],
         lines.append(f"{str(name):<24s}" + "".join(cells))
     return "\n".join(lines)
 
-
-def paper_vs_measured(label: str, paper: Optional[float],
-                      measured: float) -> str:
-    paper_text = f"{paper:.2f}" if paper is not None else "n/a"
-    return (f"{label:<32s} paper={paper_text:>8s} "
-            f"measured={measured:8.2f}")
-
-
-def format_metrics_table(registry, skip_empty: bool = True) -> str:
-    """Render a run's :class:`repro.obs.MetricsRegistry` as a text
-    table (the ``repro stats --format table`` view).  ``skip_empty``
-    drops metrics that never recorded anything."""
-    return registry.as_text(skip_empty=skip_empty)

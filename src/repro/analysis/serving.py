@@ -173,19 +173,6 @@ def windowed_reports(app_result, cpu_mhz: float, window_us: float,
     return out
 
 
-def format_window_table(windows: Sequence[WindowReport]) -> str:
-    """Fixed-width rendering of a windowed latency series."""
-    lines = [f"{'win':>4s} {'t0us':>9s} {'t1us':>9s} {'done':>5s} "
-             f"{'p50us':>8s} {'p99us':>8s} {'viol':>5s} "
-             f"{'burn':>7s}"]
-    for w in windows:
-        lines.append(
-            f"{w.index:4d} {w.t0_us:9.0f} {w.t1_us:9.0f} "
-            f"{w.completed:5d} {w.p50_us:8.1f} {w.p99_us:8.1f} "
-            f"{w.slo_violations:5d} {w.burn_rate:7.2f}")
-    return "\n".join(lines)
-
-
 def _serve_params(scale: str, rate_rps: float,
                   overrides: Optional[dict] = None) -> dict:
     params = dict(SERVE_APP_PARAMS[scale])
@@ -212,19 +199,17 @@ def serving_grid(rate_rps: float,
     lab = lab if lab is not None else Lab()
     base = config or MachineConfig(nprocs=4)
     params = _serve_params(scale, rate_rps, overrides)
-    specs = [RunSpec("kvstore", params, protocol=protocol,
-                     config=base.replace(network=network))
+    cells = {(protocol, net_name): RunSpec(
+                 "kvstore", params, protocol=protocol,
+                 config=base.replace(network=network))
              for protocol in protocols
-             for _name, network in networks]
-    results = iter(lab.run_many(specs))
-    reports = []
-    for protocol in protocols:
-        for net_name, _network in networks:
-            result = next(results)
-            reports.append(build_report(
-                result.app_result, base.cpu_mhz, protocol, net_name,
-                offered_rps=rate_rps, slo_us=slo_us))
-    return reports
+             for net_name, network in networks}
+    results = dict(zip(cells, lab.run_many(list(cells.values()))))
+    return [build_report(results[protocol, net_name].app_result,
+                         base.cpu_mhz, protocol, net_name,
+                         offered_rps=rate_rps, slo_us=slo_us)
+            for protocol in protocols
+            for net_name, _network in networks]
 
 
 def capacity_sweep(rates_rps: Sequence[float],
@@ -244,23 +229,21 @@ def capacity_sweep(rates_rps: Sequence[float],
         raise ValueError("rates_rps must be non-empty")
     lab = lab if lab is not None else Lab()
     base = config or MachineConfig(nprocs=4)
-    specs = []
-    cells = [(protocol, net_name, network, rate)
+    cells = {(protocol, net_name, rate): RunSpec(
+                 "kvstore", _serve_params(scale, rate, overrides),
+                 protocol=protocol,
+                 config=base.replace(network=network))
              for protocol in protocols
              for net_name, network in networks
-             for rate in rates_rps]
-    for protocol, _net_name, network, rate in cells:
-        params = _serve_params(scale, rate, overrides)
-        specs.append(RunSpec("kvstore", params, protocol=protocol,
-                             config=base.replace(network=network)))
-    results = iter(lab.run_many(specs))
-    curves: Dict[Tuple[str, str], List[ServingReport]] = {}
-    for protocol, net_name, _network, rate in cells:
-        result = next(results)
-        curves.setdefault((protocol, net_name), []).append(
-            build_report(result.app_result, base.cpu_mhz, protocol,
-                         net_name, offered_rps=rate, slo_us=slo_us))
-    return curves
+             for rate in rates_rps}
+    results = dict(zip(cells, lab.run_many(list(cells.values()))))
+    return {(protocol, net_name): [
+                build_report(results[protocol, net_name, rate].app_result,
+                             base.cpu_mhz, protocol, net_name,
+                             offered_rps=rate, slo_us=slo_us)
+                for rate in rates_rps]
+            for protocol in protocols
+            for net_name, _network in networks}
 
 
 @dataclass(frozen=True)

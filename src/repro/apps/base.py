@@ -40,10 +40,6 @@ class Application(ABC):
                result: RunResult) -> None:
         """Hook for post-run checks; default does nothing."""
 
-    def verify(self, result: RunResult) -> bool:
-        """Check the parallel answer against a sequential oracle."""
-        return True
-
 
 class EventDrivenApplication(Application):
     """A workload driven by timed request arrivals, not loops.

@@ -28,8 +28,8 @@ from typing import List, Optional
 
 from repro.analysis.experiments import APP_PARAMS, protocol_sweep
 from repro.apps import APP_NAMES
-from repro.core.config import (CrashSpec, FaultConfig, MachineConfig,
-                               NetworkConfig, StallSpec)
+from repro.core.config import (WORD_SIZE, CrashSpec, FaultConfig,
+                               MachineConfig, NetworkConfig, StallSpec)
 from repro.core.metrics import RunResult
 from repro.lab import DEFAULT_CACHE_DIR, Lab, RunSpec, execute_spec
 from repro.protocols import PROTOCOL_NAMES
@@ -78,13 +78,13 @@ def _app_params(args) -> dict:
     return dict(APP_PARAMS[args.scale][args.app])
 
 
-def _float_arg(what: str, accept, rule: str):
-    """Argparse type factory for a range-checked float: out-of-range
+def _checked_arg(convert, what: str, accept, rule: str):
+    """Argparse type factory for a range-checked number: out-of-range
     input is rejected at the command line with a clear message instead
     of failing deep inside config validation."""
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected {what}, got {text!r}")
@@ -92,6 +92,28 @@ def _float_arg(what: str, accept, rule: str):
             raise argparse.ArgumentTypeError(f"{rule}, got {value}")
         return value
     return parse
+
+
+_float_arg = functools.partial(_checked_arg, float)
+_int_arg = functools.partial(_checked_arg, int)
+
+# Counts: processors, workers, requests, table rows, event budgets.
+_positive_int = _int_arg("a count", lambda v: v >= 1,
+                         "count must be at least 1")
+_nonnegative_int = _int_arg("a count", lambda v: v >= 0,
+                            "count must be non-negative")
+_page_size = _int_arg(
+    "a page size in bytes", lambda v: v > 0 and v % WORD_SIZE == 0,
+    f"page size must be a positive multiple of {WORD_SIZE} bytes")
+# Clock (MHz) and link (Mbit/s) rates: zero divides, negative runs
+# time backwards.
+_positive_hw_rate = _float_arg("a rate", lambda v: v > 0,
+                               "rate must be > 0")
+
+
+def _proc_list(text: str) -> List[int]:
+    """The ``--proc-list`` processor counts, each at least 1."""
+    return [_positive_int(count) for count in text.split(",")]
 
 
 # Per-message fault rates: [0.0, 1.0), the injector's domain.
@@ -200,18 +222,11 @@ def _lab(args) -> Lab:
                trace_dir=args.trace_dir)
 
 
-def _spec(args, nprocs: Optional[int] = None,
-          protocol: Optional[str] = None,
+def _spec(args, protocol: Optional[str] = None,
           network: Optional[NetworkConfig] = None) -> RunSpec:
     return RunSpec(args.app, _app_params(args),
                    protocol=protocol or args.protocol,
-                   config=_config(args, nprocs=nprocs, network=network))
-
-
-def _baseline_spec(args,
-                   network: Optional[NetworkConfig] = None) -> RunSpec:
-    """The 1-processor run used as the speedup denominator."""
-    return _spec(args, nprocs=1, protocol="lh", network=network)
+                   config=_config(args, network=network))
 
 
 def cmd_run(args) -> int:
@@ -219,7 +234,7 @@ def cmd_run(args) -> int:
     with _lab(args) as lab:
         specs = [_spec(args)]
         if args.speedup:
-            specs.append(_baseline_spec(args))
+            specs.append(specs[0].baseline())
         results = lab.run_many(specs)
     result = results[0]
     print(result.summary())
@@ -243,10 +258,9 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     """Run one application under all five protocols."""
     with _lab(args) as lab:
-        specs = [_baseline_spec(args)] + [
-            _spec(args, protocol=protocol)
-            for protocol in PROTOCOL_NAMES]
-        results = lab.run_many(specs)
+        specs = [_spec(args, protocol=protocol)
+                 for protocol in PROTOCOL_NAMES]
+        results = lab.run_many([specs[0].baseline()] + specs)
     baseline = results[0]
     print(f"{args.app} on {args.procs} procs "
           f"({args.network}, {args.bandwidth:.0f} Mbit)")
@@ -261,16 +275,15 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Speedup curve across processor counts."""
-    proc_counts = [int(p) for p in args.proc_list.split(",")]
     with _lab(args) as lab:
         # protocol_sweep sets nprocs per point (there is no --procs).
-        result = protocol_sweep(args.app, _network(args), proc_counts,
+        result = protocol_sweep(args.app, _network(args), args.proc_list,
                                 protocols=[args.protocol],
                                 scale=args.scale,
                                 config=_config(args, nprocs=1), lab=lab)
     curve = result.curves[args.protocol]
     print(f"{args.app}/{args.protocol} on {args.network}")
-    for nprocs in proc_counts:
+    for nprocs in args.proc_list:
         print(f"{nprocs:4d}p  speedup={curve.speedup[nprocs]:6.2f}  "
               f"messages={curve.messages[nprocs]:7d}  "
               f"data={curve.data_kbytes[nprocs]:9.1f}KB")
@@ -281,11 +294,9 @@ def cmd_networks(args) -> int:
     """One application across the paper's five networks (Table 2)."""
     from repro.analysis.experiments import TABLE2_NETWORKS
     with _lab(args) as lab:
-        # The sequential baseline sends no message: any network does.
-        specs = [_baseline_spec(args, network=NetworkConfig.atm())]
-        specs += [_spec(args, network=network)
-                  for _, network in TABLE2_NETWORKS]
-        results = lab.run_many(specs)
+        specs = [_spec(args, network=network)
+                 for _, network in TABLE2_NETWORKS]
+        results = lab.run_many([specs[0].baseline()] + specs)
     baseline = results[0]
     print(f"{args.app} ({args.protocol.upper()}, {args.procs} procs)")
     for (name, _), result in zip(TABLE2_NETWORKS, results[1:]):
@@ -325,8 +336,7 @@ def cmd_stats(args) -> int:
     if args.format == "json":
         text = registry.as_json(indent=2)
     else:
-        from repro.analysis.report import format_metrics_table
-        text = format_metrics_table(registry)
+        text = registry.as_text(skip_empty=True)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -402,10 +412,6 @@ def _serve_overrides(args) -> dict:
                  "zipf_s": args.zipf_s,
                  "arrival": args.arrival}
     if args.requests is not None:
-        if args.requests < 1:
-            raise SystemExit(
-                f"serve: need at least one request, "
-                f"got {args.requests}")
         overrides["requests"] = args.requests
     return overrides
 
@@ -532,10 +538,6 @@ def _timeseries_run(args, with_trace: bool = False):
         params = dict(SERVE_APP_PARAMS[args.scale])
         params["rate_rps"] = args.rate
         if args.requests is not None:
-            if args.requests < 1:
-                raise SystemExit(
-                    f"timeseries: need at least one request, "
-                    f"got {args.requests}")
             params["requests"] = args.requests
         spec = RunSpec("kvstore", params, protocol=args.protocol,
                        config=_config(args))
@@ -700,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", **subparsers)
 
     def lab_flags(p):
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
+        p.add_argument("--jobs", type=_positive_int, default=None,
+                       metavar="N",
                        help="worker processes for the run matrix "
                             "(default: run serially in-process)")
         p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -734,16 +737,16 @@ def build_parser() -> argparse.ArgumentParser:
                                default=None)
             else:
                 p.add_argument("app", choices=CLI_APP_CHOICES)
-        flag("--procs", type=int, default=8)
+        flag("--procs", type=_positive_int, default=8)
         flag("--protocol", choices=PROTOCOL_NAMES,
              default="lh")
         flag("--network", choices=["atm", "ethernet",
                                    "ideal"], default="atm")
-        flag("--bandwidth", type=float, default=100.0,
+        flag("--bandwidth", type=_positive_hw_rate, default=100.0,
              help="Mbit/s (ATM only)")
         flag("--no-collisions", action="store_true")
-        flag("--mhz", type=float, default=40.0)
-        flag("--page-size", type=int, default=4096)
+        flag("--mhz", type=_positive_hw_rate, default=40.0)
+        flag("--page-size", type=_page_size, default=4096)
         flag("--scale", choices=["small", "bench", "large"],
              default="bench")
         # Fault injection (docs/robustness.md).  Any non-zero rate,
@@ -798,8 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help=cmd_sweep.__doc__)
     common(p_sweep, omit=("--procs",))
-    p_sweep.add_argument("--proc-list", default="1,2,4,8,16",
-                         dest="proc_list")
+    p_sweep.add_argument("--proc-list", type=_proc_list,
+                         default="1,2,4,8,16", dest="proc_list")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_net = sub.add_parser("networks", help=cmd_networks.__doc__)
@@ -827,7 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help=cmd_profile.__doc__)
     common(p_prof)
-    p_prof.add_argument("--top", type=int, default=15, metavar="N",
+    p_prof.add_argument("--top", type=_nonnegative_int, default=15,
+                        metavar="N",
                         help="rows in the hottest-functions table "
                              "(default: 15)")
     p_prof.set_defaults(func=cmd_profile)
@@ -857,8 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_crash.add_argument("--networks", default="ethernet,atm",
                          help="comma-separated networks "
                               "(default: ethernet,atm)")
-    p_crash.add_argument("--max-events", type=int, default=500_000,
-                         dest="max_events",
+    p_crash.add_argument("--max-events", type=_positive_int,
+                         default=500_000, dest="max_events",
                          help="event budget per cell (crash-stop "
                               "cells never drain on their own)")
     p_crash.set_defaults(func=cmd_crashsweep, procs=4, scale="small",
@@ -881,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="zipf_s", metavar="S",
                        help="Zipf key-popularity exponent >= 0 "
                             "(0 = uniform; default: 0.99)")
-        p.add_argument("--requests", type=int, default=None,
+        p.add_argument("--requests", type=_positive_int, default=None,
                        help="override the scaled request count")
         p.add_argument("--arrival", choices=["poisson", "fixed"],
                        default="poisson",
@@ -899,7 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=40_000.0, metavar="RPS",
                          help="offered load in requests/second "
                               "(> 0; default: 40000)")
-    p_serve.add_argument("--tail", type=int, default=0, metavar="N",
+    p_serve.add_argument("--tail", type=_nonnegative_int, default=0,
+                         metavar="N",
                          help="also trace one cell in-process and "
                               "attribute the N slowest requests")
     p_serve.set_defaults(func=cmd_serve, procs=4, scale="small")
@@ -933,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=40_000.0, metavar="RPS",
                        help="offered load for the default kvstore "
                             "workload (default: 40000)")
-        p.add_argument("--requests", type=int, default=None,
+        p.add_argument("--requests", type=_positive_int, default=None,
                        help="override the scaled request count "
                             "(kvstore workload only)")
         p.add_argument("--slo-us", type=_nonnegative_us,
@@ -997,7 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tcon = trace_sub.add_parser("contention",
                                   help=cmd_trace_contention.__doc__)
     trace_common(p_tcon)
-    p_tcon.add_argument("--top", type=int, default=10, metavar="N",
+    p_tcon.add_argument("--top", type=_positive_int, default=10,
+                        metavar="N",
                         help="rows per table (default: 10)")
     p_tcon.set_defaults(func=cmd_trace_contention)
 

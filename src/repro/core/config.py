@@ -65,6 +65,10 @@ class NetworkConfig:
     collisions: bool = False
     backoff_slot_us: float = 51.2  # classic Ethernet slot time
 
+    def __post_init__(self) -> None:
+        if self.bandwidth_mbps <= 0:
+            raise ValueError("bandwidth_mbps must be > 0")
+
     @property
     def bandwidth_bps(self) -> float:
         return self.bandwidth_mbps * 1e6
@@ -313,8 +317,11 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        if self.page_size % self.word_size:
-            raise ValueError("page_size must be a multiple of word_size")
+        if self.cpu_mhz <= 0:
+            raise ValueError("cpu_mhz must be > 0")
+        if self.page_size <= 0 or self.page_size % self.word_size:
+            raise ValueError(
+                "page_size must be a positive multiple of word_size")
 
     @property
     def words_per_page(self) -> int:

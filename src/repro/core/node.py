@@ -130,9 +130,6 @@ class Node:
     def page_owner(self, page: int) -> int:
         return self.machine.page_owner(page)
 
-    def is_page_owner(self, page: int) -> bool:
-        return self.page_owner(page) == self.proc
-
     def observe_peer_vc(self, proc: int, vc: VectorClock) -> None:
         """Remember the freshest vector clock seen from ``proc``.
         Deferred: the merge happens at the next :meth:`peer_clock`

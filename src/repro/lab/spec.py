@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.core.config import MachineConfig
+from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.metrics import RunResult, json_safe
 from repro.obs import JsonlSink, Observability, Tracer
 
@@ -108,6 +108,16 @@ class RunSpec:
                    + (version if version is not None
                       else code_version()))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+    def baseline(self) -> "RunSpec":
+        """The speedup denominator: this application, parameters and
+        machine on one processor, single-threaded under ``lh``, on the
+        default network.  A one-processor run sends no message, so
+        cells that differ only in protocol or network share one
+        baseline (one fingerprint: the lab simulates it once)."""
+        return RunSpec(self.app, self.app_params,
+                       config=self.config.replace(
+                           nprocs=1, network=NetworkConfig.atm()))
 
     def label(self) -> str:
         """Short human-readable tag for progress lines and errors."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,3 @@ class AddressSpace:
         self._next_page += npages
         self._segments[name] = segment
         return segment
-
-    def segment(self, name: str) -> Segment:
-        return self._segments[name]
-
-    def segments(self) -> List[Segment]:
-        return list(self._segments.values())
-
-    @property
-    def allocated_pages(self) -> int:
-        return self._next_page

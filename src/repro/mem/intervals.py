@@ -175,10 +175,6 @@ class DiffStore:
     def __init__(self) -> None:
         self._diffs: Dict[Tuple[int, int, int], Diff] = {}
 
-    @staticmethod
-    def key(proc: int, index: int, page: int) -> Tuple[int, int, int]:
-        return (proc, index, page)
-
     def put(self, proc: int, index: int, diff: Diff) -> None:
         self._diffs.setdefault((proc, index, diff.page), diff)
 

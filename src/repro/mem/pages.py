@@ -10,9 +10,9 @@ Representation (docs/memory.md): a page's words live in one contiguous
 that storage with zero copies — ``raw`` (a memoryview, the byte-level
 splice target for diff create/apply and page installs) and ``values``
 (a float64 numpy view, what applications and the API read and write
-through).  A *twin* is a frozen ``bytes`` snapshot of the buffer;
-:meth:`twin_dirty_ranges` finds the modified runs with one vectorized
-compare over the flat words.
+through).  A *twin* is a frozen ``bytes`` snapshot of the buffer; no
+run takes one — write tracking (``written``) is the only source of
+dirty runs.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ class PageCopy:
         if values is not None:
             self.set_values(values)
         self.valid = valid
-        # Frozen buffer snapshot for twin-based diffing (None unless
-        # the protocol runs with diff_source="twin").
+        # Frozen buffer snapshot (see make_twin; no protocol takes one).
         self.twin: Optional[bytes] = None
         # Word ranges written during the current (unsealed) interval;
         # always sorted and pairwise disjoint (record_write merges).
@@ -105,38 +104,6 @@ class PageCopy:
 
     def drop_twin(self) -> None:
         self.twin = None
-
-    def twin_dirty_ranges(self) -> List[Tuple[int, int]]:
-        """Word ranges whose value differs from the twin, as a sorted
-        disjoint run list — one vectorized compare over the flat
-        buffer (this is how the mprotect-based systems the paper
-        models create diffs: compare the twin with the modified page
-        word by word)."""
-        if self.twin is None:
-            return []
-        changed = np.frombuffer(self.twin, dtype=np.float64) \
-            != self.values
-        # Bitwise compare, not value compare: NaN words must count as
-        # modified when their bit pattern changed.
-        if not changed.any():
-            nan_mask = np.isnan(self.values)
-            if nan_mask.any():
-                changed = np.frombuffer(self.twin, dtype=np.int64) \
-                    != self.values.view(np.int64)
-            if not changed.any():
-                return []
-        elif np.isnan(self.values).any() or np.isnan(
-                np.frombuffer(self.twin, dtype=np.float64)).any():
-            changed = np.frombuffer(self.twin, dtype=np.int64) \
-                != self.values.view(np.int64)
-        indices = np.flatnonzero(changed)
-        if len(indices) == 0:
-            return []
-        breaks = np.flatnonzero(np.diff(indices) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [len(indices) - 1]))
-        return [(int(indices[a]), int(indices[b]) + 1)
-                for a, b in zip(starts, ends)]
 
     # -- interval write tracking ------------------------------------------
 
@@ -232,12 +199,6 @@ class PageCopy:
         self._pending_notices.append(notice)
         return True
 
-    def clear_notices(self) -> List[WriteNotice]:
-        notices = self._pending_notices
-        self._pending_notices = []
-        self._pending_ids = set()
-        return notices
-
     def __repr__(self) -> str:
         flags = "valid" if self.valid else "INVALID"
         if self.dirty:
@@ -260,10 +221,6 @@ class PageTable:
     def has_copy(self, page: int) -> bool:
         return page in self.copies
 
-    def is_valid(self, page: int) -> bool:
-        copy = self.copies.get(page)
-        return copy is not None and copy.valid
-
     def install(self, page: int, values=None,
                 valid: bool = True) -> PageCopy:
         copy = self.copies.get(page)
@@ -280,20 +237,11 @@ class PageTable:
             ins.page_installs.inc()
         return copy
 
-    def invalidate(self, page: int) -> None:
-        copy = self.copies.get(page)
-        if copy is not None:
-            copy.valid = False
-
     def drop(self, page: int) -> None:
         self.copies.pop(page, None)
 
     def pages(self) -> List[int]:
         return sorted(self.copies)
-
-    def valid_pages(self) -> List[int]:
-        return sorted(page for page, copy in self.copies.items()
-                      if copy.valid)
 
     def __len__(self) -> int:
         return len(self.copies)

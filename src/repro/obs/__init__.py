@@ -2,8 +2,8 @@
 
 One :class:`Observability` context travels with each simulated
 machine: a :class:`MetricsRegistry` (the documented stats schema, see
-``docs/observability.md``), a :class:`Tracer` with pluggable sinks,
-and simulated-time :class:`Span` timers.  Every layer emits into it —
+``docs/observability.md``) and a :class:`Tracer` with pluggable sinks,
+both on the simulated clock.  Every layer emits into it —
 the event kernel, the network models, the per-node protocol engines,
 and the lock/barrier managers — and the analysis drivers, the ``repro
 stats`` CLI subcommand, and the report generator read from it.
@@ -23,7 +23,6 @@ from repro.obs.registry import (DEFAULT_BUCKETS, Metric, MetricError,
                                 MetricsRegistry)
 from repro.obs.causal import CausalGraph, CausalTrace
 from repro.obs.chrome_trace import chrome_trace, validate_chrome_trace
-from repro.obs.timers import Span
 from repro.obs.timeseries import (TIMESERIES_SCHEMA, TimeseriesSampler,
                                   Window, format_timeseries_table,
                                   merge_windows)
@@ -37,7 +36,7 @@ __all__ = [
     "LAB_CATALOG", "MEM_CATALOG", "MemorySink", "Metric",
     "MetricError", "MetricSpec",
     "MetricsRegistry", "NodeInstruments", "NullSink", "Observability",
-    "ROBUSTNESS_CATALOG", "SERVE_CATALOG", "SYNC_MSG_TYPES", "Span",
+    "ROBUSTNESS_CATALOG", "SERVE_CATALOG", "SYNC_MSG_TYPES",
     "TIMESERIES_SCHEMA", "TRACE_EVENTS", "TimeseriesSampler",
     "TraceEvent", "TraceSink", "Tracer", "Window", "chrome_trace",
     "format_timeseries_table", "install_catalog",
@@ -130,16 +129,12 @@ class Observability:
         install_catalog(self.registry)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Point registry spans and the tracer at the sim clock."""
+        """Point the tracer at the sim clock."""
         self.clock = clock
         self.tracer.clock = clock
 
     def node_instruments(self, proc: int) -> NodeInstruments:
         return NodeInstruments(self.registry, proc)
-
-    def span(self, name: str, histogram=None, **fields) -> Span:
-        return Span(self.clock, name, histogram=histogram,
-                    tracer=self.tracer, **fields)
 
     def close(self) -> None:
         self.tracer.close()

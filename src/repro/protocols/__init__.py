@@ -7,13 +7,12 @@ from repro.protocols.base import (BaseProtocol, ConsistencyInfo,
 from repro.protocols.eager import EagerInvalidate, EagerUpdate
 from repro.protocols.lazy import LazyHybrid, LazyInvalidate, LazyUpdate
 from repro.protocols.registry import (ALL_PROTOCOL_NAMES,
-                                      PROTOCOL_NAMES, create_protocol,
-                                      protocol_class)
+                                      PROTOCOL_NAMES, create_protocol)
 from repro.protocols.sc import SequentialInvalidate
 
 __all__ = [
     "ALL_PROTOCOL_NAMES", "BaseProtocol", "ConsistencyInfo",
     "EagerInvalidate", "EagerUpdate", "LazyHybrid", "LazyInvalidate",
     "LazyUpdate", "PROTOCOL_NAMES", "ProtocolError",
-    "SequentialInvalidate", "create_protocol", "protocol_class",
+    "SequentialInvalidate", "create_protocol",
 ]

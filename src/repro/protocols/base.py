@@ -42,12 +42,6 @@ class ConsistencyInfo:
     records: List[IntervalRecord] = field(default_factory=list)
     diffs: List[Tuple[IntervalId, Diff]] = field(default_factory=list)
 
-    @property
-    def data_bytes(self) -> int:
-        # Write notices are consistency information and travel free of
-        # charge (paper section 5.3); only diffs count as data.
-        return sum(diff.size_bytes for _iid, diff in self.diffs)
-
 
 class ProtocolError(SimulationError):
     """A protocol invariant was violated."""
@@ -251,8 +245,8 @@ class BaseProtocol:
                 page = notice.page
                 copy = get_copy(page)
                 if copy is None:
-                    # _add_orphan, inlined (hot: every notice for an
-                    # uncached page lands here).
+                    # An orphan: a notice for a page this node has
+                    # no copy of yet (hot — kept inline).
                     bucket = orphans.get(page)
                     if bucket is None:
                         bucket = orphans[page] = {}
@@ -267,14 +261,6 @@ class BaseProtocol:
                 latest[proc] = record
         for proc, record in latest.items():
             node.observe_peer_vc(proc, record.vc)
-
-    def _add_orphan(self, notice: WriteNotice) -> None:
-        bucket = self.orphan_notices.setdefault(notice.page, {})
-        interval_id = notice.interval_id
-        if interval_id in bucket:
-            return
-        bucket[interval_id] = notice
-        self.node.copysets.add(notice.page, notice.proc)
 
     def store_diffs(self,
                     diffs: Sequence[Tuple[IntervalId, Diff]]) -> None:
@@ -345,12 +331,6 @@ class BaseProtocol:
                 due.append(n)
         copy.due_cache = (vc, pending, len(pending), due, strays)
         return due
-
-    def pending_ready(self, copy: PageCopy) -> bool:
-        """True if every *due* notice's diff is locally available."""
-        return all(
-            self.node.diff_store.has(n.proc, n.index, copy.page)
-            for n in self.due_notices(copy))
 
     def apply_pending(self, copy: PageCopy) -> bool:
         """Apply every due notice's diff, in a happened-before-1 linear

@@ -41,7 +41,3 @@ def create_protocol(name: str, node, options=None) -> BaseProtocol:
     if options:
         protocol.configure(**options)
     return protocol
-
-
-def protocol_class(name: str) -> Type[BaseProtocol]:
-    return _PROTOCOLS[name.lower()]

@@ -2,9 +2,9 @@
 
 from repro.sim.engine import Process, SimulationError, Simulator
 from repro.sim.events import AllOf, Condition, Event, Timeout, Timer
-from repro.sim.resources import FifoStore, Resource
+from repro.sim.resources import Resource
 
 __all__ = [
-    "AllOf", "Condition", "Event", "FifoStore", "Process", "Resource",
+    "AllOf", "Condition", "Event", "Process", "Resource",
     "SimulationError", "Simulator", "Timeout", "Timer",
 ]

@@ -92,9 +92,6 @@ class NodeLifecycleManager:
     def is_down(self, proc: int) -> bool:
         return self._down[proc]
 
-    def any_down(self) -> bool:
-        return any(self._down)
-
     def gate(self, deliver: Callable) -> Callable:
         """Wrap the network delivery callback: packets addressed to a
         down node die at its NIC (in-flight packets *from* a down node

@@ -48,30 +48,3 @@ class Resource:
             event.succeed(self.sim.now)
         else:
             self.in_use -= 1
-
-
-class FifoStore:
-    """Unbounded FIFO channel of items; ``get()`` waits when empty."""
-
-    def __init__(self, sim, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: Deque = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.sim, name=f"{self.name}-get")
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._items)

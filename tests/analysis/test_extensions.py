@@ -2,17 +2,8 @@
 
 import pytest
 
-from repro.analysis.extensions import (multithreading_study,
-                                       run_threaded_cholesky)
+from repro.analysis.extensions import multithreading_study
 from repro.core import DsmApi, Machine, MachineConfig, NetworkConfig
-
-
-def test_threaded_cholesky_still_factors_correctly():
-    # finish() raises if the factorization is wrong or incomplete.
-    result = run_threaded_cholesky(nprocs=4, threads=2, scale="small")
-    assert result.elapsed_cycles > 0
-    total = sum(r["columns"] for r in result.app_result)
-    assert total == 16  # k=4 -> 16 columns, each factored exactly once
 
 
 def test_threads_share_one_cpu():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import (format_curve_table, format_matrix,
-                            paper_vs_measured, protocol_sweep)
+                            protocol_sweep)
 from repro.core import NetworkConfig
 
 
@@ -20,7 +20,6 @@ def test_sweep_structure(sweep):
     assert curve.speedup[1] == pytest.approx(1.0)
     assert curve.messages[1] == 0
     assert sweep.baseline_cycles > 0
-    assert sweep.best_protocol_at(2) in ("lh", "ei")
 
 
 def test_format_curve_table(sweep):
@@ -44,10 +43,3 @@ def test_format_matrix_handles_missing_cells():
     assert "demo" in text
     assert "-" in text  # missing a/y rendered as dash
     assert "3.00" in text
-
-
-def test_paper_vs_measured_formats():
-    line = paper_vs_measured("fig6 peak", 5.2, 4.8)
-    assert "5.20" in line and "4.80" in line
-    line2 = paper_vs_measured("unknown", None, 1.0)
-    assert "n/a" in line2

@@ -245,14 +245,3 @@ def test_windowed_reports_matches_live_sampler():
         assert live_w.p50_us == pytest.approx(w.p50_us)
         assert live_w.p99_us == pytest.approx(w.p99_us)
         assert live_w.burn_rate == pytest.approx(w.burn_rate)
-
-
-def test_format_window_table():
-    from repro.analysis.serving import WindowReport, format_window_table
-
-    table = format_window_table([WindowReport(
-        index=0, t0_us=0.0, t1_us=100.0, completed=3, p50_us=12.0,
-        p99_us=80.0, slo_violations=1, burn_rate=333.33)])
-    header, row = table.splitlines()
-    assert "burn" in header and "p99us" in header
-    assert "333.33" in row

@@ -29,7 +29,7 @@ def test_touch_faults_pages_without_reading():
     run(machine, worker)
     # Node 1 now holds valid copies of both pages.
     for page in seg.pages:
-        assert machine.nodes[1].pagetable.is_valid(page)
+        assert machine.nodes[1].pagetable.get(page).valid
 
 
 def test_read_returns_copy_not_view():

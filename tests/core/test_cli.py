@@ -102,6 +102,33 @@ def test_flags_a_subcommand_cannot_honour_are_rejected(argv, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "jacobi", "--jobs", "0"],
+    ["run", "jacobi", "--procs", "0"],
+    ["run", "jacobi", "--page-size", "1001"],
+    ["run", "jacobi", "--page-size", "0"],
+    ["run", "jacobi", "--bandwidth", "0"],
+    ["run", "jacobi", "--mhz", "0"],
+    ["sweep", "jacobi", "--proc-list", "1,x"],
+    ["sweep", "jacobi", "--proc-list", "0,2"],
+    ["profile", "jacobi", "--top", "-3"],
+    ["trace", "contention", "jacobi", "--top", "0"],
+    ["serve", "--tail", "-2"],
+    ["serve", "--requests", "0"],
+    ["servesweep", "--requests", "0"],
+    ["timeseries", "report", "--requests", "0"],
+    ["crashsweep", "jacobi", "--max-events", "0"],
+], ids=" ".join)
+def test_bad_numbers_fail_at_the_command_line(argv, capsys):
+    """A count, rate or size no run can have exits 2 naming the flag:
+    not a traceback from inside the lab, not a table of zeros."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--scale", "small"])
+    assert exit_info.value.code == 2
+    flag = next(word for word in argv if word.startswith("--"))
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,absent", [
     (["crashsweep", "jacobi", "--scale", "small", "--mttfs", "0",
       "--networks", "atm", "--protocols", "li"], "lh"),
@@ -276,7 +303,7 @@ def test_serve_flag_validation(flags):
     (["servesweep", "--rates", "10000,0"], "arrival rate"),
     (["serve", "--protocols", "li,bogus"], "unknown protocol"),
     (["serve", "--networks", "token-ring"], "unknown network"),
-    (["serve", "--requests", "0"], "at least one request"),
+    (["servesweep", "--networks", "token-ring"], "unknown network"),
     (["serve", "--crash-mttf", "50000", "--crash-horizon", "100000"],
      "crash-stop"),
     (["serve", "--crash", "0:5000"], "crash-stop"),

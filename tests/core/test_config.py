@@ -22,6 +22,17 @@ class TestMachineConfig:
         with pytest.raises(ValueError):
             MachineConfig(page_size=4097)
 
+    @pytest.mark.parametrize("make", [
+        lambda: MachineConfig(cpu_mhz=0),
+        lambda: MachineConfig(page_size=0),
+        lambda: NetworkConfig.atm(0),
+    ], ids=["cpu_mhz", "page_size", "bandwidth_mbps"])
+    def test_zero_rates_and_sizes_rejected(self, make):
+        """A zero clock makes the network free, a zero bandwidth
+        divides by zero inside a run: both fail at construction."""
+        with pytest.raises(ValueError):
+            make()
+
     def test_time_conversions(self):
         config = MachineConfig(cpu_mhz=40.0)
         assert config.seconds_to_cycles(1.0) == 40e6

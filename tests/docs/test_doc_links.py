@@ -48,6 +48,25 @@ def test_relative_links_resolve(doc):
         f"{doc.relative_to(REPO_ROOT)} has dead links: {missing}")
 
 
+def test_python_files_the_docs_name_exist():
+    """Every ``*.py`` the docs name — a bare file name in a layout
+    block or a path — is a file of the package, the benchmarks, the
+    examples or the tests (or sits at the repo root)."""
+    files = [path.relative_to(REPO_ROOT).as_posix()
+             for where in ("src/repro", "benchmarks", "examples",
+                           "tests")
+             for path in (REPO_ROOT / where).rglob("*.py")]
+    files += [path.name for path in REPO_ROOT.glob("*.py")]
+    missing = {
+        f"{doc.relative_to(REPO_ROOT)}: {named}"
+        for doc in DOC_FILES
+        for named in re.findall(r"[\w./-]*\w\.py\b", doc.read_text())
+        if not any(name == named.lstrip("./")
+                   or name.endswith("/" + named.lstrip("./"))
+                   for name in files)}
+    assert not missing, f"docs name files that do not exist: {missing}"
+
+
 def test_doc_files_found():
     # Guard against the glob silently matching nothing.
     names = {p.name for p in DOC_FILES}

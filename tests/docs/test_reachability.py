@@ -1,0 +1,258 @@
+"""Reachability lint: every public name in ``src/repro`` is reached
+from a root, or is on ``ALLOW`` with a reason.
+
+The roots are what a user or the record actually runs: ``repro.cli``,
+``examples/``, ``benchmarks/`` (``ledger/`` included) and the tests
+``docs/claims.md`` cites.  From them this walks a static ``ast`` name
+graph.  A node is a module body, a class body (dunder methods
+included), a function or a method; it *uses* the identifiers and
+attribute names its code mentions, and a use of a name reaches every
+definition of that name (so a call through a base class reaches each
+override).  An ``import`` or an ``__all__`` string is a re-export, not
+a use: it runs the module's body and reaches nothing by name.  Being
+name-based the walk over-approximates — what it reports has no
+spelling of its name anywhere a root can get to.
+"""
+
+import ast
+import fnmatch
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+
+#: ``path-under-src/repro::Qualified.name`` (fnmatch) -> why it stays
+#: although no root reaches it.  An entry is a root itself (what it
+#: uses is reached).  The fix for a new orphan is to delete it, not to
+#: list it here.
+ALLOW = {
+    # Model definitions that inlined hot paths and property tests are
+    # checked against.
+    "core/config.py::OverheadConfig.message_cycles":
+        "per-message cost model; Node.send inlines it",
+    "mem/diffs.py::Diff.overlaps":
+        "write-write conflict, as the diff property tests state it",
+    "mem/diffs.py::ranges_word_count":
+        "run-list size Diff.word_count and RDIF lengths must equal",
+    "mem/wire.py::encoded_size":
+        "RDIF size model encode_diff's output length must equal",
+    "mem/timestamps.py::VectorClock.concurrent_with":
+        "concurrency, as the vector-clock property tests state it",
+    "obs/causal.py::CausalTrace.graph":
+        "happens-before DAG the critical-path walk inlines",
+    "obs/causal.py::CausalGraph.*":
+        "queries on that DAG (acyclicity is the pinned invariant)",
+    "apps/cholesky.py::sequential_cholesky":
+        "dense oracle for the symbolic and the DSM factorization",
+    # Documented library surface with no in-repo driver.
+    "trace/*":
+        "repro.trace persistence API: save, load, replay a trace",
+    "obs/timeseries.py::merge_windows":
+        "documented window merge; associativity is a property test",
+    "obs/registry.py::MetricsRegistry.gauge":
+        "third metric kind of the documented registry API",
+    # Entry points and inspection helpers the unit tests drive.
+    "sim/engine.py::Simulator.condition":
+        "kernel broadcast wake-up; reaches sim.events.Condition",
+    "sim/events.py::Condition.notify_all":
+        "the one operation of Condition (tests/sim)",
+    "core/machine.py::Machine.page_values":
+        "debug view of one node's copy of a page (tests/core)",
+    "mem/addressing.py::Segment.locate":
+        "word -> (page, offset), the rule page_ranges splits by",
+    "obs/tracer.py::MemorySink.named":
+        "event-name filter tests read recorded traces with",
+}
+
+
+class _Code(ast.NodeVisitor):
+    """One graph node: visiting statements collects the identifiers,
+    attribute names and imported modules they mention (nested defs
+    belong to the code that holds them)."""
+
+    def __init__(self, where: str, qualname: str, public: bool,
+                 module: str, is_package: bool):
+        self.name = f"{where}::{qualname}"
+        self.public = public
+        self.module, self.is_package = module, is_package
+        self.names, self.modules = set(), set()
+
+    def visit_Name(self, node):
+        self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_arg(self, node):
+        # A pytest fixture is requested by parameter name.
+        self.names.add(node.arg)
+        self.generic_visit(node)
+
+    def visit_Assign(self, node):
+        if not any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in node.targets):
+            self.generic_visit(node)
+
+    def visit_Import(self, node):
+        self.modules.update(alias.name for alias in node.names)
+
+    def visit_ImportFrom(self, node):
+        base = node.module or ""
+        if node.level:
+            parts = self.module.split(".")
+            keep = len(parts) - node.level + self.is_package
+            base = ".".join(parts[:keep] + ([base] if base else []))
+        # ``from pkg import name`` may import the module pkg.name.
+        self.modules.add(base)
+        self.modules.update(f"{base}.{alias.name}"
+                            for alias in node.names)
+
+
+def _parse(path: Path, where: str, module: str):
+    """``(module body, {name: [definitions]})`` of one file.  Only
+    defs directly in a module or class body are nodes of their own."""
+    defs = {}
+
+    def block(owner, public, statements, prefix):
+        for node in statements:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or prefix and node.name.startswith("__")):
+                owner.visit(node)       # dunders run with the class
+                continue
+            code = _Code(where, prefix + node.name,
+                         public and not node.name.startswith("_"),
+                         module, owner.is_package)
+            defs.setdefault(node.name, []).append(code)
+            # Decorators and bases run with the enclosing body.
+            for expr in node.decorator_list + getattr(node, "bases", []):
+                owner.visit(expr)
+            if isinstance(node, ast.ClassDef):
+                block(code, code.public, node.body,
+                      f"{prefix}{node.name}.")
+            else:
+                code.generic_visit(node)
+
+    body = _Code(where, "<module>", False, module,
+                 path.name == "__init__.py")
+    block(body, True, ast.parse(path.read_text()).body, "")
+    return body, defs
+
+
+def _module_name(path: Path, src: Path) -> str:
+    parts = path.relative_to(src.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _repo_roots():
+    """``{file: names}`` of what runs the package; the name ``None``
+    stands for everything in the file."""
+    roots = {path: {None} for path in
+             [SRC / "cli.py", SRC / "__main__.py"]
+             + sorted((ROOT / "examples").glob("*.py"))
+             + sorted((ROOT / "benchmarks").rglob("*.py"))}
+    cited = re.findall(r"`((?:tests|benchmarks)/[\w/]+\.py)(?:::(\w+))?",
+                       (ROOT / "docs" / "claims.md").read_text())
+    assert cited, "docs/claims.md cites no test"
+    for name, test in cited:
+        assert (ROOT / name).exists(), f"docs/claims.md cites {name}"
+        roots.setdefault(ROOT / name, set()).add(test or None)
+    return roots
+
+
+def unreached(src: Path = SRC, roots=None, allow=()):
+    """Public definitions of the package at ``src`` that no root
+    reaches, as ``path::Qual.name`` strings.  A definition matching
+    an ``allow`` pattern is a root itself."""
+    bodies, defs = {}, {}
+
+    def add(found):
+        for name, codes in found.items():
+            defs.setdefault(name, []).extend(codes)
+
+    for path in sorted(src.rglob("*.py")):
+        module = _module_name(path, src)
+        bodies[module], found = _parse(
+            path, path.relative_to(src).as_posix(), module)
+        add(found)
+    package = [code for codes in defs.values() for code in codes]
+
+    stack = [code for code in package
+             if any(fnmatch.fnmatchcase(code.name, pattern)
+                    for pattern in allow)]
+    for path, wanted in (_repo_roots() if roots is None
+                         else roots).items():
+        if src in path.parents:
+            stack.append(bodies[_module_name(path, src)])
+            continue
+        body, found = _parse(path, path.name, "")
+        add(found)      # the file's own helpers and fixtures, by name
+        stack.append(body)
+        stack.extend(code for name, codes in found.items()
+                     for code in codes
+                     if None in wanted or name in wanted)
+
+    reached = set()
+    while stack:
+        code = stack.pop()
+        if code in reached:
+            continue
+        reached.add(code)
+        for name in code.names:
+            stack.extend(defs.get(name, ()))
+        for module in code.modules:
+            # Importing a.b.c runs a, a.b and a.b.c.
+            parts = module.split(".")
+            stack.extend(bodies[".".join(parts[:end])]
+                         for end in range(1, len(parts) + 1)
+                         if ".".join(parts[:end]) in bodies)
+    return sorted(code.name for code in package
+                  if code.public and code not in reached)
+
+
+def test_every_public_name_is_reached_or_allow_listed():
+    orphans = unreached(allow=ALLOW)
+    assert not orphans, (
+        "no root (repro.cli, examples/, benchmarks/, the tests "
+        "docs/claims.md cites) reaches these public names — delete "
+        "them, or add an ALLOW entry with a reason:\n  "
+        + "\n  ".join(orphans))
+
+
+def test_allow_table_is_short_reasoned_and_live():
+    assert len(ALLOW) <= 25
+    assert all(len(reason) > 20 for reason in ALLOW.values())
+    orphans = unreached()
+    stale = [pattern for pattern in ALLOW
+             if not fnmatch.filter(orphans, pattern)]
+    assert not stale, (
+        f"ALLOW entries that excuse nothing (reached, or gone): {stale}")
+
+
+def test_the_lint_catches_an_unreferenced_public_def(tmp_path):
+    """A throw-away package: the root calls ``used`` and builds a
+    ``Box``; ``orphan`` and ``Box.lonely`` have no caller, and neither
+    the import nor ``__all__`` counts as one."""
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "__init__.py").write_text(
+        "from pkg.mod import orphan, used\n"
+        "__all__ = ['orphan', 'used']\n")
+    (src / "mod.py").write_text(
+        "def used():\n    return _helper()\n\n"
+        "def _helper():\n    return 1\n\n"
+        "def orphan():\n    return used()\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.n = self.size()\n"
+        "    def size(self):\n        return 1\n"
+        "    def lonely(self):\n        return self.n\n")
+    root = tmp_path / "main.py"
+    root.write_text("from pkg import orphan, used\n"
+                    "from pkg.mod import Box\n"
+                    "print(used(), Box())\n")
+    roots = {root: {None}}
+    assert unreached(src, roots) == ["mod.py::Box.lonely",
+                                     "mod.py::orphan"]
+    assert unreached(src, roots, allow=["mod.py::orphan"]) == [
+        "mod.py::Box.lonely"]

@@ -1,6 +1,6 @@
 """Keep-it-deleted lint: one counter per fact, one frame per hop, one
 dispatch loop, one way to name and execute a run, one benchmark
-harness.
+harness, one speedup denominator.
 
 Every node- and network-level fact is counted in one registry cell
 (``NodeMetrics`` / ``NetworkStats`` are views), every tracer guard is
@@ -12,7 +12,11 @@ never passed as a factory callable; ``Machine.run_app`` is the one
 run body and ``execute_spec`` the one place a trace sink is wired to
 a run.  ``benchmarks/ledger`` is the only thing that times a run: the
 events/second harness, its committed baselines and the regression
-sentinel that read them are gone.  This scans ``src/repro`` (comments
+sentinel that read them are gone.  ``RunSpec.baseline()`` is the
+speedup denominator and a grid of runs is a dict looked up by key;
+the axis DSL, the message timeline, the span timers and the FIFO
+store no root reached are gone (``test_reachability.py`` finds the
+next ones).  This scans ``src/repro`` (comments
 and docstrings included — a stale mention misleads as well as a stale
 call) so the second accounting path cannot grow back one site at a
 time.
@@ -71,15 +75,34 @@ FORBIDDEN = [
      re.compile(r"analysis\.regression|\bupdate_summary\b"), ()),
     ("committed events/second baseline",
      re.compile(r"\bcore(?:32)?_baseline\b"), ()),
+    ("axis DSL (a grid is a {key: RunSpec} dict, experiments._speedups)",
+     re.compile(r"\bSweep(Axis|Record)?\b"), ()),
+    ("message timeline (query dsm.messages_total by msg_type)",
+     re.compile(r"MessageTimeline|attach_timeline"), ()),
+    ("span timers", re.compile(r"obs\.timers|\bSpan\b"), ()),
+    ("FifoStore", re.compile(r"\bFifoStore\b"), ()),
+    ("twin-based dirty-run detection (write tracking is the only "
+     "source)", re.compile(r"twin_dirty_ranges|diff_source"), ()),
+    ("hand-built speedup denominator (RunSpec.baseline())",
+     re.compile(r"_baseline_spec"), ()),
+    ("lock-step walk of a result list (look results up by key: "
+     "dict(zip(cells, lab.run_many(...))))",
+     re.compile(r"iter\(\w*\.?run_many\("), ()),
 ]
 
-#: The first benchmark harness, relative to the repo root.
+#: The first benchmark harness and the modules no root reached,
+#: relative to the repo root.
 DELETED_FILES = [
     "benchmarks/test_perf_core.py",
     "benchmarks/core_baseline.json",
     "benchmarks/core32_baseline.json",
     "src/repro/analysis/regression.py",
     "tests/analysis/test_regression.py",
+    "src/repro/analysis/sweeps.py",
+    "src/repro/analysis/timeline.py",
+    "src/repro/obs/timers.py",
+    "tests/analysis/test_sweeps.py",
+    "tests/analysis/test_timeline.py",
 ]
 
 #: (what it is, pattern, most files of ``src/repro`` it may occur in).
@@ -124,7 +147,7 @@ def test_deleted_accounting_path_stays_deleted(what, pattern, exempt):
 
 def test_the_first_benchmark_harness_stays_deleted():
     back = [name for name in DELETED_FILES if (ROOT / name).exists()]
-    assert not back, f"a second benchmark harness is back: {back}"
+    assert not back, f"deleted on purpose, and back: {back}"
 
 
 @pytest.mark.parametrize("what,pattern,limit", AT_MOST,
@@ -178,6 +201,13 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("    update_summary(SUMMARY, \"core\", section)", 17),
     ("    baseline = root / \"benchmarks\" / \"core32_baseline.json\"",
      18),
+    ("        records = Sweep(\"jacobi\", params, axes).run(lab)", 19),
+    ("    timeline = attach_timeline(machine)", 20),
+    ("from repro.obs.timers import Span", 21),
+    ("from repro.sim.resources import FifoStore, Resource", 22),
+    ("        # the protocol runs with diff_source=\"twin\").", 23),
+    ("            specs.append(_baseline_spec(args))", 24),
+    ("    results = iter(lab.run_many(specs))", 25),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

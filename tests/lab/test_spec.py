@@ -78,6 +78,38 @@ def test_roundtrip_preserves_canonical_form():
     assert clone.fingerprint() == spec.fingerprint()
 
 
+def test_baseline_is_the_one_processor_run_of_the_same_machine():
+    from repro.core.config import FaultConfig, OverheadConfig
+
+    config = MachineConfig(
+        nprocs=8, cpu_mhz=80.0, page_size=1024, seed=7,
+        network=NetworkConfig.ethernet(),
+        overhead=OverheadConfig(scale=2.0),
+        faults=FaultConfig(drop_prob=0.01))
+    spec = _spec(protocol="eu", config=config, threads_per_proc=2,
+                 protocol_options={"x": 1}, lock_broadcast=True)
+    baseline = spec.baseline()
+    assert (baseline.app, baseline.app_params) == ("jacobi", SMALL)
+    assert baseline.config == config.replace(
+        nprocs=1, network=MachineConfig().network)
+    assert baseline == RunSpec("jacobi", SMALL, protocol="lh",
+                               config=baseline.config)
+    assert baseline.baseline() == baseline
+
+
+def test_cells_that_differ_only_in_network_share_a_baseline():
+    cells = [_spec(protocol=protocol,
+                   config=MachineConfig(nprocs=4, network=network))
+             for protocol in ("lh", "ei")
+             for network in (NetworkConfig.ethernet(),
+                             NetworkConfig.atm(1000.0))]
+    assert len({cell.fingerprint() for cell in cells}) == 4
+    assert len({cell.baseline().fingerprint() for cell in cells}) == 1
+    faster = _spec(config=MachineConfig(nprocs=4, cpu_mhz=80.0))
+    assert faster.baseline().fingerprint() != \
+        cells[0].baseline().fingerprint()
+
+
 def test_label_names_the_run():
     label = _spec().label()
     assert "jacobi" in label and "lh" in label and "2p" in label

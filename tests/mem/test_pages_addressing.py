@@ -40,9 +40,7 @@ class TestPageCopy:
         assert copy.add_notice(n1)
         assert not copy.add_notice(WriteNotice(page=0, proc=1, index=1,
                                                vc=vc))
-        assert len(copy.pending_notices) == 1
-        assert copy.clear_notices() == [n1]
-        assert copy.pending_notices == []
+        assert copy.pending_notices == [n1]
 
 
 class TestPageTable:
@@ -50,11 +48,9 @@ class TestPageTable:
         table = PageTable(words_per_page=8)
         assert not table.has_copy(0)
         table.install(0, values=np.arange(8))
-        assert table.is_valid(0)
-        table.invalidate(0)
+        assert table.get(0).valid
+        table.get(0).valid = False
         assert table.has_copy(0)
-        assert not table.is_valid(0)
-        assert table.valid_pages() == []
         assert table.pages() == [0]
 
     def test_install_existing_updates_values(self):
@@ -77,7 +73,7 @@ class TestAddressSpace:
         b = space.allocate("b", 8)   # 1 page
         assert a.first_page == 0 and a.npages == 2
         assert b.first_page == 2 and b.npages == 1
-        assert space.allocated_pages == 3
+        assert space.allocate("c", 1).first_page == 3
 
     def test_duplicate_name_rejected(self):
         space = AddressSpace(words_per_page=8)

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.apps import create_app
-from repro.core.config import MachineConfig, NetworkConfig
+from repro.core.config import FaultConfig, MachineConfig, NetworkConfig
 from repro.core.runner import run_app
 from repro.net.message import MsgKind
 
@@ -130,6 +130,37 @@ def test_barrier_messages_exist_on_multiproc_run(result):
     assert by_type.get(MsgKind.BARRIER_DEPART.value, 0) > 0
 
 
+def _water_run(protocol, nmols=16, faults=FaultConfig()):
+    return run_app(create_app("water", nmols=nmols, steps=1),
+                   MachineConfig(nprocs=4, network=NetworkConfig.atm(),
+                                 faults=faults),
+                   protocol=protocol)
+
+
+def test_eu_flush_messages_dominate():
+    """Paper section 6.2: '91% of EU's messages are updates sent
+    during lock releases.'  In our accounting that's the FLUSH +
+    FLUSH_ACK share of ``dsm.messages_total``."""
+    by_type = _water_run("eu", nmols=24).registry.by_label(
+        "dsm.messages_total", "msg_type")
+    flush_traffic = (by_type.get(MsgKind.FLUSH.value, 0)
+                     + by_type.get(MsgKind.FLUSH_ACK.value, 0))
+    assert flush_traffic / sum(by_type.values()) > 0.5
+
+
+def test_protocol_message_count_excludes_transport_traffic():
+    """With faults on, acks and retransmissions reach the network
+    (``net.messages_total``) but not the protocol's message count."""
+    result = _water_run("lh", faults=FaultConfig(drop_prob=0.05,
+                                                 seed=3))
+    registry = result.registry
+    assert registry.total("transport.retransmits_total") > 0
+    assert registry.total("dsm.messages_total") == \
+        result.total_messages
+    assert registry.total("dsm.messages_total") < \
+        registry.total("net.messages_total")
+
+
 def test_stats_cli_json_matches_run_counters():
     """Acceptance: ``repro stats`` emits a JSON dump for a Jacobi /
     ATM / LI run whose message and diff counts equal the values the
@@ -173,7 +204,6 @@ def test_fault_injector_counters_are_views_of_the_registry():
     cell — its own until ``attach_obs`` swaps in the ``faults.*``
     children, carrying earlier counts over — and the public names
     only read it."""
-    from repro.core.config import FaultConfig
     from repro.faults import FaultInjector
     from repro.net.message import Message
     from repro.obs import Observability

@@ -1,12 +1,11 @@
-"""Unit coverage for the tracer, its sinks, and simulated-time spans."""
+"""Unit coverage for the tracer and its sinks."""
 
 import io
 import json
 
 from repro.net.message import MsgKind
-from repro.obs import (JsonlSink, MemorySink, MetricsRegistry, NullSink,
-                       Observability, Span, TraceEvent, Tracer,
-                       read_jsonl)
+from repro.obs import (JsonlSink, MemorySink, NullSink, Observability,
+                       TraceEvent, Tracer, read_jsonl)
 
 
 # -- sinks -------------------------------------------------------------
@@ -141,60 +140,6 @@ def test_sink_swap_toggles_every_emission_site_mid_run():
     assert not tracer
     tracer.emit("msg.send", msg=2)
     assert [e.fields["msg"] for e in sink.events] == [1]
-
-
-# -- spans -------------------------------------------------------------
-
-def test_span_observes_histogram_and_emits_begin_end():
-    clock_value = [100.0]
-    sink = MemorySink()
-    tracer = Tracer(sink, clock=lambda: clock_value[0])
-    registry = MetricsRegistry()
-    hist = registry.histogram("test.phase_cycles", unit="cycles")
-
-    with Span(lambda: clock_value[0], "phase", histogram=hist,
-              tracer=tracer, node=0):
-        clock_value[0] = 340.0
-
-    child = hist.labels()
-    assert child.count == 1
-    assert child.sum == 240.0
-    begin, end = sink.events
-    assert begin.name == "phase.begin" and begin.ts == 100.0
-    assert end.name == "phase.end" and end.ts == 340.0
-    assert end.fields["cycles"] == 240.0
-    assert end.fields["node"] == 0
-
-
-def test_span_survives_generator_yields():
-    clock_value = [0.0]
-    registry = MetricsRegistry()
-    hist = registry.histogram("test.phase_cycles")
-
-    def process():
-        with Span(lambda: clock_value[0], "work", histogram=hist):
-            yield "first"
-            yield "second"
-
-    gen = process()
-    next(gen)
-    clock_value[0] = 10.0
-    next(gen)
-    clock_value[0] = 55.0
-    gen.close()  # GeneratorExit unwinds the with-block
-    assert hist.labels().sum == 55.0
-
-
-def test_observability_span_uses_bound_clock():
-    clock_value = [5.0]
-    obs = Observability(tracer=Tracer(MemorySink()))
-    obs.bind_clock(lambda: clock_value[0])
-    hist = obs.registry.histogram("test.phase_cycles")
-    with obs.span("phase", histogram=hist):
-        clock_value[0] = 9.0
-    assert hist.labels().sum == 4.0
-    names = [e.name for e in obs.tracer.sink.events]
-    assert names == ["phase.begin", "phase.end"]
 
 
 def test_observability_defaults_to_disabled_tracing():

@@ -1,65 +1,8 @@
-"""FifoStore and additional resource-primitive tests."""
+"""Additional resource-primitive tests."""
 
 import pytest
 
-from repro.sim import FifoStore, Resource, Simulator
-
-
-class TestFifoStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = FifoStore(sim, name="queue")
-        store.put("a")
-        store.put("b")
-        got = []
-
-        def consumer():
-            first = yield store.get()
-            second = yield store.get()
-            got.extend([first, second])
-
-        sim.run_process(sim.spawn(consumer()))
-        assert got == ["a", "b"]
-        assert len(store) == 0
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = FifoStore(sim)
-        times = []
-
-        def consumer():
-            item = yield store.get()
-            times.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(25.0)
-            store.put("late")
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert times == [(25.0, "late")]
-
-    def test_multiple_blocked_getters_fifo(self):
-        sim = Simulator()
-        store = FifoStore(sim)
-        got = []
-
-        def consumer(tag):
-            item = yield store.get()
-            got.append((tag, item))
-
-        sim.spawn(consumer("first"))
-        sim.spawn(consumer("second"))
-
-        def producer():
-            yield sim.timeout(1.0)
-            store.put(100)
-            store.put(200)
-
-        sim.spawn(producer())
-        sim.run()
-        assert got == [("first", 100), ("second", 200)]
+from repro.sim import Resource, Simulator
 
 
 class TestResourceAccounting:
