@@ -25,33 +25,19 @@ run in parallel and cache across sessions like every other driver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.lab import Lab, RunSpec
 from repro.obs.causal import CausalTrace
+from repro.obs.timeseries import (DEFAULT_SLO_TARGET, DEFAULT_SLO_US,
+                                  percentile, request_stats)
 from repro.serve.workload import SERVE_APP_PARAMS, validate_workload
 
-DEFAULT_SLO_US = 500.0
-#: SLO attainment target used for burn rates: a window "burns error
-#: budget" at rate (violation fraction) / (1 - target), so 1.0 means
-#: exactly on target and 10.0 means the budget drains 10x too fast.
-DEFAULT_SLO_TARGET = 0.999
 DEFAULT_NETWORKS: Tuple[Tuple[str, NetworkConfig], ...] = (
     ("ethernet", NetworkConfig.ethernet()),
     ("atm", NetworkConfig.atm()))
-
-
-def percentile(values: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile of an already-sorted sequence."""
-    if not values:
-        return 0.0
-    if not 0 < p <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {p}")
-    rank = max(1, math.ceil(p / 100.0 * len(values)))
-    return float(values[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -157,19 +143,14 @@ def windowed_reports(app_result, cpu_mhz: float, window_us: float,
             (done - arrival) / cpu_mhz)
     out: List[WindowReport] = []
     for index in range(max(by_window) + 1):
-        latencies = sorted(by_window.get(index, []))
-        completed = len(latencies)
-        violations = sum(1 for lat in latencies if lat > slo_us)
+        completed, violations, p50, p99, burn = request_stats(
+            sorted(by_window.get(index, [])), slo_us, slo_target)
         out.append(WindowReport(
             index=index,
             t0_us=index * window_us,
             t1_us=(index + 1) * window_us,
-            completed=completed,
-            p50_us=percentile(latencies, 50) if latencies else 0.0,
-            p99_us=percentile(latencies, 99) if latencies else 0.0,
-            slo_violations=violations,
-            burn_rate=(violations / completed / (1.0 - slo_target)
-                       if completed else 0.0)))
+            completed=completed, p50_us=p50, p99_us=p99,
+            slo_violations=violations, burn_rate=burn))
     return out
 
 
@@ -195,19 +176,13 @@ def serving_grid(rate_rps: float,
                  slo_us: float = DEFAULT_SLO_US,
                  overrides: Optional[dict] = None,
                  lab: Optional[Lab] = None) -> List[ServingReport]:
-    """One offered load across every (protocol, network) cell."""
-    lab = lab if lab is not None else Lab()
-    base = config or MachineConfig(nprocs=4)
-    params = _serve_params(scale, rate_rps, overrides)
-    cells = {(protocol, net_name): RunSpec(
-                 "kvstore", params, protocol=protocol,
-                 config=base.replace(network=network))
-             for protocol in protocols
-             for net_name, network in networks}
-    results = dict(zip(cells, lab.run_many(list(cells.values()))))
-    return [build_report(results[protocol, net_name].app_result,
-                         base.cpu_mhz, protocol, net_name,
-                         offered_rps=rate_rps, slo_us=slo_us)
+    """One offered load across every (protocol, network) cell: a
+    one-rate :func:`capacity_sweep`, flattened."""
+    curves = capacity_sweep([rate_rps], protocols=protocols,
+                            networks=networks, scale=scale,
+                            config=config, slo_us=slo_us,
+                            overrides=overrides, lab=lab)
+    return [curves[protocol, net_name][0]
             for protocol in protocols
             for net_name, _network in networks]
 

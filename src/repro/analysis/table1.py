@@ -26,14 +26,11 @@ adds one diff-to-home message pair when the releaser is not the home.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict
 
 from repro.core.api import DsmApi
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.machine import Machine
-from repro.lab import Lab
 
 
 def _machine(protocol: str, nprocs: int = 4) -> Machine:
@@ -96,7 +93,6 @@ def measure_lock_transfer(protocol: str) -> int:
     counter = {"messages": 0}
     # Lock 1 is owned by proc 1; proc 2 takes it first, then proc 3
     # requests it: REQ(3->1), FWD(1->2), GRANT(2->3).
-    order = {}
 
     def worker(api, proc):
         if proc == 2:
@@ -201,50 +197,23 @@ EXPECTED = {
 }
 
 
-def run_table1(lab: Optional[Lab] = None) -> Dict[str, Dict[str, int]]:
+def run_table1() -> Dict[str, Dict[str, int]]:
     """Measure every scenario for every protocol.
 
-    The micro-scenarios close over live :class:`Machine` objects, so
-    they cannot be shipped to worker processes as run specs; instead
-    each (scenario, protocol) cell is memoized through
-    :meth:`repro.lab.Lab.cached`, keyed on the scenario parameters and
-    the code version, so repeated reports skip them entirely.
-    """
-    if lab is None:
-        lab = Lab()
-
-    def cell(scenario: str, protocol: str, compute, **params):
-        return lab.cached("table1",
-                          {"scenario": scenario, "protocol": protocol,
-                           **params},
-                          compute)
-
-    rows: Dict[str, Dict[str, int]] = {}
+    The micro-scenarios close over live :class:`Machine` objects and
+    take ~40 ms in total, so they are computed directly: nothing here
+    crosses a process boundary or touches the lab cache."""
     protocols = ["lh", "li", "lu", "ei", "eu"]
-    rows["access_miss_m1"] = {
-        p: cell("access_miss", p,
-                lambda p=p: measure_access_miss(p, 1), modifiers=1)
-        for p in protocols}
-    rows["access_miss_m2"] = {
-        p: cell("access_miss", p,
-                lambda p=p: measure_access_miss(p, 2), modifiers=2)
-        for p in ("lh", "li", "lu")}
-    rows["lock_transfer"] = {
-        p: cell("lock_transfer", p,
-                lambda p=p: measure_lock_transfer(p))
-        for p in protocols}
-    rows["unlock_c2"] = {
-        p: cell("unlock", p, lambda p=p: measure_unlock(p, 2),
-                cachers=2)
-        for p in protocols}
-    rows["barrier_clean_n4"] = {
-        p: cell("barrier", p,
-                lambda p=p: measure_barrier(p, 4, dirty=False),
-                nprocs=4, dirty=False)
-        for p in protocols}
-    rows["barrier_dirty_n4"] = {
-        p: cell("barrier", p,
-                lambda p=p: measure_barrier(p, 4, dirty=True),
-                nprocs=4, dirty=True)
-        for p in protocols}
-    return rows
+    return {
+        "access_miss_m1": {p: measure_access_miss(p, 1)
+                           for p in protocols},
+        "access_miss_m2": {p: measure_access_miss(p, 2)
+                           for p in ("lh", "li", "lu")},
+        "lock_transfer": {p: measure_lock_transfer(p)
+                          for p in protocols},
+        "unlock_c2": {p: measure_unlock(p, 2) for p in protocols},
+        "barrier_clean_n4": {p: measure_barrier(p, 4, dirty=False)
+                             for p in protocols},
+        "barrier_dirty_n4": {p: measure_barrier(p, 4, dirty=True)
+                             for p in protocols},
+    }

@@ -26,7 +26,7 @@ from repro.apps.base import EventDrivenApplication, block_range
 from repro.core.api import DsmApi
 from repro.core.machine import Machine
 from repro.core.metrics import RunResult
-from repro.obs import install_serve
+from repro.obs import SERVE_CATALOG, install
 from repro.serve.workload import (generate_requests, node_schedules,
                                   write_counts)
 
@@ -66,7 +66,7 @@ class KvStore(EventDrivenApplication):
     def setup(self, machine: Machine):
         # Serve metrics are opt-in (SERVE_CATALOG): installing here
         # keeps the four paper kernels' dumps byte-identical.
-        install_serve(machine.obs.registry)
+        install(machine.obs.registry, SERVE_CATALOG)
         store = machine.allocate(
             "kvstore", self.nkeys * self.value_words, owner="block")
         for shard in range(self.shards):

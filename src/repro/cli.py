@@ -312,8 +312,7 @@ def cmd_stats(args) -> int:
     if args.load:
         with open(args.load) as handle:
             data = json.load(handle)
-        if (isinstance(data, dict) and data.get("kind") == "run"
-                and "result" in data):
+        if isinstance(data, dict) and "result" in data:
             data = data["result"]     # a lab-cache envelope
         result = RunResult.from_dict(data)
     elif args.app is None:

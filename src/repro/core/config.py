@@ -22,7 +22,6 @@ DEFAULT_CPU_MHZ = 40.0  # "4MHz RISC processors" -> 40 MHz (1993 era)
 DEFAULT_PAGE_SIZE = 4096  # "496 byte pages" -> 4096
 SMALL_PAGE_SIZE = 1024  # Table 5: "page size of 124 bytes" -> 1024
 WORD_SIZE = 4  # 32-bit words
-DEFAULT_MEMORY_LATENCY = 12  # cycles, as printed
 
 ETHERNET_MBPS = 10.0  # "1-megabit Ethernet" -> 10 Mbit/s
 ATM_MBPS = 100.0  # "1 MBit/sec cross-bar switch" -> 100 Mbit/s
@@ -302,7 +301,6 @@ class MachineConfig:
     cpu_mhz: float = DEFAULT_CPU_MHZ
     page_size: int = DEFAULT_PAGE_SIZE
     word_size: int = WORD_SIZE
-    memory_latency_cycles: int = DEFAULT_MEMORY_LATENCY
     network: NetworkConfig = field(default_factory=NetworkConfig.atm)
     overhead: OverheadConfig = field(default_factory=OverheadConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)

@@ -99,9 +99,9 @@ class FaultInjector:
             self.attach_obs(obs)
 
     def attach_obs(self, obs) -> None:
-        from repro.obs import install_robustness
+        from repro.obs import ROBUSTNESS_CATALOG, install
         registry = obs.registry
-        install_robustness(registry)
+        install(registry, ROBUSTNESS_CATALOG)
         for attr, name in self.CELLS.items():
             child = registry.get(name).labels()
             child.value += getattr(self, attr).value

@@ -25,11 +25,9 @@ determinism test in ``tests/properties``).  See docs/lab.md.
 from repro.lab.cache import ResultCache
 from repro.lab.harness import (DEFAULT_CACHE_DIR, Lab, LabError,
                                LabFailure)
-from repro.lab.spec import (RunSpec, code_version, execute_spec,
-                            payload_fingerprint)
+from repro.lab.spec import RunSpec, code_version, execute_spec
 
 __all__ = [
     "DEFAULT_CACHE_DIR", "Lab", "LabError", "LabFailure",
     "ResultCache", "RunSpec", "code_version", "execute_spec",
-    "payload_fingerprint",
 ]

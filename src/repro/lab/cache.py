@@ -9,8 +9,7 @@ where ``fp`` is the 64-hex-digit SHA-256 from
 :meth:`repro.lab.RunSpec.fingerprint`.  The two-character shard keeps
 directories small on big sweeps.  Each envelope records the
 fingerprint, the spec that produced it (for humans; the *key* already
-commits to it), and the serialized :class:`repro.RunResult` — or an
-arbitrary JSON payload for :meth:`repro.lab.Lab.cached` entries.
+commits to it), and the serialized :class:`repro.RunResult`.
 
 Writes are atomic (temp file + ``os.replace``), so a crashed or
 parallel writer can never leave a torn entry; unreadable or
@@ -86,7 +85,7 @@ class ResultCache:
     def get(self, fingerprint: str) -> Optional[RunResult]:
         """The cached result, or ``None`` on any kind of miss."""
         envelope = self._read(fingerprint)
-        if envelope is None or envelope.get("kind") != "run":
+        if envelope is None:
             return None
         try:
             return RunResult.from_dict(envelope["result"])
@@ -98,31 +97,13 @@ class ResultCache:
             spec: Optional[RunSpec] = None,
             result_dict: Optional[dict] = None) -> None:
         """Store one run.  ``result_dict`` lets callers that already
-        hold the serialized form (pool workers ship results as dicts)
-        skip a second ``to_dict`` pass."""
+        hold the serialized form (the lab's executor hands results
+        back as dicts) skip a second ``to_dict`` pass."""
         self._write(fingerprint, {
             "fingerprint": fingerprint,
-            "kind": "run",
             "spec": spec.to_dict() if spec is not None else None,
             "result": (result_dict if result_dict is not None
                        else result.to_dict()),
-        })
-
-    # -- arbitrary JSON payloads (Lab.cached) --------------------------
-
-    def get_payload(self, fingerprint: str):
-        envelope = self._read(fingerprint)
-        if envelope is None or envelope.get("kind") != "payload":
-            return None
-        return envelope.get("payload")
-
-    def put_payload(self, fingerprint: str, payload,
-                    kind_label: str = "") -> None:
-        self._write(fingerprint, {
-            "fingerprint": fingerprint,
-            "kind": "payload",
-            "label": kind_label,
-            "payload": payload,
         })
 
     # -- maintenance ---------------------------------------------------

@@ -8,8 +8,9 @@ One :class:`Lab` owns three tiers of result resolution:
 2. the **on-disk content-addressed cache** (optional ``cache_dir``) —
    survives across processes and sessions;
 3. **execution**, either in-process (``jobs=None``) or across a
-   ``concurrent.futures`` process pool with failure isolation and
-   bounded retries.
+   ``concurrent.futures`` process pool — the same worker function
+   either way, so a failing run is isolated and every result is the
+   restored (``RunResult.from_dict``) kind whichever tier served it.
 
 Everything the harness does is observable through its own
 ``lab.*``-catalogued :class:`repro.obs.MetricsRegistry` (jobs run,
@@ -27,13 +28,12 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
     wait
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.core.metrics import RunResult, json_safe
+from repro.core.metrics import RunResult
 from repro.lab.cache import ResultCache
-from repro.lab.spec import (RunSpec, code_version, execute_spec,
-                            payload_fingerprint)
-from repro.obs import MetricsRegistry, install_lab
+from repro.lab.spec import RunSpec, code_version, execute_spec
+from repro.obs import LAB_CATALOG, MetricsRegistry, install
 
 #: Default on-disk cache location (CLI ``--cache-dir`` default).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -45,6 +45,12 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 _CGROUP_V2_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 _CGROUP_V1_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
 _CGROUP_V1_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+#: Times a chunk is resubmitted after its *pool* broke (a killed
+#: worker takes every in-flight future with it, and nothing says
+#: those runs were attempted).  A run that raised is never re-run:
+#: the simulator is deterministic, so it would raise again.
+_POOL_RESUBMITS = 1
 
 
 def _read_first_line(path: str) -> Optional[str]:
@@ -59,25 +65,16 @@ def _cgroup_cpus() -> Optional[int]:
     """CPUs allowed by the container's CPU quota, or None when
     unlimited/undetectable.  Fractional quotas round up: a 1.5-CPU
     container can keep two workers busy part-time."""
-    line = _read_first_line(_CGROUP_V2_CPU_MAX)
-    if line:
-        parts = line.split()
-        if len(parts) == 2 and parts[0] != "max":
-            try:
-                quota, period = float(parts[0]), float(parts[1])
-            except ValueError:
-                return None
-            if quota > 0 and period > 0:
-                return max(1, -(-int(quota) // int(period)))
-    quota_line = _read_first_line(_CGROUP_V1_QUOTA)
-    period_line = _read_first_line(_CGROUP_V1_PERIOD)
-    if quota_line and period_line:
-        try:
-            quota, period = float(quota_line), float(period_line)
-        except ValueError:
-            return None
-        if quota > 0 and period > 0:
-            return max(1, -(-int(quota) // int(period)))
+    fields = (_read_first_line(_CGROUP_V2_CPU_MAX) or "").split()
+    if len(fields) != 2 or fields[0] == "max":
+        fields = [_read_first_line(_CGROUP_V1_QUOTA),
+                  _read_first_line(_CGROUP_V1_PERIOD)]
+    try:
+        quota, period = float(fields[0]), float(fields[1])
+    except (TypeError, ValueError):    # file missing, or garbage
+        return None
+    if quota > 0 and period > 0:
+        return max(1, -(-int(quota) // int(period)))
     return None
 
 
@@ -111,7 +108,8 @@ def available_cpus() -> int:
 
 
 class LabError(RuntimeError):
-    """One or more runs failed every allowed attempt."""
+    """One or more runs of a batch failed (raised after the whole
+    batch settles; healthy siblings stay memoized)."""
 
     def __init__(self, failures: Sequence["LabFailure"]) -> None:
         self.failures = list(failures)
@@ -125,13 +123,12 @@ class LabError(RuntimeError):
 
 @dataclass
 class LabFailure:
-    """Terminal failure record for one spec (strict=False slots)."""
+    """Failure record for one spec (see :attr:`LabError.failures`)."""
 
     spec: RunSpec
     fingerprint: str
     error: str
     traceback: str
-    attempts: int
 
 
 def _warm_worker(version: str) -> None:
@@ -160,11 +157,20 @@ def _noop(_: int) -> None:
     return None
 
 
+def _failed(fingerprint: str, exc: BaseException,
+            seconds: float = 0.0) -> dict:
+    """The outcome dict of a spec that did not produce a result (call
+    it inside the ``except`` block: it formats the live traceback)."""
+    return {"fingerprint": fingerprint, "ok": False,
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(), "seconds": seconds}
+
+
 def _execute_payload(payload: dict) -> dict:
-    """Process-pool worker: runs one serialized spec and ships the
-    serialized result back.  Must stay a module-level function so the
-    pool can pickle it; exceptions are caught and reported as data so
-    one crashed run never kills the batch."""
+    """Run one serialized spec and hand the serialized result back —
+    in a pool worker or, for ``jobs=None``, in this process.  Must
+    stay a module-level function so the pool can pickle it; a run
+    that raises is reported as data so it never kills the batch."""
     started = time.perf_counter()
     try:
         spec = RunSpec.from_dict(payload["spec"])
@@ -173,11 +179,9 @@ def _execute_payload(payload: dict) -> dict:
         return {"fingerprint": payload["fingerprint"], "ok": True,
                 "result": result.to_dict(),
                 "seconds": time.perf_counter() - started}
-    except BaseException as exc:  # noqa: BLE001 - isolation boundary
-        return {"fingerprint": payload["fingerprint"], "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-                "seconds": time.perf_counter() - started}
+    except Exception as exc:  # noqa: BLE001 - isolation boundary
+        return _failed(payload["fingerprint"], exc,
+                       time.perf_counter() - started)
 
 
 def _execute_payload_batch(payloads: Sequence[dict]) -> List[dict]:
@@ -205,7 +209,10 @@ class Lab:
     the right mode for library callers and tests; any integer >= 1
     spins up a process pool of that size.  ``cache=False`` disables
     memoization entirely (every spec executes); ``cache_dir=None``
-    keeps the memo but skips the disk tier.
+    keeps the memo but skips the disk tier.  Whichever tier serves a
+    spec, the result is one restored by ``RunResult.from_dict`` — an
+    executed run is serialized and restored like a cached one, so
+    ``app_result`` is JSON-shaped everywhere.
 
     ``trace_dir`` streams a JSONL trace of every *executed* spec into
     that directory — one file per spec (so pool workers never share a
@@ -218,36 +225,27 @@ class Lab:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None, cache: bool = True,
-                 retries: int = 1, progress: bool = False,
-                 registry: Optional[MetricsRegistry] = None,
+                 progress: bool = False,
                  trace_dir: Optional[str] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1 (or None for serial)")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.jobs = jobs
         self.use_cache = cache
         self.disk = (ResultCache(cache_dir)
                      if cache and cache_dir else None)
-        self.retries = retries
         self.progress = progress
         self.trace_dir = trace_dir
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
         self._memo: Dict[str, RunResult] = {}
-        self._payload_memo: Dict[str, object] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
-        # Source-tree hash, computed at most once per Lab (it was a
-        # per-spec rglob+sha256 of every repro source file before) and
-        # shipped to pool workers so they never recompute it either.
-        self._code_version: Optional[str] = None
         #: One-time pool spin-up cost (fork + imports + warm pings);
         #: 0.0 until the first parallel batch.
         self.executor_startup_seconds = 0.0
 
-        self.registry = registry or MetricsRegistry(
+        self.registry = MetricsRegistry(
             const_labels={"subsystem": "lab"})
-        install_lab(self.registry)
+        install(self.registry, LAB_CATALOG)
         reg = self.registry
         self._m_executed = reg.get("lab.jobs_executed_total")
         self._m_hits_memory = reg.get("lab.cache_hits_total").labels(
@@ -290,11 +288,6 @@ class Lab:
             return 1
         return max(1, min(self.jobs, 2 * available_cpus()))
 
-    def _version(self) -> str:
-        if self._code_version is None:
-            self._code_version = code_version()
-        return self._code_version
-
     def warm(self) -> float:
         """Spin up and warm the process pool now, instead of inside
         the first parallel batch (no-op for serial labs).  Returns the
@@ -310,7 +303,7 @@ class Lab:
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_warm_worker,
-                initargs=(self._version(),))
+                initargs=(code_version(),))
             # Force every worker to fork and warm up now, so startup
             # is measured (and paid) outside the first real batch.
             list(self._pool.map(_noop, range(workers)))
@@ -325,22 +318,17 @@ class Lab:
         """Resolve one spec (cache or execute)."""
         return self.run_many([spec])[0]
 
-    def run_many(self, specs: Sequence[RunSpec], strict: bool = True
-                 ) -> List[Optional[RunResult]]:
+    def run_many(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Resolve every spec, order-preserving.
 
         Identical specs (same fingerprint) simulate at most once per
-        batch.  A run that fails every attempt is *reported*, never
-        fatal to its siblings: with ``strict=True`` (default) a
-        :class:`LabError` is raised after the whole batch settles;
-        with ``strict=False`` the failing slots hold
-        :class:`LabFailure` markers exposed via :attr:`failures` and
-        the returned list carries ``None`` there."""
+        batch.  A run that raises never takes its siblings with it:
+        the whole batch settles (healthy results are memoized and
+        cached), then :class:`LabError` lists the failures."""
         started = time.perf_counter()
         specs = list(specs)
-        version = self._version()
+        version = code_version()    # hashed once per process
         fingerprints = [spec.fingerprint(version) for spec in specs]
-        self.failures: List[LabFailure] = []
 
         resolved: Dict[str, RunResult] = {}
         to_run: Dict[str, RunSpec] = {}
@@ -355,32 +343,44 @@ class Lab:
                     self._m_misses.inc()
                 to_run[fingerprint] = spec
 
-        failed: Dict[str, LabFailure] = {}
+        hits = len(resolved)
+        failures: List[LabFailure] = []
         busy_seconds = 0.0
-        if to_run:
-            if self.jobs is None:
-                busy_seconds = self._run_serial(to_run, resolved,
-                                                failed)
+        for settled, outcome in enumerate(self._outcomes(to_run), 1):
+            fingerprint = outcome["fingerprint"]
+            spec = to_run[fingerprint]
+            busy_seconds += outcome["seconds"]
+            if outcome["ok"]:
+                result = RunResult.from_dict(outcome["result"])
+                self._m_executed.inc()
+                self._m_run_seconds.observe(outcome["seconds"])
+                resolved[fingerprint] = result
+                if self.use_cache:
+                    self._memo[fingerprint] = result
+                    if self.disk is not None:
+                        self.disk.put(fingerprint, result, spec=spec,
+                                      result_dict=outcome["result"])
             else:
-                busy_seconds = self._run_pool(to_run, resolved,
-                                              failed,
-                                              hits=len(resolved),
-                                              total=len(to_run))
+                failures.append(LabFailure(
+                    spec=spec, fingerprint=fingerprint,
+                    error=outcome["error"],
+                    traceback=outcome["traceback"]))
+                self._m_failures.inc()
+            if self.progress and len(to_run) > 1:
+                print(f"[lab] {settled}/{len(to_run)} executed "
+                      f"({hits} cached, {len(failures)} failed)",
+                      file=sys.stderr, flush=True)
 
         wall = time.perf_counter() - started
         self._m_wall.inc(wall)
-        pool_size = self.effective_jobs
         if to_run and wall > 0:
             self._m_utilization.set(
-                min(1.0, busy_seconds / (wall * pool_size)))
+                min(1.0, busy_seconds / (wall * self.effective_jobs)))
+        if failures:
+            raise LabError(failures)
+        return [resolved[fingerprint] for fingerprint in fingerprints]
 
-        self.failures = list(failed.values())
-        if self.failures and strict:
-            raise LabError(self.failures)
-        return [resolved.get(fingerprint)
-                for fingerprint in fingerprints]
-
-    # -- execution strategies ------------------------------------------
+    # -- execution -----------------------------------------------------
 
     def _trace_path(self, fingerprint: str,
                     spec: RunSpec) -> Optional[str]:
@@ -392,112 +392,55 @@ class Lab:
             self.trace_dir,
             f"{spec.app}-{spec.protocol}-{fingerprint[:12]}.jsonl")
 
-    def _run_serial(self, to_run, resolved, failed) -> float:
-        busy = 0.0
-        for fingerprint, spec in to_run.items():
-            for attempt in range(1 + self.retries):
-                if attempt:
-                    self._m_retries.inc()
-                started = time.perf_counter()
-                try:
-                    result = execute_spec(
-                        spec,
-                        trace_path=self._trace_path(fingerprint,
-                                                    spec))
-                except BaseException as exc:  # noqa: BLE001
-                    busy += time.perf_counter() - started
-                    failure = LabFailure(
-                        spec=spec, fingerprint=fingerprint,
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback.format_exc(),
-                        attempts=attempt + 1)
-                    continue
-                seconds = time.perf_counter() - started
-                busy += seconds
-                self._record_success(fingerprint, spec, result,
-                                     seconds, resolved)
-                failed.pop(fingerprint, None)
-                break
-            else:
-                failed[fingerprint] = failure
-                self._m_failures.inc()
-        return busy
-
-    def _run_pool(self, to_run, resolved, failed, hits: int,
-                  total: int) -> float:
-        busy = 0.0
-        attempts = {fp: 1 for fp in to_run}
-        executor = self._executor()
+    def _outcomes(self, to_run: Dict[str, RunSpec]) -> Iterator[dict]:
+        """One :func:`_execute_payload` outcome per spec, in
+        completion order: called here for ``jobs=None``, through the
+        chunked pool otherwise."""
+        payloads = [{"fingerprint": fingerprint,
+                     "spec": spec.to_dict(),
+                     "trace_path": self._trace_path(fingerprint, spec)}
+                    for fingerprint, spec in to_run.items()]
+        if self.jobs is None:
+            yield from map(_execute_payload, payloads)
+            return
         workers = self.effective_jobs
-        items = [{"fingerprint": fingerprint, "spec": spec.to_dict(),
-                  "trace_path": self._trace_path(fingerprint, spec)}
-                 for fingerprint, spec in to_run.items()]
         # Chunk small runs: ~4 chunks per worker amortizes pickling
         # and future overhead while keeping the tail balanced.  A
         # lone worker has no tail to balance, so it gets one chunk
         # (fewer IPC round-trips and per-chunk collections).
         chunks_per_worker = 4 if workers > 1 else 1
-        chunk_size = max(1, -(-len(items)
+        chunk_size = max(1, -(-len(payloads)
                               // (workers * chunks_per_worker)))
-        pending: Dict[object, List[str]] = {}
-        for offset in range(0, len(items), chunk_size):
-            chunk = items[offset:offset + chunk_size]
-            future = executor.submit(_execute_payload_batch, chunk)
-            pending[future] = [c["fingerprint"] for c in chunk]
-        done_count = 0
+        pending: Dict[object, tuple] = {}
+
+        def submit(chunk: List[dict], resubmits: int) -> None:
+            future = self._executor().submit(_execute_payload_batch,
+                                             chunk)
+            pending[future] = (chunk, resubmits)
+
+        for offset in range(0, len(payloads), chunk_size):
+            submit(payloads[offset:offset + chunk_size],
+                   _POOL_RESUBMITS)
         while pending:
             done, _ = wait(list(pending),
                            return_when=FIRST_COMPLETED)
             for future in done:
-                chunk_fps = pending.pop(future)
+                chunk, resubmits = pending.pop(future)
                 try:
                     outcomes = future.result()
-                except BaseException as exc:  # noqa: BLE001
-                    # The pool itself broke (worker killed, pickling
-                    # error, ...): rebuild it before any retry.
-                    outcomes = [
-                        {"fingerprint": fp, "ok": False,
-                         "error": f"{type(exc).__name__}: {exc}",
-                         "traceback": traceback.format_exc(),
-                         "seconds": 0.0}
-                        for fp in chunk_fps]
+                except Exception as exc:  # noqa: BLE001
+                    # Not a run that raised (those come back as
+                    # data): the pool itself broke — worker killed,
+                    # pickling error.  Rebuild it; the chunk gets
+                    # its one resubmission, then fails as a whole.
                     self.close()
-                for outcome in outcomes:
-                    fingerprint = outcome["fingerprint"]
-                    spec = to_run[fingerprint]
-                    busy += outcome.get("seconds", 0.0)
-                    if outcome["ok"]:
-                        result = RunResult.from_dict(outcome["result"])
-                        self._record_success(fingerprint, spec, result,
-                                             outcome["seconds"],
-                                             resolved,
-                                             result_dict=outcome[
-                                                 "result"])
-                        failed.pop(fingerprint, None)
-                        done_count += 1
-                        self._progress_line(done_count, total, hits,
-                                            len(failed))
-                    elif attempts[fingerprint] <= self.retries:
-                        attempts[fingerprint] += 1
-                        self._m_retries.inc()
-                        retry = self._executor().submit(
-                            _execute_payload_batch,
-                            [{"fingerprint": fingerprint,
-                              "spec": spec.to_dict(),
-                              "trace_path": self._trace_path(
-                                  fingerprint, spec)}])
-                        pending[retry] = [fingerprint]
-                    else:
-                        failed[fingerprint] = LabFailure(
-                            spec=spec, fingerprint=fingerprint,
-                            error=outcome["error"],
-                            traceback=outcome.get("traceback", ""),
-                            attempts=attempts[fingerprint])
-                        self._m_failures.inc()
-                        done_count += 1
-                        self._progress_line(done_count, total, hits,
-                                            len(failed))
-        return busy
+                    if resubmits:
+                        self._m_retries.inc(len(chunk))
+                        submit(chunk, resubmits - 1)
+                        continue
+                    outcomes = [_failed(payload["fingerprint"], exc)
+                                for payload in chunk]
+                yield from outcomes
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -516,57 +459,6 @@ class Lab:
                 return result
         return None
 
-    def _record_success(self, fingerprint: str, spec: RunSpec,
-                        result: RunResult, seconds: float,
-                        resolved: Dict[str, RunResult],
-                        result_dict: Optional[dict] = None) -> None:
-        self._m_executed.inc()
-        self._m_run_seconds.observe(seconds)
-        resolved[fingerprint] = result
-        if self.use_cache:
-            self._memo[fingerprint] = result
-            if self.disk is not None:
-                self.disk.put(fingerprint, result, spec=spec,
-                              result_dict=result_dict)
-
-    def _progress_line(self, done: int, total: int, hits: int,
-                       failures: int) -> None:
-        if not self.progress or total <= 1:
-            return
-        print(f"[lab] {done}/{total} executed "
-              f"({hits} cached, {failures} failed)",
-              file=sys.stderr, flush=True)
-
-    # -- generic cached computations -----------------------------------
-
-    def cached(self, kind: str, params: dict,
-               compute: Callable[[], object]):
-        """Content-addressed memo for arbitrary JSON-safe values —
-        for drivers whose unit of work is not a single
-        :class:`RunSpec` (e.g. Table 1's micro-scenarios).  The key
-        commits to ``kind``, ``params``, and the code version, with
-        the same invalidation rules as run specs."""
-        fingerprint = payload_fingerprint(kind, params)
-        if self.use_cache:
-            if fingerprint in self._payload_memo:
-                self._m_hits_memory.inc()
-                return self._payload_memo[fingerprint]
-            if self.disk is not None:
-                payload = self.disk.get_payload(fingerprint)
-                if payload is not None:
-                    self._m_hits_disk.inc()
-                    self._payload_memo[fingerprint] = payload
-                    return payload
-            self._m_misses.inc()
-        value = json_safe(compute())
-        self._m_executed.inc()
-        if self.use_cache:
-            self._payload_memo[fingerprint] = value
-            if self.disk is not None:
-                self.disk.put_payload(fingerprint, value,
-                                      kind_label=kind)
-        return value
-
     # -- reading back --------------------------------------------------
 
     def stats(self) -> Dict[str, float]:
@@ -574,12 +466,8 @@ class Lab:
         reg = self.registry
         return {
             "executed": reg.total("lab.jobs_executed_total"),
-            "cache_hits_memory":
-                reg.by_label("lab.cache_hits_total",
-                             "tier").get("memory", 0),
-            "cache_hits_disk":
-                reg.by_label("lab.cache_hits_total",
-                             "tier").get("disk", 0),
+            "cache_hits_memory": self._m_hits_memory.value,
+            "cache_hits_disk": self._m_hits_disk.value,
             "cache_misses": reg.total("lab.cache_misses_total"),
             "retries": reg.total("lab.retries_total"),
             "failures": reg.total("lab.failures_total"),

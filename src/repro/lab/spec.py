@@ -125,23 +125,10 @@ class RunSpec:
                 f"@{self.config.nprocs}p/{self.config.network.kind}")
 
 
-def payload_fingerprint(kind: str, params: dict,
-                        version: Optional[str] = None) -> str:
-    """Content address for a non-RunResult cached computation (e.g.
-    one Table 1 micro-scenario): the analogue of
-    :meth:`RunSpec.fingerprint` for arbitrary JSON payloads."""
-    canonical = json.dumps({"kind": kind,
-                            "params": json_safe(params)},
-                           sort_keys=True, separators=(",", ":"))
-    payload = (canonical + "\0"
-               + (version if version is not None else code_version()))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def execute_spec(spec: RunSpec, trace_path: Optional[str] = None,
                  sink=None, sampler=None) -> RunResult:
-    """Run one spec in this process (workers and the serial path both
-    land here).
+    """Run one spec in this process (the lab's pool workers and its
+    ``jobs=None`` mode both land here).
 
     The optional observers are *not* part of the spec and never enter
     the cache fingerprint — observing a run does not change it

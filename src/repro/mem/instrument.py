@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.catalog import install_mem
+from repro.obs.catalog import MEM_CATALOG, install
 
 
 class MemInstruments:
@@ -44,7 +44,7 @@ class MemInstruments:
                  "page_installs")
 
     def __init__(self, registry) -> None:
-        install_mem(registry)
+        install(registry, MEM_CATALOG)
         self.registry = registry
         bound = (lambda name: registry.get(name).labels())
         self.diffs_encoded = bound("mem.diffs_encoded_total")

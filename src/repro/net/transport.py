@@ -153,9 +153,9 @@ class ReliableTransport:
     def attach_obs(self, obs) -> None:
         """Bind the ``transport.*`` cells (all label-free) as
         attributes: the per-packet paths write ``cell.value += 1``."""
-        from repro.obs import install_robustness
+        from repro.obs import ROBUSTNESS_CATALOG, install
         registry = obs.registry
-        install_robustness(registry)
+        install(registry, ROBUSTNESS_CATALOG)
 
         def cell(name):
             return registry.get(f"transport.{name}").labels()

@@ -16,9 +16,7 @@ from typing import Callable, Optional
 from repro.obs.catalog import (CATALOG, CATALOG_BY_NAME, LAB_CATALOG,
                                MEM_CATALOG, ROBUSTNESS_CATALOG,
                                SERVE_CATALOG, MetricSpec,
-                               SYNC_MSG_TYPES, install_catalog,
-                               install_lab, install_mem,
-                               install_robustness, install_serve)
+                               SYNC_MSG_TYPES, install)
 from repro.obs.registry import (DEFAULT_BUCKETS, Metric, MetricError,
                                 MetricsRegistry)
 from repro.obs.causal import CausalGraph, CausalTrace
@@ -39,9 +37,8 @@ __all__ = [
     "ROBUSTNESS_CATALOG", "SERVE_CATALOG", "SYNC_MSG_TYPES",
     "TIMESERIES_SCHEMA", "TRACE_EVENTS", "TimeseriesSampler",
     "TraceEvent", "TraceSink", "Tracer", "Window", "chrome_trace",
-    "format_timeseries_table", "install_catalog",
-    "install_lab", "install_mem", "install_robustness",
-    "install_serve", "merge_windows", "read_jsonl",
+    "format_timeseries_table", "install", "merge_windows",
+    "read_jsonl",
     "validate_chrome_trace",
 ]
 
@@ -126,7 +123,7 @@ class Observability:
         self.tracer = tracer or Tracer()
         self.clock = clock or (lambda: 0.0)
         self.tracer.clock = self.clock
-        install_catalog(self.registry)
+        install(self.registry, CATALOG)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the tracer at the sim clock."""

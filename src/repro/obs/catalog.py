@@ -19,7 +19,7 @@ monotonic counter; histograms and gauges drop the suffix.  Layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 COUNTER = "counter"
@@ -37,16 +37,33 @@ class MetricSpec:
     description: str
     labels: Tuple[str, ...] = ()
     consumers: Tuple[str, ...] = ()
+    #: Histogram bucket bounds; empty means the registry's cycle-
+    #: scaled ``DEFAULT_BUCKETS``.
+    buckets: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in (COUNTER, GAUGE, HISTOGRAM):
             raise ValueError(f"bad metric kind {self.kind!r}")
 
 
-def _spec(name, kind, unit, description, labels=(), consumers=()):
+def _spec(name, kind, unit, description, labels=(), consumers=(),
+          buckets=()):
     return MetricSpec(name=name, kind=kind, unit=unit,
                       description=description, labels=tuple(labels),
-                      consumers=tuple(consumers))
+                      consumers=tuple(consumers), buckets=buckets)
+
+
+#: Checkpoint blobs run page-sized to megabytes, so the cycle-scaled
+#: default histogram buckets would be useless for them.
+CRASH_BYTE_BUCKETS: Tuple[float, ...] = (
+    1024, 4096, 16384, 65536, 262144, 1048576, 4194304)
+
+#: Bucket bounds for the mem histograms: diffs are small discrete
+#: objects (runs, bytes), so the cycle-scaled default buckets would
+#: dump everything into the first bucket.
+MEM_RUN_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
+MEM_BYTE_BUCKETS: Tuple[float, ...] = (
+    64, 256, 1024, 4096, 16384, 65536)
 
 
 #: Every standard metric, in catalogue order.
@@ -176,7 +193,7 @@ ROBUSTNESS_CATALOG: Tuple[MetricSpec, ...] = (
           consumers=("conservation invariant",)),
     _spec("faults.crash_checkpoint_bytes", HISTOGRAM, "bytes",
           "Serialized size of the DSM checkpoint taken at each "
-          "crash."),
+          "crash.", buckets=CRASH_BYTE_BUCKETS),
     _spec("faults.recoveries_total", COUNTER, "recoveries",
           "Crashed nodes restored from checkpoint.",
           consumers=("availability sweep",)),
@@ -238,10 +255,11 @@ LAB_CATALOG: Tuple[MetricSpec, ...] = (
           consumers=("warm-cache CI gate",)),
     _spec("lab.cache_misses_total", COUNTER, "runs",
           "Run specs found in neither cache tier."),
-    _spec("lab.retries_total", COUNTER, "attempts",
-          "Extra execution attempts after a worker failure."),
+    _spec("lab.retries_total", COUNTER, "runs",
+          "Run specs resubmitted after their process pool broke "
+          "(killed worker); a run that raised is never re-run."),
     _spec("lab.failures_total", COUNTER, "runs",
-          "Run specs that failed every allowed attempt."),
+          "Run specs whose run raised (or whose pool broke twice)."),
     _spec("lab.wall_seconds_total", COUNTER, "seconds",
           "Real wall-clock time spent inside Lab.run_many.",
           consumers=("Lab.format_stats",)),
@@ -272,14 +290,16 @@ MEM_CATALOG: Tuple[MetricSpec, ...] = (
     _spec("mem.diff_runs", HISTOGRAM, "runs",
           "Run-table length of each encoded diff (1 = a single "
           "contiguous dirty range).",
-          consumers=("write-amplification accounting",)),
+          consumers=("write-amplification accounting",),
+          buckets=MEM_RUN_BUCKETS),
     _spec("mem.diff_encoded_bytes", HISTOGRAM, "bytes",
           "Host length of each encoded RDIF blob (16-byte header + "
-          "run table + float64 payload)."),
+          "run table + float64 payload).", buckets=MEM_BYTE_BUCKETS),
     _spec("mem.diff_accounted_bytes", HISTOGRAM, "bytes",
           "Simulated wire cost (Diff.size_bytes) of each encoded "
           "diff: 8 bytes per run + word_size bytes per word.",
-          consumers=("write-amplification accounting",)),
+          consumers=("write-amplification accounting",),
+          buckets=MEM_BYTE_BUCKETS),
     _spec("mem.twin_snapshots_total", COUNTER, "twins",
           "Page twins frozen (full-buffer bytes snapshots)."),
     _spec("mem.page_installs_total", COUNTER, "pages",
@@ -316,61 +336,11 @@ SYNC_MSG_TYPES = frozenset({"lock_req", "lock_fwd", "lock_grant",
                             "barrier_arrive", "barrier_depart"})
 
 
-def install_catalog(registry) -> None:
-    """Instantiate every catalogued metric on ``registry`` so a dump
-    lists the full schema even before any series is touched."""
-    for spec in CATALOG:
+def install(registry, specs) -> None:
+    """Instantiate ``specs`` (one of the catalogues above) on
+    ``registry``, idempotently, so a dump lists their full schema even
+    before any series is touched.  :data:`CATALOG` goes on every
+    machine registry; the opt-in catalogues are installed by the
+    subsystem that emits them, when it is switched on."""
+    for spec in specs:
         registry.from_spec(spec)
-
-
-#: Checkpoint blobs run page-sized to megabytes, so the cycle-scaled
-#: default histogram buckets would be useless for them.
-CRASH_BYTE_BUCKETS: Tuple[float, ...] = (
-    1024, 4096, 16384, 65536, 262144, 1048576, 4194304)
-
-
-def install_robustness(registry) -> None:
-    """Instantiate the fault/transport metrics.  Called by the fault
-    injector and the reliable transport when they are constructed, so
-    these series appear in dumps exactly when the subsystem is on."""
-    for spec in ROBUSTNESS_CATALOG:
-        if spec.name == "faults.crash_checkpoint_bytes":
-            registry.from_spec(spec, buckets=CRASH_BYTE_BUCKETS)
-        else:
-            registry.from_spec(spec)
-
-
-def install_lab(registry) -> None:
-    """Instantiate the experiment-harness metrics on a (lab-owned)
-    registry."""
-    for spec in LAB_CATALOG:
-        registry.from_spec(spec)
-
-
-#: Bucket bounds for the mem histograms: diffs are small discrete
-#: objects (runs, bytes), so the cycle-scaled default buckets would
-#: dump everything into the first bucket.
-MEM_RUN_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
-MEM_BYTE_BUCKETS: Tuple[float, ...] = (
-    64, 256, 1024, 4096, 16384, 65536)
-
-
-def install_serve(registry) -> None:
-    """Instantiate the serving metrics.  Called by the kvstore app's
-    ``setup`` (idempotently), never by default — see the
-    :data:`SERVE_CATALOG` note."""
-    for spec in SERVE_CATALOG:
-        registry.from_spec(spec)
-
-
-def install_mem(registry) -> None:
-    """Instantiate the memory-substrate metrics.  Called by
-    :func:`repro.mem.instrument.enable`, never by default — see the
-    :data:`MEM_CATALOG` note."""
-    for spec in MEM_CATALOG:
-        if spec.kind == HISTOGRAM:
-            buckets = (MEM_RUN_BUCKETS if spec.unit == "runs"
-                       else MEM_BYTE_BUCKETS)
-            registry.from_spec(spec, buckets=buckets)
-        else:
-            registry.from_spec(spec)

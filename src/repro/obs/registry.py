@@ -94,7 +94,8 @@ class Metric:
     def __init__(self, spec: MetricSpec,
                  buckets: Optional[Tuple[float, ...]] = None) -> None:
         self.spec = spec
-        self._buckets = tuple(buckets or DEFAULT_BUCKETS)
+        self._buckets = tuple(buckets or spec.buckets
+                              or DEFAULT_BUCKETS)
         self._children: Dict[Tuple, object] = {}
         # Expected label names precomputed once: labels() sits on the
         # per-message hot path (docs/performance.md).

@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 #: Bumped whenever the exported window layout changes.
 TIMESERIES_SCHEMA = "repro.obs.timeseries/1"
@@ -62,11 +62,14 @@ DEFAULT_SLO_US = 500.0
 DEFAULT_SLO_TARGET = 0.999
 
 
-def _percentile(values: List[float], p: float) -> float:
-    """Nearest-rank percentile of an already-sorted list (the serving
-    convention, see :func:`repro.analysis.serving.percentile`)."""
+def percentile(values: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile of an already-sorted sequence (the one
+    rule behind every latency percentile: live windows, post-hoc
+    windows and :func:`repro.analysis.serving.build_report`)."""
     if not values:
         return 0.0
+    if not 0 < p <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {p}")
     rank = max(1, math.ceil(p / 100.0 * len(values)))
     return float(values[rank - 1])
 
@@ -115,16 +118,16 @@ class Window:
         }
 
 
-def _request_stats(latencies_us: List[float], slo_us: float,
-                   slo_target: float):
+def request_stats(latencies_us: List[float], slo_us: float,
+                  slo_target: float):
     """(requests, violations, p50, p99, burn) of one window's sorted
     latency list."""
     requests = len(latencies_us)
     violations = sum(1 for lat in latencies_us if lat > slo_us)
     burn = (violations / requests / (1.0 - slo_target)
             if requests else 0.0)
-    return (requests, violations, _percentile(latencies_us, 50),
-            _percentile(latencies_us, 99), burn)
+    return (requests, violations, percentile(latencies_us, 50),
+            percentile(latencies_us, 99), burn)
 
 
 class TimeseriesSampler:
@@ -261,8 +264,8 @@ class TimeseriesSampler:
         latencies = sorted(self._latencies)
         self._latencies = []
         (requests, violations, p50,
-         p99, burn) = _request_stats(latencies, self.slo_us,
-                                     self.slo_target)
+         p99, burn) = request_stats(latencies, self.slo_us,
+                                    self.slo_target)
         self.windows.append(Window(
             index=len(self.windows),
             t0_cycles=self._window_start,
@@ -330,7 +333,7 @@ def merge_windows(windows: List[Window], factor: int,
         latencies = sorted(lat for window in group
                            for lat in window.latencies_us)
         (requests, violations, p50,
-         p99, burn) = _request_stats(latencies, slo_us, slo_target)
+         p99, burn) = request_stats(latencies, slo_us, slo_target)
         merged.append(Window(
             index=len(merged),
             t0_cycles=group[0].t0_cycles,

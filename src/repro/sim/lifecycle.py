@@ -66,9 +66,9 @@ class NodeLifecycleManager:
                 "crash checkpointing (supports_checkpoint is False); "
                 "crash faults require one of the interval-based "
                 "protocols")
-        from repro.obs import install_robustness
+        from repro.obs import ROBUSTNESS_CATALOG, install
         registry = obs.registry
-        install_robustness(registry)
+        install(registry, ROBUSTNESS_CATALOG)
         self._obs = {
             "crashes": registry.get("faults.crashes_total").labels(),
             "crash_dropped": registry.get(

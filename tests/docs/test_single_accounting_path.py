@@ -1,6 +1,6 @@
 """Keep-it-deleted lint: one counter per fact, one frame per hop, one
 dispatch loop, one way to name and execute a run, one benchmark
-harness, one speedup denominator.
+harness, one speedup denominator, one Lab executor.
 
 Every node- and network-level fact is counted in one registry cell
 (``NodeMetrics`` / ``NetworkStats`` are views), every tracer guard is
@@ -16,10 +16,13 @@ sentinel that read them are gone.  ``RunSpec.baseline()`` is the
 speedup denominator and a grid of runs is a dict looked up by key;
 the axis DSL, the message timeline, the span timers and the FIFO
 store no root reached are gone (``test_reachability.py`` finds the
-next ones).  This scans ``src/repro`` (comments
-and docstrings included — a stale mention misleads as well as a stale
-call) so the second accounting path cannot grow back one site at a
-time.
+next ones).  ``Lab.run_many`` settles outcomes from one generator
+(in-process or pooled): the serial/pool fork, in-run retries,
+``strict=``, ``Lab.cached`` with its payload envelopes and the five
+per-catalogue metric installers are gone.  This scans ``src/repro``
+(comments and docstrings included — a stale mention misleads as well
+as a stale call) so the second accounting path cannot grow back one
+site at a time.
 """
 
 import re
@@ -88,6 +91,20 @@ FORBIDDEN = [
     ("lock-step walk of a result list (look results up by key: "
      "dict(zip(cells, lab.run_many(...))))",
      re.compile(r"iter\(\w*\.?run_many\("), ()),
+    ("second Lab executor (Lab._outcomes feeds the one settle loop)",
+     re.compile(r"\b_run_serial\b|\b_run_pool\b"), ()),
+    ("payload envelope (a cache entry is a run)",
+     re.compile(r"payload_fingerprint|\b(?:get|put)_payload\b"), ()),
+    ("Lab.cached (compute non-RunSpec work directly)",
+     re.compile(r"\.cached\("), ()),
+    ("in-run retry knob (a run that raised would raise again; only "
+     "a broken pool's chunk is resubmitted, _POOL_RESUBMITS)",
+     re.compile(r"\bretries="), ()),
+    ("run_many(strict=) / Lab.failures (LabError is the one failure "
+     "surface)", re.compile(r"\bstrict="), ()),
+    ("per-catalogue installer (obs.install(registry, specs))",
+     re.compile(r"\binstall_(?:catalog|robustness|lab|serve|mem)\b"),
+     ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -208,6 +225,17 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("        # the protocol runs with diff_source=\"twin\").", 23),
     ("            specs.append(_baseline_spec(args))", 24),
     ("    results = iter(lab.run_many(specs))", 25),
+    ("                busy_seconds = self._run_serial(to_run, resolved,",
+     26),
+    ("    def _run_pool(self, to_run, resolved, failed, hits: int,",
+     26),
+    ("    fp = payload_fingerprint(\"table1\", {\"scenario\": 1})", 27),
+    ("                self.disk.put_payload(fingerprint, value,", 27),
+    ("        return lab.cached(\"table1\",", 28),
+    ("    lab = Lab(retries=1)", 29),
+    ("        results = lab.run_many([bad, good], strict=False)", 30),
+    ("        install_robustness(registry)", 31),
+    ("from repro.obs import MetricsRegistry, install_lab", 31),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

@@ -68,19 +68,10 @@ def test_fingerprint_mismatch_evicts(tmp_path, run):
     assert not path.exists()
 
 
-def test_payload_and_run_kinds_do_not_alias(tmp_path, run):
-    spec, result = run
-    cache = ResultCache(tmp_path)
-    fp = spec.fingerprint()
-    cache.put_payload(fp, {"rows": [1, 2]}, kind_label="table1")
-    assert cache.get(fp) is None          # wrong kind
-    assert cache.get_payload(fp) == {"rows": [1, 2]}
-
-
 def test_clear_empties_the_store(tmp_path, run):
     spec, result = run
     cache = ResultCache(tmp_path)
     cache.put(spec.fingerprint(), result)
-    cache.put_payload("f" * 64, 42)
+    cache.put("f" * 64, result)
     assert cache.clear() == 2
     assert len(cache) == 0

@@ -7,12 +7,19 @@ equivalence: serial, pooled, and cache-served resolution produce
 byte-identical results.
 """
 
+import dataclasses
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
-from repro.core.config import MachineConfig, NetworkConfig
-from repro.lab import Lab, LabError, RunSpec
+from repro.core.config import (FaultConfig, MachineConfig,
+                               NetworkConfig)
+from repro.core.metrics import RunResult
+from repro.lab import Lab, LabError, ResultCache, RunSpec, execute_spec
+from repro.serve.workload import SERVE_APP_PARAMS
 
 SMALL = {"n": 24, "iterations": 2}
 
@@ -86,61 +93,178 @@ def test_pool_matches_serial_byte_for_byte(tmp_path):
     assert [_dump(r) for r in warm] == [_dump(r) for r in serial]
 
 
-def test_failures_are_isolated_not_fatal():
+def _check_failure_surface(lab):
+    """The one failure surface, serial or pooled: a run that raised
+    is listed on ``LabError.failures`` after the batch settles, is
+    never re-run (the simulator is deterministic: it would raise
+    again), and costs its healthy siblings nothing."""
     # max_events=10 aborts the simulation mid-flight.
-    bad = _spec(max_events=10)
-    good = _spec()
-    lab = Lab(retries=1)
-    results = lab.run_many([bad, good], strict=False)
-    assert results[0] is None
-    assert _dump(results[1]) == _dump(Lab().run(good))
-    assert len(lab.failures) == 1
-    failure = lab.failures[0]
-    assert failure.fingerprint == bad.fingerprint()
-    assert failure.attempts == 2          # initial try + 1 retry
+    bad, good = _spec(max_events=10), _spec()
+    with pytest.raises(LabError) as err:
+        lab.run_many([bad, good])
+    assert [f.fingerprint for f in err.value.failures] == \
+        [bad.fingerprint()]
+    failure = err.value.failures[0]
+    assert failure.spec == bad
+    assert "SimulationError" in failure.error
+    assert "Traceback" in failure.traceback
+    assert "jacobi/lh" in str(err.value)
     stats = lab.stats()
     assert stats["failures"] == 1
-    assert stats["retries"] == 1
+    assert stats["retries"] == 0
+    assert stats["executed"] == 1
+    # The healthy sibling completed and is memoized.
+    assert _dump(lab.run(good)) == _dump(Lab().run(good))
+    stats = lab.stats()
+    assert stats["executed"] == 1
+    assert stats["cache_hits_memory"] == 1
+
+
+def test_failures_are_isolated_not_fatal():
+    _check_failure_surface(Lab())
+
+
+def test_pool_isolates_failures():
+    with Lab(jobs=2) as lab:
+        _check_failure_surface(lab)
 
 
 def test_strict_batch_raises_after_settling():
-    lab = Lab(retries=0)
-    with pytest.raises(LabError) as err:
-        lab.run_many([_spec(max_events=10), _spec()])
-    assert "jacobi/lh" in str(err.value)
-    # The healthy sibling still completed (and is memoized).
-    assert lab.stats()["executed"] == 1
+    """Every failure of a batch is reported at once, and only after
+    the last healthy spec has settled — serial or pooled."""
+    bad = [_spec(max_events=10), _spec(protocol="eu", max_events=10)]
+    good = [_spec(), _spec(nprocs=4)]
+    for jobs in (None, 2):
+        with Lab(jobs=jobs) as lab:
+            with pytest.raises(LabError) as err:
+                lab.run_many([bad[0], good[0], bad[1], good[1]])
+            assert {f.fingerprint for f in err.value.failures} == \
+                {spec.fingerprint() for spec in bad}
+            assert str(err.value).startswith("2 run(s) failed:")
+            assert lab.stats()["executed"] == 2
+            assert lab.stats()["retries"] == 0
 
 
-def test_pool_isolates_failures(tmp_path):
-    bad = _spec(max_events=10)
-    good = _spec()
-    with Lab(jobs=2, retries=0) as lab:
-        results = lab.run_many([bad, good], strict=False)
-    assert results[0] is None
-    assert results[1] is not None
-    assert len(lab.failures) == 1
-    assert "SimulationError" in lab.failures[0].error or \
-        lab.failures[0].error
+# -- a broken pool (killed worker) ----------------------------------------
+
+pool_forks = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the stand-in reaches the workers by being forked")
 
 
-def test_cached_payloads_memoize(tmp_path):
-    calls = []
+@pool_forks
+def test_broken_pool_resubmits_its_chunk_once(tmp_path, monkeypatch):
+    """A worker killed mid-chunk says nothing about the chunk's runs,
+    so the chunk is resubmitted to a rebuilt pool — once."""
+    from repro.lab import harness
+    marker = tmp_path / "died"
 
-    def compute():
-        calls.append(1)
-        return {"cells": (1, 2, 3)}      # tuple -> list via json_safe
+    def dies_once(spec, trace_path=None):
+        if not marker.exists():
+            marker.touch()
+            os._exit(1)
+        return execute_spec(spec, trace_path=trace_path)
+
+    monkeypatch.setattr(harness, "execute_spec", dies_once)
+    specs = [_spec(protocol="lh"), _spec(protocol="eu"),
+             _spec(nprocs=4)]
+    with Lab(jobs=1) as lab:          # one worker: one chunk
+        results = lab.run_many(specs)
+        stats = lab.stats()
+    assert marker.exists()
+    assert [_dump(r) for r in results] == \
+        [_dump(r) for r in Lab().run_many(specs)]
+    assert stats["retries"] == len(specs)
+    assert stats["executed"] == len(specs)
+    assert stats["failures"] == 0
+
+
+@pool_forks
+def test_pool_broken_twice_fails_only_that_chunk(tmp_path,
+                                                 monkeypatch):
+    """A spec that kills its worker every time fails (with its
+    chunk) after the one resubmission; chunks that had settled are
+    executed, cached and not run again."""
+    from repro.lab import harness
+    cache_dir = tmp_path / "cache"
+    siblings = [_spec(protocol=p, nprocs=n)
+                for p in ("lh", "li", "eu") for n in (2, 4)]
+    poison = _spec(protocol="ei")
+
+    def dies_always(spec, trace_path=None):
+        if spec.protocol != "ei":
+            return execute_spec(spec, trace_path=trace_path)
+        # Die once the parent has settled every sibling, so the
+        # broken pool takes no other chunk with it.
+        deadline = time.monotonic() + 60
+        while (len(ResultCache(cache_dir)) < len(siblings)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        os._exit(1)
+
+    monkeypatch.setattr(harness, "execute_spec", dies_always)
+    monkeypatch.setattr(harness, "available_cpus", lambda: 2)
+    with Lab(jobs=2, cache_dir=cache_dir) as lab:
+        # 7 specs over 2 workers x 4 chunks: one spec per chunk.
+        with pytest.raises(LabError) as err:
+            lab.run_many([poison] + siblings)
+        stats = lab.stats()
+    assert [f.fingerprint for f in err.value.failures] == \
+        [poison.fingerprint()]
+    assert "BrokenProcessPool" in err.value.failures[0].error
+    assert stats["retries"] == 1
+    assert stats["failures"] == 1
+    assert stats["executed"] == len(siblings)
+    monkeypatch.undo()
+    with Lab(cache_dir=cache_dir) as lab:
+        lab.run_many(siblings)
+        assert lab.stats()["executed"] == 0
+        assert lab.stats()["cache_hits_disk"] == len(siblings)
+
+
+def test_every_tier_returns_the_restored_result(tmp_path):
+    """A Lab result is ``RunResult.from_dict`` of the run's dump,
+    whichever tier served it — field for field, ``app_result`` types
+    included (JSON-shaped: lists, never tuples).  A lossy kvstore run
+    carries the integer-bound ``faults.*`` histograms that once broke
+    every restore without a tier-1 test noticing."""
+    spec = RunSpec(
+        "kvstore", dict(SERVE_APP_PARAMS["small"], requests=40),
+        protocol="li",
+        config=MachineConfig(nprocs=2, network=NetworkConfig.atm(),
+                             faults=FaultConfig(drop_prob=0.02)))
+    expected = RunResult.from_dict(
+        json.loads(json.dumps(execute_spec(spec).to_dict())))
+
+    def same(a, b):
+        assert type(a) is type(b), (a, b)
+        if isinstance(a, dict):
+            assert a.keys() == b.keys()
+            for key in a:
+                same(a[key], b[key])
+        elif isinstance(a, list):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                same(x, y)
+        else:
+            assert a == b
 
     with Lab(cache_dir=tmp_path) as lab:
-        first = lab.cached("scenario", {"x": 1}, compute)
-        again = lab.cached("scenario", {"x": 1}, compute)
-    assert first == {"cells": [1, 2, 3]}
-    assert again == first
-    assert len(calls) == 1
-    with Lab(cache_dir=tmp_path) as lab:   # disk tier
-        assert lab.cached("scenario", {"x": 1}, compute) == first
-        assert lab.stats()["cache_hits_disk"] == 1
-    assert len(calls) == 1
+        executed = lab.run(spec)
+        memoized = lab.run(spec)
+    with Lab(cache_dir=tmp_path) as lab:
+        from_disk = lab.run(spec)
+    with Lab(jobs=2, cache=False) as lab:
+        pooled = lab.run(spec)
+    assert memoized is executed
+    for result in (executed, from_disk, pooled):
+        for field in dataclasses.fields(RunResult):
+            got = getattr(result, field.name)
+            want = getattr(expected, field.name)
+            if field.name == "registry":
+                got, want = got.dump(), want.dump()
+            same(got, want)
+    assert any(executed.app_result)       # the types were exercised
 
 
 def test_format_stats_line():
@@ -154,8 +278,6 @@ def test_format_stats_line():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Lab(jobs=0)
-    with pytest.raises(ValueError):
-        Lab(retries=-1)
 
 
 # -- CPU detection (effective_jobs clamp) ---------------------------------

@@ -13,8 +13,7 @@ import pytest
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.runner import run_app
 from repro.apps import create_app
-from repro.lab import RunSpec, code_version, execute_spec, \
-    payload_fingerprint
+from repro.lab import RunSpec, code_version, execute_spec
 
 SMALL = {"n": 24, "iterations": 2}
 
@@ -113,13 +112,6 @@ def test_cells_that_differ_only_in_network_share_a_baseline():
 def test_label_names_the_run():
     label = _spec().label()
     assert "jacobi" in label and "lh" in label and "2p" in label
-
-
-def test_payload_fingerprint_commits_to_kind_and_params():
-    fp = payload_fingerprint("table1", {"scenario": "unlock"})
-    assert fp == payload_fingerprint("table1", {"scenario": "unlock"})
-    assert fp != payload_fingerprint("table2", {"scenario": "unlock"})
-    assert fp != payload_fingerprint("table1", {"scenario": "lock"})
 
 
 def test_execute_spec_matches_run_app():

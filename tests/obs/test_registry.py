@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs import (CATALOG, CATALOG_BY_NAME, DEFAULT_BUCKETS,
                        MetricError, MetricsRegistry, MetricSpec,
-                       install_catalog)
+                       install)
 from repro.obs.catalog import COUNTER, GAUGE, HISTOGRAM
 
 
@@ -162,11 +162,11 @@ def test_get_unknown_metric_raises():
 
 
 def test_install_catalog_registers_every_spec_idempotently():
-    from repro.obs import ROBUSTNESS_CATALOG, install_robustness
+    from repro.obs import ROBUSTNESS_CATALOG
 
     registry = MetricsRegistry()
-    install_catalog(registry)
-    install_catalog(registry)  # second install is a no-op
+    install(registry, CATALOG)
+    install(registry, CATALOG)  # second install is a no-op
     # The base catalogue alone: robustness metrics are installed only
     # when the fault/transport subsystem is active, so a fault-free
     # dump stays identical to pre-subsystem builds.
@@ -175,28 +175,28 @@ def test_install_catalog_registers_every_spec_idempotently():
     for spec in CATALOG:
         assert registry.get(spec.name).spec is spec
         assert spec.kind in (COUNTER, GAUGE, HISTOGRAM)
-    install_robustness(registry)
-    install_robustness(registry)  # idempotent too
+    install(registry, ROBUSTNESS_CATALOG)
+    install(registry, ROBUSTNESS_CATALOG)  # idempotent too
     assert len(registry.names()) == len(CATALOG) + len(
         ROBUSTNESS_CATALOG)
     for spec in ROBUSTNESS_CATALOG:
         assert registry.get(spec.name).spec is spec
     # The harness tier (repro.lab).
-    from repro.obs import LAB_CATALOG, install_lab
-    install_lab(registry)
-    install_lab(registry)  # idempotent too
+    from repro.obs import LAB_CATALOG
+    install(registry, LAB_CATALOG)
+    install(registry, LAB_CATALOG)  # idempotent too
     for spec in LAB_CATALOG:
         assert registry.get(spec.name).spec is spec
     # The memory-substrate tier (repro.mem.instrument).
-    from repro.obs import MEM_CATALOG, install_mem
-    install_mem(registry)
-    install_mem(registry)  # idempotent too
+    from repro.obs import MEM_CATALOG
+    install(registry, MEM_CATALOG)
+    install(registry, MEM_CATALOG)  # idempotent too
     for spec in MEM_CATALOG:
         assert registry.get(spec.name).spec is spec
     # The serving tier (repro.apps.kvstore) completes the catalogue.
-    from repro.obs import SERVE_CATALOG, install_serve
-    install_serve(registry)
-    install_serve(registry)  # idempotent too
+    from repro.obs import SERVE_CATALOG
+    install(registry, SERVE_CATALOG)
+    install(registry, SERVE_CATALOG)  # idempotent too
     assert set(registry.names()) == set(CATALOG_BY_NAME)
     for spec in SERVE_CATALOG:
         assert registry.get(spec.name).spec is spec

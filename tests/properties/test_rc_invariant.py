@@ -40,8 +40,7 @@ schedule_strategy = st.lists(
 
 def run_schedule(protocol: str, schedule):
     config = MachineConfig(nprocs=NPROCS, page_size=256,
-                           network=NetworkConfig.ideal(),
-                           memory_latency_cycles=0)
+                           network=NetworkConfig.ideal())
     machine = Machine(config, protocol=protocol)
     seg = machine.allocate("counters", WORDS)
     expected = [0] * NLOCKS
