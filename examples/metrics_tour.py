@@ -5,7 +5,7 @@ Runs Jacobi under the lazy hybrid protocol on the 100 Mbit ATM
 network with a JSONL trace sink attached, then shows the three ways
 to read a run's observability data:
 
-1. RunResult helpers (`metric_total` / `metric_by`) — one number;
+1. registry reads (`registry.total` / `registry.by_label`) — one number;
 2. the registry dump (`as_text` / `dump`) — the full stats schema;
 3. trace replay (`read_jsonl`) — the per-event timeline.
 
@@ -35,26 +35,27 @@ def main() -> None:
                      protocol="lh", obs=obs)
     obs.close()  # flush the JSONL file
 
-    # 1. Single numbers straight off the RunResult.
+    # 1. Single numbers straight off the run's registry.
+    registry = result.registry
     print("== headline numbers (registry-backed) ==")
-    total = result.metric_total("dsm.messages_total")
-    sync = result.registry_sync_messages()
+    total = registry.total("dsm.messages_total")
+    sync = result.sync_messages
     print(f"messages: {total:.0f} total, {sync:.0f} "
           f"({sync / total:.0%}) for synchronization")
     print(f"data moved: "
-          f"{result.metric_total('dsm.data_bytes_total') / 1024:.1f} KB, "
+          f"{registry.total('dsm.data_bytes_total') / 1024:.1f} KB, "
           f"diffs created: "
-          f"{result.metric_total('dsm.diffs_created_total'):.0f}")
+          f"{registry.total('dsm.diffs_created_total'):.0f}")
 
     print("\n== messages by type ==")
-    by_type = result.metric_by("dsm.messages_total", "msg_type")
+    by_type = registry.by_label("dsm.messages_total", "msg_type")
     for msg_type, count in sorted(by_type.items(),
                                   key=lambda kv: -kv[1]):
         print(f"  {msg_type:<16s} {count:6.0f}")
 
     # 2. The full dump — what `python -m repro stats` prints.
     print("\n== registry dump (non-empty series) ==")
-    print(result.registry.as_text(skip_empty=True))
+    print(registry.as_text(skip_empty=True))
 
     # 3. Replay the JSONL trace.
     events = list(read_jsonl(trace_path))

@@ -21,7 +21,7 @@ Public API highlights:
 """
 
 from repro.core import (DsmApi, Machine, MachineConfig, NetworkConfig,
-                        NodeMetrics, OverheadConfig, RunResult, run_app)
+                        OverheadConfig, RunResult, run_app)
 from repro.obs import (JsonlSink, MemorySink, MetricsRegistry,
                        Observability, Tracer, read_jsonl)
 from repro.protocols import (ALL_PROTOCOL_NAMES, PROTOCOL_NAMES,
@@ -32,7 +32,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ALL_PROTOCOL_NAMES", "DsmApi", "JsonlSink", "Machine",
     "MachineConfig", "MemorySink", "MetricsRegistry", "NetworkConfig",
-    "NodeMetrics", "Observability", "OverheadConfig", "PROTOCOL_NAMES",
+    "Observability", "OverheadConfig", "PROTOCOL_NAMES",
     "RunResult", "Tracer", "create_protocol", "read_jsonl", "run_app",
     "__version__",
 ]

@@ -114,13 +114,8 @@ def protocol_sweep(app: str, network: NetworkConfig,
         for nprocs in proc_counts:
             result = results.get((protocol, nprocs), baseline)
             curve.speedup[nprocs] = result.speedup_over(baseline)
-            # Message/data series come from the metrics registry
-            # (``dsm.messages_total`` / ``dsm.data_bytes_total``; see
-            # docs/observability.md).
-            curve.messages[nprocs] = int(
-                result.metric_total("dsm.messages_total"))
-            curve.data_kbytes[nprocs] = \
-                result.metric_total("dsm.data_bytes_total") / 1024.0
+            curve.messages[nprocs] = result.total_messages
+            curve.data_kbytes[nprocs] = result.data_kbytes
             curve.results[nprocs] = result
         curves[protocol] = curve
     return FigureResult(figure="", title="", app=app, curves=curves,
@@ -320,7 +315,7 @@ def sync_message_fraction(app: str, protocol: str = "lh",
         app, APP_PARAMS[scale][app], protocol=protocol,
         config=MachineConfig(nprocs=nprocs,
                              network=NetworkConfig.atm())))
-    total = result.metric_total("dsm.messages_total")
+    total = result.total_messages
     if total == 0:
         return 0.0
-    return result.registry_sync_messages() / total
+    return result.sync_messages / total

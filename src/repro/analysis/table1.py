@@ -167,7 +167,8 @@ def measure_barrier(protocol: str, nprocs: int = 4,
         result = machine.run(factory)
         # Per-kind counts from the metrics registry; keys are the
         # ``msg_type`` label values of ``dsm.messages_total``.
-        by_type = result.metric_by("dsm.messages_total", "msg_type")
+        by_type = result.registry.by_label("dsm.messages_total",
+                                           "msg_type")
         return {kind: int(count) for kind, count in by_type.items()}
 
     two = total_by_kind(2)

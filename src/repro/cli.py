@@ -192,6 +192,31 @@ def _parse_crash(spec: str) -> CrashSpec:
         raise argparse.ArgumentTypeError(f"bad crash {spec!r}: {exc}")
 
 
+def _saved_result(path: str) -> RunResult:
+    """Load ``stats --load FILE``: a ``--save`` dump or a lab cache
+    envelope.  A file that cannot be read, is not JSON, is not a
+    result, or is from another schema generation exits 2 naming the
+    file and the reason."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc.strerror}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: not JSON ({exc})")
+    if isinstance(data, dict) and "result" in data:
+        data = data["result"]     # a lab-cache envelope
+    try:
+        if isinstance(data, dict) and "schema" in data:
+            return RunResult.from_dict(data)
+    except ValueError as exc:     # another schema generation
+        raise argparse.ArgumentTypeError(f"{path}: {exc}")
+    except (KeyError, TypeError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{path}: not a saved RunResult or lab cache entry")
+
+
 def _faults(args) -> FaultConfig:
     return FaultConfig(drop_prob=args.loss,
                        dup_prob=args.dup,
@@ -309,12 +334,8 @@ def cmd_stats(args) -> int:
     default, or a text table), optionally tracing to a JSONL file; or
     inspect a result saved earlier with ``--save``/the lab cache via
     ``--load``."""
-    if args.load:
-        with open(args.load) as handle:
-            data = json.load(handle)
-        if isinstance(data, dict) and "result" in data:
-            data = data["result"]     # a lab-cache envelope
-        result = RunResult.from_dict(data)
+    if args.load is not None:
+        result = args.load            # loaded by _saved_result
     elif args.app is None:
         raise SystemExit("stats: pass an app name or --load FILE")
     elif args.trace:
@@ -330,8 +351,6 @@ def cmd_stats(args) -> int:
             handle.write("\n")
         print(f"saved result to {args.save}", file=sys.stderr)
     registry = result.registry
-    if registry is None:
-        raise SystemExit("stats: result carries no metrics registry")
     if args.format == "json":
         text = registry.as_json(indent=2)
     else:
@@ -823,6 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="save the full RunResult as JSON "
                               "(reloadable with --load)")
     p_stats.add_argument("--load", default=None, metavar="FILE",
+                         type=_saved_result,
                          help="inspect a saved RunResult (or lab "
                               "cache entry) instead of simulating")
     p_stats.set_defaults(func=cmd_stats)

@@ -282,26 +282,23 @@ class Machine:
                     + unfinished_reason(self.sim, "those workers",
                                         max_events))
             # Partial completion (crash-stop availability runs):
-            # elapsed covers what actually ran; dead workers keep
-            # finish_time's default and a None app_result.
+            # elapsed covers what actually ran; a node with a dead
+            # worker has finish time 0.0, a dead worker a None
+            # app_result.
             elapsed = self.sim.now
         else:
             elapsed = max(t for t in self._finished if t is not None)
-        for proc, node in enumerate(self.nodes):
-            times = [self._finished[proc * threads_per_proc + thread]
-                     for thread in range(threads_per_proc)]
-            if all(t is not None for t in times):
-                node.finish_time = max(times)
+        finish_times = []
+        for proc in range(self.config.nprocs):
+            times = self._finished[proc * threads_per_proc:
+                                   (proc + 1) * threads_per_proc]
+            finish_times.append(0.0 if None in times else max(times))
         return RunResult(
             app=app,
             protocol=self.protocol_name,
             nprocs=self.config.nprocs,
             elapsed_cycles=elapsed,
-            node_metrics=[node.metrics for node in self.nodes],
-            network_messages=self.network.stats.messages,
-            network_bytes=self.network.stats.bytes_sent,
-            network_contention_cycles=(
-                self.network.stats.contention_cycles),
+            finish_times=finish_times,
             app_result=list(self._app_results),
             registry=self.obs.registry,
         )

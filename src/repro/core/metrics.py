@@ -1,19 +1,19 @@
-"""Per-node and machine-wide metrics.
+"""The outcome of one run and the numbers the paper reports from it.
 
-These counters are the quantities the paper reports: message counts
-(split into synchronization vs. data traffic), kilobytes of shared data
-moved, access misses, diffs created, and where time went (computation,
-lock acquisition, barrier waits, software overhead).
+Every count — message counts (split into synchronization vs. data
+traffic), kilobytes of shared data moved, access misses, diffs
+created, and where time went (computation, lock acquisition, barrier
+waits, software overhead) — lives in one cell of the run's metrics
+registry (:mod:`repro.obs`); the readers here total those cells.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.net.message import MsgKind
+from repro.obs import SYNC_MSG_TYPES, MetricsRegistry
 
 
 def json_safe(obj):
@@ -44,98 +44,6 @@ def json_safe(obj):
 
 
 @dataclass
-class NodeMetrics:
-    """Counters for one simulated processor: a plain, serialisable
-    record (the lab cache round-trips it).  No simulator code
-    increments one; :meth:`from_instruments` builds it from the
-    metrics registry."""
-
-    proc: int
-    messages_sent: Counter = field(default_factory=Counter)
-    data_bytes_sent: int = 0
-    wire_bytes_sent: int = 0
-    read_misses: int = 0
-    write_misses: int = 0
-    cold_misses: int = 0
-    page_transfers: int = 0
-    diffs_created: int = 0
-    diff_words_created: int = 0
-    diffs_applied: int = 0
-    invalidations: int = 0
-    lock_acquires: int = 0
-    lock_local_acquires: int = 0
-    lock_wait_cycles: float = 0.0
-    barrier_waits: int = 0
-    barrier_wait_cycles: float = 0.0
-    compute_cycles: float = 0.0
-    overhead_cycles: float = 0.0
-    miss_wait_cycles: float = 0.0
-    finish_time: float = 0.0
-
-    @staticmethod
-    def from_instruments(proc: int, ins,
-                         finish_time: float = 0.0) -> "NodeMetrics":
-        """The record of one node's registry cells
-        (:class:`repro.obs.NodeInstruments`) — the only place these
-        facts are counted.  ``finish_time`` has no registry twin.  A
-        counter cell nothing touched holds int ``0``, so the cycle
-        fields are coerced: a dump must say ``0.0``."""
-        return NodeMetrics(
-            proc=proc,
-            messages_sent=Counter(
-                {kind: child.value
-                 for kind, child in ins.messages.items()}),
-            data_bytes_sent=ins.data_bytes.value,
-            wire_bytes_sent=ins.wire_bytes.value,
-            read_misses=ins.read_misses.value,
-            write_misses=ins.write_misses.value,
-            cold_misses=ins.cold_misses.value,
-            page_transfers=ins.page_transfers.value,
-            diffs_created=ins.diffs_created.value,
-            diff_words_created=ins.diff_words.value,
-            diffs_applied=ins.diffs_applied.value,
-            invalidations=ins.invalidations.value,
-            lock_acquires=ins.lock_acquires.value,
-            lock_local_acquires=ins.lock_local_acquires.value,
-            lock_wait_cycles=float(ins.lock_wait.sum),
-            barrier_waits=ins.barrier_waits.value,
-            barrier_wait_cycles=float(ins.barrier_wait.sum),
-            compute_cycles=float(ins.compute_cycles.value),
-            overhead_cycles=float(ins.overhead_cycles.value),
-            miss_wait_cycles=float(ins.miss_wait.sum),
-            finish_time=finish_time,
-        )
-
-    @property
-    def total_messages(self) -> int:
-        return sum(self.messages_sent.values())
-
-    @property
-    def sync_messages(self) -> int:
-        return sum(count for kind, count in self.messages_sent.items()
-                   if kind.is_synchronization)
-
-    # -- serialization (repro.lab result cache) ------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump; :meth:`from_dict` is the exact inverse."""
-        data = dataclasses.asdict(self)
-        data["messages_sent"] = {
-            kind.value: count
-            for kind, count in sorted(self.messages_sent.items(),
-                                      key=lambda kv: kv[0].value)}
-        return data
-
-    @staticmethod
-    def from_dict(data: dict) -> "NodeMetrics":
-        data = dict(data)
-        data["messages_sent"] = Counter(
-            {MsgKind(kind): count
-             for kind, count in data["messages_sent"].items()})
-        return NodeMetrics(**data)
-
-
-@dataclass
 class RunResult:
     """Outcome of one simulated application run."""
 
@@ -143,55 +51,48 @@ class RunResult:
     protocol: str
     nprocs: int
     elapsed_cycles: float
-    node_metrics: List[NodeMetrics]
-    network_messages: int
-    network_bytes: int
-    network_contention_cycles: float
-    app_result: object = None
-    #: The run's metrics registry (repro.obs) — the documented stats
-    #: schema behind the analysis drivers and ``repro stats``.
-    registry: object = None
+    #: Each node's finish time (``0.0`` for a node that did not
+    #: finish) — the one fact with no registry cell.
+    finish_times: List[float]
+    app_result: object
+    #: The run's metrics registry (repro.obs): the documented stats
+    #: schema and the only source of every count below.
+    registry: MetricsRegistry
 
     @property
     def total_messages(self) -> int:
-        return sum(m.total_messages for m in self.node_metrics)
+        return self.registry.total("dsm.messages_total")
 
     @property
     def sync_messages(self) -> int:
-        return sum(m.sync_messages for m in self.node_metrics)
+        """Messages whose ``msg_type`` is a lock or barrier kind."""
+        by_type = self.registry.by_label("dsm.messages_total",
+                                         "msg_type")
+        return sum(count for kind, count in by_type.items()
+                   if kind in SYNC_MSG_TYPES)
 
     @property
     def data_kbytes(self) -> float:
-        return sum(m.data_bytes_sent for m in self.node_metrics) / 1024.0
+        return self.registry.total("dsm.data_bytes_total") / 1024.0
 
     @property
     def access_misses(self) -> int:
-        return sum(m.read_misses + m.write_misses
-                   for m in self.node_metrics)
+        return (self.registry.total("dsm.read_misses_total")
+                + self.registry.total("dsm.write_misses_total"))
 
     @property
     def diffs_created(self) -> int:
-        return sum(m.diffs_created for m in self.node_metrics)
+        return self.registry.total("dsm.diffs_created_total")
 
     @property
     def lock_wait_cycles(self) -> float:
-        return sum(m.lock_wait_cycles for m in self.node_metrics)
-
-    @property
-    def barrier_wait_cycles(self) -> float:
-        return sum(m.barrier_wait_cycles for m in self.node_metrics)
-
-    def messages_by_kind(self) -> Dict[MsgKind, int]:
-        total: Counter = Counter()
-        for metrics in self.node_metrics:
-            total.update(metrics.messages_sent)
-        return dict(total)
+        return self.registry.total("sync.lock_wait_cycles")
 
     # -- serialization (repro.lab result cache) ------------------------
 
     #: Bumped whenever the serialized layout changes; the lab cache
     #: refuses dumps from another schema generation.
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     def to_dict(self) -> dict:
         """JSON-ready dump of the whole result, metrics registry
@@ -205,14 +106,9 @@ class RunResult:
             "protocol": self.protocol,
             "nprocs": self.nprocs,
             "elapsed_cycles": self.elapsed_cycles,
-            "node_metrics": [m.to_dict() for m in self.node_metrics],
-            "network_messages": self.network_messages,
-            "network_bytes": self.network_bytes,
-            "network_contention_cycles":
-                self.network_contention_cycles,
+            "finish_times": list(self.finish_times),
             "app_result": json_safe(self.app_result),
-            "registry": (self.registry.dump()
-                         if self.registry is not None else None),
+            "registry": self.registry.dump(),
         }
 
     @staticmethod
@@ -224,49 +120,17 @@ class RunResult:
             raise ValueError(
                 f"unsupported RunResult schema {schema!r} "
                 f"(expected {RunResult.SCHEMA_VERSION})")
-        registry = None
-        if data.get("registry") is not None:
-            from repro.obs import MetricsRegistry
-            registry = MetricsRegistry.from_dump(data["registry"])
         return RunResult(
             app=data["app"],
             protocol=data["protocol"],
             nprocs=data["nprocs"],
             elapsed_cycles=data["elapsed_cycles"],
-            node_metrics=[NodeMetrics.from_dict(m)
-                          for m in data["node_metrics"]],
-            network_messages=data["network_messages"],
-            network_bytes=data["network_bytes"],
-            network_contention_cycles=
-                data["network_contention_cycles"],
-            app_result=data.get("app_result"),
-            registry=registry,
+            finish_times=data["finish_times"],
+            app_result=data["app_result"],
+            registry=MetricsRegistry.from_dump(data["registry"]),
         )
 
-    # -- registry readers (repro.obs) ----------------------------------
-
-    def _require_registry(self):
-        if self.registry is None:
-            raise ValueError(
-                "this RunResult carries no metrics registry "
-                "(constructed outside Machine.run)")
-        return self.registry
-
-    def metric_total(self, name: str) -> float:
-        """Total of one registry metric across every series."""
-        return self._require_registry().total(name)
-
-    def metric_by(self, name: str, label: str) -> Dict[str, float]:
-        """One registry metric's totals grouped by a label."""
-        return self._require_registry().by_label(name, label)
-
-    def registry_sync_messages(self) -> float:
-        """Synchronization traffic per the registry (messages whose
-        ``msg_type`` is a lock or barrier kind)."""
-        from repro.obs import SYNC_MSG_TYPES
-        by_type = self.metric_by("dsm.messages_total", "msg_type")
-        return sum(count for kind, count in by_type.items()
-                   if kind in SYNC_MSG_TYPES)
+    # -- derived views -------------------------------------------------
 
     def time_breakdown(self) -> Dict[str, float]:
         """Where processor time went, as fractions of total busy+wait
@@ -280,20 +144,16 @@ class RunResult:
         (message handling and diff creation); ``other`` is whatever
         remains of each node's wall-clock (network wire time on the
         critical path, idle)."""
-        total_wall = sum(m.finish_time for m in self.node_metrics)
+        total_wall = sum(self.finish_times)
         if total_wall <= 0:
             return {}
+        total = self.registry.total
         parts = {
-            "compute": sum(m.compute_cycles
-                           for m in self.node_metrics),
-            "lock_wait": sum(m.lock_wait_cycles
-                             for m in self.node_metrics),
-            "barrier_wait": sum(m.barrier_wait_cycles
-                                for m in self.node_metrics),
-            "miss_wait": sum(m.miss_wait_cycles
-                             for m in self.node_metrics),
-            "overhead": sum(m.overhead_cycles
-                            for m in self.node_metrics),
+            "compute": total("cpu.compute_cycles_total"),
+            "lock_wait": total("sync.lock_wait_cycles"),
+            "barrier_wait": total("sync.barrier_wait_cycles"),
+            "miss_wait": total("dsm.miss_wait_cycles"),
+            "overhead": total("cpu.overhead_cycles_total"),
         }
         fractions = {name: value / total_wall
                      for name, value in parts.items()}

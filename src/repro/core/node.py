@@ -22,7 +22,6 @@ from heapq import heappush
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.core.config import MachineConfig
-from repro.core.metrics import NodeMetrics
 from repro.mem.copyset import CopysetTable
 from repro.mem.intervals import DiffStore, IntervalLog
 from repro.mem.pages import PageTable
@@ -45,9 +44,6 @@ class Node:
         # machine's tracer.
         self.ins = machine.obs.node_instruments(proc)
         self.tracer = machine.obs.tracer
-        # Set by Machine.run; the one NodeMetrics field the registry
-        # does not hold.
-        self.finish_time = 0.0
 
         # DSM state.
         self.pagetable = PageTable(self.config.words_per_page)
@@ -106,12 +102,6 @@ class Node:
         self.lock_manager = None
         self.barrier_manager = None
         self.handlers: Dict[MsgKind, Callable[[Message], None]] = {}
-
-    @property
-    def metrics(self) -> NodeMetrics:
-        """This node's counters as of now, read from the registry."""
-        return NodeMetrics.from_instruments(self.proc, self.ins,
-                                            self.finish_time)
 
     def bind_handlers(self) -> None:
         """Build the ``{MsgKind: bound handler}`` table ``_dispatch``

@@ -4,7 +4,8 @@ Following the paper's accounting, a message's wire length is a fixed
 header plus the *shared data* it carries (diffs or whole pages);
 protocol-specific consistency information (write notices, vector times,
 copysets) travels free of charge.  The metrics layer classifies messages
-as synchronization vs. data traffic from their kind.
+as synchronization vs. data traffic from their kind
+(``repro.obs.SYNC_MSG_TYPES``).
 """
 
 from __future__ import annotations
@@ -46,13 +47,6 @@ class MsgKind(Enum):
     # object hash is equivalent — and message kinds key the per-send
     # counter and the dispatch table, once each per message.
     __hash__ = object.__hash__
-
-    @property
-    def is_synchronization(self) -> bool:
-        """Messages whose *purpose* is synchronization (lock/barrier)."""
-        return self in (MsgKind.LOCK_REQ, MsgKind.LOCK_FWD,
-                        MsgKind.LOCK_GRANT, MsgKind.BARRIER_ARRIVE,
-                        MsgKind.BARRIER_DEPART)
 
 
 @dataclass(slots=True)

@@ -68,10 +68,14 @@ class NodeInstruments:
 
     Binding the (node,) label once at construction keeps per-event
     emission down to an attribute access plus an addition.  These
-    cells are the only place a node-level fact is counted;
-    :class:`repro.core.metrics.NodeMetrics` is built from them.
-    Counter children are bare ``.value`` cells, so hot paths write
-    ``child.value += n`` and skip the ``inc()`` frame.
+    cells are the only place a node-level fact is counted, and
+    :class:`repro.RunResult` reads them through the registry
+    (``registry.by_label(name, "node")`` for one node's share).
+    Nodes are built in ``proc`` order, so every node-labelled series
+    exists in numeric label order — the order
+    :meth:`MetricsRegistry.from_dump` restores.  Counter children are
+    bare ``.value`` cells, so hot paths write ``child.value += n`` and
+    skip the ``inc()`` frame.
     """
 
     __slots__ = ("messages", "data_bytes", "wire_bytes",

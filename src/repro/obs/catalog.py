@@ -2,9 +2,8 @@
 
 Each :class:`MetricSpec` names one metric, its type, unit, label set,
 and the paper artifact(s) that consume it.  ``docs/observability.md``
-renders this catalogue for humans; ``tests/docs`` asserts the two stay
-in sync, and the parity test in ``tests/obs`` asserts the registry
-totals agree with the legacy per-node counters bit-for-bit.
+renders this catalogue for humans, and ``tests/docs`` asserts the two
+stay in sync.
 
 Naming convention: ``<layer>.<quantity>[_total]`` — ``_total`` marks a
 monotonic counter; histograms and gauges drop the suffix.  Layers:
@@ -331,7 +330,8 @@ CATALOG_BY_NAME: Dict[str, MetricSpec] = {
     + MEM_CATALOG + SERVE_CATALOG}
 
 #: ``dsm.messages_total`` msg_type label values that count as
-#: synchronization traffic (mirrors ``MsgKind.is_synchronization``).
+#: synchronization traffic: the lock and barrier ``MsgKind`` values,
+#: messages whose *purpose* is synchronization.
 SYNC_MSG_TYPES = frozenset({"lock_req", "lock_fwd", "lock_grant",
                             "barrier_arrive", "barrier_depart"})
 

@@ -88,6 +88,12 @@ class _HistogramChild:
 _CHILD_FACTORY = {COUNTER: _CounterChild, GAUGE: _GaugeChild}
 
 
+def _numeric_first(value: str) -> Tuple:
+    """Sort key for one label value: node ids by number ("2" before
+    "10"), ahead of any non-numeric value."""
+    return (0, int(value), "") if value.isdigit() else (1, 0, value)
+
+
 class Metric:
     """One named metric holding a child per label-value combination."""
 
@@ -257,10 +263,16 @@ class MetricsRegistry:
     @classmethod
     def from_dump(cls, data: dict) -> "MetricsRegistry":
         """Rebuild a readable registry from :meth:`dump` output, so a
-        cached :class:`repro.RunResult` answers ``metric_total`` /
-        ``metric_by`` exactly like the live run did.  Re-dumping the
-        restored registry reproduces ``data`` (the lab determinism
-        tests pin this)."""
+        cached :class:`repro.RunResult` answers :meth:`total` /
+        :meth:`by_label` exactly like the live run did.
+
+        :meth:`dump` sorts series by label *string* ("0", "1", "10",
+        "2"); they are re-inserted in numeric label order instead,
+        which is the order :class:`repro.obs.NodeInstruments` creates
+        them on a live run, so a float :meth:`total` adds in the live
+        run's order and comes out bit-identical.  Re-dumping the
+        restored registry reproduces ``data`` (the round-trip tests
+        over the ``tests/perf`` goldens pin this)."""
         registry = cls(const_labels=data.get("const_labels"))
         for entry in data.get("metrics", ()):
             spec = CATALOG_BY_NAME.get(entry["name"])
@@ -283,7 +295,9 @@ class MetricsRegistry:
                     for bound in entry["series"][0]["buckets"]
                     if bound != "+inf"))
             metric = registry.from_spec(spec, buckets=buckets)
-            for series in entry["series"]:
+            names = metric.spec.labels
+            for series in sorted(entry["series"], key=lambda s: [
+                    _numeric_first(s["labels"][name]) for name in names]):
                 child = metric.labels(**series["labels"])
                 if entry["type"] == HISTOGRAM:
                     child.count = series["count"]

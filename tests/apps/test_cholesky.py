@@ -52,7 +52,7 @@ def test_cholesky_synchronization_dominates():
     config = MachineConfig(nprocs=4, network=NetworkConfig.atm())
     result = run_app(Cholesky(k=5), config, protocol="lh")
     assert result.sync_messages / result.total_messages > 0.5
-    acquires = sum(m.lock_acquires for m in result.node_metrics)
+    acquires = result.registry.total("sync.lock_acquires_total")
     assert acquires > result.nprocs * 25  # n + cmod locks at least
 
 

@@ -51,4 +51,4 @@ def test_tsp_queue_lock_contention_recorded():
     config = MachineConfig(nprocs=4, network=NetworkConfig.atm())
     result = run_app(Tsp(ncities=8), config, protocol="lh")
     assert result.lock_wait_cycles > 0
-    assert sum(m.lock_acquires for m in result.node_metrics) > 8
+    assert result.registry.total("sync.lock_acquires_total") > 8

@@ -57,7 +57,7 @@ def test_water_matches_oracle_all_protocols(protocol):
     result = run_app(Water(nmols=16, steps=2), config,
                      protocol=protocol)
     assert result.elapsed_cycles > 0
-    assert sum(m.lock_acquires for m in result.node_metrics) > 0
+    assert result.registry.total("sync.lock_acquires_total") > 0
 
 
 def test_water_single_processor_no_messages():
@@ -70,5 +70,5 @@ def test_water_many_lock_acquires_medium_grain():
     processor per step."""
     config = MachineConfig(nprocs=4, network=NetworkConfig.atm())
     result = run_app(Water(nmols=24, steps=2), config, protocol="lh")
-    acquires = sum(m.lock_acquires for m in result.node_metrics)
+    acquires = result.registry.total("sync.lock_acquires_total")
     assert acquires >= 24 * 2  # every molecule locked by several procs

@@ -235,6 +235,33 @@ def test_stats_load_accepts_cache_envelopes(tmp_path, capsys):
     assert "dsm.messages_total" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content,reason", [
+    ('{"schema": 2, "app": ', "not JSON"),
+    ("[1, 2, 3]", "not a saved RunResult or lab cache entry"),
+    ('{"const_labels": {}, "metrics": []}',
+     "not a saved RunResult or lab cache entry"),
+    ('{"schema": 2, "app": "jacobi"}',
+     "not a saved RunResult or lab cache entry"),
+    ('{"schema": 1, "app": "jacobi"}',
+     "unsupported RunResult schema 1 (expected 2)"),
+    ('{"fingerprint": "ab", "result": {"schema": 1}}',
+     "unsupported RunResult schema 1 (expected 2)"),
+    (None, "No such file or directory"),
+], ids=["bad-json", "json-list", "registry-dump", "truncated-result",
+        "schema-1", "schema-1-envelope", "missing-file"])
+def test_stats_load_rejects_what_is_not_a_result(tmp_path, capsys,
+                                                 content, reason):
+    """A file ``--load`` cannot answer from exits 2 naming the file
+    and why — not a traceback."""
+    path = tmp_path / "result.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["stats", "--load", str(path)])
+    assert exit_info.value.code == 2
+    assert f"argument --load: {path}: {reason}" in capsys.readouterr().err
+
+
 def test_stats_requires_app_or_load(capsys):
     with pytest.raises(SystemExit):
         main(["stats"])

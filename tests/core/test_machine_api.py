@@ -218,7 +218,7 @@ class TestMessagePlumbing:
         with pytest.raises(SimulationError, match="src=1"):
             machine.nodes[0].handler_send(message)
         # Rejected before anything was counted or scheduled.
-        assert machine.nodes[0].metrics.total_messages == 0
+        assert machine.obs.registry.total("dsm.messages_total") == 0
         assert machine.sim.pending == 0
 
     def test_unexpected_reply_rejected(self):
@@ -240,7 +240,8 @@ class TestMessagePlumbing:
         message = Message(src=0, dst=1, kind=MsgKind.PAGE_REQ)
         assert list(machine.nodes[0].app_send(message)) == []
         assert seen == [message]
-        assert machine.nodes[0].metrics.overhead_cycles == 0.0
+        assert machine.obs.registry.total("cpu.overhead_cycles_total") \
+            == 0.0
 
     def test_zero_overhead_run_event_count_pinned(self):
         """Event, message and cycle counts of a zero-overhead Jacobi
@@ -252,7 +253,8 @@ class TestMessagePlumbing:
             MachineConfig(nprocs=4, network=NetworkConfig.atm(),
                           overhead=OverheadConfig(scale=0.0)),
             protocol="li")
-        assert result.metric_total("sim.events_dispatched_total") == 328
+        assert result.registry.total("sim.events_dispatched_total") \
+            == 328
         assert result.total_messages == 96
         assert result.elapsed_cycles == 125251.20000000016
 
@@ -292,37 +294,37 @@ class TestMessagePlumbing:
         result = machine.run(
             lambda p: worker(DsmApi(machine.nodes[p]), p))
         assert len(tapped) == result.total_messages > 0
-        assert (Counter(m.kind for m in tapped)
-                == Counter(result.messages_by_kind()))
+        assert (Counter(m.kind.value for m in tapped)
+                == Counter(result.registry.by_label(
+                    "dsm.messages_total", "msg_type")))
         # Send order is the order the medium first accepted them
         # (the transport adds acks, msg None, and retransmissions).
         on_wire = [e.fields["msg"] for e in sink.named("net.xmit")
                    if e.fields["msg"] is not None]
         assert [m.msg_id for m in tapped] == list(dict.fromkeys(on_wire))
 
-    def test_node_metrics_mid_run_equal_the_registry(self):
+    def test_node_cells_mid_run_equal_the_registry(self):
+        """A node's cells are the registry's ``node`` series, readable
+        mid-run; its finish time is known once the run ends."""
         machine = make_machine(nprocs=2)
         seg = machine.allocate("a", 8, owner=0)
         registry = machine.obs.registry
         seen = {}
 
+        def node_1(name):
+            return registry.by_label(name, "node")["1"]
+
         def worker(api, proc):
             if proc == 1:
                 yield from api.read(seg, 0)
-                metrics = machine.nodes[1].metrics
-                by_node = registry.by_label("dsm.messages_total",
-                                            "node")
-                seen["messages"] = (metrics.total_messages,
-                                    by_node["1"])
-                seen["misses"] = (
-                    metrics.read_misses,
-                    registry.by_label("dsm.read_misses_total",
-                                      "node")["1"])
-                seen["overhead"] = (
-                    metrics.overhead_cycles,
-                    registry.by_label("cpu.overhead_cycles_total",
-                                      "node")["1"])
-                seen["finish"] = metrics.finish_time
+                ins = machine.nodes[1].ins
+                seen["messages"] = (sum(child.value for child
+                                        in ins.messages.values()),
+                                    node_1("dsm.messages_total"))
+                seen["misses"] = (ins.read_misses.value,
+                                  node_1("dsm.read_misses_total"))
+                seen["overhead"] = (ins.overhead_cycles.value,
+                                    node_1("cpu.overhead_cycles_total"))
             yield from api.barrier(0)
 
         result = machine.run(
@@ -330,7 +332,6 @@ class TestMessagePlumbing:
         assert seen["messages"][0] == seen["messages"][1] >= 1
         assert seen["misses"] == (1, 1)
         assert seen["overhead"][0] == seen["overhead"][1] > 0
-        assert seen["finish"] == 0.0  # set when the run ends
-        assert result.node_metrics[1].finish_time > 0
-        assert result.node_metrics[1].total_messages > \
-            seen["messages"][0]
+        assert len(result.finish_times) == 2
+        assert all(time > 0 for time in result.finish_times)
+        assert node_1("dsm.messages_total") > seen["messages"][0]

@@ -1,9 +1,10 @@
 """Keep-it-deleted lint: one counter per fact, one frame per hop, one
 dispatch loop, one way to name and execute a run, one benchmark
-harness, one speedup denominator, one Lab executor.
+harness, one speedup denominator, one Lab executor, one source of a
+result's numbers.
 
 Every node- and network-level fact is counted in one registry cell
-(``NodeMetrics`` / ``NetworkStats`` are views), every tracer guard is
+(``NetworkStats`` is a view), every tracer guard is
 the attribute read ``tracer.sink.enabled``, the per-message helpers
 the fused send -> wire -> deliver -> dispatch path made unnecessary
 are gone, and ``sim/engine.py`` pops events in exactly one place
@@ -19,7 +20,10 @@ store no root reached are gone (``test_reachability.py`` finds the
 next ones).  ``Lab.run_many`` settles outcomes from one generator
 (in-process or pooled): the serial/pool fork, in-run retries,
 ``strict=``, ``Lab.cached`` with its payload envelopes and the five
-per-catalogue metric installers are gone.  This scans ``src/repro``
+per-catalogue metric installers are gone.  A ``RunResult`` is its
+registry plus each node's finish time: the ``NodeMetrics`` copy (and
+``Node.metrics``), the ``network_*`` copies and the ``metric_total`` /
+``metric_by`` wrappers are gone.  This scans ``src/repro``
 (comments and docstrings included — a stale mention misleads as well
 as a stale call) so the second accounting path cannot grow back one
 site at a time.
@@ -105,6 +109,19 @@ FORBIDDEN = [
     ("per-catalogue installer (obs.install(registry, specs))",
      re.compile(r"\binstall_(?:catalog|robustness|lab|serve|mem)\b"),
      ()),
+    ("NodeMetrics (a result's numbers are its registry's)",
+     re.compile(r"\bNodeMetrics\b|\bnode_metrics\b"), ()),
+    ("RunResult network_* copies (read the net.* series)",
+     re.compile(r"\bnetwork_(?:messages|bytes|contention_cycles)\b"),
+     ()),
+    ("RunResult registry wrappers (call result.registry.total / "
+     "by_label)",
+     re.compile(r"\bmetric_total\b|\bmetric_by\b"
+                r"|\bregistry_sync_messages\b"), ()),
+    ("Node.metrics / Node.finish_time (node.ins holds the cells, "
+     "RunResult.finish_times the finish times)",
+     re.compile(r"\bdef metrics\(|\bnodes?(?:\[\w+\])?\.metrics\b"
+                r"|\bfinish_time\b"), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -236,11 +253,25 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("        results = lab.run_many([bad, good], strict=False)", 30),
     ("        install_robustness(registry)", 31),
     ("from repro.obs import MetricsRegistry, install_lab", 31),
+    ("from repro.core.metrics import NodeMetrics, RunResult", 32),
+    ("            node_metrics=[node.metrics for node in self.nodes],",
+     32),
+    ("            network_messages=self.network.stats.messages,", 33),
+    ("    total = result.metric_total(\"dsm.messages_total\")", 34),
+    ("    by_type = result.metric_by(\"dsm.messages_total\", \"msg_type\")",
+     34),
+    ("    return result.registry_sync_messages() / total", 34),
+    ("    def metrics(self) -> NodeMetrics:", 35),
+    ("        assert machine.nodes[0].metrics.total_messages == 0", 35),
+    ("                node.finish_time = max(times)", 35),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)
 
 
+#: Reads of the deleted ``NodeMetrics`` view stay here as cases the
+#: *write* pattern must not fire on (the view itself is caught by its
+#: own entry).
 @pytest.mark.parametrize("line", [
     "        if self.tracer.sink.enabled:",
     "        if tracer is not None and tracer.sink.enabled:",

@@ -180,7 +180,8 @@ def test_reacquire_own_lock_is_free(protocol):
 
     result = run(machine, worker)
     assert result.total_messages == 0
-    assert result.node_metrics[0].lock_local_acquires == 5
+    assert result.registry.by_label("sync.lock_local_acquires_total",
+                                    "node")["0"] == 5
 
 
 def test_determinism(protocol):

@@ -63,10 +63,12 @@ def test_message_sizing_header_plus_data():
 
 
 def test_msgkind_sync_classification():
-    assert MsgKind.LOCK_REQ.is_synchronization
-    assert MsgKind.BARRIER_DEPART.is_synchronization
-    assert not MsgKind.PAGE_REPLY.is_synchronization
-    assert not MsgKind.UPDATE_PUSH.is_synchronization
+    from repro.obs import SYNC_MSG_TYPES
+    assert SYNC_MSG_TYPES == {
+        kind.value for kind in MsgKind
+        if kind.name.startswith(("LOCK_", "BARRIER_"))}
+    assert MsgKind.PAGE_REPLY.value not in SYNC_MSG_TYPES
+    assert MsgKind.UPDATE_PUSH.value not in SYNC_MSG_TYPES
 
 
 def test_ethernet_queue_resets_when_idle():

@@ -72,7 +72,7 @@ def test_windows_partition_the_run():
         for kind, count in w.messages.items():
             messages[kind] = messages.get(kind, 0) + count
     assert messages == {
-        kind: count for kind, count in result.metric_by(
+        kind: count for kind, count in result.registry.by_label(
             "dsm.messages_total", "msg_type").items() if count}
 
 

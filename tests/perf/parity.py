@@ -9,6 +9,14 @@ every one of them byte for byte — same elapsed cycles, same
 series ordering — which pins the optimizations to "faster, not
 different".
 
+The files are ``RunResult`` schema 2.  They were migrated from schema
+1 by editing the committed JSON, not by re-running: the per-node
+counter records and the three network totals (each a copy of a
+registry series) were dropped, ``finish_times`` was filled from the
+per-node records' finish times, ``schema`` became 2, and the
+``registry`` sections were left byte-identical — so the goldens still
+pin the pre-optimization runs.
+
 Regenerate (only when an *intentional* behavior change lands) with::
 
     PYTHONPATH=src:. python -m tests.perf.regen

@@ -33,9 +33,7 @@ def test_bound_data_travels_with_the_lock():
         lambda p: worker(DsmApi(machine.nodes[p]), p))
     assert result.app_result == [16.0] * 4
     # One cold fault per node at most; afterwards grants carry the data.
-    misses = sum(m.read_misses + m.write_misses
-                 for m in result.node_metrics)
-    assert misses <= machine.config.nprocs
+    assert result.access_misses <= machine.config.nprocs
 
 
 def test_unbound_data_falls_back_to_invalidation():
@@ -56,9 +54,8 @@ def test_unbound_data_falls_back_to_invalidation():
     result = machine.run(
         lambda p: worker(DsmApi(machine.nodes[p]), p))
     assert result.app_result == [16.0] * 4
-    misses = sum(m.read_misses + m.write_misses
-                 for m in result.node_metrics)
-    assert misses > machine.config.nprocs  # faults on most hops
+    # Faults on most hops.
+    assert result.access_misses > machine.config.nprocs
 
 
 def test_binding_restricts_payload_to_the_locks_data():

@@ -167,9 +167,11 @@ class TestInvalidation:
         machine, node = make_node()
         node.protocol.invalidate_page(0)
         assert not node.pagetable.get(0).valid
-        assert node.metrics.invalidations == 1
+        invalidations = machine.obs.registry.get(
+            "dsm.invalidations_total")
+        assert invalidations.by_label("node")[str(node.proc)] == 1
         node.protocol.invalidate_page(0)  # idempotent
-        assert node.metrics.invalidations == 1
+        assert invalidations.by_label("node")[str(node.proc)] == 1
 
 
 class TestGrantPayload:

@@ -70,7 +70,7 @@ def test_false_sharing_ping_pong():
     result = run(machine, worker)
     # Each round bounces exclusive ownership of the page: at least one
     # whole-page transfer per round after the first.
-    transfers = sum(m.page_transfers for m in result.node_metrics)
+    transfers = result.registry.total("dsm.page_transfers_total")
     assert transfers >= rounds - 1
     assert result.data_kbytes >= transfers * 4  # whole pages each time
 

@@ -40,9 +40,10 @@ def test_barrier_message_count_is_2n_minus_2():
         yield from api.barrier(0)
 
     result = run(machine, worker)
-    by_kind = result.messages_by_kind()
-    assert by_kind[MsgKind.BARRIER_ARRIVE] == 5
-    assert by_kind[MsgKind.BARRIER_DEPART] == 5
+    by_kind = result.registry.by_label("dsm.messages_total",
+                                       "msg_type")
+    assert by_kind[MsgKind.BARRIER_ARRIVE.value] == 5
+    assert by_kind[MsgKind.BARRIER_DEPART.value] == 5
     assert result.total_messages == 10
 
 
@@ -118,5 +119,6 @@ def test_barrier_wait_time_recorded():
         yield from api.barrier(0)
 
     result = run(machine, worker)
-    assert result.node_metrics[0].barrier_wait_cycles > 90_000
-    assert result.node_metrics[1].barrier_wait_cycles < 20_000
+    waits = result.registry.by_label("sync.barrier_wait_cycles", "node")
+    assert waits["0"] > 90_000
+    assert waits["1"] < 20_000

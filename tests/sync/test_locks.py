@@ -29,7 +29,8 @@ def test_owner_initially_holds_token():
 
     result = run(machine, worker)
     assert result.total_messages == 0
-    assert result.node_metrics[2].lock_local_acquires == 1
+    assert result.registry.by_label("sync.lock_local_acquires_total",
+                                    "node")["2"] == 1
 
 
 def test_mutual_exclusion_under_contention():
@@ -167,7 +168,8 @@ def test_lock_messages_classified_as_synchronization():
         yield from api.compute(1)
 
     result = run(machine, worker)
-    by_kind = result.messages_by_kind()
-    assert by_kind.get(MsgKind.LOCK_REQ, 0) == 1
-    assert by_kind.get(MsgKind.LOCK_GRANT, 0) == 1
+    by_kind = result.registry.by_label("dsm.messages_total",
+                                       "msg_type")
+    assert by_kind.get(MsgKind.LOCK_REQ.value, 0) == 1
+    assert by_kind.get(MsgKind.LOCK_GRANT.value, 0) == 1
     assert result.sync_messages == result.total_messages
