@@ -89,6 +89,9 @@ class EventDrivenApplication(Application):
                 "serve.queue_wait_cycles").labels()
         else:
             requests_total = latency_hist = queue_hist = None
+        # op -> bound requests_total child, resolved on the op's first
+        # request (an op that never occurs gets no series).
+        op_counters = {}
         sampler = api._node.machine.sampler
         records = []
         for request in self.schedule(proc, shared):
@@ -111,7 +114,11 @@ class EventDrivenApplication(Application):
                             node=proc, key=request.key,
                             op=request.op, latency_cycles=latency)
             if requests_total is not None:
-                requests_total.labels(op=request.op).inc()
+                counter = op_counters.get(request.op)
+                if counter is None:
+                    counter = op_counters[request.op] = \
+                        requests_total.labels(op=request.op)
+                counter.inc()
                 latency_hist.observe(latency)
                 queue_hist.observe(started - arrival)
             records.append([request.req_id, request.key,

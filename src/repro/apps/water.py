@@ -21,8 +21,9 @@ large amount of false sharing").
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,23 +51,53 @@ def initial_positions(nmols: int, seed: int = 11) -> np.ndarray:
     return rng.uniform(0.0, BOX, size=(nmols, 3))
 
 
-def pair_force(pos_i: np.ndarray, pos_j: np.ndarray,
-               cutoff: float) -> np.ndarray:
+def pair_force(pos_i: Sequence[float], pos_j: Sequence[float],
+               cutoff: float) -> Tuple[float, float, float]:
     """Soft inverse-square interaction with a spherical cutoff, with
     minimum-image wraparound (periodic box).
 
     The force tapers continuously to zero at the cutoff so that the
     last-bit position differences caused by parallel accumulation
     order cannot flip a pair in or out of range discontinuously —
-    keeping parallel runs bit-comparable to the sequential oracle."""
-    delta = pos_i - pos_j
-    delta -= BOX * np.round(delta / BOX)
-    dist2 = float((delta ** 2).sum())
+    keeping parallel runs bit-comparable to the sequential oracle.
+
+    Plain floats in numpy's operation order (``round`` is half-to-even
+    like ``np.round``; the squared distance sums left to right like
+    numpy's three-element sum), so each component equals the numpy
+    3-vector formulation bit for bit — tests/apps/test_water.py keeps
+    that formulation as the reference.  A numpy call per pair costs
+    several times the arithmetic it does."""
+    xi, yi, zi = pos_i
+    xj, yj, zj = pos_j
+    dx = xi - xj
+    dx -= BOX * round(dx / BOX)
+    dy = yi - yj
+    dy -= BOX * round(dy / BOX)
+    dz = zi - zj
+    dz -= BOX * round(dz / BOX)
+    dist2 = dx * dx + dy * dy + dz * dz
     cutoff2 = cutoff * cutoff
     if dist2 >= cutoff2 or dist2 == 0.0:
-        return np.zeros(3)
+        return 0.0, 0.0, 0.0
     taper = 1.0 - dist2 / cutoff2
-    return delta / (dist2 + 1.0) * taper
+    scale = dist2 + 1.0
+    return dx / scale * taper, dy / scale * taper, dz / scale * taper
+
+
+def _accumulate(forces, i: int, j: int,
+                force: Tuple[float, float, float]) -> None:
+    """Newton's third law: add ``force`` to molecule i's ``[x, y, z]``
+    accumulator ``forces[i]`` and subtract it from ``forces[j]``,
+    component by component."""
+    fx, fy, fz = force
+    acc = forces[i]
+    acc[0] += fx
+    acc[1] += fy
+    acc[2] += fz
+    acc = forces[j]
+    acc[0] -= fx
+    acc[1] -= fy
+    acc[2] -= fz
 
 
 def sequential_forces(positions: np.ndarray,
@@ -74,16 +105,16 @@ def sequential_forces(positions: np.ndarray,
     """Oracle for one force phase over all pairs (i, i+1..i+n/2)."""
     n = len(positions)
     half = n // 2
-    forces = np.zeros((n, 3))
+    coords = positions.tolist()
+    forces = [[0.0, 0.0, 0.0] for _ in range(n)]
     for i in range(n):
         for k in range(1, half + 1):
             j = (i + k) % n
             if n % 2 == 0 and k == half and i >= j:
                 continue  # count the diametric pair only once
-            f = pair_force(positions[i], positions[j], cutoff)
-            forces[i] += f
-            forces[j] -= f
-    return forces
+            _accumulate(forces, i, j,
+                        pair_force(coords[i], coords[j], cutoff))
+    return np.array(forces)
 
 
 @dataclass
@@ -144,8 +175,11 @@ class Water(Application):
             # array: with a half-box cutoff most molecules interact).
             pos_words = yield from api.read_region(
                 shared.pos_seg, 0, n * MOL_WORDS)
-            positions = pos_words.reshape(n, MOL_WORDS)[:, :3]
-            local: Dict[int, np.ndarray] = {}
+            positions = pos_words.reshape(n, MOL_WORDS)[:, :3].tolist()
+            # Per-molecule float triples, created on a molecule's first
+            # nonzero contribution.
+            local: Dict[int, List[float]] = defaultdict(
+                lambda: [0.0, 0.0, 0.0])
             pairs = 0
             for i in owned:
                 for k in range(1, half + 1):
@@ -155,11 +189,10 @@ class Water(Application):
                     force = pair_force(positions[i], positions[j],
                                        shared.cutoff)
                     pairs += 1
-                    if force.any():
-                        local.setdefault(i, np.zeros(3))
-                        local.setdefault(j, np.zeros(3))
-                        local[i] += force
-                        local[j] -= force
+                    # any(): a pair with every component zero (-0.0
+                    # included) touches no molecule.
+                    if any(force):
+                        _accumulate(local, i, j, force)
             yield from api.compute(pairs * self.cycles_per_pair)
             # Fold local accumulations into the global force array,
             # one molecule lock at a time (migratory sharing).

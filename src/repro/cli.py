@@ -111,11 +111,16 @@ _positive_hw_rate = _float_arg("a rate", lambda v: v > 0,
                                "rate must be > 0")
 
 
-def _proc_list(text: str) -> List[int]:
-    """The ``--proc-list`` processor counts, each at least 1."""
-    return [_positive_int(count) for count in text.split(",")]
+def _list_arg(item):
+    """Argparse type for a comma-separated list, each entry parsed and
+    range-checked by ``item`` (a bad entry exits 2 naming the flag)."""
+    def parse(text: str) -> list:
+        return [item(entry) for entry in text.split(",")]
+    return parse
 
 
+# The --proc-list processor counts, each at least 1.
+_proc_list = _list_arg(_positive_int)
 # Per-message fault rates: [0.0, 1.0), the injector's domain.
 _probability = _float_arg(
     "a probability", lambda v: 0.0 <= v < 1.0,
@@ -383,15 +388,11 @@ def cmd_losssweep(args) -> int:
     """Per-protocol slowdown across message-loss rates
     (docs/robustness.md)."""
     from repro.analysis.faults import format_loss_table, loss_sweep
-    try:
-        rates = [_probability(r) for r in args.rates.split(",")]
-    except argparse.ArgumentTypeError as exc:
-        raise SystemExit(f"losssweep: {exc}")
     protocols = _protocols(args)
     print(f"{args.app} on {args.procs} procs ({args.network}), "
-          f"loss rates {rates}")
+          f"loss rates {args.rates}")
     with _lab(args) as lab:
-        results = loss_sweep(args.app, _config(args), rates=rates,
+        results = loss_sweep(args.app, _config(args), rates=args.rates,
                              protocols=protocols,
                              app_params=_app_params(args), lab=lab)
     print(format_loss_table(results))
@@ -404,21 +405,17 @@ def cmd_crashsweep(args) -> int:
     (docs/robustness.md)."""
     from repro.analysis.availability import (availability_sweep,
                                              format_availability_table)
-    try:
-        mttfs = [_nonnegative_us(r) for r in args.mttfs.split(",")]
-    except argparse.ArgumentTypeError as exc:
-        raise SystemExit(f"crashsweep: {exc}")
     protocols = _protocols(args)
     networks = _networks(args)
     print(f"{args.app} on {args.procs} procs, "
-          f"mttf {mttfs} µs, mttr {args.crash_mttr} µs, "
+          f"mttf {args.mttfs} µs, mttr {args.crash_mttr} µs, "
           f"horizon {args.crash_horizon} µs")
     # Every cell is the machine the shared flags describe (message
     # faults and stalls included), on its own network and crash rate.
     results = availability_sweep(
         args.app, _app_params(args),
         config=_config(args, network=networks[0][1]),
-        mttfs=mttfs, mttr_us=args.crash_mttr,
+        mttfs=args.mttfs, mttr_us=args.crash_mttr,
         horizon_us=args.crash_horizon, protocols=protocols,
         networks=networks, max_events=args.max_events)
     print(format_availability_table(results))
@@ -509,19 +506,15 @@ def cmd_servesweep(args) -> int:
                                         format_serving_table,
                                         sweep_to_json)
 
-    try:
-        rates = [_positive_rate(r) for r in args.rates.split(",")]
-    except argparse.ArgumentTypeError as exc:
-        raise SystemExit(f"servesweep: {exc}")
     protocols = _protocols(args)
     networks = _networks(args)
     config = _serve_config(args)
-    print(f"kvstore capacity sweep, rates {rates} req/s on "
+    print(f"kvstore capacity sweep, rates {args.rates} req/s on "
           f"{args.procs} procs (scale {args.scale}, "
           f"SLO {args.slo_us:.0f} µs)")
     with _lab(args) as lab:
         curves = capacity_sweep(
-            rates_rps=rates, protocols=protocols, networks=networks,
+            rates_rps=args.rates, protocols=protocols, networks=networks,
             scale=args.scale, config=config, slo_us=args.slo_us,
             overrides=_serve_overrides(args), lab=lab)
         stats_line = lab.format_stats()
@@ -857,7 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loss = sub.add_parser("losssweep", help=cmd_losssweep.__doc__)
     common(p_loss, omit=("--protocol", "--loss"))
-    p_loss.add_argument("--rates", default="0.0,0.001,0.01,0.05",
+    p_loss.add_argument("--rates", type=_list_arg(_probability),
+                        default="0.0,0.001,0.01,0.05",
                         help="comma-separated drop probabilities "
                              "(first is the slowdown baseline)")
     p_loss.add_argument("--protocols", default=None,
@@ -870,7 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
     # in-process under an event budget, never through a Lab.
     common(p_crash, lab=False,
            omit=("--protocol", "--network", "--crash", "--crash-mttf"))
-    p_crash.add_argument("--mttfs", default="0,50000,20000",
+    p_crash.add_argument("--mttfs", type=_list_arg(_nonnegative_us),
+                         default="0,50000,20000",
                          help="comma-separated per-node MTTFs in µs "
                               "(0 = the crash-free baseline; pass it "
                               "first)")
@@ -932,7 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help=cmd_servesweep.__doc__)
     common(p_ssweep, with_app=False, omit=("--protocol", "--network"))
     serve_flags(p_ssweep)
-    p_ssweep.add_argument("--rates", default="10000,20000,40000,80000",
+    p_ssweep.add_argument("--rates", type=_list_arg(_positive_rate),
+                          default="10000,20000,40000,80000",
                           help="comma-separated offered loads in "
                                "requests/second (each > 0)")
     p_ssweep.add_argument("--out", default=None, metavar="FILE",

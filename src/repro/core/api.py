@@ -135,12 +135,36 @@ class DsmApi:
 
     def read(self, segment: Segment, index: int) -> Generator:
         """Read a single word."""
+        # Hit fast path: no one-element array in or out.  A miss or a
+        # bad index takes the region path (its fault, its IndexError).
+        if 0 <= index < segment.nwords:
+            node = self._node
+            page, offset = divmod(segment.base_word + index,
+                                  segment.words_per_page)
+            copy = node.pagetable.copies.get(page)
+            if (copy is not None and copy.valid
+                    and node.protocol.valid_copy_serves_reads):
+                return float(copy.values[offset])
         value = yield from self.read_region(segment, index, index + 1)
         return float(value[0])
 
     def write(self, segment: Segment, index: int,
               value: float) -> Generator:
         """Write a single word."""
+        # Hit fast path for a real scalar, as in read(); anything else
+        # (a miss, an SC write, a bad index, an exotic value) takes the
+        # region path unchanged.
+        if 0 <= index < segment.nwords and isinstance(value, (int, float)):
+            node = self._node
+            protocol = node.protocol
+            page, offset = divmod(segment.base_word + index,
+                                  segment.words_per_page)
+            copy = node.pagetable.copies.get(page)
+            if (copy is not None and copy.valid
+                    and protocol.valid_copy_serves_writes):
+                copy.values[offset] = value
+                protocol.record_write(page, offset, offset + 1)
+                return
         yield from self.write_region(segment, index, index + 1,
                                      np.array([value]))
 

@@ -39,7 +39,7 @@ from math import inf
 from typing import (Any, Callable, Deque, Generator, List, Optional,
                     Tuple)
 
-from repro.sim.events import AllOf, Condition, Event, Timeout, Timer
+from repro.sim.events import AllOf, Event, Timeout, Timer
 
 
 class SimulationError(RuntimeError):
@@ -215,9 +215,6 @@ class Simulator:
 
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
-
-    def condition(self) -> Condition:
-        return Condition(self)
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from a generator."""

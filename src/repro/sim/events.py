@@ -122,24 +122,3 @@ class AllOf(Event):
         self._pending -= 1
         if self._pending == 0 and not self.triggered:
             self.succeed([event.value for event in self._events])
-
-
-class Condition:
-    """Reusable broadcast signal: ``wait()`` returns a fresh Event that
-    fires at the next :meth:`notify_all`."""
-
-    __slots__ = ("sim", "_waiters")
-
-    def __init__(self, sim) -> None:
-        self.sim = sim
-        self._waiters: List[Event] = []
-
-    def wait(self) -> Event:
-        event = Event(self.sim, name="condition-wait")
-        self._waiters.append(event)
-        return event
-
-    def notify_all(self, value: Any = None) -> None:
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed(value)

@@ -75,6 +75,15 @@ def test_serve_metrics_are_installed_and_counted():
     assert latency.sum >= wait.sum
 
 
+def test_an_op_that_never_occurs_gets_no_series():
+    """The pump binds a counter child per op on that op's first
+    request: an all-read mix has no ``put`` series, not a zero one."""
+    result = run_app(create_app("kvstore", **dict(SMALL, read_fraction=1.0)),
+                     _config(), protocol="lh")
+    assert result.registry.by_label("serve.requests_total", "op") == {
+        "get": SMALL["requests"]}
+
+
 def test_paper_apps_do_not_grow_serve_metrics():
     result = run_app(create_app("jacobi", n=16, iterations=1),
                      _config(2), protocol="lh")

@@ -111,6 +111,9 @@ def test_flags_a_subcommand_cannot_honour_are_rejected(argv, capsys):
     ["run", "jacobi", "--mhz", "0"],
     ["sweep", "jacobi", "--proc-list", "1,x"],
     ["sweep", "jacobi", "--proc-list", "0,2"],
+    ["losssweep", "jacobi", "--rates", "0.0,1.5"],
+    ["servesweep", "--rates", "10000,0"],
+    ["crashsweep", "jacobi", "--mttfs", "0,-5"],
     ["profile", "jacobi", "--top", "-3"],
     ["trace", "contention", "jacobi", "--top", "0"],
     ["serve", "--tail", "-2"],
@@ -327,7 +330,7 @@ def test_serve_flag_validation(flags):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["servesweep", "--rates", "10000,0"], "arrival rate"),
+    (["servesweep", "--crash", "0:5000"], "crash-stop"),
     (["serve", "--protocols", "li,bogus"], "unknown protocol"),
     (["serve", "--networks", "token-ring"], "unknown network"),
     (["servesweep", "--networks", "token-ring"], "unknown network"),

@@ -53,10 +53,6 @@ ALLOW = {
     "obs/registry.py::MetricsRegistry.gauge":
         "third metric kind of the documented registry API",
     # Entry points and inspection helpers the unit tests drive.
-    "sim/engine.py::Simulator.condition":
-        "kernel broadcast wake-up; reaches sim.events.Condition",
-    "sim/events.py::Condition.notify_all":
-        "the one operation of Condition (tests/sim)",
     "core/machine.py::Machine.page_values":
         "debug view of one node's copy of a page (tests/core)",
     "mem/addressing.py::Segment.locate":

@@ -207,26 +207,6 @@ def test_run_until_leaves_clock_alone_when_queue_drains_first():
     assert sim.run(max_events=0) == 3.0
 
 
-def test_condition_notify_all():
-    sim = Simulator()
-    cond = sim.condition()
-    woken = []
-
-    def waiter(i):
-        yield cond.wait()
-        woken.append((i, sim.now))
-
-    def notifier():
-        yield sim.timeout(2.0)
-        cond.notify_all()
-
-    for i in range(3):
-        sim.spawn(waiter(i))
-    sim.spawn(notifier())
-    sim.run()
-    assert sorted(woken) == [(0, 2.0), (1, 2.0), (2, 2.0)]
-
-
 class TestResource:
     def test_fifo_mutual_exclusion(self):
         sim = Simulator()
