@@ -156,7 +156,9 @@ class CrashSpec:
 @dataclass(frozen=True)
 class LinkFault:
     """Per-link fault-rate overrides for the directed link
-    ``src -> dst``.  ``None`` fields fall back to the global rates."""
+    ``src -> dst``.  ``None`` fields fall back to the global rates.  A
+    rate may be 1.0 (a cut link), unlike a global rate.  The injector
+    checks ``src`` and ``dst`` against the machine's size."""
 
     src: int
     dst: int
@@ -164,6 +166,16 @@ class LinkFault:
     dup_prob: "float | None" = None
     reorder_prob: "float | None" = None
     delay_prob: "float | None" = None
+
+    def __post_init__(self) -> None:
+        if self.src == self.dst:
+            raise ValueError(f"link {self.src} -> {self.dst} is a loop")
+        for name in ("drop_prob", "dup_prob", "reorder_prob",
+                     "delay_prob"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(
+                    f"link {name} must be None or in [0, 1]: {value}")
 
 
 @dataclass(frozen=True)
@@ -291,6 +303,9 @@ class TransportConfig:
             raise ValueError("rto_backoff must be >= 1")
         if self.rto_max_us < self.rto_us:
             raise ValueError("rto_max_us must be >= rto_us")
+        for name in ("max_backoff_exp", "ack_delay_us", "jitter_frac"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)

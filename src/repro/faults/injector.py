@@ -85,7 +85,20 @@ class FaultInjector:
         self._dup_rng = substream(seed, "faults.dup")
         self._reorder_rng = substream(seed, "faults.reorder")
         self._delay_rng = substream(seed, "faults.delay")
-        self._links = {(link.src, link.dst): link for link in fc.links}
+        self._links = {}
+        for link in fc.links:
+            for proc in (link.src, link.dst):
+                if not 0 <= proc < config.nprocs:
+                    raise ValueError(
+                        f"link {link.src} -> {link.dst} names processor "
+                        f"{proc}, machine has {config.nprocs}")
+            self._links[(link.src, link.dst)] = link
+        # The rates decide() reads, resolved once (FaultConfig is
+        # frozen): the global tuple, and one tuple per overridden link.
+        self._rates = (fc.drop_prob, fc.dup_prob, fc.reorder_prob,
+                       fc.delay_prob)
+        self._link_rates = {key: self.rates_for(*key)
+                            for key in self._links}
         self.reorder_delay = config.us_to_cycles(fc.reorder_delay_us)
         self.delay_cycles = config.us_to_cycles(fc.delay_us)
         # Node-lifecycle plan, drawn eagerly at construction (same
@@ -170,7 +183,10 @@ class FaultInjector:
 
     def rates_for(self, src: int, dst: int
                   ) -> Tuple[float, float, float, float]:
-        """(drop, dup, reorder, delay) probabilities for one link."""
+        """(drop, dup, reorder, delay) probabilities for one link: the
+        global rates, each replaced by the link's override when set.
+        :meth:`decide` reads these tuples from a table built at
+        construction."""
         fc = self.config.faults
         rates = [fc.drop_prob, fc.dup_prob, fc.reorder_prob,
                  fc.delay_prob]
@@ -190,12 +206,13 @@ class FaultInjector:
         u_dup = self._dup_rng.random()
         u_reorder = self._reorder_rng.random()
         u_delay = self._delay_rng.random()
-        drop, dup, reorder, delay = self.rates_for(message.src,
-                                                   message.dst)
+        link_rates = self._link_rates
+        drop, dup, reorder, delay = (
+            link_rates.get((message.src, message.dst), self._rates)
+            if link_rates else self._rates)
         if u_drop < drop:
             self._drops.value += 1
             return Decision(drop=True)
-        decision = None
         extra = 0.0
         if u_reorder < reorder:
             self._reorders.value += 1
@@ -208,8 +225,8 @@ class FaultInjector:
         if duplicate:
             self._duplicates.value += 1
         if duplicate or extra > 0.0:
-            decision = Decision(duplicate=duplicate, extra_delay=extra)
-        return decision
+            return Decision(duplicate=duplicate, extra_delay=extra)
+        return None
 
     # -- CPU stalls -----------------------------------------------------
 

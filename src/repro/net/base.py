@@ -131,38 +131,37 @@ class Network(ABC):
             raise ValueError(
                 f"message {field} {getattr(message, field)} out of "
                 f"range for {nprocs} processors")
-        if self.faults is None:
-            delivery_time = self._schedule(message)
-            # Simulator.schedule inlined (one call per transmission):
-            # identical ``now + delay`` float arithmetic and sequence
-            # numbering, including the zero-delay ready-bucket branch
-            # for the corner where a tiny wire time rounds away
-            # against a large current time.
-            sim = self.sim
-            now = sim.now
-            delay = delivery_time - now
-            sim._seq = seq = sim._seq + 1
-            deliver = sinks[message.dst]
-            if delay == 0.0:
-                sim._ready.append((seq, deliver, (message,)))
-            else:
-                heappush(sim._queue,
-                         (now + delay, seq, deliver, (message,)))
-            return delivery_time
-        return self._transmit_with_faults(message, sinks[message.dst])
+        if self.faults is not None:
+            decision = self.faults.decide(message)
+            if decision is not None:
+                return self._transmit_with_faults(message, decision,
+                                                  sinks[message.dst])
+        delivery_time = self._schedule(message)
+        # Simulator.schedule inlined (one call per transmission):
+        # identical ``now + delay`` float arithmetic and sequence
+        # numbering, including the zero-delay ready-bucket branch for
+        # the corner where a tiny wire time rounds away against a
+        # large current time.
+        sim = self.sim
+        now = sim.now
+        delay = delivery_time - now
+        sim._seq = seq = sim._seq + 1
+        deliver = sinks[message.dst]
+        if delay == 0.0:
+            sim._ready.append((seq, deliver, (message,)))
+        else:
+            heappush(sim._queue, (now + delay, seq, deliver, (message,)))
+        return delivery_time
 
-    def _transmit_with_faults(self, message: Message,
+    def _transmit_with_faults(self, message: Message, decision,
                               deliver) -> float:
-        decision = self.faults.decide(message)
-        if (decision is not None and decision.drop
-                and not self.DROP_CONSUMES_WIRE):
+        """Transmit ``message`` under the injector's verdict when it is
+        not "deliver normally" (that case takes :meth:`transmit`'s
+        inline path)."""
+        if decision.drop and not self.DROP_CONSUMES_WIRE:
             # Free drop: the model never sees the frame.
             return self.sim.now
         delivery_time = self._schedule(message)
-        if decision is None:
-            self.sim.schedule(delivery_time - self.sim.now,
-                              deliver, message)
-            return delivery_time
         if decision.drop:
             # Wire time and contention were paid; delivery never
             # happens.  The injector already counted the drop.

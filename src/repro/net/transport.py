@@ -18,15 +18,20 @@ Mechanism (per directed node pair, TCP-flavoured but simpler):
   when no reverse traffic appears within ``ack_delay_us``, a pure
   ``TRANSPORT_ACK`` packet (header-sized) is sent instead.
 - **Timeout retransmission** — the sender re-sends the oldest
-  unacknowledged packet when its retransmission timer (a cancellable
-  :class:`repro.sim.events.Timer`) fires; the timeout grows with the
-  packet's wire time, backs off exponentially per consecutive expiry,
-  and is stretched by seeded jitter so synchronized losers do not
-  retransmit in lockstep.
+  unacknowledged packet when its retransmission timer fires; the
+  timeout grows with the packet's wire time, backs off exponentially
+  per consecutive expiry, and is stretched by seeded jitter so
+  synchronized losers do not retransmit in lockstep.
 - **Receiver reassembly** — in-order packets are delivered up
   immediately; out-of-order packets are buffered until the gap fills;
   duplicates (from injected duplication or spurious retransmission)
   are suppressed.
+
+Both timers (retransmission and delayed ack) are flagged heap
+entries, not :class:`repro.sim.events.Timer` events: a :class:`_Timer`
+record holds only a ``cancelled`` flag, and its scheduled fire
+(:meth:`ReliableTransport._fire`) takes exactly the dispatches a
+``Timer`` with one callback would — one if cancelled, two if live.
 
 The transport is modelled at NIC level: retransmissions, acks, and
 duplicate suppression cost *wire* resources but no node CPU — the
@@ -47,49 +52,53 @@ from repro.sim.engine import Simulator
 
 class Packet:
     """Transport envelope: one protocol message (or a pure ack) plus
-    sequencing metadata.  Quacks enough like :class:`Message` for the
-    network models (``src``/``dst``/``size_bytes``/``data_bytes``/
-    ``kind``/``msg_id``).
-    The transport header rides inside the fixed message header."""
+    sequencing metadata.  Carries the fields the network models read
+    (``src``/``dst``/``size_bytes``/``data_bytes``/``kind``/
+    ``msg_id``), copied from the payload at construction; a pure ack
+    is header-sized, ``TRANSPORT_ACK``, with ``msg_id`` None.  Only
+    ``ack`` and ``attempts`` change after construction.  The transport
+    header rides inside the fixed message header."""
 
     __slots__ = ("src", "dst", "seq", "ack", "payload", "attempts",
-                 "first_sent")
+                 "first_sent", "size_bytes", "data_bytes", "kind",
+                 "msg_id")
 
     def __init__(self, src: int, dst: int, seq: int, ack: int,
-                 payload: Optional[Message]) -> None:
+                 payload: Optional[Message],
+                 first_sent: float = 0.0) -> None:
         self.src = src
         self.dst = dst
         self.seq = seq            # -1 for pure acks
         self.ack = ack            # cumulative ack for the reverse stream
         self.payload = payload    # None for pure acks
         self.attempts = 0         # retransmissions so far
-        self.first_sent = 0.0
-
-    @property
-    def size_bytes(self) -> int:
-        if self.payload is None:
-            return MESSAGE_HEADER_BYTES
-        return self.payload.size_bytes
-
-    @property
-    def data_bytes(self) -> int:
-        return 0 if self.payload is None else self.payload.data_bytes
-
-    @property
-    def kind(self) -> MsgKind:
-        return (MsgKind.TRANSPORT_ACK if self.payload is None
-                else self.payload.kind)
-
-    @property
-    def msg_id(self) -> Optional[int]:
-        """The carried message's id (None for a pure ack): the
-        network models stamp ``net.xmit`` trace events with it."""
-        return None if self.payload is None else self.payload.msg_id
+        self.first_sent = first_sent
+        if payload is None:
+            self.size_bytes = MESSAGE_HEADER_BYTES
+            self.data_bytes = 0
+            self.kind = MsgKind.TRANSPORT_ACK
+            self.msg_id = None
+        else:
+            self.size_bytes = payload.size_bytes
+            self.data_bytes = payload.data_bytes
+            self.kind = payload.kind
+            self.msg_id = payload.msg_id
 
     def __repr__(self) -> str:
         what = "ack" if self.payload is None else repr(self.payload)
         return (f"<Pkt {self.src}->{self.dst} seq={self.seq} "
                 f"ack={self.ack} {what}>")
+
+
+class _Timer:
+    """One armed transport timer: the argument its heap entry carries.
+    The entry cannot be removed, so cancelling sets ``cancelled`` and
+    the scheduled fire becomes a no-op (lazy cancellation)."""
+
+    __slots__ = ("cancelled",)
+
+    def __init__(self) -> None:
+        self.cancelled = False
 
 
 class _Stream:
@@ -108,15 +117,17 @@ class _Stream:
         self.src = src
         self.dst = dst
         self.next_seq = 0
-        self.unacked: Dict[int, Packet] = {}   # insertion-ordered by seq
-        self.timer = None
+        # Insertion-ordered by seq and contiguous: sends append
+        # next_seq, cumulative acks remove a prefix.
+        self.unacked: Dict[int, Packet] = {}
+        self.timer: Optional[_Timer] = None
         self.backoff_exp = 0
         self.srtt = None      # smoothed RTT (cycles), RFC 6298-style
         self.rttvar = 0.0
         self.expected = 0
         self.buffer: Dict[int, Packet] = {}
         self.ack_pending = False
-        self.ack_timer = None
+        self.ack_timer: Optional[_Timer] = None
 
 
 class ReliableTransport:
@@ -175,34 +186,57 @@ class ReliableTransport:
         self._resets = cell("session_resets_total")
 
     def _stream(self, src: int, dst: int) -> _Stream:
-        key = (src, dst)
-        stream = self._streams.get(key)
+        """The stream ``src -> dst``.  A stream and its reverse open
+        together, so any packet finds both directions of its pair."""
+        streams = self._streams
+        stream = streams.get((src, dst))
         if stream is None:
-            stream = _Stream(src, dst)
-            self._streams[key] = stream
+            stream = streams[(src, dst)] = _Stream(src, dst)
+            streams[(dst, src)] = _Stream(dst, src)
         return stream
 
     def _cumulative_ack(self, src: int, dst: int) -> int:
         """Highest in-order seq received on stream ``src -> dst``
         (that state lives at ``dst``); -1 when nothing arrived yet."""
-        return self._stream(src, dst).expected - 1
+        return self._streams[(src, dst)].expected - 1
+
+    # -- timers ---------------------------------------------------------
+
+    def _fire(self, timer: _Timer, stream: _Stream,
+              retransmit: bool) -> None:
+        """A transport timer's expiry.  A cancelled timer's fire does
+        nothing; a live one appends one ready entry that runs the
+        handler — the dispatch sequence of ``Event.succeed`` waking one
+        callback.  The handler is looked up now, not when the timer was
+        armed."""
+        if timer.cancelled:
+            return
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        sim._ready.append((seq, self._on_timeout if retransmit
+                           else self._flush_ack, (stream, timer)))
 
     # -- sending --------------------------------------------------------
 
     def send(self, message: Message) -> None:
         """Entry point for node sends (replaces raw network.transmit)."""
-        stream = self._stream(message.src, message.dst)
-        reverse = self._stream(message.dst, message.src)
+        src = message.src
+        dst = message.dst
+        streams = self._streams
+        stream = streams.get((src, dst))
+        if stream is None:
+            stream = self._stream(src, dst)
+        reverse = streams[(dst, src)]
         # The cumulative ack this packet carries: the highest in-order
         # seq received on the reverse stream (-1: nothing yet).
-        packet = Packet(message.src, message.dst, stream.next_seq,
-                        reverse.expected - 1, message)
-        stream.next_seq += 1
-        packet.first_sent = self.sim.now
-        stream.unacked[packet.seq] = packet
+        seq = stream.next_seq
+        packet = Packet(src, dst, seq, reverse.expected - 1, message,
+                        self.sim.now)
+        stream.next_seq = seq + 1
+        stream.unacked[seq] = packet
         self._data.value += 1
         if (self.lifecycle is not None
-                and self.lifecycle.is_down(message.src)):
+                and self.lifecycle.is_down(src)):
             # A handler completion scheduled before the crash landed
             # after it: queue the packet but keep the NIC silent.  The
             # session reset on recovery retransmits it.
@@ -212,14 +246,17 @@ class ReliableTransport:
         if reverse.ack_pending:
             reverse.ack_pending = False
             if reverse.ack_timer is not None:
-                reverse.ack_timer.cancel()
+                reverse.ack_timer.cancelled = True
                 reverse.ack_timer = None
             self._piggyback.value += 1
         if stream.timer is None:
             self._arm(stream)
-        self._transmit(packet)
+        self._sent.value += 1
+        self.network.transmit(packet)
 
     def _transmit(self, packet: Packet) -> None:
+        """Retransmit ``packet`` (``send`` and the pure-ack flush
+        inline these two lines)."""
         self._sent.value += 1
         self.network.transmit(packet)
 
@@ -252,26 +289,13 @@ class ReliableTransport:
         return delay * (1.0 + self.jitter_frac
                         * self._jitter_rng.random())
 
-    def _sample_rtt(self, stream: _Stream, sample: float) -> None:
-        """RFC 6298 smoothing; callers apply Karn's rule (no samples
-        from retransmitted packets — their acks are ambiguous)."""
-        if stream.srtt is None:
-            stream.srtt = sample
-            stream.rttvar = sample / 2.0
-        else:
-            stream.rttvar = (0.75 * stream.rttvar
-                             + 0.25 * abs(stream.srtt - sample))
-            stream.srtt = 0.875 * stream.srtt + 0.125 * sample
-
     def _arm(self, stream: _Stream) -> None:
         oldest = next(iter(stream.unacked.values()))
-        timer = self.sim.timer(self._rto(stream, oldest))
-        stream.timer = timer
-        timer.add_callback(
-            lambda _event, stream=stream, timer=timer:
-                self._on_timeout(stream, timer))
+        timer = stream.timer = _Timer()
+        self.sim.schedule(self._rto(stream, oldest), self._fire,
+                          timer, stream, True)
 
-    def _on_timeout(self, stream: _Stream, timer) -> None:
+    def _on_timeout(self, stream: _Stream, timer: _Timer) -> None:
         if stream.timer is not timer:
             return  # stale fire (ack re-armed a fresh timer)
         stream.timer = None
@@ -307,77 +331,79 @@ class ReliableTransport:
     def on_network_delivery(self, packet: Packet) -> None:
         """Attached as the network's delivery callback."""
         self._received.value += 1
-        # 1. The piggybacked ack acknowledges the reverse stream.
-        self._process_ack(self._stream(packet.dst, packet.src),
-                          packet.ack)
-        if packet.payload is None:
+        src = packet.src
+        dst = packet.dst
+        streams = self._streams
+        # 1. The piggybacked ack acknowledges the reverse stream.  The
+        # packet's send opened both directions of the pair.
+        reverse = streams[(dst, src)]
+        if reverse.unacked:
+            self._process_ack(reverse, packet.ack)
+        payload = packet.payload
+        if payload is None:
             return
         # 2. Sequence handling for the forward stream.
-        stream = self._stream(packet.src, packet.dst)
-        if packet.seq == stream.expected:
+        stream = streams[(src, dst)]
+        seq = packet.seq
+        if seq == stream.expected:
             stream.expected += 1
-            self._deliver_payload(packet)
-            while stream.expected in stream.buffer:
-                queued = stream.buffer.pop(stream.expected)
+            self._delivered.value += 1
+            self._deliver_up(payload)
+            buffer = stream.buffer
+            while stream.expected in buffer:
+                queued = buffer.pop(stream.expected)
                 stream.expected += 1
-                self._deliver_payload(queued)
-        elif packet.seq > stream.expected:
-            if packet.seq in stream.buffer:
+                self._delivered.value += 1
+                self._deliver_up(queued.payload)
+        elif seq > stream.expected:
+            if seq in stream.buffer:
                 self._dups.value += 1
             else:
-                stream.buffer[packet.seq] = packet
+                stream.buffer[seq] = packet
                 self._ooo.value += 1
         else:
             # Already delivered: a duplicate (injected, or a
             # retransmission whose ack was lost).  Re-ack so the
             # sender stops retrying.
             self._dups.value += 1
-        # 3. Owe the sender an ack (delayed, hoping to piggyback).
-        self._schedule_ack(stream)
-
-    def _deliver_payload(self, packet: Packet) -> None:
-        self._delivered.value += 1
-        self._deliver_up(packet.payload)
+        # 3. Owe the sender an ack, delayed in the hope that reverse
+        # data piggybacks it first.
+        stream.ack_pending = True
+        if stream.ack_timer is None:
+            timer = stream.ack_timer = _Timer()
+            self.sim.schedule(self.ack_delay, self._fire, timer, stream,
+                              False)
 
     def _process_ack(self, stream: _Stream, ack: int) -> None:
-        """Cumulative ack for ``stream``, processed at the sender."""
-        if not stream.unacked:
+        """Cumulative ack for ``stream`` (which has unacked packets),
+        processed at the sender.  RTT samples follow RFC 6298 and
+        Karn's rule: a retransmitted packet's ack is ambiguous, so it
+        feeds the recovery histogram instead."""
+        unacked = stream.unacked
+        first = next(iter(unacked))
+        if first > ack:
             return
-        advanced = False
-        for seq in list(stream.unacked):
-            if seq > ack:
-                break  # unacked is insertion-ordered by seq
-            packet = stream.unacked.pop(seq)
-            advanced = True
-            if packet.attempts == 0:
-                self._sample_rtt(stream,
-                                 self.sim.now - packet.first_sent)
+        now = self.sim.now
+        for seq in range(first, ack + 1):
+            packet = unacked.pop(seq)
+            sample = now - packet.first_sent
+            if packet.attempts:
+                self._recovery.observe(sample)
+            elif stream.srtt is None:
+                stream.srtt = sample
+                stream.rttvar = sample / 2.0
             else:
-                self._recovery.observe(
-                    self.sim.now - packet.first_sent)
-        if not advanced:
-            return
+                stream.rttvar = (0.75 * stream.rttvar
+                                 + 0.25 * abs(stream.srtt - sample))
+                stream.srtt = 0.875 * stream.srtt + 0.125 * sample
         stream.backoff_exp = 0
         if stream.timer is not None:
-            stream.timer.cancel()
+            stream.timer.cancelled = True
             stream.timer = None
-        if stream.unacked:
+        if unacked:
             self._arm(stream)
 
-    def _schedule_ack(self, stream: _Stream) -> None:
-        """Delayed ack for the receiver side of ``stream``: flushed as
-        a pure ack after ``ack_delay`` unless reverse-direction data
-        piggybacks it first."""
-        stream.ack_pending = True
-        if stream.ack_timer is not None:
-            return
-        timer = self.sim.timer(self.ack_delay)
-        stream.ack_timer = timer
-        timer.add_callback(
-            lambda _event, stream=stream, timer=timer:
-                self._flush_ack(stream, timer))
-
-    def _flush_ack(self, stream: _Stream, timer) -> None:
+    def _flush_ack(self, stream: _Stream, timer: Optional[_Timer]) -> None:
         if stream.ack_timer is not timer:
             return
         stream.ack_timer = None
@@ -387,7 +413,8 @@ class ReliableTransport:
         ack_packet = Packet(stream.dst, stream.src, -1,
                             stream.expected - 1, None)
         self._acks.value += 1
-        self._transmit(ack_packet)
+        self._sent.value += 1
+        self.network.transmit(ack_packet)
 
     # -- crash recovery -------------------------------------------------
 
@@ -408,7 +435,7 @@ class ReliableTransport:
             if stream.unacked:
                 reset = True
                 if stream.timer is not None:
-                    stream.timer.cancel()
+                    stream.timer.cancelled = True
                     stream.timer = None
                 oldest = next(iter(stream.unacked.values()))
                 oldest.attempts += 1

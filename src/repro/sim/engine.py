@@ -18,9 +18,9 @@ ready head's sequence number against the heap top when the heap top is
 due *now*, which preserves the exact ``(time, seq)`` total order of the
 single-heap scheduler — the golden-parity suite in ``tests/perf`` pins
 elapsed times, event counts, and metric dumps bit for bit.  Timer
-cancellation is lazy: a cancelled :class:`~repro.sim.events.Timer`
-stays queued and its dispatch becomes a no-op, so cancellation never
-pays a heap repair (see :class:`repro.sim.events.Timer`).
+cancellation is lazy: a cancelled :class:`~repro.sim.events.Timer` (or
+transport timer) stays queued and its dispatch becomes a no-op, so
+cancellation never pays a heap repair.
 
 There is one dispatch loop, :meth:`Simulator._dispatch`, so the pop
 rule appears once; ``run``, ``run_until``, ``run_process`` and ``step``

@@ -80,9 +80,10 @@ class Timer(Timeout):
     """A cancellable timeout.
 
     The underlying heap entry cannot be removed, so :meth:`cancel`
-    marks the timer dead and the scheduled fire becomes a no-op.  Used
-    for protocol timers that are usually cancelled before expiry —
-    retransmission timeouts, delayed acks (see
+    marks the timer dead and the scheduled fire becomes a no-op.  This
+    is the waitable form (a process can yield it).  The transport's
+    retransmission and delayed-ack timers, which nothing waits on, are
+    bare flagged heap entries with the same dispatch cost instead (see
     :mod:`repro.net.transport`).
     """
 

@@ -85,6 +85,33 @@ def test_per_link_overrides_take_precedence():
     assert decision is not None and decision.drop
 
 
+def test_link_rate_table_equals_rates_for():
+    """decide() reads rates from a table resolved at construction; it
+    must hold exactly what rates_for computes, for every overridden
+    link and (through the global tuple) for a link absent from it."""
+    injector = make_injector(
+        drop_prob=0.1, dup_prob=0.05,
+        links=(LinkFault(src=0, dst=1, drop_prob=1.0),
+               LinkFault(src=2, dst=3, dup_prob=0.5, delay_prob=0.2)))
+    assert set(injector._link_rates) == {(0, 1), (2, 3)}
+    for (src, dst), rates in injector._link_rates.items():
+        assert rates == injector.rates_for(src, dst)
+    assert (1, 0) not in injector._link_rates
+    assert injector._rates == injector.rates_for(1, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LinkFault(src=0, dst=1, drop_prob=-0.1),
+    lambda: LinkFault(src=0, dst=1, dup_prob=1.5),
+    lambda: LinkFault(src=2, dst=2, drop_prob=0.1),
+    lambda: make_injector(links=(LinkFault(src=0, dst=99,
+                                           drop_prob=0.1),)),
+], ids=["negative-rate", "rate-above-one", "loop", "processor-99"])
+def test_bad_link_fault_fails_at_the_boundary(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_reorder_and_delay_accumulate_extra_delay():
     injector = make_injector(reorder_prob=0.999, delay_prob=0.999)
     decision = injector.decide(msg())

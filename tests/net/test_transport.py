@@ -7,11 +7,12 @@ delayed.
 
 import pytest
 
-from repro.core.config import MachineConfig, NetworkConfig
+from repro.core.config import (MESSAGE_HEADER_BYTES, MachineConfig,
+                               NetworkConfig)
 from repro.faults.injector import Decision
 from repro.net import build_network
 from repro.net.message import Message, MsgKind
-from repro.net.transport import ReliableTransport
+from repro.net.transport import Packet, ReliableTransport, _Timer
 from repro.obs import Observability
 from repro.sim import Simulator
 
@@ -237,3 +238,48 @@ def test_transport_config_validates_rto_max():
     from repro.core.config import TransportConfig
     with pytest.raises(ValueError):
         TransportConfig(rto_us=10_000.0, rto_max_us=1_000.0)
+
+
+@pytest.mark.parametrize("field", ["ack_delay_us", "jitter_frac",
+                                   "max_backoff_exp"])
+def test_transport_config_rejects_negative(field):
+    from repro.core.config import TransportConfig
+    with pytest.raises(ValueError, match=field):
+        TransportConfig(**{field: -1})
+
+
+@pytest.mark.parametrize("cancel", [True, False],
+                         ids=["cancelled", "live"])
+def test_timer_dispatches_like_a_one_callback_timer(cancel):
+    """A transport timer is a flagged heap entry, not an Event, yet it
+    costs the dispatches the Timer it replaced did: a cancelled one is
+    its fire alone, a live one its fire plus the handler hop."""
+    reference = Simulator()
+    timer = reference.timer(5.0)
+    timer.add_callback(lambda _event: None)
+    if cancel:
+        timer.cancel()
+    reference.run()
+
+    sim, transport, _delivered, _registry = harness(script=[])
+    stream = transport._stream(0, 1)
+    flag = _Timer()
+    sim.schedule(5.0, transport._fire, flag, stream, False)
+    if cancel:
+        flag.cancelled = True
+    sim.run()
+    assert sim.processed_events == reference.processed_events
+    assert sim.processed_events == (1 if cancel else 2)
+
+
+def test_packet_fields_are_fixed_from_its_payload():
+    message = msg(src=2, dst=3, data=100)
+    packet = Packet(2, 3, 0, -1, message)
+    assert (packet.size_bytes, packet.data_bytes, packet.kind,
+            packet.msg_id) == (message.size_bytes, message.data_bytes,
+                               message.kind, message.msg_id)
+    ack = Packet(3, 2, -1, 0, None)
+    assert ack.size_bytes == MESSAGE_HEADER_BYTES
+    assert ack.data_bytes == 0
+    assert ack.kind is MsgKind.TRANSPORT_ACK
+    assert ack.msg_id is None

@@ -15,7 +15,8 @@ counter records and the three network totals (each a copy of a
 registry series) were dropped, ``finish_times`` was filled from the
 per-node records' finish times, ``schema`` became 2, and the
 ``registry`` sections were left byte-identical — so the goldens still
-pin the pre-optimization runs.
+pin the pre-optimization runs.  The two lossy goldens came later and
+were dumped as schema 2 directly (see :func:`cases`).
 
 Regenerate (only when an *intentional* behavior change lands) with::
 
@@ -25,7 +26,7 @@ Regenerate (only when an *intentional* behavior change lands) with::
 import json
 import os
 
-from repro.core.config import MachineConfig, NetworkConfig
+from repro.core.config import FaultConfig, MachineConfig, NetworkConfig
 from repro.lab.spec import RunSpec, execute_spec
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -46,8 +47,8 @@ def cases():
     """(name, RunSpec) for every golden case: the three most
     protocol-exercising apps under all five protocols on ATM, plus one
     Ethernet run (contention/backoff path) and the repo benchmark's
-    two pinned jacobi/LI configurations, and the wide-eager and
-    multithreaded cases described where they are added."""
+    two pinned jacobi/LI configurations, and the wide-eager,
+    multithreaded and lossy cases described where they are added."""
     out = []
     for app, params in _PARAMS.items():
         for protocol in PROTOCOLS:
@@ -104,6 +105,31 @@ def cases():
                             nprocs=4,
                             network=NetworkConfig.atm()),
                         threads_per_proc=2)))
+    # The two lossy goldens: the only cases that run the reliable
+    # transport and the fault injector.  The first is the ledger's
+    # serve_write_lossy shape at 500 requests (loss, duplication and
+    # reordering through retransmission); the second adds drawn
+    # crash-recover outages (session resets, peer-down probing).
+    # Captured before the transport's timers stopped being Events.
+    out.append(("kvstore_lh_atm8_lossy",
+                RunSpec("kvstore",
+                        dict(nkeys=256, value_words=32, shards=16,
+                             zipf_s=0.99, requests=500,
+                             rate_rps=2_500.0, read_fraction=0.5),
+                        protocol="lh",
+                        config=MachineConfig(
+                            nprocs=8, network=NetworkConfig.atm(),
+                            faults=FaultConfig(drop_prob=0.02,
+                                               dup_prob=0.01,
+                                               reorder_prob=0.01)))))
+    out.append(("jacobi_lh_atm4_crash",
+                RunSpec("jacobi", _PARAMS["jacobi"], protocol="lh",
+                        config=MachineConfig(
+                            nprocs=4, network=NetworkConfig.atm(),
+                            faults=FaultConfig(
+                                drop_prob=0.02, crash_mttf_us=2000.0,
+                                crash_mttr_us=300.0,
+                                crash_horizon_us=20000.0)))))
     return out
 
 
