@@ -20,6 +20,7 @@ executes in-process and never touches the lab cache.
 from __future__ import annotations
 
 import cProfile
+import inspect
 import pstats
 import time
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.metrics import RunResult
 from repro.lab.spec import RunSpec, execute_spec
+from repro.mem.intervals import DiffStore
 
 #: Subpackages host time is rolled up into; anything else inside
 #: ``repro`` (cli, __init__, ...) lands in ``repro (other)`` and
@@ -43,10 +45,13 @@ SUBSYSTEMS = ("sim", "mem", "protocols", "net", "sync", "core",
 PROTOCOL_BUCKETS = ("interval-bookkeeping", "diff", "vector-clock",
                     "protocol (other)")
 
-#: Functions in ``repro/mem/intervals.py`` that belong to the
-#: :class:`~repro.mem.intervals.DiffStore` (the file also holds the
-#: interval log; pstats keys carry no class name).
-_DIFFSTORE_FUNCS = frozenset({"put", "has", "key", "prune_intervals"})
+#: Source lines of :class:`~repro.mem.intervals.DiffStore` inside
+#: ``repro/mem/intervals.py``, which also holds the interval log.
+#: pstats keys carry no class name, and both classes define ``get``,
+#: so the file is split by line.
+_source, _first = inspect.getsourcelines(DiffStore)
+_DIFFSTORE_LINES = range(_first, _first + len(_source))
+del _source, _first
 
 #: Function-name fragments that classify ``repro.protocols`` code.
 #: Checked in order; first hit wins.
@@ -62,10 +67,12 @@ _PROTO_FUNC_HINTS = (
 )
 
 
-def _protocol_bucket(filename: str, func: str) -> Optional[str]:
-    """Bucket for one profiled function, or ``None`` when it is not
-    protocol work (simulator, network, apps, ...).  File-based where a
-    file is single-purpose, name-based inside the mixed files."""
+def _protocol_bucket(filename: str, line: int,
+                     func: str) -> Optional[str]:
+    """Bucket for one profiled function (a pstats ``(file, line,
+    function)`` key), or ``None`` when it is not protocol work
+    (simulator, network, apps, ...).  File-based where a file is
+    single-purpose, line- or name-based inside the mixed files."""
     path = filename.replace("\\", "/")
     if "/repro/" not in path:
         return None
@@ -77,7 +84,7 @@ def _protocol_bucket(filename: str, func: str) -> Optional[str]:
         if module in ("diffs.py", "wire.py"):
             return "diff"
         if module == "intervals.py":
-            return ("diff" if func in _DIFFSTORE_FUNCS
+            return ("diff" if line in _DIFFSTORE_LINES
                     else "interval-bookkeeping")
         return "interval-bookkeeping" if module == "copyset.py" \
             else "protocol (other)"
@@ -166,7 +173,7 @@ def profile_spec(spec: RunSpec, top: int = 15) -> ProfileReport:
                                  _callers) in stats.stats.items():
         subsystem = _subsystem_of(filename)
         subsystems[subsystem] = subsystems.get(subsystem, 0.0) + tottime
-        bucket = _protocol_bucket(filename, func)
+        bucket = _protocol_bucket(filename, line, func)
         if bucket is not None:
             protocol[bucket] += tottime
         rows.append(Hotspot(

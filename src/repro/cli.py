@@ -841,7 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_prof = sub.add_parser("profile", help=cmd_profile.__doc__)
-    common(p_prof)
+    # In-process like the trace and timeseries tools: no Lab, so no
+    # lab flags.
+    common(p_prof, lab=False)
     p_prof.add_argument("--top", type=_nonnegative_int, default=15,
                         metavar="N",
                         help="rows in the hottest-functions table "
@@ -943,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     ts_sub = p_ts.add_subparsers(dest="action", **subparsers)
 
     def timeseries_common(p):
-        common(p, app_optional=True)
+        common(p, app_optional=True, lab=False)
         p.add_argument("--window-us", type=_window_us, default=200.0,
                        dest="window_us", metavar="US",
                        help="telemetry window in simulated µs (> 0 "
@@ -991,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = p_trace.add_subparsers(dest="action", **subparsers)
 
     def trace_common(p):
-        common(p, app_optional=True)
+        common(p, app_optional=True, lab=False)
         p.add_argument("--from", dest="from_file", default=None,
                        metavar="FILE",
                        help="replay a JSONL trace (e.g. from "

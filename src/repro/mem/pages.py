@@ -61,7 +61,7 @@ class PageCopy:
         # Write notices received whose modifications are not yet applied.
         self._pending_notices: List[WriteNotice] = []
         self._pending_ids: set = set()
-        # Memo for BaseProtocol.due_notices: (node vc, pending list,
+        # Memo for LazyBase.due_notices: (node vc, pending list,
         # pending length, result).  Valid while the clock object and
         # the list (object and length) are unchanged — every mutation
         # path either swaps the list object or appends to it.

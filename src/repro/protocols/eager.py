@@ -26,20 +26,17 @@ message per excess modifier, 'v' in Table 1).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Set, Tuple
 
 from repro.mem.intervals import IntervalRecord
-from repro.mem.timestamps import VectorClock
 from repro.net.message import Message, MsgKind
-from repro.protocols.base import (BaseProtocol, ConsistencyInfo,
-                                  ProtocolError)
+from repro.protocols.base import BaseProtocol, ProtocolError
 
 
 class EagerBase(BaseProtocol):
     """Shared eager machinery: owner-served misses with race poisoning,
     and the acknowledged, multi-round release flush."""
 
-    is_lazy = False
     flush_with_diffs = False  # EU overrides
 
     def __init__(self, node) -> None:
@@ -55,22 +52,10 @@ class EagerBase(BaseProtocol):
 
     # -- access misses ----------------------------------------------------
 
-    def ensure_valid(self, page: int, for_write: bool) -> Generator:
+    def resolve_miss(self, page: int, for_write: bool) -> Generator:
+        """Fetch the merged page from its home, laying our unflushed
+        writes and any flush that raced the fetch back over it."""
         node = self.node
-        copy = node.pagetable.copies.get(page)
-        if copy is not None and copy.valid:
-            return
-        started = node.sim.now
-        if for_write:
-            node.ins.write_misses.value += 1
-        else:
-            node.ins.read_misses.value += 1
-        if copy is None:
-            node.ins.cold_misses.value += 1
-        if node.tracer.sink.enabled:
-            node.tracer.emit("protocol.page_fault", page=page,
-                             node=node.proc, write=for_write,
-                             cold=copy is None)
         owner = node.page_owner(page)
         if owner == node.proc:
             raise ProtocolError(
@@ -104,23 +89,22 @@ class EagerBase(BaseProtocol):
                 else:
                     unmet.append((record, diff))
             if not unmet:
-                break
+                return
             # An invalidation we saw is not yet reflected at the home:
             # the reply overtook the flusher's home update.  Retry.
             fresh.valid = False
             self._poison_records.setdefault(page, []).extend(unmet)
-        waited = node.sim.now - started
-        node.ins.miss_wait.observe(waited)
-        if node.tracer.sink.enabled:
-            node.tracer.emit("protocol.fault_done", page=page,
-                             node=node.proc, waited=waited)
 
     def _reapply_unpropagated(self, page: int, copy) -> None:
         node = self.node
         for index in self.own_page_intervals.get(page, ()):
             interval_id = (node.proc, index)
             if page in self.unpropagated.get(interval_id, ()):
-                diff = self._require_diff(node.proc, index, page)
+                diff = node.diff_store.get(node.proc, index, page)
+                if diff is None:
+                    raise ProtocolError(
+                        f"node {node.proc} lost its own diff "
+                        f"({node.proc},{index}) of page {page}")
                 diff.apply(copy)
                 copy.mark_applied(node.proc, index)
 
@@ -206,9 +190,9 @@ class EagerBase(BaseProtocol):
             replies = yield node.sim.all_of(reply_events)
             for reply in replies:
                 self._absorb_flush_ack(reply)
-        for record, record_pages in pending:
-            for page in record_pages:
-                self.mark_propagated(record.interval_id, page)
+        # Every page of each flushed interval has reached its cachers.
+        for record, _record_pages in pending:
+            self.unpropagated.pop(record.interval_id, None)
 
     def _flush_entries(self, pending, home_bit: Dict[int, int],
                        sent: Dict[int, int]
@@ -313,21 +297,20 @@ class EagerBase(BaseProtocol):
             payload={"copysets": ack_masks,
                      "not_cached": list(not_cached)}))
 
-    # -- locks: no consistency information on grants -------------------------
+    # -- barriers: an arrival is a release ------------------------------------
 
-    def grant_payload(self, requester: int,
-                      requester_vc: VectorClock,
-                      lock_id=None
-                      ) -> Tuple[Optional[ConsistencyInfo], int]:
+    def pre_barrier(self) -> Generator:
+        # Consistency information also reaches everyone through the
+        # master, but the flush (EU's updates; EI's home merges and the
+        # matching invalidations) must be complete before we arrive so
+        # departures read a consistent home.
+        yield from self.on_release()
+
+    def apply_depart(self, payload: dict) -> Generator:
         node = self.node
-        node.advance_peer_clock(requester, node.vc)
-        return None, 0
-
-    def apply_grant(self,
-                    info: Optional[ConsistencyInfo]) -> Generator:
-        if info is not None:
-            raise ProtocolError(f"{self.name} got consistency payload "
-                                "on a lock grant")
+        self.incorporate_records(payload["records"])
+        node.vc = node.vc.merged(payload["vc"])
+        self.last_barrier_vc = payload["vc"]
         return
         yield  # pragma: no cover - makes this a generator
 
@@ -350,19 +333,11 @@ class EagerInvalidate(EagerBase):
     name = "ei"
     flush_with_diffs = False
 
-    def pre_barrier(self) -> Generator:
-        # A barrier arrival is a release; consistency information also
-        # reaches everyone through the master, but the home merges (and
-        # the matching invalidations) must be complete before we arrive
-        # so departures read a consistent home.
-        yield from self.on_release()
-
     def apply_depart(self, payload: dict) -> Generator:
+        yield from super().apply_depart(payload)
         node = self.node
-        records = payload["records"]
-        self.incorporate_records(records)
         modifiers: Dict[int, Set[int]] = {}
-        for record in records:
+        for record in payload["records"]:
             for page in record.pages:
                 modifiers.setdefault(page, set()).add(record.proc)
         for page, procs in sorted(modifiers.items()):
@@ -373,10 +348,6 @@ class EagerInvalidate(EagerBase):
             if others and copy is not None and copy.valid \
                     and not copy.dirty:
                 self.invalidate_page(page)
-        node.vc = node.vc.merged(payload["vc"])
-        self.last_barrier_vc = payload["vc"]
-        return
-        yield  # pragma: no cover - makes this a generator
 
 
 class EagerUpdate(EagerBase):
@@ -385,15 +356,3 @@ class EagerUpdate(EagerBase):
 
     name = "eu"
     flush_with_diffs = True
-
-    def pre_barrier(self) -> Generator:
-        # A barrier arrival is a release: flush updates with acks.
-        yield from self.on_release()
-
-    def apply_depart(self, payload: dict) -> Generator:
-        node = self.node
-        self.incorporate_records(payload["records"])
-        node.vc = node.vc.merged(payload["vc"])
-        self.last_barrier_vc = payload["vc"]
-        return
-        yield  # pragma: no cover - makes this a generator

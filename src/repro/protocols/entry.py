@@ -19,36 +19,11 @@ global synchronization.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from repro.mem.timestamps import VectorClock
-from repro.protocols.base import ConsistencyInfo
 from repro.protocols.lazy import LazyHybrid
 
 
 class EntryConsistency(LazyHybrid):
-    """'ec': grants move exactly the lock's bound data."""
+    """'ec': LH whose grants move exactly the lock's bound data."""
 
     name = "ec"
-
-    def grant_payload(self, requester: int,
-                      requester_vc: VectorClock,
-                      lock_id: Optional[int] = None
-                      ) -> Tuple[ConsistencyInfo, int]:
-        node = self.node
-        records = node.interval_log.records_after(requester_vc)
-        bound = (node.machine.pages_bound_to(lock_id)
-                 if lock_id is not None else frozenset())
-        diffs = []
-        for record in records:
-            for page in sorted(record.pages):
-                if page not in bound:
-                    continue
-                diff = self._try_get_diff(record.proc, record.index,
-                                          page)
-                if diff is not None:
-                    diffs.append(((record.proc, record.index), diff))
-        info = ConsistencyInfo(sender_vc=node.vc, records=records,
-                               diffs=diffs)
-        node.advance_peer_clock(requester, node.vc)
-        return info, sum(self.diff_bytes(d) for _iid, d in info.diffs)
+    piggyback_policy = "bound"

@@ -23,9 +23,11 @@ on invalidation alone.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from repro.mem.intervals import WriteNotice
+from repro.mem.diffs import Diff
+from repro.mem.intervals import IntervalId, IntervalRecord, WriteNotice
+from repro.mem.pages import PageCopy
 from repro.mem.timestamps import VectorClock
 from repro.net.message import Message, MsgKind
 from repro.protocols.base import (BaseProtocol, ConsistencyInfo,
@@ -40,30 +42,168 @@ class LazyBase(BaseProtocol):
     push_at_barrier = False   # LH/LU push updates before arriving
     push_needs_acks = False   # LU (and EU) wait for push acks
 
+    # -- applying pending modifications ---------------------------------------
+
+    def due_notices(self, copy: PageCopy) -> List["WriteNotice"]:
+        """Pending notices inside this node's causal cone (vector time
+        dominated by the node's clock).
+
+        The node's knowledge of intervals is complete below its own
+        vector time (grants and departures ship every record above the
+        requester's clock), so for a *due* notice every
+        happened-before-1 predecessor that modified the page is known —
+        applying due notices in vector-time order can never be rolled
+        back.  Notices *outside* the cone (delivered by opportunistic
+        update pushes) must wait for the acquire that brings them in:
+        applying them early could order them before an unknown
+        predecessor."""
+        pending = copy.pending_notices
+        if not pending:
+            return []
+        # Memoized per copy, incrementally: a node's clock only ever
+        # advances, so a notice once due stays due until applied —
+        # re-filtering needs to look only at previous strays plus
+        # notices appended since the last call, not the whole list.
+        # Keys are object identities (clocks are immutable; the pending
+        # list only ever grows in place or is swapped wholesale).
+        vc = self.node.vc
+        cached = copy.due_cache
+        # The result must preserve pending-list order (it feeds request
+        # construction and hence message ordering), so the incremental
+        # path only fires when the prior prefix provably keeps its
+        # order: either the clock is unchanged (strays stay strays) or
+        # there were no strays (a monotone clock keeps every prior
+        # entry due, in place).
+        if (cached is not None and cached[1] is pending
+                and (cached[0] is vc or not cached[4])):
+            seen = cached[2]
+            if cached[0] is vc and seen == len(pending):
+                return cached[3]
+            tail = pending[seen:]
+            if not tail:
+                copy.due_cache = (vc, pending, seen,
+                                  cached[3], cached[4])
+                return cached[3]
+            due = list(cached[3])
+            strays = list(cached[4])
+        else:
+            tail = pending
+            due = []
+            strays = []
+        # Inlined VectorClock.dominates: this filter runs on every
+        # acquire/barrier resolution and every miss — the method-call
+        # version dominated whole-run profiles.
+        mine = vc.components
+        for n in tail:
+            for a, b in zip(mine, n.vc.components):
+                if a < b:
+                    strays.append(n)
+                    break
+            else:
+                due.append(n)
+        copy.due_cache = (vc, pending, len(pending), due, strays)
+        return due
+
+    def apply_pending(self, copy: PageCopy) -> bool:
+        """Apply every due notice's diff, in a happened-before-1 linear
+        extension (ascending vector-time totals).  Returns True and
+        revalidates the copy on success (not-yet-due pushed notices may
+        remain pending — reading around them is release-consistent);
+        returns False (no changes) if some due diff is missing."""
+        due = self.due_notices(copy)
+        if not due:
+            # Nothing in the causal cone: trivially applied (pushed
+            # strays may remain pending — reading around them is
+            # release-consistent).
+            copy.valid = True
+            return True
+        store = self.node.diff_store
+        page = copy.page
+        for n in due:
+            if not store.has(n.proc, n.index, page):
+                return False
+        notices = sorted(due,
+                         key=lambda n: (n.vc.total(), n.proc, n.index))
+        get = store.get
+        for notice in notices:
+            diff = get(notice.proc, notice.index, page)
+            diff.apply(copy)
+            copy.mark_applied(notice.proc, notice.index)
+        copy.remove_notices({n.interval_id for n in due})
+        copy.valid = True
+        if self.node.tracer.sink.enabled:
+            self.node.tracer.emit("protocol.diff_apply",
+                                  page=copy.page, node=self.node.proc,
+                                  diffs=len(notices))
+        return True
+
+    def store_diffs(self,
+                    diffs: Sequence[Tuple[IntervalId, Diff]]) -> None:
+        for (proc, index), diff in diffs:
+            self.node.diff_store.put(proc, index, diff)
+            self.node.ins.diffs_applied.value += 1
+
     # -- access misses -------------------------------------------------------
 
-    def ensure_valid(self, page: int, for_write: bool) -> Generator:
+    def resolve_miss(self, page: int, for_write: bool) -> Generator:
+        """Resolve an access miss the lazy way: contact each concurrent
+        last modifier once (2m messages), fetching the page contents
+        from the first when we hold no copy at all."""
         node = self.node
-        copy = node.pagetable.copies.get(page)
-        if copy is not None and copy.valid:
-            return
-        started = node.sim.now
-        if for_write:
-            node.ins.write_misses.value += 1
-        else:
-            node.ins.read_misses.value += 1
-        if copy is None:
-            node.ins.cold_misses.value += 1
-        if node.tracer.sink.enabled:
-            node.tracer.emit("protocol.page_fault", page=page,
-                             node=node.proc, write=for_write,
-                             cold=copy is None)
-        yield from self.lazy_miss(page)
-        waited = node.sim.now - started
-        node.ins.miss_wait.observe(waited)
-        if node.tracer.sink.enabled:
-            node.tracer.emit("protocol.fault_done", page=page,
-                             node=node.proc, waited=waited)
+        escalated: Set[Tuple[int, int]] = set()
+        writer_requested: Set[Tuple[int, int]] = set()
+        while True:
+            copy = node.pagetable.copies.get(page)
+            if copy is not None and copy.valid:
+                return
+            if copy is not None and self.apply_pending(copy):
+                return
+            # Only notices inside our causal cone are fetched; pushed
+            # strays wait for the acquire that makes them due.
+            if copy is not None:
+                pending = self.due_notices(copy)
+            else:
+                mine = node.vc.components
+                pending = []
+                bucket = self.orphan_notices.get(page)
+                if bucket:
+                    for n in bucket.values():
+                        for a, b in zip(mine, n.vc.components):
+                            if a < b:
+                                break
+                        else:
+                            pending.append(n)
+            modifiers, assignment = self._assign_requests(
+                page, pending, escalated, writer_requested)
+            requests = []
+            base_source = None
+            if copy is None:
+                base_source = (modifiers[0] if modifiers
+                               else node.page_owner(page))
+                if base_source == node.proc:
+                    raise ProtocolError(
+                        f"node {node.proc} cold-missing page {page} it "
+                        "should already hold")
+                requests.append(Message(
+                    src=node.proc, dst=base_source, kind=MsgKind.PAGE_REQ,
+                    payload={"page": page,
+                             "wanted": self._wanted_ids(
+                                 assignment.get(base_source, ()))}))
+            for modifier, their_notices in assignment.items():
+                if modifier == base_source:
+                    continue
+                requests.append(Message(
+                    src=node.proc, dst=modifier, kind=MsgKind.DIFF_REQ,
+                    payload={"page": page,
+                             "wanted": self._wanted_ids(their_notices)}))
+            if not requests:
+                # Pending notices but every diff already local: the
+                # apply at loop top must have succeeded.
+                raise ProtocolError(
+                    f"node {node.proc} page {page} pending notices "
+                    "unsatisfiable without requests")
+            yield from self._fetch(page, requests)
+            # Loop: new notices may have raced in; normally one pass.
 
     def fetch_pending(self, page: int) -> Generator:
         """Obtain and apply every pending diff for ``page`` (LU's
@@ -77,35 +217,228 @@ class LazyBase(BaseProtocol):
                 return
             if self.apply_pending(copy):
                 return
-            pending = self.due_notices(copy)
-            wanted = [n for n in pending
-                      if n.proc != node.proc
-                      and not node.diff_store.has(n.proc, n.index,
-                                                  page)]
-            self._check_escalation(page, wanted, writer_requested)
-            modifiers = [m for m in
-                         self.concurrent_last_modifiers(pending)
-                         if m != node.proc]
-            assignment = self._assign_wanted(wanted, modifiers,
-                                             escalated,
-                                             all_notices=pending)
-            escalated.update(n.interval_id for n in wanted)
-            self._note_writer_requests(assignment, writer_requested)
-            reply_events = []
-            for modifier, their in sorted(assignment.items()):
-                message = Message(
-                    src=node.proc, dst=modifier, kind=MsgKind.DIFF_REQ,
-                    payload={"page": page,
-                             "wanted": self._wanted_ids(their)})
-                reply_events.append(node.expect_reply(message))
-                yield from node.app_send(message)
-            if not reply_events:
+            _modifiers, assignment = self._assign_requests(
+                page, self.due_notices(copy), escalated,
+                writer_requested)
+            if not assignment:
                 raise ProtocolError(
                     f"node {node.proc}: pending notices on page {page} "
                     "with nobody to fetch from")
-            replies = yield node.sim.all_of(reply_events)
-            for reply in replies:
-                self._integrate_miss_reply(page, reply)
+            # Each request is built as it is sent, modifiers ascending.
+            yield from self._fetch(page, (
+                Message(src=node.proc, dst=modifier, kind=MsgKind.DIFF_REQ,
+                        payload={"page": page,
+                                 "wanted": self._wanted_ids(their)})
+                for modifier, their in sorted(assignment.items())))
+
+    def _assign_requests(self, page: int, pending: Sequence[WriteNotice],
+                         escalated: Set[Tuple[int, int]],
+                         writer_requested: Set[Tuple[int, int]]
+                         ) -> Tuple[List[int],
+                                    Dict[int, List[WriteNotice]]]:
+        """Who to ask for each due diff of ``page`` we lack: returns
+        the concurrent last modifiers other than us and the assignment
+        of :meth:`_assign_wanted`.  The two sets carry one miss's
+        rounds: a diff asked for once goes to its writer next, and a
+        diff its writer failed to supply breaks the retention
+        invariant."""
+        node = self.node
+        wanted = [n for n in pending
+                  if n.proc != node.proc
+                  and not node.diff_store.has(n.proc, n.index, page)]
+        for notice in wanted:
+            if notice.interval_id in writer_requested:
+                raise ProtocolError(
+                    f"node {node.proc}: writer {notice.proc} "
+                    f"failed to supply diff {notice.interval_id} "
+                    f"for page {page}")
+        modifiers = [m for m in self.concurrent_last_modifiers(pending)
+                     if m != node.proc]
+        assignment = self._assign_wanted(wanted, modifiers, escalated,
+                                         pending)
+        escalated.update(n.interval_id for n in wanted)
+        for target, notices in assignment.items():
+            writer_requested.update(n.interval_id for n in notices
+                                    if n.proc == target)
+        return modifiers, assignment
+
+    def concurrent_last_modifiers(
+            self, notices: Sequence[WriteNotice]) -> List[int]:
+        """Processors whose latest known modification of the page is not
+        ordered before any other known modification ('m' in Table 1)."""
+        latest: Dict[int, WriteNotice] = {}
+        for notice in notices:
+            current = latest.get(notice.proc)
+            if current is None or notice.index > current.index:
+                latest[notice.proc] = notice
+        if len(latest) == 1:
+            # Single known modifier (the common case in phase-parallel
+            # apps): nobody can dominate it.
+            return list(latest)
+        modifiers = []
+        for proc, notice in latest.items():
+            dominated = any(
+                other.vc.strictly_dominates(notice.vc)
+                for other_proc, other in latest.items()
+                if other_proc != proc)
+            if not dominated:
+                modifiers.append(proc)
+        return sorted(modifiers)
+
+    def _assign_wanted(self, notices: Sequence[WriteNotice],
+                       modifiers: Sequence[int],
+                       escalated: Set[Tuple[int, int]],
+                       all_notices: Sequence[WriteNotice]
+                       ) -> Dict[int, List[WriteNotice]]:
+        """Group the wanted notices by the concurrent last modifier
+        whose last modification dominates each (it *usually* retains
+        the diffs that precede its own write).  Notices in
+        ``escalated`` — already requested once and not supplied — go
+        straight to their writer, who always retains its own diffs.
+        ``all_notices`` supplies the modifiers' latest vector times
+        when some are not themselves wanted."""
+        latest_vc: Dict[int, VectorClock] = {}
+        for notice in all_notices:
+            current = latest_vc.get(notice.proc)
+            if current is None or notice.index > current[notice.proc]:
+                latest_vc[notice.proc] = notice.vc
+        assignment: Dict[int, List[WriteNotice]] = {}
+        for notice in notices:
+            target = None
+            if (notice.proc in modifiers
+                    or notice.interval_id in escalated):
+                target = notice.proc
+            else:
+                for modifier in modifiers:
+                    vc = latest_vc.get(modifier)
+                    if vc is not None and vc.dominates(notice.vc):
+                        target = modifier
+                        break
+            if target is None:
+                target = notice.proc  # the writer always has its diff
+            assignment.setdefault(target, []).append(notice)
+        return assignment
+
+    @staticmethod
+    def _wanted_ids(notices) -> List[Tuple[int, int]]:
+        return [(n.proc, n.index) for n in notices]
+
+    def _fetch(self, page: int, requests) -> Generator:
+        """Send each miss request, wait for every reply, and fold the
+        replies in: page contents, records, diffs, copysets."""
+        node = self.node
+        reply_events = []
+        for message in requests:
+            reply_events.append(node.expect_reply(message))
+            yield from node.app_send(message)
+        replies = yield node.sim.all_of(reply_events)
+        for reply in replies:
+            payload = reply.payload
+            if reply.kind == MsgKind.PAGE_REPLY:
+                self._install_base(page, payload)
+            self.incorporate_records(payload.get("records", ()))
+            self.store_diffs(payload.get("diffs", ()))
+            if "copyset" in payload:
+                node.copysets.merge(page, payload["copyset"])
+
+    def _install_base(self, page: int, payload: dict) -> None:
+        """Install page contents received from a peer, preserving our
+        own not-yet-propagated modifications as pending work."""
+        node = self.node
+        copy = node.pagetable.install(page, values=payload["values"],
+                                      valid=False)
+        copy.applied = dict(payload["applied"])
+        copy.pending_notices = []
+        node.ins.page_transfers.value += 1
+        # Merge notices parked while we had no copy.
+        parked = self.orphan_notices.pop(page, None)
+        if parked:
+            for notice in parked.values():
+                copy.add_notice(notice)
+        # Our own sealed intervals the source did not cover must be
+        # re-applied on top (their diffs are local).
+        for index in self.own_page_intervals.get(page, ()):
+            if not copy.is_applied(node.proc, index):
+                record = node.interval_log.get((node.proc, index))
+                copy.add_notice(WriteNotice(page=page, proc=node.proc,
+                                            index=index, vc=record.vc))
+
+    # -- serving misses and diff requests ----------------------------------------
+
+    def handle(self, message: Message) -> None:
+        kind = message.kind
+        if kind == MsgKind.PAGE_REQ:
+            self._serve_page_request(message)
+        elif kind == MsgKind.DIFF_REQ:
+            self._serve_diff_request(message)
+        elif kind == MsgKind.UPDATE_PUSH:
+            self._handle_update_push(message)
+        else:
+            super().handle(message)
+
+    def _serve_page_request(self, message: Message) -> None:
+        """PAGE_REQ service: page contents + coverage map + our pending
+        notices + any requested diffs."""
+        node = self.node
+        page = message.payload["page"]
+        copy = node.pagetable.copies.get(page)
+        if copy is None:
+            raise ProtocolError(
+                f"node {node.proc} asked for page {page} it never "
+                "cached")
+        diffs = self._collect_diffs(page, message.payload["wanted"])
+        records = self._records_for_notices(copy.pending_notices)
+        node.copysets.add(page, message.src)
+        reply = Message(
+            src=node.proc, dst=message.src, kind=MsgKind.PAGE_REPLY,
+            reply_to=message.msg_id,
+            payload={"page": page,
+                     "values": copy.snapshot(),
+                     "applied": dict(copy.applied),
+                     "records": records,
+                     "diffs": diffs,
+                     "copyset": node.copysets.mask(page)},
+            data_bytes=node.config.page_size + sum(
+                self.diff_bytes(d) for _iid, d in diffs))
+        node.handler_send(reply)
+
+    def _serve_diff_request(self, message: Message) -> None:
+        node = self.node
+        page = message.payload["page"]
+        diffs = self._collect_diffs(page, message.payload["wanted"])
+        node.copysets.add(page, message.src)
+        node.handler_send(Message(
+            src=node.proc, dst=message.src, kind=MsgKind.DIFF_REPLY,
+            reply_to=message.msg_id,
+            payload={"page": page, "diffs": diffs,
+                     "records": [node.interval_log.get(iid)
+                                 for iid, _d in diffs]},
+            data_bytes=sum(self.diff_bytes(d) for _iid, d in diffs)))
+
+    def _collect_diffs(self, page: int,
+                       wanted: Sequence[Tuple[int, int]]
+                       ) -> List[Tuple[IntervalId, Diff]]:
+        """Best effort: diffs we do not hold are simply omitted and the
+        requester escalates to their writers (second miss round).
+        Diffs are only ever served verbatim as sealed — re-deriving one
+        from a live page copy could leak later writes into an older
+        interval."""
+        get_diff = self.node.diff_store.get
+        found = []
+        for proc, index in wanted:
+            diff = get_diff(proc, index, page)
+            if diff is not None:
+                found.append(((proc, index), diff))
+        return found
+
+    def _records_for_notices(self, notices: Sequence[WriteNotice]
+                             ) -> List[IntervalRecord]:
+        records = []
+        for notice in notices:
+            record = self.node.interval_log.get(notice.interval_id)
+            if record is not None:
+                records.append(record)
+        return records
 
     # -- release / acquire ----------------------------------------------------
 
@@ -115,9 +448,11 @@ class LazyBase(BaseProtocol):
     #: LH/LU piggyback heuristic (ablation): "copyset" sends diffs only
     #: for pages the requester is believed to cache (the paper's rule);
     #: "always" sends every available diff; "never" degenerates toward
-    #: LI's notice-only grants.
+    #: LI's notice-only grants.  EC's rule, "bound" (the pages bound to
+    #: the granted lock), is its class attribute, not a tunable value.
     piggyback_policy = "copyset"
-    TUNABLES = BaseProtocol.TUNABLES + ("piggyback_policy",)
+    TUNABLES = {**BaseProtocol.TUNABLES,
+                "piggyback_policy": ("copyset", "always", "never")}
 
     def grant_payload(self, requester: int,
                       requester_vc: VectorClock,
@@ -126,14 +461,21 @@ class LazyBase(BaseProtocol):
         node = self.node
         records = node.interval_log.records_after(requester_vc)
         diffs = []
-        if (self.piggyback_diffs and records
-                and self.piggyback_policy != "never"):
+        policy = self.piggyback_policy
+        if self.piggyback_diffs and records and policy != "never":
             # Batched piggyback assembly: one pass over the records'
             # cached page-ascending notices (no per-grant sort), with
-            # the requester's copyset membership resolved once per
-            # page — hot pages recur across the granted intervals.
-            copyset_rule = self.piggyback_policy == "copyset"
-            believes = node.copysets.believes_cached
+            # the policy's page rule resolved once per page — hot pages
+            # recur across the granted intervals.
+            filtered = policy != "always"
+            if policy == "bound":
+                bound = (node.machine.pages_bound_to(lock_id)
+                         if lock_id is not None else frozenset())
+
+                def rule(page: int, _requester: int) -> bool:
+                    return page in bound
+            else:
+                rule = node.copysets.believes_cached
             get_diff = node.diff_store.get
             cached_ok: Dict[int, bool] = {}
             for record in records:
@@ -142,11 +484,10 @@ class LazyBase(BaseProtocol):
                 interval_id = record.interval_id
                 for notice in record.notices():
                     page = notice.page
-                    if copyset_rule:
+                    if filtered:
                         ok = cached_ok.get(page)
                         if ok is None:
-                            ok = cached_ok[page] = believes(page,
-                                                            requester)
+                            ok = cached_ok[page] = rule(page, requester)
                         if not ok:
                             continue
                     diff = get_diff(proc, index, page)
@@ -175,6 +516,71 @@ class LazyBase(BaseProtocol):
         yield from self.seal_from_app()
         if self.push_at_barrier:
             yield from self.push_updates(wait_acks=self.push_needs_acks)
+
+    def push_updates(self, wait_acks: bool) -> Generator:
+        """Send our unpropagated diffs to every believed cacher of the
+        pages we modified: one UPDATE_PUSH per destination ('u' in
+        Table 1), optionally acknowledged ('2u')."""
+        node = self.node
+        bundles: Dict[int, List[Tuple[IntervalRecord,
+                                      List[Diff]]]] = {}
+        for (proc, index), pages in self.unpropagated.items():
+            record = node.interval_log.get((proc, index))
+            for dest in range(node.config.nprocs):
+                if dest == node.proc:
+                    continue
+                if node.peer_clock(dest)[node.proc] >= index:
+                    continue  # destination already has this interval
+                diffs = [node.diff_store.get(proc, index, page)
+                         for page in sorted(pages)
+                         if node.copysets.believes_cached(page, dest)]
+                diffs = [d for d in diffs if d is not None]
+                if diffs:
+                    bundles.setdefault(dest, []).append((record, diffs))
+        self.unpropagated = {}
+        if not bundles:
+            return
+        reply_events = []
+        for dest, bundle in sorted(bundles.items()):
+            data = sum(self.diff_bytes(d)
+                       for _r, ds in bundle for d in ds)
+            message = Message(
+                src=node.proc, dst=dest, kind=MsgKind.UPDATE_PUSH,
+                payload={"bundle": bundle, "ack": wait_acks},
+                data_bytes=data)
+            if wait_acks:
+                reply_events.append(node.expect_reply(message))
+            yield from node.app_send(message)
+        if reply_events:
+            replies = yield node.sim.all_of(reply_events)
+            for reply in replies:
+                for page in reply.payload.get("not_cached", ()):
+                    node.copysets.remove(page, reply.src)
+
+    def _handle_update_push(self, message: Message) -> None:
+        """Receive pushed diffs: log records, store diffs, and apply
+        them wherever the copy stays fully covered."""
+        node = self.node
+        not_cached: List[int] = []
+        for record, diffs in message.payload["bundle"]:
+            self.incorporate_records([record])
+            for diff in diffs:
+                node.diff_store.put(record.proc, record.index, diff)
+                node.ins.diffs_applied.value += 1
+                if not node.pagetable.has_copy(diff.page):
+                    not_cached.append(diff.page)
+        touched = {diff.page
+                   for _record, diffs in message.payload["bundle"]
+                   for diff in diffs}
+        for page in touched:
+            copy = node.pagetable.copies.get(page)
+            if copy is not None and not copy.dirty:
+                self.apply_pending(copy)
+        if message.payload["ack"]:
+            node.handler_send(Message(
+                src=node.proc, dst=message.src, kind=MsgKind.UPDATE_ACK,
+                reply_to=message.msg_id,
+                payload={"not_cached": sorted(set(not_cached))}))
 
     def apply_depart(self, payload: dict) -> Generator:
         node = self.node

@@ -25,12 +25,10 @@ the next conflicting access).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Generator, Optional, Set, Tuple
 
-from repro.mem.timestamps import VectorClock
 from repro.net.message import Message, MsgKind
-from repro.protocols.base import (BaseProtocol, ConsistencyInfo,
-                                  ProtocolError)
+from repro.protocols.base import BaseProtocol, ProtocolError
 
 READ = "read"
 WRITE = "write"
@@ -53,7 +51,6 @@ class SequentialInvalidate(BaseProtocol):
     """'sc': the pre-RC single-writer baseline."""
 
     name = "sc"
-    is_lazy = False
     # A valid copy may be read-only (mode READ): writes must still go
     # through ensure_valid's ownership transaction.
     valid_copy_serves_writes = False
@@ -95,22 +92,13 @@ class SequentialInvalidate(BaseProtocol):
     # the application-facing policy points
     # ------------------------------------------------------------------
 
-    def ensure_valid(self, page: int, for_write: bool) -> Generator:
+    def is_hit(self, page: int, copy, for_write: bool) -> bool:
+        # A valid copy is readable; writing it needs ownership.
+        return (copy is not None and copy.valid
+                and (not for_write or self.mode.get(page, READ) == WRITE))
+
+    def resolve_miss(self, page: int, for_write: bool) -> Generator:
         node = self.node
-        mode = self._local_mode(page)
-        if mode == WRITE or (mode == READ and not for_write):
-            return
-        started = node.sim.now
-        if for_write:
-            node.ins.write_misses.inc()
-        else:
-            node.ins.read_misses.inc()
-        if node.pagetable.copies.get(page) is None:
-            node.ins.cold_misses.inc()
-        if node.tracer.sink.enabled:
-            node.tracer.emit("protocol.page_fault", page=page,
-                             node=node.proc, write=for_write,
-                             cold=node.pagetable.copies.get(page) is None)
         while True:
             manager = node.page_owner(page)
             if manager == node.proc:
@@ -126,16 +114,11 @@ class SequentialInvalidate(BaseProtocol):
                              "write": for_write}))
                 yield done
                 self._fault_done.pop(page, None)
-            mode = self._local_mode(page)
-            if mode == WRITE or (mode == READ and not for_write):
-                break
+            if self.is_hit(page, node.pagetable.copies.get(page),
+                           for_write):
+                return
             # An interleaved transaction snatched the page back
             # between our grant and our access: fault again.
-        waited = node.sim.now - started
-        node.ins.miss_wait.observe(waited)
-        if node.tracer.sink.enabled:
-            node.tracer.emit("protocol.fault_done", page=page,
-                             node=node.proc, waited=waited)
 
     def record_write(self, page: int, start: int, end: int) -> None:
         if self._local_mode(page) != WRITE:
@@ -144,39 +127,9 @@ class SequentialInvalidate(BaseProtocol):
                 "ownership")
         # Single writer: the write is already in the only live copy.
 
-    # Synchronization carries no consistency information under SC.
-
-    def on_release(self) -> Generator:
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def grant_payload(self, requester: int,
-                      requester_vc: VectorClock,
-                      lock_id=None
-                      ) -> Tuple[Optional[ConsistencyInfo], int]:
-        return None, 0
-
-    def apply_grant(self,
-                    info: Optional[ConsistencyInfo]) -> Generator:
-        if info is not None:
-            raise ProtocolError("sc lock grants carry no payload")
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def pre_barrier(self) -> Generator:
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def barrier_arrive_payload(self) -> dict:
-        return {"records": [], "vc": self.node.vc}
-
-    def apply_depart(self, payload: dict) -> Generator:
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def collect_garbage(self) -> Generator:
-        return
-        yield  # pragma: no cover - SC keeps no metadata to collect
+    # Synchronization carries no consistency information under SC:
+    # the hooks keep BaseProtocol's defaults, and with no intervals
+    # the barrier payload and GC are empty.
 
     # ------------------------------------------------------------------
     # manager-side transaction engine

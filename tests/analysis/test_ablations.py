@@ -62,3 +62,33 @@ def test_unknown_protocol_option_rejected():
     with pytest.raises(ValueError, match="tunable"):
         Machine(MachineConfig(nprocs=2), protocol="lh",
                 protocol_options={"warp_speed": True})
+
+
+@pytest.mark.parametrize("protocol,options,allowed", [
+    # Once run silently as "always".
+    ("lh", {"piggyback_policy": "alwyas"}, "'copyset', 'always', 'never'"),
+    # EC's bound-page rule is its class attribute, not a knob value.
+    ("lu", {"piggyback_policy": "bound"}, "'copyset', 'always', 'never'"),
+    # Once truthy, so every diff was priced as a page.
+    ("li", {"price_diffs_as_pages": "no"}, "False, True"),
+    ("ei", {"price_diffs_as_pages": None}, "False, True"),
+])
+def test_bad_protocol_option_value_rejected(protocol, options, allowed):
+    from repro.core import Machine, MachineConfig
+    (knob, value), = options.items()
+    with pytest.raises(ValueError) as error:
+        Machine(MachineConfig(nprocs=2), protocol=protocol,
+                protocol_options=options)
+    message = str(error.value)
+    assert repr(knob) in message and f"[{allowed}]" in message
+    assert repr(value) in message
+
+
+def test_good_protocol_option_values_accepted():
+    from repro.core import Machine, MachineConfig
+    machine = Machine(MachineConfig(nprocs=2), protocol="lh",
+                      protocol_options={"piggyback_policy": "never",
+                                        "price_diffs_as_pages": True})
+    protocol = machine.nodes[0].protocol
+    assert protocol.piggyback_policy == "never"
+    assert protocol.price_diffs_as_pages is True

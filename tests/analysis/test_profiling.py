@@ -11,6 +11,7 @@ from repro.analysis.profiling import (PROTOCOL_BUCKETS, ProfileReport,
                                       format_profile, profile_spec)
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.lab.spec import RunSpec
+from repro.mem.intervals import DiffStore, IntervalLog
 
 
 def _spec():
@@ -21,43 +22,53 @@ def _spec():
 
 class TestProtocolBucket:
     def test_vector_clock_file(self):
-        assert _protocol_bucket("/x/src/repro/mem/timestamps.py",
+        assert _protocol_bucket("/x/src/repro/mem/timestamps.py", 1,
                                 "merged") == "vector-clock"
 
     def test_diff_files(self):
-        assert _protocol_bucket("/x/src/repro/mem/diffs.py",
+        assert _protocol_bucket("/x/src/repro/mem/diffs.py", 1,
                                 "apply") == "diff"
-        assert _protocol_bucket("/x/src/repro/mem/wire.py",
+        assert _protocol_bucket("/x/src/repro/mem/wire.py", 1,
                                 "encode_diff") == "diff"
 
     def test_intervals_file_split_by_class(self):
         # intervals.py holds both the interval log and the DiffStore;
-        # DiffStore's methods count as diff machinery.
-        assert _protocol_bucket("/x/src/repro/mem/intervals.py",
-                                "add_if_new") == "interval-bookkeeping"
-        assert _protocol_bucket("/x/src/repro/mem/intervals.py",
-                                "records_after") == "interval-bookkeeping"
-        assert _protocol_bucket("/x/src/repro/mem/intervals.py",
-                                "prune_intervals") == "diff"
+        # DiffStore's methods count as diff machinery.  Both classes
+        # define ``get``, so the split is by line, as pstats keys it.
+        path = "/x/src/repro/mem/intervals.py"
+
+        def bucket(method):
+            code = method.__code__
+            return _protocol_bucket(path, code.co_firstlineno,
+                                    code.co_name)
+
+        for method in (IntervalLog.add_if_new, IntervalLog.records_after,
+                       IntervalLog.get):
+            assert bucket(method) == "interval-bookkeeping"
+        for method in (DiffStore.put, DiffStore.get, DiffStore.has,
+                       DiffStore.prune_intervals):
+            assert bucket(method) == "diff"
 
     def test_protocols_by_function_name(self):
         base = "/x/src/repro/protocols/base.py"
-        assert _protocol_bucket(base, "seal_interval") \
+        lazy = "/x/src/repro/protocols/lazy.py"
+        assert _protocol_bucket(base, 1, "seal_interval") \
             == "interval-bookkeeping"
-        assert _protocol_bucket(base, "incorporate_records") \
+        assert _protocol_bucket(base, 1, "incorporate_records") \
             == "interval-bookkeeping"
-        assert _protocol_bucket(base, "due_notices") \
+        assert _protocol_bucket(lazy, 1, "due_notices") \
             == "interval-bookkeeping"
-        assert _protocol_bucket(base, "collect_garbage") \
+        assert _protocol_bucket(base, 1, "collect_garbage") \
             == "interval-bookkeeping"
-        assert _protocol_bucket(base, "_serve_diff_request") == "diff"
-        assert _protocol_bucket(base, "store_diffs") == "diff"
-        assert _protocol_bucket(base, "lazy_miss") == "protocol (other)"
+        assert _protocol_bucket(lazy, 1, "_serve_diff_request") == "diff"
+        assert _protocol_bucket(lazy, 1, "store_diffs") == "diff"
+        assert _protocol_bucket(lazy, 1, "resolve_miss") \
+            == "protocol (other)"
 
     def test_non_protocol_code_is_unbucketed(self):
-        assert _protocol_bucket("/x/src/repro/sim/engine.py",
+        assert _protocol_bucket("/x/src/repro/sim/engine.py", 1,
                                 "run_until") is None
-        assert _protocol_bucket("/usr/lib/python3/heapq.py",
+        assert _protocol_bucket("/usr/lib/python3/heapq.py", 1,
                                 "heappush") is None
 
 

@@ -90,6 +90,14 @@ def test_networks_honours_protocol_and_machine_flags(capsys):
     ["servesweep", "--protocol", "li"],
     ["servesweep", "--network", "atm"],
     ["crashsweep", "jacobi", "--protocol", "li"],
+    # The in-process tools build no Lab.
+    ["profile", "jacobi", "--jobs", "2"],
+    ["profile", "jacobi", "--no-cache"],
+    ["trace", "export", "jacobi", "--cache-dir", "c"],
+    ["trace", "critical-path", "jacobi", "--trace-dir", "t"],
+    ["trace", "contention", "jacobi", "--jobs", "2"],
+    ["timeseries", "report", "--no-cache"],
+    ["timeseries", "export", "kvstore", "--jobs", "2"],
 ])
 def test_flags_a_subcommand_cannot_honour_are_rejected(argv, capsys):
     """What a subcommand would parse and ignore is not registered on

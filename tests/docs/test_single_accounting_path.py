@@ -23,7 +23,11 @@ next ones).  ``Lab.run_many`` settles outcomes from one generator
 per-catalogue metric installers are gone.  A ``RunResult`` is its
 registry plus each node's finish time: the ``NodeMetrics`` copy (and
 ``Node.metrics``), the ``network_*`` copies and the ``metric_total`` /
-``metric_by`` wrappers are gone.  This scans ``src/repro``
+``metric_by`` wrappers are gone.  An access miss is counted, traced and
+timed in one frame (``BaseProtocol.ensure_valid``); EC is LH with
+another piggyback rule, not a second grant loop; and the lazy
+machinery lives in ``LazyBase``, not in the skeleton every protocol
+inherits.  This scans ``src/repro``
 (comments and docstrings included — a stale mention misleads as well
 as a stale call) so the second accounting path cannot grow back one
 site at a time.
@@ -157,6 +161,16 @@ ENGINE_ONCE = [
      re.compile(r"queue\[0\]\[1\] < ready\[0\]\[0\]")),
 ]
 
+#: (what it is, pattern): each occurs at exactly one site of
+#: ``src/repro`` — the one access-miss frame in protocols/base.py.
+MISS_FRAME_ONCE = [
+    ("page-fault trace event",
+     re.compile(r'emit\(\s*"protocol\.page_fault"')),
+    ("fault-done trace event",
+     re.compile(r'emit\(\s*"protocol\.fault_done"')),
+    ("miss-wait observation", re.compile(r"\bmiss_wait\.observe\(")),
+]
+
 
 def _offenders(pattern, exempt):
     hits = []
@@ -203,6 +217,33 @@ def test_engine_has_one_dispatch_loop(what, pattern):
     assert len(hits) == 1, (
         f"expected one {what} in sim/engine.py, found:\n"
         + "\n".join(hits))
+
+
+@pytest.mark.parametrize("what,pattern", MISS_FRAME_ONCE,
+                         ids=[entry[0] for entry in MISS_FRAME_ONCE])
+def test_one_access_miss_frame(what, pattern):
+    hits = _offenders(pattern, ())
+    assert len(hits) == 1 and hits[0].startswith("protocols/base.py:"), (
+        f"expected one {what}, in protocols/base.py; found:\n"
+        + "\n".join(hits))
+
+
+def test_protocol_families_share_one_skeleton():
+    """The skeleton holds no lazy-only code, EC restates no grant loop
+    and SC restates no hook default."""
+    from repro.protocols.base import BaseProtocol
+    from repro.protocols.sc import SequentialInvalidate
+    lazy_only = {"lazy_miss", "concurrent_last_modifiers",
+                 "_assign_wanted", "due_notices", "apply_pending",
+                 "_serve_page_request", "_serve_diff_request",
+                 "push_updates", "_handle_update_push"}
+    assert not lazy_only & set(vars(BaseProtocol))
+    entry = (SRC / "protocols" / "entry.py").read_text()
+    assert not re.search(r"\bdef grant_payload\b", entry)
+    defaults = {"on_release", "pre_barrier", "grant_payload",
+                "apply_grant", "apply_depart", "barrier_arrive_payload",
+                "collect_garbage"}
+    assert not defaults & set(vars(SequentialInvalidate))
 
 
 def test_machine_transmit_is_bound_once_not_a_method():

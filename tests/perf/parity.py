@@ -48,7 +48,8 @@ def cases():
     protocol-exercising apps under all five protocols on ATM, plus one
     Ethernet run (contention/backoff path) and the repo benchmark's
     two pinned jacobi/LI configurations, and the wide-eager,
-    multithreaded and lossy cases described where they are added."""
+    multithreaded, lossy and protocol-skeleton cases described where
+    they are added."""
     out = []
     for app, params in _PARAMS.items():
         for protocol in PROTOCOLS:
@@ -130,6 +131,27 @@ def cases():
                                 drop_prob=0.02, crash_mttf_us=2000.0,
                                 crash_mttr_us=300.0,
                                 crash_horizon_us=20000.0)))))
+    # The protocol-skeleton goldens: the paths the matrix above leaves
+    # unpinned — EC's bound-page grants (1054 messages to LH's 993 on
+    # this run), SC's manager transactions, an eager lock grant,
+    # GC-on validation (the only path where LI reaches fetch_pending)
+    # and the "never" piggyback policy.  Captured before the five
+    # protocols were rebuilt on one skeleton.
+    atm4 = MachineConfig(nprocs=4, network=NetworkConfig.atm())
+    out += [
+        ("cholesky_ec_atm4",
+         RunSpec("cholesky", dict(k=4), protocol="ec", config=atm4)),
+        ("water_sc_atm4",
+         RunSpec("water", _PARAMS["water"], protocol="sc", config=atm4)),
+        ("cholesky_ei_atm4",
+         RunSpec("cholesky", dict(k=4), protocol="ei", config=atm4)),
+        ("water_li_atm4_gc1",
+         RunSpec("water", dict(nmols=20, steps=2), protocol="li",
+                 config=atm4.replace(gc_barrier_interval=1))),
+        ("water_lh_atm4_never",
+         RunSpec("water", _PARAMS["water"], protocol="lh", config=atm4,
+                 protocol_options={"piggyback_policy": "never"})),
+    ]
     return out
 
 

@@ -8,7 +8,7 @@ operation sequences and demands equality (docs/performance.md):
   merge) vs append-everything-then-:func:`normalize_ranges`;
 - :meth:`repro.mem.intervals.IntervalLog.records_after` (per-proc
   bisect index) vs a flat scan of the whole log;
-- :meth:`repro.protocols.base.BaseProtocol.due_notices` (memoized
+- :meth:`repro.protocols.lazy.LazyBase.due_notices` (memoized
   incremental partition) vs a naive dominance filter, across
   interleaved notice arrivals and monotone clock advances;
 - :meth:`repro.mem.intervals.IntervalLog.prune_dominated` (interval
@@ -42,7 +42,7 @@ from repro.mem.intervals import (DiffStore, IntervalLog, IntervalRecord,
 from repro.mem.pages import PageCopy
 from repro.mem.timestamps import VectorClock
 from repro.mem.wire import decode_diff, encode_diff
-from repro.protocols.base import BaseProtocol
+from repro.protocols.lazy import LazyBase
 
 PAGE_WORDS = 64
 
@@ -145,7 +145,7 @@ def test_due_notices_memo_matches_naive_filter(script):
         # The memoized partition must agree with the naive filter —
         # same notices, same (pending-list) order — after every
         # mutation, however the cache hits land.
-        assert BaseProtocol.due_notices(protocol, copy) == naive()
+        assert LazyBase.due_notices(protocol, copy) == naive()
 
 
 # -- interval-log GC vs the unpruned log -------------------------------

@@ -66,7 +66,22 @@ def test_binding_restricts_payload_to_the_locks_data():
     seg_b = machine.allocate("b", words)
     machine.bind_lock(0, seg_a)
     machine.bind_lock(1, seg_b)
-    grant_data = []
+    (page_a, _lo, _hi), = seg_a.page_ranges(0, 1)
+    (page_b, _lo, _hi), = seg_b.page_ranges(0, 1)
+    # Every grant node 0 gives: (lock, records' pages, diffs' pages).
+    grants = []
+    granter = machine.nodes[0].protocol
+    real_grant_payload = granter.grant_payload
+
+    def spy(requester, requester_vc, lock_id=None):
+        info, data = real_grant_payload(requester, requester_vc,
+                                        lock_id=lock_id)
+        grants.append((lock_id,
+                       {page for r in info.records for page in r.pages},
+                       [diff.page for _iid, diff in info.diffs]))
+        return info, data
+
+    granter.grant_payload = spy
 
     def worker(api, proc):
         if proc == 0:
@@ -76,17 +91,20 @@ def test_binding_restricts_payload_to_the_locks_data():
             yield from api.acquire(1)
             yield from api.write(seg_b, 0, 2.0)
             yield from api.release(1)
-        yield from api.barrier(0)
-        if proc == 1:
-            yield from api.acquire(0)  # should carry seg_a data only
-            value = yield from api.read(seg_a, 0)
-            yield from api.release(0)
-            return value
-        return None
+            return None
+        # Ask for lock 0 only once node 0 has released both locks, so
+        # the grant's records name both pages (no barrier in between
+        # to deliver them first).
+        yield from api.compute(50_000_000)
+        yield from api.acquire(0)  # should carry seg_a data only
+        value = yield from api.read(seg_a, 0)
+        yield from api.release(0)
+        return value
 
     result = machine.run(
         lambda p: worker(DsmApi(machine.nodes[p]), p))
     assert result.app_result[1] == 1.0
+    assert grants == [(0, {page_a, page_b}, [page_a])]
 
 
 @pytest.mark.parametrize("app_factory", [
