@@ -193,17 +193,21 @@ class DsmApi:
             node.tracer.emit("sync.lock_acquired", lock=lock_id,
                              node=node.proc, wait_cycles=waited)
 
+    # release, barrier and compute return the layer below's generator
+    # instead of wrapping it in one more frame; ``yield from`` runs it
+    # all the same.
+
     def release(self, lock_id: int) -> Generator:
-        yield from self._node.lock_manager.release(lock_id)
+        return self._node.lock_manager.release(lock_id)
 
     def barrier(self, barrier_id: int) -> Generator:
-        yield from self._node.barrier_manager.barrier(barrier_id)
+        return self._node.barrier_manager.barrier(barrier_id)
 
     # -- computation --------------------------------------------------------------
 
     def compute(self, cycles: float) -> Generator:
         """Charge local computation time (slowed by message handling)."""
-        yield from self._node.compute(cycles)
+        return self._node.compute(cycles)
 
     @property
     def now(self) -> float:

@@ -19,6 +19,7 @@ software overhead directly slows the application down.
 from __future__ import annotations
 
 from heapq import heappush
+from math import inf
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.core.config import MachineConfig
@@ -56,10 +57,10 @@ class Node:
         # pending list and peer_clock folds the batch in one
         # componentwise-max pass.  Max-merging is order-insensitive and
         # associative, so the folded clock is value-identical to eager
-        # per-observation merges — but reads are rare (grant paths,
-        # barrier pushes, checkpoints) while observations arrive with
-        # every notice-carrying message, so the per-observation merge
-        # cost collapses to a list append.
+        # per-observation merges — but reads are rare (barrier pushes,
+        # checkpoints) while observations arrive with every
+        # notice-carrying message and every lock grant, so the
+        # per-observation merge cost collapses to a list append.
         self.peer_vc: Dict[int, VectorClock] = {
             p: VectorClock.zero(self.config.nprocs)
             for p in range(self.config.nprocs)}
@@ -107,9 +108,10 @@ class Node:
         """Build the ``{MsgKind: bound handler}`` table ``_dispatch``
         routes through (once, after the machine has set the protocol
         and the sync managers)."""
-        sync = {MsgKind.LOCK_REQ: self.lock_manager.handle,
-                MsgKind.LOCK_FWD: self.lock_manager.handle,
-                MsgKind.LOCK_GRANT: self.lock_manager.handle,
+        locks = self.lock_manager
+        sync = {MsgKind.LOCK_REQ: locks._handle_request,
+                MsgKind.LOCK_FWD: locks._handle_forward,
+                MsgKind.LOCK_GRANT: locks._handle_grant,
                 MsgKind.BARRIER_ARRIVE: self.barrier_manager.handle,
                 MsgKind.BARRIER_DEPART: self.barrier_manager.handle}
         self.handlers = {kind: sync.get(kind, self.protocol.handle)
@@ -148,11 +150,6 @@ class Node:
             self.peer_vc[proc] = current
         return current
 
-    def advance_peer_clock(self, proc: int, vc: VectorClock) -> None:
-        """Fold ``vc`` into ``proc``'s clock now (grant paths: the
-        granter knows the requester is about to observe its clock)."""
-        self.peer_vc[proc] = self.peer_clock(proc).merged(vc)
-
     def memory_footprint(self) -> Dict[str, int]:
         """Consistency-metadata sizes (what barrier GC reclaims)."""
         orphans = getattr(self.protocol, "orphan_notices", {})
@@ -176,8 +173,9 @@ class Node:
         """Application-context computation of ``cycles`` cycles, slowed
         down by any interrupt (handler) cycles that land inside it.
         On a multithreaded node, threads serialize on the CPU."""
-        if cycles < 0:
-            raise ValueError(f"negative compute: {cycles}")
+        if not 0 <= cycles < inf:
+            raise ValueError(f"cannot compute {cycles!r} cycles: a "
+                             "duration is a finite number >= 0")
         self.ins.compute_cycles.value += cycles
         if cycles == 0:
             return

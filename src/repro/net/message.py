@@ -11,13 +11,12 @@ as synchronization vs. data traffic from their kind
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
 from repro.core.config import MESSAGE_HEADER_BYTES
 
-_message_ids = itertools.count()
+_next_message_id = itertools.count().__next__
 
 
 class MsgKind(Enum):
@@ -49,29 +48,36 @@ class MsgKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(slots=True)
 class Message:
-    """One point-to-point protocol message."""
+    """One point-to-point protocol message.
 
-    src: int
-    dst: int
-    kind: MsgKind
-    payload: Any = None
-    data_bytes: int = 0  # shared data carried (diffs / page contents)
-    lazy: bool = False   # lazy protocols pay doubled per-byte overhead
-    msg_id: int = field(default_factory=_message_ids.__next__)
-    reply_to: Optional[int] = None  # correlating request msg_id
-    # Wire length (header + data), fixed at construction.  A plain
-    # attribute: it is read several times per hop (overhead model,
-    # network serialization, traffic counters).
-    size_bytes: int = field(init=False, default=0)
+    ``__init__`` is written out (one frame per message: validate, fill
+    the slots, draw an id only when none is given), and a message that
+    fails validation draws no id."""
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"message to self: proc {self.src}")
-        if self.data_bytes < 0:
-            raise ValueError("negative data_bytes")
-        self.size_bytes = MESSAGE_HEADER_BYTES + self.data_bytes
+    __slots__ = ("src", "dst", "kind", "payload", "data_bytes", "lazy",
+                 "msg_id", "reply_to", "size_bytes")
+
+    def __init__(self, src: int, dst: int, kind: MsgKind,
+                 payload: Any = None, data_bytes: int = 0,
+                 lazy: bool = False, msg_id: Optional[int] = None,
+                 reply_to: Optional[int] = None) -> None:
+        if src == dst:
+            raise ValueError(f"message to self: proc {src}")
+        if data_bytes < 0:
+            raise ValueError(f"negative data_bytes: {data_bytes}")
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.data_bytes = data_bytes  # shared data (diffs / page contents)
+        self.lazy = lazy  # lazy protocols pay doubled per-byte overhead
+        self.msg_id = _next_message_id() if msg_id is None else msg_id
+        self.reply_to = reply_to  # correlating request msg_id
+        # Wire length (header + data), fixed at construction.  A plain
+        # attribute: it is read several times per hop (overhead model,
+        # network serialization, traffic counters).
+        self.size_bytes = MESSAGE_HEADER_BYTES + data_bytes
 
     def __repr__(self) -> str:
         return (f"<Msg #{self.msg_id} {self.kind.value} "

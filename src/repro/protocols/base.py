@@ -29,7 +29,7 @@ applications are; the property tests exercise the invariant directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.mem.diffs import Diff
@@ -40,14 +40,14 @@ from repro.net.message import Message
 from repro.sim.engine import SimulationError
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsistencyInfo:
     """Write notices (as interval records) plus optional diffs,
-    piggybacked on lock grants and barrier departures."""
+    piggybacked on lock grants."""
 
     sender_vc: VectorClock
-    records: List[IntervalRecord] = field(default_factory=list)
-    diffs: List[Tuple[IntervalId, Diff]] = field(default_factory=list)
+    records: List[IntervalRecord]
+    diffs: List[Tuple[IntervalId, Diff]]
 
 
 class ProtocolError(SimulationError):
@@ -186,7 +186,9 @@ class BaseProtocol:
         return cost
 
     def seal_from_app(self) -> Generator:
-        yield from self.node.app_charge(self.seal_interval())
+        """Seal now and return the generator that charges the cost in
+        application context (``yield from`` it at once)."""
+        return self.node.app_charge(self.seal_interval())
 
     def seal_in_handler(self) -> None:
         self.node.handler_charge(self.seal_interval())
@@ -381,7 +383,7 @@ class BaseProtocol:
                       ) -> Tuple[Optional[ConsistencyInfo], int]:
         """The lock grant's consistency payload and its data bytes."""
         node = self.node
-        node.advance_peer_clock(requester, node.vc)
+        node.observe_peer_vc(requester, node.vc)
         return None, 0
 
     def apply_grant(self,

@@ -443,7 +443,7 @@ class LazyBase(BaseProtocol):
     # -- release / acquire ----------------------------------------------------
 
     def on_release(self) -> Generator:
-        yield from self.seal_from_app()
+        return self.seal_from_app()
 
     #: LH/LU piggyback heuristic (ablation): "copyset" sends diffs only
     #: for pages the requester is believed to cache (the paper's rule);
@@ -493,20 +493,29 @@ class LazyBase(BaseProtocol):
                     diff = get_diff(proc, index, page)
                     if diff is not None:
                         diffs.append((interval_id, diff))
-        info = ConsistencyInfo(sender_vc=node.vc, records=records,
-                               diffs=diffs)
-        node.advance_peer_clock(requester, node.vc)
-        return info, sum(self.diff_bytes(d) for _iid, d in info.diffs)
+        node.observe_peer_vc(requester, node.vc)
+        info = ConsistencyInfo(node.vc, records, diffs)
+        if not diffs:
+            return info, 0
+        return info, sum(self.diff_bytes(d) for _iid, d in diffs)
 
     def apply_grant(self, info: Optional[ConsistencyInfo]) -> Generator:
         if info is None:
             raise ProtocolError(f"{self.name} grant without payload")
         node = self.node
-        self.incorporate_records(info.records)
+        records = info.records
+        if not records:
+            # An empty grant (most are: a queue-lock poll that wrote
+            # nothing) carries no diffs either, and resolve_pages([])
+            # does nothing under every lazy protocol: only the clock
+            # moves.
+            node.vc = node.vc.merged(info.sender_vc)
+            return
+        self.incorporate_records(records)
         self.store_diffs(info.diffs)
         node.vc = node.vc.merged(info.sender_vc)
         affected = sorted({page
-                           for record in info.records
+                           for record in records
                            for page in record.pages})
         yield from self.resolve_pages(affected)
 

@@ -33,8 +33,8 @@ path that never allocates an :class:`Event`.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from math import inf
 from typing import (Any, Callable, Deque, Generator, List, Optional,
                     Tuple)
@@ -57,7 +57,8 @@ class Process(Event):
     generator's return value) when the generator finishes, so processes
     can be joined by yielding them."""
 
-    __slots__ = ("generator", "_paused", "_deferred")
+    __slots__ = ("generator", "_paused", "_deferred", "_resume",
+                 "_delay_elapsed")
 
     def __init__(self, sim, generator: Generator, name: str = "") -> None:
         super().__init__(sim, name=name or getattr(generator, "__name__",
@@ -65,6 +66,10 @@ class Process(Event):
         self.generator = generator
         self._paused = False
         self._deferred: Optional[List[Optional[Event]]] = None
+        # The two wake-ups, bound once: every wait queues one of them,
+        # so a wait allocates no bound method.
+        self._resume = self._step
+        self._delay_elapsed = self._delay_done
         tracer = sim.tracer
         if tracer is not None and tracer.sink.enabled:
             tracer.emit("sim.process_spawn", process=self.name)
@@ -87,16 +92,24 @@ class Process(Event):
             for waited in deferred:
                 self.sim.schedule(0.0, self._resume, waited)
 
-    def _resume(self, waited: Optional[Event]) -> None:
+    def _step(self, waited: Optional[Event]) -> None:
+        """``_resume``: send the generator ``waited``'s value and queue
+        the wake-up for what it yields next.  The queueing is
+        ``Event.add_callback`` / ``Simulator.schedule`` spelled out in
+        this frame, entry for entry: the same sequence numbers and the
+        same ``now + delay`` float arithmetic."""
         if self._paused:
             if self._deferred is None:
                 self._deferred = []
             self._deferred.append(waited)
             return
-        value = waited.value if isinstance(waited, Event) else None
         try:
-            target = self.generator.send(value)
+            target = self.generator.send(
+                None if waited is None else waited.value)
         except StopIteration as stop:
+            # Nothing can wake a finished process: drop the bound
+            # wake-ups so it no longer references itself.
+            self._resume = self._delay_elapsed = None
             tracer = self.sim.tracer
             if tracer is not None and tracer.sink.enabled:
                 tracer.emit("sim.process_done", process=self.name)
@@ -106,28 +119,40 @@ class Process(Event):
             if target is self:
                 raise SimulationError(
                     f"process {self.name!r} waits on itself")
-            target.add_callback(self._resume)
+            if target.triggered:
+                sim = self.sim
+                sim._seq = seq = sim._seq + 1
+                sim._ready.append((seq, self._resume, (target,)))
+            else:
+                target._callbacks.append(self._resume)
         elif isinstance(target, (int, float)):
-            # Fast path for plain numeric yields: schedule the same
-            # two dispatches a Timeout would (fire, then the resume
-            # callback) without allocating an Event.  Identical
-            # sequence numbers, identical event counts.
-            if target < 0:
-                raise ValueError(f"negative timeout: {float(target)}")
-            self.sim.schedule(float(target), self._delay_elapsed)
+            # Fast path for plain numeric yields: the same two
+            # dispatches a Timeout would cost (fire, then the resume)
+            # without allocating an Event.  Identical sequence numbers,
+            # identical event counts.
+            if not 0 <= target < inf:
+                raise ValueError(
+                    f"process {self.name!r} yielded delay {target!r}; "
+                    "a delay is a finite number >= 0")
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            if target == 0:
+                sim._ready.append((seq, self._delay_elapsed, ()))
+            else:
+                heappush(sim._queue, (sim.now + float(target), seq,
+                                      self._delay_elapsed, ()))
         elif isinstance(target, (list, tuple)):
-            AllOf(self.sim, target).add_callback(self._resume)
+            # A fresh AllOf has not fired (even an empty one fires on
+            # the next delta cycle), so the wake-up simply waits on it.
+            AllOf(self.sim, target)._callbacks.append(self._resume)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; expected an "
                 "Event, a delay, or a list of Events")
 
-    def _delay_elapsed(self) -> None:
-        """Second hop of the numeric-yield fast path (mirrors
-        ``Timeout._fire`` + ``Event.succeed`` scheduling).  The
-        zero-delay ``schedule`` branch is inlined: this runs once per
-        compute span, which Jacobi-style apps issue per inner
-        iteration."""
+    def _delay_done(self) -> None:
+        """``_delay_elapsed``: second hop of the numeric-yield fast path
+        (mirrors ``Timeout._fire`` + ``Event.succeed`` scheduling)."""
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         sim._ready.append((seq, self._resume, (None,)))
@@ -197,11 +222,12 @@ class Simulator:
             self._seq = seq = self._seq + 1
             self._ready.append((seq, callback, args))
             return
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
+        if not 0 < delay < inf:
+            raise SimulationError(
+                f"cannot schedule {delay!r} cycles ahead: a delay is a "
+                "finite number >= 0")
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue,
-                       (self.now + delay, seq, callback, args))
+        heappush(self._queue, (self.now + delay, seq, callback, args))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -245,7 +271,7 @@ class Simulator:
         just before the sampler reads it."""
         ready = self._ready
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         popleft = ready.popleft
         # ``now`` mirrors self.now in a local (an attribute read per
         # dispatched event otherwise); callbacks never advance time —

@@ -109,30 +109,38 @@ class LockManager:
                 node.tracer.emit("sync.lock_request", lock=lock_id,
                                  node=node.proc, target=None)
             yield from self._broadcast_request(lock_id, state)
-            yield from self._finish_acquire(node, state)
-            return
-        owner = node.machine.lock_owner(lock_id)
-        if owner == node.proc:
-            # We are the owner but the token is elsewhere: forward the
-            # request straight down the chain.
-            target = state.probable_tail
-            state.probable_tail = node.proc
+        else:
+            owner = node.machine.lock_owner(lock_id)
+            if owner == node.proc:
+                # We are the owner but the token is elsewhere: forward
+                # the request straight down the chain.
+                target = state.probable_tail
+                state.probable_tail = node.proc
+                kind = MsgKind.LOCK_FWD
+            else:
+                target = owner
+                kind = MsgKind.LOCK_REQ
             if node.tracer.sink.enabled:
                 node.tracer.emit("sync.lock_request", lock=lock_id,
                                  node=node.proc, target=target)
             yield from node.app_send(Message(
-                src=node.proc, dst=target, kind=MsgKind.LOCK_FWD,
+                src=node.proc, dst=target, kind=kind,
                 payload={"lock": lock_id, "requester": node.proc,
                          "vc": node.vc}))
-        else:
-            if node.tracer.sink.enabled:
-                node.tracer.emit("sync.lock_request", lock=lock_id,
-                                 node=node.proc, target=owner)
-            yield from node.app_send(Message(
-                src=node.proc, dst=owner, kind=MsgKind.LOCK_REQ,
-                payload={"lock": lock_id, "requester": node.proc,
-                         "vc": node.vc}))
-        yield from self._finish_acquire(node, state)
+        grant = yield state.waiting
+        state.waiting = None
+        # The token has arrived: take ownership *before* running the
+        # protocol's (possibly blocking) consistency actions, so
+        # forwards arriving meanwhile queue here instead of dead-ending.
+        state.has_token = True
+        state.held = True
+        # Requesters queued behind us travel with the token; forwards
+        # that raced ahead of the token chain after them.
+        state.queue.extend(grant["queue"])
+        state.queue.extend(state.early_forwards)
+        state.early_forwards = []
+        yield from node.protocol.apply_grant(grant["payload"])
+        node.ins.lock_acquires.inc()
 
     #: Broadcast mode: rebroadcast period if no grant arrived (the
     #: token can be in flight past every copy of the request).
@@ -166,22 +174,6 @@ class LockManager:
                                      "broadcast": True}))
 
         node.sim.spawn(watchdog(), name=f"lock-{lock_id}-watchdog")
-
-    def _finish_acquire(self, node, state: _LockState) -> Generator:
-        grant = yield state.waiting
-        state.waiting = None
-        # The token has arrived: take ownership *before* running the
-        # protocol's (possibly blocking) consistency actions, so
-        # forwards arriving meanwhile queue here instead of dead-ending.
-        state.has_token = True
-        state.held = True
-        # Requesters queued behind us travel with the token; forwards
-        # that raced ahead of the token chain after them.
-        state.queue.extend(grant.get("queue", ()))
-        state.queue.extend(state.early_forwards)
-        state.early_forwards = []
-        yield from node.protocol.apply_grant(grant["payload"])
-        node.ins.lock_acquires.inc()
 
     def release(self, lock_id: int) -> Generator:
         """Release ``lock_id``: run the protocol's release-side actions
@@ -283,21 +275,13 @@ class LockManager:
 
     # -- message handlers --------------------------------------------------
 
-    def handle(self, message: Message) -> None:
-        kind = message.kind
-        payload = message.payload
-        if kind == MsgKind.LOCK_REQ:
-            self._handle_request(payload)
-        elif kind == MsgKind.LOCK_FWD:
-            self._handle_forward(payload)
-        elif kind == MsgKind.LOCK_GRANT:
-            self._handle_grant(message)
-        else:  # pragma: no cover - dispatch guarantees
-            raise SimulationError(f"lock manager got {message}")
+    # Node.bind_handlers routes LOCK_REQ, LOCK_FWD and LOCK_GRANT
+    # straight to these three.
 
-    def _handle_request(self, payload: dict) -> None:
+    def _handle_request(self, message: Message) -> None:
         """Owner-side: route the request to the tail of the queue."""
         node = self.node
+        payload = message.payload
         lock_id = payload["lock"]
         requester = payload["requester"]
         node.observe_peer_vc(requester, payload["vc"])
@@ -326,8 +310,9 @@ class LockManager:
                 src=node.proc, dst=tail, kind=MsgKind.LOCK_FWD,
                 payload=payload))
 
-    def _handle_forward(self, payload: dict) -> None:
+    def _handle_forward(self, message: Message) -> None:
         node = self.node
+        payload = message.payload
         lock_id = payload["lock"]
         requester = payload["requester"]
         node.observe_peer_vc(requester, payload["vc"])

@@ -198,6 +198,23 @@ class TestCpuModel:
         with pytest.raises(ValueError):
             machine.run(lambda p: worker(DsmApi(machine.nodes[p]), p))
 
+    @pytest.mark.parametrize("cycles", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_compute_rejected_before_it_counts(self, cycles):
+        """NaN used to finish with a NaN compute total, and inf died in
+        the dispatch loop; both are rejected, uncounted, naming the
+        value."""
+        machine = make_machine(nprocs=2)
+        machine.allocate("a", 8)
+
+        def worker(api, proc):
+            yield from api.compute(cycles)
+
+        with pytest.raises(ValueError, match=repr(cycles)):
+            machine.run(lambda p: worker(DsmApi(machine.nodes[p]), p))
+        assert machine.obs.registry.total("cpu.compute_cycles_total") \
+            == 0
+
 
 class TestMessagePlumbing:
     def test_send_with_wrong_source_rejected(self):

@@ -27,12 +27,15 @@ registry plus each node's finish time: the ``NodeMetrics`` copy (and
 timed in one frame (``BaseProtocol.ensure_valid``); EC is LH with
 another piggyback rule, not a second grant loop; and the lazy
 machinery lives in ``LazyBase``, not in the skeleton every protocol
-inherits.  This scans ``src/repro``
+inherits.  Lock messages reach their ``LockManager`` handler in one
+hop, and an API or protocol layer that would only ``yield from`` the
+next one returns its generator instead.  This scans ``src/repro``
 (comments and docstrings included — a stale mention misleads as well
 as a stale call) so the second accounting path cannot grow back one
 site at a time.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -126,6 +129,11 @@ FORBIDDEN = [
      "RunResult.finish_times the finish times)",
      re.compile(r"\bdef metrics\(|\bnodes?(?:\[\w+\])?\.metrics\b"
                 r"|\bfinish_time\b"), ()),
+    ("lock hand-off layer (Node.bind_handlers routes lock messages to "
+     "LockManager._handle_*; acquire holds its one tail; a grant "
+     "observes the requester's clock)",
+     re.compile(r"\block_manager\.handle\b|\b_finish_acquire\b"
+                r"|\badvance_peer_clock\b"), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -246,6 +254,44 @@ def test_protocol_families_share_one_skeleton():
     assert not defaults & set(vars(SequentialInvalidate))
 
 
+def test_lock_hand_off_layers_stay_deleted():
+    """Lock messages reach their handler in one hop, the acquire tail
+    is written once, and a grant observes the requester's clock."""
+    from repro.core.node import Node
+    from repro.sync.locks import LockManager
+    assert not {"handle", "_finish_acquire"} & set(vars(LockManager))
+    assert "advance_peer_clock" not in vars(Node)
+
+
+#: (file under ``src/repro``, class, method): layers that only hand
+#: the caller the generator below them.
+PASS_THROUGH = [
+    ("core/api.py", "DsmApi", "compute"),
+    ("core/api.py", "DsmApi", "release"),
+    ("core/api.py", "DsmApi", "barrier"),
+    ("protocols/base.py", "BaseProtocol", "seal_from_app"),
+    ("protocols/lazy.py", "LazyBase", "on_release"),
+]
+
+
+@pytest.mark.parametrize("path,cls,name", PASS_THROUGH,
+                         ids=[f"{c}.{n}" for _p, c, n in PASS_THROUGH])
+def test_pass_through_layers_are_not_generators(path, cls, name):
+    """A method that would only ``yield from`` the next layer returns
+    that layer's generator instead: one frame less per call."""
+    tree = ast.parse((SRC / path).read_text())
+    [klass] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == cls]
+    [method] = [node for node in klass.body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+    yields = [node for node in ast.walk(method)
+              if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert not yields, (
+        f"{cls}.{name} is a generator again (line {yields[0].lineno}); "
+        "return the inner generator instead")
+    assert isinstance(method.body[-1], ast.Return)
+
+
 def test_machine_transmit_is_bound_once_not_a_method():
     """``Machine.transmit`` is an instance attribute (the transport's
     ``send`` or the network's ``transmit``), not a per-message frame
@@ -305,6 +351,9 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("    def metrics(self) -> NodeMetrics:", 35),
     ("        assert machine.nodes[0].metrics.total_messages == 0", 35),
     ("                node.finish_time = max(times)", 35),
+    ("        sync = {MsgKind.LOCK_REQ: self.lock_manager.handle,", 36),
+    ("            yield from self._finish_acquire(node, state)", 36),
+    ("        node.advance_peer_clock(requester, node.vc)", 36),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

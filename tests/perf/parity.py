@@ -152,6 +152,24 @@ def cases():
          RunSpec("water", _PARAMS["water"], protocol="lh", config=atm4,
                  protocol_options={"piggyback_policy": "never"})),
     ]
+    # The lock hand-off goldens: Cholesky at one thread per node in the
+    # ledger's cholesky_lh_8p shape (2,813 grants, 2,519 of them
+    # empty), LI's and LU's grants, and broadcast locks.  Captured
+    # before empty grants stopped doing work and lock messages stopped
+    # going through a second dispatch.
+    out += [
+        ("cholesky_lh_atm8",
+         RunSpec("cholesky", dict(k=6, cycle_scale=100), protocol="lh",
+                 config=MachineConfig(nprocs=8,
+                                      network=NetworkConfig.atm()))),
+        ("cholesky_li_atm4",
+         RunSpec("cholesky", dict(k=4), protocol="li", config=atm4)),
+        ("cholesky_lu_atm4",
+         RunSpec("cholesky", dict(k=4), protocol="lu", config=atm4)),
+        ("cholesky_lh_atm4_bcast",
+         RunSpec("cholesky", dict(k=4), protocol="lh", config=atm4,
+                 lock_broadcast=True)),
+    ]
     return out
 
 

@@ -378,3 +378,143 @@ def test_process_unpause_without_deferred_resumes_is_harmless():
     sim.schedule(6, process.unpause)   # nothing was deferred yet
     sim.run()
     assert log == [100]
+
+
+# -- what each yield form costs ------------------------------------------
+#
+# Process._resume queues every wake-up itself (Event.add_callback and
+# Simulator.schedule spelled out); these pin the dispatches each yield
+# form costs and where its wake-up lands in the order.
+
+
+def _run_logged(build):
+    sim = Simulator()
+    log = []
+    build(sim, log)
+    sim.run()
+    return sim, log
+
+
+def test_number_yield_costs_two_dispatches():
+    """The hop (heap, or ready deque for 0), then the resume."""
+    for delay in (0, 5, 2.5):
+        def build(sim, log, delay=delay):
+            def proc():
+                yield delay
+                log.append(sim.now)
+            sim.spawn(proc())
+
+        sim, log = _run_logged(build)
+        assert log == [float(delay)]
+        # spawn resume + delay hop + resume
+        assert (sim.processed_events, sim._seq) == (3, 3)
+
+
+def test_pending_event_yield_costs_one_dispatch_per_fire():
+    def build(sim, log):
+        gate = sim.event("gate")
+
+        def proc():
+            log.append((yield gate))
+        sim.spawn(proc())
+        sim.schedule(3.0, gate.succeed, "v")
+
+    sim, log = _run_logged(build)
+    assert log == ["v"]
+    # spawn resume + succeed + resume
+    assert (sim.processed_events, sim._seq, sim.now) == (3, 3, 3.0)
+
+
+def test_triggered_event_yield_costs_one_dispatch():
+    def build(sim, log):
+        gate = sim.event("gate")
+        gate.succeed("early")
+
+        def proc():
+            log.append((yield gate))
+        sim.spawn(proc())
+
+    sim, log = _run_logged(build)
+    assert log == ["early"]
+    assert (sim.processed_events, sim._seq) == (2, 2)
+
+
+def test_list_yield_waits_through_one_all_of():
+    def build(sim, log):
+        first, second = sim.event("a"), sim.event("b")
+
+        def proc():
+            log.append((yield [first, second]))
+        sim.spawn(proc())
+        sim.schedule(1.0, first.succeed, 1)
+        sim.schedule(2.0, second.succeed, 2)
+
+    sim, log = _run_logged(build)
+    assert log == [[1, 2]]
+    # spawn resume + 2 fires + 2 child wake-ups + resume
+    assert (sim.processed_events, sim._seq, sim.now) == (6, 6, 2.0)
+
+
+def test_yield_forms_wake_in_sequence_order():
+    """Spawned in order a, b, c at t=0: ``a``'s zero delay needs a hop
+    before its resume, ``b``'s fired event and ``c``'s list of one
+    fired event are one hop (``c``'s through its AllOf), so ``b`` wakes
+    first, then ``a``, then ``c``."""
+    def build(sim, log):
+        fired = sim.event("fired")
+        fired.succeed()
+
+        def a():
+            yield 0
+            log.append("a")
+
+        def b():
+            yield fired
+            log.append("b")
+
+        def c():
+            yield [fired]
+            log.append("c")
+
+        for proc in (a, b, c):
+            sim.spawn(proc())
+
+    sim, log = _run_logged(build)
+    assert log == ["b", "a", "c"]
+    # 3 spawn resumes; a: hop + resume; b: resume; c: child + resume
+    assert (sim.processed_events, sim._seq) == (8, 8)
+
+
+# -- a non-finite delay is rejected where it enters ----------------------
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0],
+                         ids=["nan", "inf", "negative"])
+def test_schedule_rejects_bad_delay(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match=repr(delay)):
+        sim.schedule(delay, lambda: None)
+    assert sim.pending == 0 and sim._seq == 0
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_timeout_rejects_non_finite_delay(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match=repr(delay)):
+        sim.timeout(delay)
+    assert sim.pending == 0
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1],
+                         ids=["nan", "inf", "negative"])
+def test_process_yield_rejects_bad_delay(delay):
+    sim = Simulator()
+
+    def proc():
+        yield delay
+
+    sim.spawn(proc())
+    with pytest.raises(ValueError, match=repr(delay)):
+        sim.run()
+    assert sim.pending == 0
