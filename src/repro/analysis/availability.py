@@ -6,7 +6,7 @@ pair it runs the same application across a list of crash rates —
 exponential MTTF per node, fixed MTTR, both drawn from seeded
 substreams so every cell is exactly reproducible — and reports:
 
-- **completion rate** — fraction of workers that finished (below 1.0
+- **completion rate** — fraction of nodes that finished (below 1.0
   only for crash-stop runs, where dead nodes never rejoin and the
   survivors block at the next synchronization with them),
 - **recovery latency** — mean observed outage (``
@@ -18,7 +18,8 @@ substreams so every cell is exactly reproducible — and reports:
 
 Crash-stop runs never drain (retransmission timers probe the dead
 node forever at the capped RTO), so every cell runs under an event
-budget with ``Machine.run(allow_unfinished=True)``.
+budget; a crash-stop cell that spends it is a partial result, any
+other cell that does fails the sweep.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps import create_app
 from repro.core.config import MachineConfig, NetworkConfig
-from repro.core.machine import Machine
+from repro.lab import Lab, RunSpec
 
 # MTTF values in microseconds; 0.0 is the crash-free baseline cell
 # (run with the transport forced on, so packet counts are comparable).
@@ -51,7 +51,7 @@ class AvailabilityPoint:
     mttf_us: float           # 0.0 = crash-free baseline
     mttr_us: float           # 0.0 = crash-stop
     elapsed_cycles: float
-    completion_rate: float   # finished workers / total workers
+    completion_rate: float   # finished nodes / nodes
     crashes: float           # faults.crashes_total
     recoveries: float        # faults.recoveries_total
     mean_outage_cycles: float  # recovery latency (0 when no recovery)
@@ -81,62 +81,71 @@ def availability_sweep(app: str, app_params: Optional[dict] = None,
                        networks: Sequence[Tuple[str, NetworkConfig]] =
                        DEFAULT_NETWORKS,
                        max_events: int = DEFAULT_MAX_EVENTS,
+                       lab: Optional[Lab] = None,
                        ) -> Dict[Tuple[str, str], List[AvailabilityPoint]]:
     """Run the grid; returns ``{(protocol, network): [point, ...]}``
     in ``mttfs`` order.
 
-    Each cell runs a fresh instance of the named ``app`` in-process
-    (crash-stop cells need ``allow_unfinished``, which the lab's
-    cached path does not carry); a cell whose workers all finish has
-    its answer checked against the sequential oracle like any other
-    run.  The first entry of ``mttfs`` should be 0.0: it becomes the
-    message-overhead baseline for its (protocol, network) row.
+    Each cell is a :class:`repro.lab.RunSpec` of the named ``app``
+    carrying the event budget, and the whole grid resolves through
+    ``lab`` (fanned across cores and cached when the lab is configured
+    to).  A cell whose workers all finish has its answer checked
+    against the sequential oracle like any other run.  The first entry
+    of ``mttfs`` should be 0.0: it becomes the message-overhead
+    baseline for its (protocol, network) row.
     """
     if config is None:
         config = MachineConfig(nprocs=4)
     if not mttfs:
         raise ValueError("mttfs must be non-empty")
+    if lab is None:
+        lab = Lab()
+
+    def cell(network: NetworkConfig, mttf: float) -> MachineConfig:
+        if mttf:
+            return config.replace(network=network,
+                                  faults=config.faults.replace(
+                                      crash_mttf_us=mttf,
+                                      crash_mttr_us=mttr_us,
+                                      crash_horizon_us=horizon_us))
+        # Crash-free baseline: force the transport so packet
+        # accounting exists and is comparable.
+        return config.replace(network=network,
+                              transport=dataclasses.replace(
+                                  config.transport, force=True))
+
+    cells = {(protocol, net_name, mttf): RunSpec(
+                 app, app_params or {}, protocol=protocol,
+                 config=cell(network, mttf), max_events=max_events)
+             for protocol in protocols for net_name, network in networks
+             for mttf in mttfs}
+    run = dict(zip(cells, lab.run_many(list(cells.values()))))
+
     results: Dict[Tuple[str, str], List[AvailabilityPoint]] = {}
     for protocol in protocols:
-        for net_name, network in networks:
+        for net_name, _network in networks:
+            baseline = run[protocol, net_name, mttfs[0]].registry
+            baseline_sent = _metric(
+                baseline, "transport.packets_sent_total") or 1.0
             points: List[AvailabilityPoint] = []
-            baseline_sent: Optional[float] = None
             for mttf in mttfs:
-                if mttf:
-                    faults = config.faults.replace(
-                        crash_mttf_us=mttf, crash_mttr_us=mttr_us,
-                        crash_horizon_us=horizon_us)
-                    cell = config.replace(network=network,
-                                          faults=faults)
-                else:
-                    # Crash-free baseline: force the transport so
-                    # packet accounting exists and is comparable.
-                    cell = config.replace(
-                        network=network,
-                        transport=dataclasses.replace(
-                            config.transport, force=True))
-                machine = Machine(cell, protocol=protocol)
-                result = machine.run_app(
-                    create_app(app, **(app_params or {})),
-                    max_events=max_events, allow_unfinished=True)
-                finished, total = machine.completion()
+                result = run[protocol, net_name, mttf]
                 registry = result.registry
-                sent = _metric(registry,
-                               "transport.packets_sent_total")
-                if baseline_sent is None:
-                    baseline_sent = sent or 1.0
+                finished = sum(1 for t in result.finish_times if t)
                 points.append(AvailabilityPoint(
                     protocol=protocol,
                     network=net_name,
                     mttf_us=mttf,
                     mttr_us=mttr_us if mttf else 0.0,
                     elapsed_cycles=result.elapsed_cycles,
-                    completion_rate=finished / total,
+                    completion_rate=finished / result.nprocs,
                     crashes=_metric(registry, "faults.crashes_total"),
                     recoveries=_metric(registry,
                                        "faults.recoveries_total"),
                     mean_outage_cycles=_mean_outage(registry),
-                    message_overhead=sent / baseline_sent,
+                    message_overhead=_metric(
+                        registry, "transport.packets_sent_total")
+                    / baseline_sent,
                     retransmits=_metric(
                         registry, "transport.retransmits_total"),
                     replayed=_metric(

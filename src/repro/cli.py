@@ -14,8 +14,7 @@ Every simulating subcommand resolves its runs through
 :class:`repro.lab.Lab`: ``--jobs N`` fans independent runs across N
 worker processes, and results are memoized in a content-addressed
 cache (``--cache-dir``, default ``.repro-cache/``; ``--no-cache``
-disables it).  See docs/lab.md.  (``crashsweep`` runs its cells
-in-process under an event budget and takes none of these.)
+disables it).  See docs/lab.md.
 """
 
 from __future__ import annotations
@@ -412,12 +411,13 @@ def cmd_crashsweep(args) -> int:
           f"horizon {args.crash_horizon} µs")
     # Every cell is the machine the shared flags describe (message
     # faults and stalls included), on its own network and crash rate.
-    results = availability_sweep(
-        args.app, _app_params(args),
-        config=_config(args, network=networks[0][1]),
-        mttfs=args.mttfs, mttr_us=args.crash_mttr,
-        horizon_us=args.crash_horizon, protocols=protocols,
-        networks=networks, max_events=args.max_events)
+    with _lab(args) as lab:
+        results = availability_sweep(
+            args.app, _app_params(args),
+            config=_config(args, network=networks[0][1]),
+            mttfs=args.mttfs, mttr_us=args.crash_mttr,
+            horizon_us=args.crash_horizon, protocols=protocols,
+            networks=networks, max_events=args.max_events, lab=lab)
     print(format_availability_table(results))
     return 0
 
@@ -435,9 +435,10 @@ def _serve_config(args) -> MachineConfig:
     """Machine config for serving runs: the network comes from
     ``--networks`` per cell, everything else (faults included — the
     capacity question composes loss and crash plans) from the shared
-    flags.  Crash-stop plans never drain, so they are rejected here:
-    serving cells run on the lab's cached path, which has no event
-    budget."""
+    flags.  Crash-stop plans are rejected here: every serving worker
+    ends at a barrier, so once a node stays down no worker finishes,
+    and a worker returns its request records only when it finishes.
+    The cell would be a partial result with no request in it."""
     faults = _faults(args)
     if faults.crash_mttf_us and not faults.crash_mttr_us:
         raise SystemExit(
@@ -862,9 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.set_defaults(func=cmd_losssweep, loss=0.0)
 
     p_crash = sub.add_parser("crashsweep", help=cmd_crashsweep.__doc__)
-    # The cells come from --protocols x --networks x --mttfs and run
-    # in-process under an event budget, never through a Lab.
-    common(p_crash, lab=False,
+    # The cells come from --protocols x --networks x --mttfs.
+    common(p_crash,
            omit=("--protocol", "--network", "--crash", "--crash-mttf"))
     p_crash.add_argument("--mttfs", type=_list_arg(_nonnegative_us),
                          default="0,50000,20000",

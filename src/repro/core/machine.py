@@ -225,8 +225,7 @@ class Machine:
     def run(self, worker_factory: Callable[..., Generator],
             max_events: Optional[int] = None,
             app: str = "app",
-            threads_per_proc: int = 1,
-            allow_unfinished: bool = False) -> RunResult:
+            threads_per_proc: int = 1) -> RunResult:
         """Run one application: ``worker_factory(proc)`` must return
         the generator to execute on each node.  With
         ``threads_per_proc > 1`` (the paper's multithreading
@@ -234,7 +233,16 @@ class Machine:
         thread)`` and each node runs that many threads, serializing
         computation but overlapping communication stalls.  Returns the
         aggregated :class:`RunResult` (``app_result`` is indexed
-        ``proc * threads + thread``)."""
+        ``proc * threads + thread``).
+
+        A run whose crash plan holds a crash-stop (a crash with no
+        recovery) cannot drain: peers probe the dead node at the
+        capped RTO forever.  It runs under an event budget (5,000,000
+        unless ``max_events`` says otherwise) and, if workers are left
+        unfinished, returns a *partial* result: elapsed is the time
+        reached, an unfinished node's finish time is 0.0 and a dead
+        worker's ``app_result`` None.  Any other unfinished run raises
+        :class:`SimulationError` with the reason."""
         if threads_per_proc < 1:
             raise ValueError("threads_per_proc must be >= 1")
         self.obs.registry.const_labels["app"] = app
@@ -263,31 +271,24 @@ class Machine:
                     name=f"worker-{proc}")
                 self._worker_procs[proc].append(process)
         self._done = self.sim.event("all-workers-done")
-        if (max_events is None and self.lifecycle is not None
-                and any(ev.down_us is None
-                        for ev in self.lifecycle.plan)):
-            # A crash-stop plan never drains (peers probe the dead
-            # node at the capped RTO forever): bound the run so it
-            # fails loudly instead of spinning.
+        crash_stop = self.lifecycle is not None and any(
+            ev.down_us is None for ev in self.lifecycle.plan)
+        if crash_stop and max_events is None:
             max_events = 5_000_000
         self.sim.run_until(self._done, max_events=max_events)
         if self.sampler is not None:
             self.sampler.finish(self.sim.now)
-        if not self._all_finished():
-            if not allow_unfinished:
-                unfinished = [i for i, t in enumerate(self._finished)
-                              if t is None]
-                raise SimulationError(
-                    f"workers {unfinished} did not finish: "
-                    + unfinished_reason(self.sim, "those workers",
-                                        max_events))
-            # Partial completion (crash-stop availability runs):
-            # elapsed covers what actually ran; a node with a dead
-            # worker has finish time 0.0, a dead worker a None
-            # app_result.
+        if self._unfinished == 0:
+            elapsed = max(self._finished)
+        elif crash_stop:
             elapsed = self.sim.now
         else:
-            elapsed = max(t for t in self._finished if t is not None)
+            unfinished = [i for i, t in enumerate(self._finished)
+                          if t is None]
+            raise SimulationError(
+                f"workers {unfinished} did not finish: "
+                + unfinished_reason(self.sim, "those workers",
+                                    max_events))
         finish_times = []
         for proc in range(self.config.nprocs):
             times = self._finished[proc * threads_per_proc:
@@ -303,28 +304,31 @@ class Machine:
             registry=self.obs.registry,
         )
 
+    def api(self, proc: int) -> DsmApi:
+        """The API a worker on node ``proc`` programs against (one per
+        worker; a recording machine hands out a wrapped one)."""
+        return DsmApi(self.nodes[proc])
+
     def run_app(self, app, max_events: Optional[int] = None,
-                threads_per_proc: int = 1,
-                allow_unfinished: bool = False) -> RunResult:
+                threads_per_proc: int = 1) -> RunResult:
         """Run ``app`` on this machine: the one place the application
         contract (:mod:`repro.apps.base`) is sequenced.  ``app.setup``
         allocates the shared segments, every node runs ``app.worker``
         — or, with ``threads_per_proc > 1`` (the multithreading
         extension, paper section 8), that many ``app.worker_thread``
         generators — and ``app.finish`` checks the answer against the
-        sequential oracle.  A run cut short under ``allow_unfinished``
-        has no answer to check, so ``finish`` is skipped for it."""
+        sequential oracle.  A partial (crash-stop) run has no answer to
+        check, so ``finish`` is skipped for it."""
         body = app.worker if threads_per_proc == 1 else app.worker_thread
         shared = app.setup(self)
 
         def worker(proc: int, *thread: int):
             # ``run`` calls worker(proc) or worker(proc, thread).
-            return body(DsmApi(self.nodes[proc]), proc, *thread, shared)
+            return body(self.api(proc), proc, *thread, shared)
 
         result = self.run(worker, max_events=max_events, app=app.name,
-                          threads_per_proc=threads_per_proc,
-                          allow_unfinished=allow_unfinished)
-        if self._all_finished():
+                          threads_per_proc=threads_per_proc)
+        if self._unfinished == 0:
             app.finish(self, shared, result)
         return result
 
@@ -337,21 +341,3 @@ class Machine:
                 self._done.succeed()
         self._finished[proc] = self.sim.now
         self._app_results[proc] = result
-
-    def _all_finished(self) -> bool:
-        return self._unfinished == 0
-
-    def completion(self) -> tuple:
-        """``(finished, total)`` worker counts from the last run —
-        the availability study's completion rate under crash-stop."""
-        done = sum(1 for t in self._finished if t is not None)
-        return done, len(self._finished)
-
-    # -- debugging helpers ---------------------------------------------------------
-
-    def page_values(self, page: int, proc: int) -> np.ndarray:
-        """A node's current view of a page (tests only)."""
-        copy = self.nodes[proc].pagetable.get(page)
-        if copy is None:
-            raise KeyError(f"node {proc} has no copy of page {page}")
-        return copy.values

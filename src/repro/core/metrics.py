@@ -52,7 +52,8 @@ class RunResult:
     nprocs: int
     elapsed_cycles: float
     #: Each node's finish time (``0.0`` for a node that did not
-    #: finish) — the one fact with no registry cell.
+    #: finish, which only a crash-stop run leaves) — the one fact with
+    #: no registry cell.
     finish_times: List[float]
     app_result: object
     #: The run's metrics registry (repro.obs): the documented stats
@@ -166,9 +167,16 @@ class RunResult:
         return sequential.elapsed_cycles / self.elapsed_cycles
 
     def summary(self) -> str:
-        return (f"{self.app}/{self.protocol} on {self.nprocs} procs: "
+        """One line of headline numbers; a partial (crash-stop) result
+        says how many nodes finished."""
+        line = (f"{self.app}/{self.protocol} on {self.nprocs} procs: "
                 f"{self.elapsed_cycles:.0f} cycles, "
                 f"{self.total_messages} msgs "
                 f"({self.sync_messages} sync), "
                 f"{self.data_kbytes:.1f} KB data, "
                 f"{self.access_misses} misses")
+        if 0.0 in self.finish_times:
+            finished = sum(1 for t in self.finish_times if t)
+            line += (f" ({finished} of {len(self.finish_times)} "
+                     "nodes finished)")
+        return line

@@ -33,17 +33,6 @@ class Segment:
     def pages(self) -> range:
         return range(self.first_page, self.first_page + self.npages)
 
-    def word_address(self, index: int) -> int:
-        if index < 0 or index >= self.nwords:
-            raise IndexError(f"index {index} outside segment "
-                             f"{self.name!r} of {self.nwords} words")
-        return self.base_word + index
-
-    def locate(self, index: int) -> Tuple[int, int]:
-        """Map a segment-relative word index to (page, offset)."""
-        addr = self.word_address(index)
-        return divmod(addr, self.words_per_page)
-
     def page_ranges(self, start: int, end: int
                     ) -> Iterator[Tuple[int, int, int]]:
         """Split segment-relative [start, end) into per-page pieces.

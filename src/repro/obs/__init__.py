@@ -22,8 +22,7 @@ from repro.obs.registry import (DEFAULT_BUCKETS, Metric, MetricError,
 from repro.obs.causal import CausalGraph, CausalTrace
 from repro.obs.chrome_trace import chrome_trace, validate_chrome_trace
 from repro.obs.timeseries import (TIMESERIES_SCHEMA, TimeseriesSampler,
-                                  Window, format_timeseries_table,
-                                  merge_windows)
+                                  Window, format_timeseries_table)
 from repro.obs.tracer import (TRACE_EVENTS, JsonlSink, MemorySink,
                               NullSink, TraceEvent, TraceSink, Tracer,
                               read_jsonl)
@@ -37,8 +36,7 @@ __all__ = [
     "ROBUSTNESS_CATALOG", "SERVE_CATALOG", "SYNC_MSG_TYPES",
     "TIMESERIES_SCHEMA", "TRACE_EVENTS", "TimeseriesSampler",
     "TraceEvent", "TraceSink", "Tracer", "Window", "chrome_trace",
-    "format_timeseries_table", "install", "merge_windows",
-    "read_jsonl",
+    "format_timeseries_table", "install", "read_jsonl",
     "validate_chrome_trace",
 ]
 

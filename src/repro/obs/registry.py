@@ -224,12 +224,6 @@ class MetricsRegistry:
                                             description, labels,
                                             consumers))
 
-    def gauge(self, name: str, *, unit: str = "", description: str = "",
-              labels=(), consumers=()) -> Metric:
-        return self.from_spec(self._resolve(name, GAUGE, unit,
-                                            description, labels,
-                                            consumers))
-
     def histogram(self, name: str, *, unit: str = "",
                   description: str = "", labels=(), consumers=(),
                   buckets: Optional[Tuple[float, ...]] = None) -> Metric:

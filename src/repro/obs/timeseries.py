@@ -26,10 +26,6 @@ Window semantics (docs/observability.md):
   closed by :meth:`TimeseriesSampler.finish`.
 - ``queue_depth`` is a *gauge* (the pending-event count at the
   window's closing boundary), everything else in a window is a delta.
-- Because boundaries are grid-aligned, merging ``k`` adjacent windows
-  (:func:`merge_windows`) reproduces exactly what sampling at
-  ``k * window_us`` would have recorded — the associativity property
-  ``tests/properties/test_timeseries_merge.py`` pins.
 
 Free when disabled: the dispatch loop compares the clock against the
 next window boundary only on a heap pop — the one place the clock
@@ -48,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 #: Bumped whenever the exported window layout changes.
@@ -77,9 +73,7 @@ def percentile(values: Sequence[float], p: float) -> float:
 @dataclass
 class Window:
     """One closed sampling window ``[t0, t1)`` of delta-encoded
-    activity.  ``latencies_us`` (the raw request latencies completed in
-    the window, sorted) stays out of :meth:`to_dict` — it exists so
-    :func:`merge_windows` can recompute exact percentiles."""
+    activity."""
 
     index: int
     t0_cycles: float
@@ -96,7 +90,6 @@ class Window:
     p50_us: float
     p99_us: float
     burn_rate: float
-    latencies_us: List[float] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -118,16 +111,16 @@ class Window:
         }
 
 
-def request_stats(latencies_us: List[float], slo_us: float,
+def request_stats(latencies: List[float], slo_us: float,
                   slo_target: float):
     """(requests, violations, p50, p99, burn) of one window's sorted
-    latency list."""
-    requests = len(latencies_us)
-    violations = sum(1 for lat in latencies_us if lat > slo_us)
+    latency list (µs)."""
+    requests = len(latencies)
+    violations = sum(1 for lat in latencies if lat > slo_us)
     burn = (violations / requests / (1.0 - slo_target)
             if requests else 0.0)
-    return (requests, violations, percentile(latencies_us, 50),
-            percentile(latencies_us, 99), burn)
+    return (requests, violations, percentile(latencies, 50),
+            percentile(latencies, 99), burn)
 
 
 class TimeseriesSampler:
@@ -178,7 +171,7 @@ class TimeseriesSampler:
         # µs × cycles/µs, computed directly (not through the
         # seconds-based helper) so integral windows stay exact floats:
         # the grid k * window_cycles must be reproducible across
-        # window sizes for the merge law to hold bit-for-bit.
+        # window sizes, so k fine windows end where a coarse one does.
         self.window_cycles = self.window_us * config.cpu_mhz
         if self.window_cycles < 1.0:
             raise ValueError(
@@ -228,8 +221,8 @@ class TimeseriesSampler:
             self._close(boundary)
             # Boundaries come from the window index, not accumulation:
             # k * window_cycles is bit-identical however the grid is
-            # walked, so merged fine windows line up exactly with a
-            # coarser sampler's.
+            # walked, so every k fine windows line up exactly with one
+            # of a coarser sampler's.
             boundary = (self._origin
                         + (len(self.windows) + 1) * self.window_cycles)
         self.next_boundary = boundary
@@ -283,7 +276,6 @@ class TimeseriesSampler:
             p50_us=p50,
             p99_us=p99,
             burn_rate=burn,
-            latencies_us=latencies,
         ))
         self._window_start = t1
         self._last = snap
@@ -306,53 +298,6 @@ class TimeseriesSampler:
     def as_json(self, indent: int = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent,
                           sort_keys=True)
-
-
-def merge_windows(windows: List[Window], factor: int,
-                  slo_us: float = DEFAULT_SLO_US,
-                  slo_target: float = DEFAULT_SLO_TARGET
-                  ) -> List[Window]:
-    """Merge each run of ``factor`` consecutive windows into one.
-
-    Deltas add, message maps add, the queue-depth gauge takes the last
-    member's value (both samplers read pending at the same closing
-    boundary), and request percentiles are recomputed from the
-    concatenated raw latencies — so the result equals what sampling at
-    ``factor * window_us`` would have produced, and merging composes:
-    ``merge(merge(w, a), b) == merge(w, a * b)``.
-    """
-    if factor < 1:
-        raise ValueError(f"merge factor must be >= 1, got {factor}")
-    merged: List[Window] = []
-    for start in range(0, len(windows), factor):
-        group = windows[start:start + factor]
-        messages: Dict[str, float] = {}
-        for window in group:
-            for kind, count in window.messages.items():
-                messages[kind] = messages.get(kind, 0) + count
-        latencies = sorted(lat for window in group
-                           for lat in window.latencies_us)
-        (requests, violations, p50,
-         p99, burn) = request_stats(latencies, slo_us, slo_target)
-        merged.append(Window(
-            index=len(merged),
-            t0_cycles=group[0].t0_cycles,
-            t1_cycles=group[-1].t1_cycles,
-            events=sum(w.events for w in group),
-            messages=messages,
-            wire_bytes=sum(w.wire_bytes for w in group),
-            data_bytes=sum(w.data_bytes for w in group),
-            lock_wait_cycles=sum(w.lock_wait_cycles for w in group),
-            diff_bytes=sum(w.diff_bytes for w in group),
-            queue_depth=group[-1].queue_depth,
-            requests=requests,
-            slo_violations=violations,
-            p50_us=p50,
-            p99_us=p99,
-            burn_rate=burn,
-            latencies_us=latencies,
-        ))
-    return merged
 
 
 def format_timeseries_table(sampler: TimeseriesSampler) -> str:

@@ -181,9 +181,6 @@ class MemorySink(TraceSink):
     def emit(self, event: TraceEvent) -> None:
         self.events.append(event)
 
-    def named(self, name: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.name == name]
-
 
 class JsonlSink(TraceSink):
     """Appends one JSON line per event to ``path`` (or a file-like).

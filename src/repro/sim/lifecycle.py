@@ -33,8 +33,9 @@ stolen interrupt cycles (in-progress computation pays for the
 downtime), replays the receive log, resets the transport sessions
 touching the node — peers' capped-backoff retransmissions bridge the
 outage — and unfreezes the workers.  A crash with no recovery time is
-crash-stop: the node stays dark and the run completes partially
-(``Machine.run(allow_unfinished=True)``).
+crash-stop: the node stays dark, the run cannot drain, and
+``Machine.run`` returns a partial result when its event budget runs
+out (an unfinished node's finish time is 0.0).
 """
 
 from __future__ import annotations

@@ -1,19 +1,19 @@
 """Recording wrapper around :class:`repro.core.api.DsmApi`.
 
 ``RecordingApi`` duck-types the application API: every operation is
-appended to the trace, then delegated to the real DSM.  Use
-:func:`record_app` to capture a whole application run.
+appended to the trace, then delegated to the real DSM.
+``RecordingMachine`` hands one to each worker and logs the segment
+layout; :func:`record_app` runs a whole application on one.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
 from repro.core.api import DsmApi
 from repro.core.machine import Machine
-from repro.core.metrics import RunResult
 from repro.trace.events import SegmentSpec, Trace, TraceOp
 
 
@@ -84,38 +84,29 @@ class RecordingApi:
         return self._api.now
 
 
-class _RecordingMachine:
-    """Proxy that records segment allocations."""
+class RecordingMachine(Machine):
+    """A machine that records its application into ``trace``: every
+    segment the app allocates and, through :class:`RecordingApi`,
+    every operation its workers issue."""
 
-    def __init__(self, machine: Machine, trace: Trace) -> None:
-        self._machine = machine
-        self._trace = trace
+    def __init__(self, config, protocol: str, trace: Trace) -> None:
+        super().__init__(config, protocol=protocol)
+        self.trace = trace
 
     def allocate(self, name: str, nwords: int, init=None,
                  owner="striped"):
-        spec = SegmentSpec(
+        self.trace.segments.append(SegmentSpec(
             name=name, nwords=nwords, owner=owner,
             init=None if init is None else tuple(float(v)
-                                                 for v in init))
-        self._trace.segments.append(spec)
-        return self._machine.allocate(name, nwords, init=init,
-                                      owner=owner)
+                                                 for v in init)))
+        return super().allocate(name, nwords, init=init, owner=owner)
 
-    def __getattr__(self, attribute):
-        return getattr(self._machine, attribute)
+    def api(self, proc: int) -> RecordingApi:
+        return RecordingApi(super().api(proc), self.trace)
 
 
 def record_app(app, config, protocol: str = "lh"):
     """Run ``app`` while recording its trace.  Returns
     ``(trace, run_result)``."""
-    machine = Machine(config, protocol=protocol)
     trace = Trace(nprocs=config.nprocs)
-    shared = app.setup(_RecordingMachine(machine, trace))
-
-    def factory(proc: int):
-        api = RecordingApi(DsmApi(machine.nodes[proc]), trace)
-        return app.worker(api, proc, shared)
-
-    result = machine.run(factory, app=app.name)
-    app.finish(machine, shared, result)
-    return trace, result
+    return trace, RecordingMachine(config, protocol, trace).run_app(app)

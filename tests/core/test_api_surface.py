@@ -86,10 +86,10 @@ def test_now_property_tracks_simulated_time():
 
 
 def test_page_values_debug_helper():
+    """A node's view of a page is its page table's copy: the owner
+    holds the initial values, a node that never touched it none."""
     machine = make_machine(nprocs=2)
     seg = machine.allocate("x", 8, init=np.arange(8, dtype=float),
                            owner=0)
-    values = machine.page_values(seg.first_page, 0)
-    assert values[3] == 3.0
-    with pytest.raises(KeyError):
-        machine.page_values(seg.first_page, 1)  # node 1 has no copy
+    assert machine.nodes[0].pagetable.get(seg.first_page).values[3] == 3.0
+    assert machine.nodes[1].pagetable.get(seg.first_page) is None

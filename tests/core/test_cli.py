@@ -75,8 +75,8 @@ def test_networks_honours_protocol_and_machine_flags(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["crashsweep", "jacobi", "--jobs", "2"],
-    ["crashsweep", "jacobi", "--no-cache"],
+    ["crashsweep", "jacobi", "--network", "atm"],
+    ["crashsweep", "jacobi", "--rates", "0.0,0.01"],
     ["crashsweep", "jacobi", "--crash", "0:5000"],
     ["crashsweep", "jacobi", "--crash-mttf", "5000"],
     ["networks", "--network", "atm"],

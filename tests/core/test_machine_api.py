@@ -316,8 +316,8 @@ class TestMessagePlumbing:
                     "dsm.messages_total", "msg_type")))
         # Send order is the order the medium first accepted them
         # (the transport adds acks, msg None, and retransmissions).
-        on_wire = [e.fields["msg"] for e in sink.named("net.xmit")
-                   if e.fields["msg"] is not None]
+        on_wire = [e.fields["msg"] for e in sink.events
+                   if e.name == "net.xmit" and e.fields["msg"] is not None]
         assert [m.msg_id for m in tapped] == list(dict.fromkeys(on_wire))
 
     def test_node_cells_mid_run_equal_the_registry(self):

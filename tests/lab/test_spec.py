@@ -10,7 +10,9 @@ import json
 
 import pytest
 
-from repro.core.config import MachineConfig, NetworkConfig
+from repro.core.config import (CrashSpec, FaultConfig, MachineConfig,
+                               NetworkConfig)
+from repro.core.metrics import RunResult
 from repro.core.runner import run_app
 from repro.apps import create_app
 from repro.lab import RunSpec, code_version, execute_spec
@@ -170,3 +172,21 @@ def test_threads_per_proc_needs_a_multithreaded_app():
     with pytest.raises(ValueError,
                        match="threads_per_proc=2.*'jacobi'"):
         execute_spec(_spec(threads_per_proc=2))
+
+
+def test_a_crash_stop_run_out_of_budget_is_a_partial_result():
+    """A plan holding a crash-stop never drains: the run spends its
+    event budget and returns what it reached, its summary says so,
+    and the partial result round-trips exactly like a finished one."""
+    config = MachineConfig(
+        nprocs=2, network=NetworkConfig.ethernet(),
+        faults=FaultConfig(crashes=(CrashSpec(proc=1, at_us=50.0),)))
+    result = execute_spec(_spec(config=config, max_events=20_000))
+    assert result.finish_times == [0.0, 0.0]
+    assert result.app_result == [None, None]
+    assert result.summary().endswith(" (0 of 2 nodes finished)")
+    dump = json.dumps(result.to_dict(), sort_keys=True)
+    restored = RunResult.from_dict(json.loads(dump))
+    assert json.dumps(restored.to_dict(), sort_keys=True) == dump
+    assert restored.summary() == result.summary()
+    assert "finished" not in execute_spec(_spec()).summary()

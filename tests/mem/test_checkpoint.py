@@ -10,7 +10,6 @@ are rejected loudly instead of half-restoring a node.
 import pytest
 
 from repro.apps import create_app
-from repro.core.api import DsmApi
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.machine import Machine
 from repro.mem.checkpoint import (CheckpointError, checkpoint_node,
@@ -20,13 +19,10 @@ from repro.mem.checkpoint import (CheckpointError, checkpoint_node,
 def machine_after_run(protocol="li", nprocs=2):
     """A machine that has completed a small run, so every node holds
     real pages, twins, intervals, diffs, and copyset state."""
-    app = create_app("jacobi", n=16, iterations=2)
     machine = Machine(MachineConfig(nprocs=nprocs,
                                     network=NetworkConfig.ideal()),
                       protocol=protocol)
-    shared = app.setup(machine)
-    machine.run(lambda p: app.worker(DsmApi(machine.nodes[p]), p,
-                                     shared), app=app.name)
+    machine.run_app(create_app("jacobi", n=16, iterations=2))
     return machine
 
 

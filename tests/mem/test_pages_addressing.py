@@ -82,13 +82,15 @@ class TestAddressSpace:
             space.allocate("x", 1)
 
     def test_locate(self):
+        """A segment-relative word lands at (page, offset) past the
+        segment's base: the one-word piece page_ranges yields."""
         space = AddressSpace(words_per_page=8)
         space.allocate("pad", 8)
         seg = space.allocate("data", 20)
-        assert seg.locate(0) == (1, 0)
-        assert seg.locate(9) == (2, 1)
+        assert list(seg.page_ranges(0, 1)) == [(1, 0, 1)]
+        assert list(seg.page_ranges(9, 10)) == [(2, 1, 2)]
         with pytest.raises(IndexError):
-            seg.locate(20)
+            list(seg.page_ranges(20, 21))
 
     def test_page_ranges_splits_on_page_boundaries(self):
         space = AddressSpace(words_per_page=8)

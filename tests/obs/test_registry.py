@@ -40,7 +40,9 @@ def test_counter_float_increments_preserve_value():
 
 def test_gauge_set_and_set_max():
     registry = MetricsRegistry()
-    gauge = registry.gauge("test.depth")
+    gauge = registry.from_spec(MetricSpec(name="test.depth", kind=GAUGE,
+                                          unit="", description="",
+                                          labels=(), consumers=()))
     gauge.set(7)
     assert gauge.total() == 7
     gauge.set_max(3)          # lower: ignored
@@ -149,7 +151,7 @@ def test_reregistration_with_conflicting_spec_raises():
 
 def test_catalogued_name_with_wrong_kind_raises():
     with pytest.raises(MetricError):
-        MetricsRegistry().gauge("dsm.messages_total")
+        MetricsRegistry().histogram("dsm.messages_total")
 
 
 def test_get_unknown_metric_raises():

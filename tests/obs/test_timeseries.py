@@ -13,8 +13,9 @@ from repro.core.runner import run_app
 from repro.obs import (CausalTrace, MemorySink, Observability,
                        TIMESERIES_SCHEMA, TimeseriesSampler, Tracer,
                        chrome_trace, format_timeseries_table,
-                       merge_windows, validate_chrome_trace)
+                       validate_chrome_trace)
 from repro.serve.workload import SERVE_APP_PARAMS
+from tests.properties.test_timeseries_merge import coarsened
 
 CONFIG = MachineConfig(nprocs=4, network=NetworkConfig.atm())
 
@@ -113,7 +114,6 @@ def test_export_schema_and_table():
     assert dump["cpu_mhz"] == CONFIG.cpu_mhz
     assert len(dump["windows"]) == len(sampler.windows)
     for exported in dump["windows"]:
-        assert "latencies_us" not in exported  # raw data stays local
         assert exported["t0_cycles"] < exported["t1_cycles"]
     table = format_timeseries_table(sampler)
     assert "burn" in table.splitlines()[0]
@@ -145,17 +145,12 @@ def test_window_golden_parity(name):
         f"sampler windows diverged from golden {name!r}")
 
 
-def test_merge_windows_matches_coarser_sampling():
+def test_fine_windows_sum_to_coarser_sampling():
+    """Every 3 windows of 100 µs cover one of 300 µs exactly, and
+    their deltas sum to it."""
     fine, _result = _run_sampled(window_us=100.0)
     coarse, _result = _run_sampled(window_us=300.0)
-    merged = merge_windows(fine.windows, 3)
-    assert [w.to_dict() for w in merged] \
-        == [w.to_dict() for w in coarse.windows]
-
-
-def test_merge_factor_validation():
-    with pytest.raises(ValueError, match="factor"):
-        merge_windows([], 0)
+    assert coarsened(fine.windows, 3) == coarsened(coarse.windows, 1)
 
 
 def test_chrome_counter_tracks():

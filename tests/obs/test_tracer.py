@@ -28,8 +28,8 @@ def test_memory_sink_collects_and_filters():
     tracer.emit("msg.recv", src=0, dst=1)
     tracer.emit("msg.send", src=1, dst=0)
     assert len(sink.events) == 3
-    assert [e.name for e in sink.named("msg.send")] == ["msg.send",
-                                                        "msg.send"]
+    assert [e.name for e in sink.events] == ["msg.send", "msg.recv",
+                                             "msg.send"]
     assert sink.events[0].ts == 0.0
     assert sink.events[1].ts == 25.0
     assert sink.events[1].fields == {"src": 0, "dst": 1}

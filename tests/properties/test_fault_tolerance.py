@@ -14,7 +14,6 @@ Two system-level guarantees (docs/robustness.md):
 import pytest
 
 from repro.apps import create_app
-from repro.core.api import DsmApi
 from repro.core.config import FaultConfig, MachineConfig, NetworkConfig
 from repro.core.machine import Machine
 from repro.core.runner import run_app
@@ -24,14 +23,8 @@ def _run_drained(config, protocol="lh"):
     """Like run_app, but keeps the machine and drains the event queue
     afterwards so in-flight packets, retransmission timers, and
     delayed acks all resolve before the accounting is checked."""
-    app = create_app("jacobi", n=24, iterations=3)
     machine = Machine(config, protocol=protocol)
-    shared = app.setup(machine)
-    result = machine.run(
-        lambda proc: app.worker(DsmApi(machine.nodes[proc]), proc,
-                                shared),
-        app=app.name)
-    app.finish(machine, shared, result)
+    result = machine.run_app(create_app("jacobi", n=24, iterations=3))
     machine.sim.run(max_events=200_000)
     assert not machine.sim.pending  # fully drained, not event-capped
     return machine, result

@@ -1,12 +1,14 @@
-"""Property-based tests (hypothesis) for telemetry window merging.
+"""Property-based test (hypothesis) for the telemetry window grid.
 
-The documented law (docs/observability.md): merging ``k`` adjacent
-windows reproduces exactly what sampling at ``k * window_us`` would
-have recorded, and merging composes —
-``merge(merge(w, a), b) == merge(w, a * b)``.  Checked two ways:
-algebraically on synthetic windows, and against real re-sampled runs
-at hypothesis-chosen coarsening factors.
+Window boundaries lie on the fixed grid ``k * window_cycles``
+(docs/observability.md), so every ``k`` adjacent windows of a run
+sampled at ``window_us`` cover exactly one window of the same run
+sampled at ``k * window_us``, and their deltas sum to it.  Checked
+against real re-sampled runs at hypothesis-chosen coarsening factors;
+taken as one, the windows hold the run's registry totals.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,99 +16,71 @@ from hypothesis import strategies as st
 from repro.apps import create_app
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.runner import run_app
-from repro.obs import TimeseriesSampler, Window, merge_windows
+from repro.obs import TimeseriesSampler
 
-WINDOW_CYCLES = 100.0
-
-latencies_strategy = st.lists(
-    st.floats(min_value=0.0, max_value=5_000.0,
-              allow_nan=False, allow_infinity=False),
-    min_size=0, max_size=6)
-
-messages_strategy = st.dictionaries(
-    st.sampled_from(["diff_req", "lock_grant", "barrier_arrive"]),
-    st.integers(1, 50), max_size=3)
+#: The per-window deltas that add across adjacent windows.
+DELTAS = ("events", "wire_bytes", "data_bytes", "lock_wait_cycles",
+          "diff_bytes", "requests", "slo_violations")
 
 
-@st.composite
-def windows_strategy(draw):
-    """A grid-aligned run of raw windows; request stats are
-    normalized through merge_windows(..., 1), which recomputes them
-    from the retained latencies exactly like the sampler does."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    raw = []
-    for index in range(n):
-        raw.append(Window(
-            index=index,
-            t0_cycles=index * WINDOW_CYCLES,
-            t1_cycles=(index + 1) * WINDOW_CYCLES,
-            events=draw(st.integers(0, 1000)),
-            messages=draw(messages_strategy),
-            wire_bytes=draw(st.integers(0, 10_000)),
-            data_bytes=draw(st.integers(0, 10_000)),
-            lock_wait_cycles=draw(st.integers(0, 10_000)),
-            diff_bytes=draw(st.integers(0, 10_000)),
-            queue_depth=draw(st.integers(0, 50)),
-            requests=0, slo_violations=0,
-            p50_us=0.0, p99_us=0.0, burn_rate=0.0,
-            latencies_us=sorted(draw(latencies_strategy)),
-        ))
-    return merge_windows(raw, 1)
+def coarsened(windows, k):
+    """Each run of ``k`` windows as one coarse window records it: the
+    span, the summed deltas and message counts, and the queue depth
+    read at the closing boundary."""
+    out = []
+    for start in range(0, len(windows), k):
+        group = windows[start:start + k]
+        messages = Counter()
+        for window in group:
+            messages.update(window.messages)
+        out.append({
+            "t0_cycles": group[0].t0_cycles,
+            "t1_cycles": group[-1].t1_cycles,
+            "messages": messages,
+            "queue_depth": group[-1].queue_depth,
+            **{name: sum(getattr(w, name) for w in group)
+               for name in DELTAS},
+        })
+    return out
 
-
-def _dicts(windows):
-    return [w.to_dict() for w in windows]
-
-
-@given(windows_strategy(), st.integers(1, 4), st.integers(1, 4))
-def test_merge_is_associative(windows, a, b):
-    assert _dicts(merge_windows(merge_windows(windows, a), b)) \
-        == _dicts(merge_windows(windows, a * b))
-
-
-@given(windows_strategy())
-def test_merge_to_one_window_sums_everything(windows):
-    (merged,) = merge_windows(windows, len(windows))
-    assert merged.events == sum(w.events for w in windows)
-    assert merged.wire_bytes == sum(w.wire_bytes for w in windows)
-    assert merged.requests == sum(len(w.latencies_us)
-                                  for w in windows)
-    assert merged.t0_cycles == windows[0].t0_cycles
-    assert merged.t1_cycles == windows[-1].t1_cycles
-    assert merged.queue_depth == windows[-1].queue_depth
-
-
-@given(windows_strategy(), st.integers(1, 4))
-def test_merge_preserves_totals(windows, factor):
-    merged = merge_windows(windows, factor)
-    assert sum(w.events for w in merged) \
-        == sum(w.events for w in windows)
-    assert sum(w.slo_violations for w in merged) \
-        == sum(len([l for l in w.latencies_us if l > 500.0])
-               for w in windows)
-
-
-# -- merging equals coarser sampling on a real run ---------------------
 
 _BASE_US = 50.0
 _SAMPLED = {}
 
 
 def _sampled(factor):
-    """Sample the same deterministic run at ``factor * _BASE_US``
-    (memoized: hypothesis replays factors, the simulator does not
-    need to)."""
+    """``(windows, result)`` of the same deterministic run sampled at
+    ``factor * _BASE_US`` (memoized: hypothesis replays factors, the
+    simulator does not need to)."""
     if factor not in _SAMPLED:
         sampler = TimeseriesSampler(window_us=_BASE_US * factor)
-        run_app(create_app("jacobi", n=16, iterations=2),
-                MachineConfig(nprocs=2, network=NetworkConfig.atm()),
-                protocol="li", sampler=sampler)
-        _SAMPLED[factor] = sampler.windows
+        result = run_app(
+            create_app("jacobi", n=16, iterations=2),
+            MachineConfig(nprocs=2, network=NetworkConfig.atm()),
+            protocol="li", sampler=sampler)
+        _SAMPLED[factor] = sampler.windows, result
     return _SAMPLED[factor]
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=1, max_value=8))
 def test_merging_fine_windows_equals_coarser_sampling(factor):
-    assert _dicts(merge_windows(_sampled(1), factor)) \
-        == _dicts(_sampled(factor))
+    assert coarsened(_sampled(1)[0], factor) \
+        == coarsened(_sampled(factor)[0], 1)
+
+
+def test_merge_to_one_window_sums_everything():
+    """The windows tile the whole run: taken as one, they hold the
+    run's registry totals."""
+    windows, result = _sampled(1)
+    (whole,) = coarsened(windows, len(windows))
+    registry = result.registry
+    assert whole["t0_cycles"] == 0.0
+    assert whole["events"] == registry.get(
+        "sim.events_dispatched_total").total()
+    assert +whole["messages"] == +Counter(registry.get(
+        "dsm.messages_total").by_label("msg_type"))
+    for name, metric in (("wire_bytes", "net.wire_bytes_total"),
+                         ("data_bytes", "net.data_bytes_total"),
+                         ("lock_wait_cycles", "sync.lock_wait_cycles")):
+        assert whole[name] == registry.get(metric).total()
