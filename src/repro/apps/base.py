@@ -79,8 +79,12 @@ class EventDrivenApplication(Application):
 
     def worker(self, api: DsmApi, proc: int, shared) -> Generator:
         """The pump: wait for each arrival, serve it, account it."""
-        config = api.config
-        registry = api._node.machine.obs.registry
+        node = api._node
+        # Per-run invariants, read once rather than per request.
+        sim = node.sim
+        tracer = node.tracer
+        cycles_per_second = node.config.cycles_per_second
+        registry = node.machine.obs.registry
         if "serve.requests_total" in registry:
             requests_total = registry.get("serve.requests_total")
             latency_hist = registry.get(
@@ -92,20 +96,21 @@ class EventDrivenApplication(Application):
         # op -> bound requests_total child, resolved on the op's first
         # request (an op that never occurs gets no series).
         op_counters = {}
-        sampler = api._node.machine.sampler
+        sampler = node.machine.sampler
         records = []
         for request in self.schedule(proc, shared):
-            arrival = config.us_to_cycles(request.arrival_us)
-            if arrival > api.now:
-                yield arrival - api.now
-            started = api.now
-            tracer = api.tracer
+            # MachineConfig.us_to_cycles, in its operation order.
+            arrival = request.arrival_us * 1e-6 * cycles_per_second
+            started = sim.now
+            if arrival > started:
+                yield arrival - started
+                started = sim.now
             if tracer.sink.enabled:
                 tracer.emit("req.arrive", req=request.req_id,
                             node=proc, key=request.key,
                             op=request.op, arrival=arrival)
             yield from self.handle_request(api, proc, shared, request)
-            done = api.now
+            done = sim.now
             latency = done - arrival
             if sampler is not None:
                 sampler.record_request(latency)

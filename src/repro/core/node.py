@@ -35,6 +35,10 @@ from repro.sim.events import Event
 class Node:
     """One processor of the simulated DSM machine."""
 
+    #: Deferred peer-clock observations per peer before a fold (keeps
+    #: the pending batch small; see observe_peer_vc).
+    PEER_VC_FOLD = 64
+
     def __init__(self, machine, proc: int) -> None:
         self.machine = machine
         self.proc = proc
@@ -129,7 +133,7 @@ class Node:
         if proc != self.proc:
             pending = self._peer_vc_pending[proc]
             pending.append(vc)
-            if len(pending) >= 64:
+            if len(pending) >= self.PEER_VC_FOLD:
                 self.peer_clock(proc)
 
     def peer_clock(self, proc: int) -> VectorClock:

@@ -4,12 +4,19 @@ Execution on each processor is divided into *intervals*, delimited by
 synchronization events.  A :class:`WriteNotice` announces that a page
 was modified during a given interval; the notice carries the interval's
 vector time so receivers can order it under happened-before-1.
+
+Both carry ``order = (vc.total(), proc, index)``: the one linear
+extension of happened-before-1 every record and notice sort uses
+(a strictly later vector time has a strictly larger total; the id
+breaks ties).  It is computed once per object, so sorts key on
+``attrgetter("order")`` instead of calling back into Python.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.mem.diffs import Diff
@@ -17,8 +24,11 @@ from repro.mem.timestamps import VectorClock
 
 IntervalId = Tuple[int, int]  # (proc, interval index)
 
+#: Sort key of records and notices: ascending happened-before-1 order.
+BY_ORDER = attrgetter("order")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class WriteNotice:
     """'Processor ``proc``, in interval ``index``, modified ``page``.'"""
 
@@ -26,16 +36,22 @@ class WriteNotice:
     proc: int
     index: int
     vc: VectorClock
+    # Derived once: both are read many times per notice on the
+    # dedup/apply paths.  compare=False keeps __eq__/__hash__ on the
+    # four fields above.
+    interval_id: IntervalId = field(init=False, repr=False,
+                                    compare=False)
+    order: Tuple[int, int, int] = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
-        # Materialized once: interval_id is read many times per notice
-        # on the dedup/apply paths (a property would rebuild the tuple
-        # each time).  Not a field, so __eq__/__hash__ are unchanged.
         object.__setattr__(self, "interval_id",
                            (self.proc, self.index))
+        object.__setattr__(self, "order",
+                           (self.vc.total(), self.proc, self.index))
 
 
-@dataclass
+@dataclass(slots=True)
 class IntervalRecord:
     """One sealed interval: which pages it wrote and its vector time.
 
@@ -49,10 +65,17 @@ class IntervalRecord:
     pages: FrozenSet[int]
     pending_ranges: Dict[int, List[Tuple[int, int]]] = field(
         default_factory=dict)
+    interval_id: IntervalId = field(init=False, repr=False,
+                                    compare=False)
+    order: Tuple[int, int, int] = field(init=False, repr=False,
+                                        compare=False)
+    _notices: Optional[List[WriteNotice]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.interval_id: IntervalId = (self.proc, self.index)
-        self._notices: Optional[List[WriteNotice]] = None
+        self.interval_id = (self.proc, self.index)
+        self.order = (self.vc.total(), self.proc, self.index)
+        self._notices = None
 
     def notices(self) -> List[WriteNotice]:
         """The record's write notices (page-ascending).  Cached: a
@@ -132,12 +155,11 @@ class IntervalLog:
             if cut < len(records):
                 found.extend(records[cut:])
         if len(found) > 1:
-            found.sort(key=lambda r: (r.vc.total(), r.proc, r.index))
+            found.sort(key=BY_ORDER)
         return found
 
     def all_records(self) -> List[IntervalRecord]:
-        return sorted(self._records.values(),
-                      key=lambda r: (r.vc.total(), r.proc, r.index))
+        return sorted(self._records.values(), key=BY_ORDER)
 
     def prune_dominated(self, vc: VectorClock) -> List[IntervalId]:
         """Drop every record whose vector time is dominated by ``vc``

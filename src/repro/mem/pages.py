@@ -126,6 +126,18 @@ class PageCopy:
                                  if n.interval_id not in interval_ids]
         self._pending_ids.difference_update(interval_ids)
 
+    def discard_notice(self, interval_id) -> None:
+        """Drop one pending notice (no-op if absent).  O(1) when it is
+        the tail — the notice just filed — else one filtering pass."""
+        pending = self._pending_notices
+        if pending and pending[-1].interval_id == interval_id:
+            pending.pop()
+            self._pending_ids.discard(interval_id)
+            # The due/stray memo assumes the list only grows in place.
+            self.due_cache = None
+        elif interval_id in self._pending_ids:
+            self.remove_notices({interval_id})
+
     @property
     def dirty(self) -> bool:
         return bool(self.written)

@@ -29,11 +29,13 @@ applications are; the property tests exercise the invariant directly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.mem.diffs import Diff
-from repro.mem.intervals import (IntervalId, IntervalRecord, WriteNotice)
+from repro.mem.intervals import (BY_ORDER, IntervalId, IntervalRecord,
+                                 WriteNotice)
 from repro.mem.pages import PageCopy
 from repro.mem.timestamps import VectorClock
 from repro.net.message import Message
@@ -200,7 +202,13 @@ class BaseProtocol:
     def incorporate_records(self,
                             records: Sequence[IntervalRecord]) -> None:
         """Merge received interval records: log them and attach write
-        notices to the affected page copies (or the orphan list)."""
+        notices to the affected page copies (or the orphan list).
+
+        One frame for the whole batch: IntervalLog.add_if_new,
+        PageCopy.add_notice, CopysetTable.add and Node.observe_peer_vc
+        are inlined (this runs for every record of every grant,
+        departure and miss reply), each with the same effect as the
+        method it stands for."""
         node = self.node
         if node.tracer.sink.enabled and records:
             node.tracer.emit("protocol.notices_in", node=node.proc,
@@ -211,48 +219,71 @@ class BaseProtocol:
         masks_get = masks.get
         interval_log = node.interval_log
         known = interval_log._records
+        by_proc = interval_log._by_proc
         orphans = self.orphan_notices
-        notices_received = node.ins.notices_received
         me = node.proc
+        received = 0
         # A processor's clock is non-decreasing across its intervals,
         # so its highest-index record's vector time dominates the rest
-        # — one observe_peer_vc merge per source proc replaces one per
-        # record.
+        # — one peer-clock observation per source proc replaces one
+        # per record.
         latest: Dict[int, IntervalRecord] = {}
         for record in records:
             proc = record.proc
             if proc == me:
                 continue
-            # Duplicate quick-reject on the log's dict before paying
-            # the add_if_new call: barrier departures broadcast the
+            # Duplicate quick-reject: barrier departures broadcast the
             # union to everyone, so most records are already known.
-            if (record.interval_id in known
-                    or not interval_log.add_if_new(record)):
+            interval_id = record.interval_id
+            if interval_id in known:
                 continue
-            notices_received.value += len(record.pages)
-            # CopysetTable.add inlined (once per notice); the writer's
-            # bit is fixed for the whole record.
+            if proc < 0:
+                raise ValueError("invalid notice")
+            index = record.index
+            known[interval_id] = record
+            per_proc = by_proc.get(proc)
+            if per_proc is None:
+                by_proc[proc] = ([index], [record])
+            else:
+                indices, logged = per_proc
+                if index > indices[-1]:
+                    indices.append(index)
+                    logged.append(record)
+                else:
+                    position = bisect_left(indices, index)
+                    indices.insert(position, index)
+                    logged.insert(position, record)
+            received += len(record.pages)
+            # The writer's copyset bit is fixed for the whole record.
             bit = 1 << proc
             for notice in record.notices():
                 page = notice.page
                 copy = get_copy(page)
                 if copy is None:
                     # An orphan: a notice for a page this node has
-                    # no copy of yet (hot — kept inline).
+                    # no copy of yet.
                     bucket = orphans.get(page)
                     if bucket is None:
                         bucket = orphans[page] = {}
-                    interval_id = notice.interval_id
                     if interval_id not in bucket:
                         bucket[interval_id] = notice
                         masks[page] = masks_get(page, 0) | bit
-                elif copy.add_notice(notice):
+                elif (copy.applied.get(proc, 0) < index
+                      and interval_id not in copy._pending_ids):
+                    copy._pending_ids.add(interval_id)
+                    copy._pending_notices.append(notice)
                     masks[page] = masks_get(page, 0) | bit
             current = latest.get(proc)
-            if current is None or record.index > current.index:
+            if current is None or index > current.index:
                 latest[proc] = record
+        node.ins.notices_received.value += received
+        pending_vcs = node._peer_vc_pending
+        fold_at = node.PEER_VC_FOLD
         for proc, record in latest.items():
-            node.observe_peer_vc(proc, record.vc)
+            pending = pending_vcs[proc]
+            pending.append(record.vc)
+            if len(pending) >= fold_at:
+                node.peer_clock(proc)
 
     def invalidate_page(self, page: int) -> None:
         copy = self.node.pagetable.copies.get(page)
@@ -412,8 +443,7 @@ class BaseProtocol:
             merged_vc = merged_vc.merged(payload["vc"])
             for record in payload["records"]:
                 seen.setdefault(record.interval_id, record)
-        records = sorted(seen.values(),
-                         key=lambda r: (r.vc.total(), r.proc, r.index))
+        records = sorted(seen.values(), key=BY_ORDER)
         depart = {"records": records, "vc": merged_vc}
         return {proc: depart for proc in arrivals}
 

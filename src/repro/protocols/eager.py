@@ -280,9 +280,11 @@ class EagerBase(BaseProtocol):
                         f"node {node.proc}: flush diff for page {page} "
                         "arrived at a "
                         f"{'missing' if copy is None else 'stale'} copy")
-                # EU update, or EI home merge: apply in place.
+                # EU update, or EI home merge: apply in place.  The
+                # notice incorporate_records just filed is now covered.
                 diff.apply(copy)
                 copy.mark_applied(record.proc, record.index)
+                copy.discard_notice(record.interval_id)
                 node.diff_store.put(record.proc, record.index, diff)
                 node.ins.diffs_applied.inc()
             else:

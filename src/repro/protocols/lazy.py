@@ -26,7 +26,8 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.mem.diffs import Diff
-from repro.mem.intervals import IntervalId, IntervalRecord, WriteNotice
+from repro.mem.intervals import (BY_ORDER, IntervalId, IntervalRecord,
+                                 WriteNotice)
 from repro.mem.pages import PageCopy
 from repro.mem.timestamps import VectorClock
 from repro.net.message import Message, MsgKind
@@ -117,18 +118,24 @@ class LazyBase(BaseProtocol):
             # release-consistent).
             copy.valid = True
             return True
-        store = self.node.diff_store
+        # One lookup per notice finds each diff; a missing one aborts
+        # before anything is applied.
+        get = self.node.diff_store.get
         page = copy.page
-        for n in due:
-            if not store.has(n.proc, n.index, page):
-                return False
-        notices = sorted(due,
-                         key=lambda n: (n.vc.total(), n.proc, n.index))
-        get = store.get
+        notices = sorted(due, key=BY_ORDER)
+        diffs = []
         for notice in notices:
             diff = get(notice.proc, notice.index, page)
+            if diff is None:
+                return False
+            diffs.append(diff)
+        applied = copy.applied
+        for notice, diff in zip(notices, diffs):
             diff.apply(copy)
-            copy.mark_applied(notice.proc, notice.index)
+            # PageCopy.mark_applied inlined.
+            proc = notice.proc
+            if notice.index > applied.get(proc, 0):
+                applied[proc] = notice.index
         copy.remove_notices({n.interval_id for n in due})
         copy.valid = True
         if self.node.tracer.sink.enabled:
@@ -530,20 +537,29 @@ class LazyBase(BaseProtocol):
         """Send our unpropagated diffs to every believed cacher of the
         pages we modified: one UPDATE_PUSH per destination ('u' in
         Table 1), optionally acknowledged ('2u')."""
+        if not self.unpropagated:
+            return
         node = self.node
+        me = node.proc
+        # Each peer's view of our intervals, read once: nothing below
+        # yields before the bundles are built, so none can change.
+        peers = [dest for dest in range(node.config.nprocs)
+                 if dest != me]
+        seen = {dest: node.peer_clock(dest)[me] for dest in peers}
+        believes_cached = node.copysets.believes_cached
+        get_diff = node.diff_store.get
         bundles: Dict[int, List[Tuple[IntervalRecord,
                                       List[Diff]]]] = {}
         for (proc, index), pages in self.unpropagated.items():
             record = node.interval_log.get((proc, index))
-            for dest in range(node.config.nprocs):
-                if dest == node.proc:
-                    continue
-                if node.peer_clock(dest)[node.proc] >= index:
+            page_diffs = [(page, get_diff(proc, index, page))
+                          for page in sorted(pages)]
+            for dest in peers:
+                if seen[dest] >= index:
                     continue  # destination already has this interval
-                diffs = [node.diff_store.get(proc, index, page)
-                         for page in sorted(pages)
-                         if node.copysets.believes_cached(page, dest)]
-                diffs = [d for d in diffs if d is not None]
+                diffs = [diff for page, diff in page_diffs
+                         if diff is not None
+                         and believes_cached(page, dest)]
                 if diffs:
                     bundles.setdefault(dest, []).append((record, diffs))
         self.unpropagated = {}

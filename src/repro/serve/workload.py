@@ -25,8 +25,8 @@ Model:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from math import log
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.core.rng import substream
 
@@ -34,9 +34,9 @@ from repro.core.rng import substream
 ARRIVAL_MODES = ("poisson", "fixed")
 
 
-@dataclass(frozen=True)
-class Request:
-    """One client request, scheduled before the simulation starts."""
+class Request(NamedTuple):
+    """One client request, scheduled before the simulation starts
+    (an immutable named tuple: a schedule holds tens of thousands)."""
 
     req_id: int       # global arrival order (ties broken by id)
     client: int       # logical client; client % nprocs = serving node
@@ -100,25 +100,30 @@ def generate_requests(nkeys: int, requests: int, rate_rps: float,
     validate_workload(rate_rps, read_fraction, zipf_s, nkeys=nkeys,
                       requests=requests, nclients=nclients,
                       arrival=arrival)
-    arrivals_rng = substream(seed, "serve.arrivals")
-    keys_rng = substream(seed, "serve.keys")
-    ops_rng = substream(seed, "serve.ops")
-    clients_rng = substream(seed, "serve.clients")
+    # One bound draw method per substream; each request makes exactly
+    # one draw from each, in the same order as the model above.
+    arrival_draw = substream(seed, "serve.arrivals").random
+    key_draw = substream(seed, "serve.keys").random
+    op_draw = substream(seed, "serve.ops").random
+    client_draw = substream(seed, "serve.clients").randrange
     cdf = zipf_cdf(nkeys, zipf_s)
     cdf_total = cdf[-1]
     mean_gap_us = 1e6 / rate_rps
+    lambd = 1.0 / mean_gap_us
+    poisson = arrival == "poisson"
     clock_us = 0.0
     out: List[Request] = []
+    append = out.append
     for req_id in range(requests):
-        if arrival == "poisson":
-            clock_us += arrivals_rng.expovariate(1.0 / mean_gap_us)
+        if poisson:
+            # Random.expovariate(lambd)'s own expression.
+            clock_us += -log(1.0 - arrival_draw()) / lambd
         else:
             clock_us = req_id * mean_gap_us
-        key = bisect_left(cdf, keys_rng.random() * cdf_total)
-        op = "get" if ops_rng.random() < read_fraction else "put"
-        out.append(Request(req_id=req_id,
-                           client=clients_rng.randrange(nclients),
-                           key=key, op=op, arrival_us=clock_us))
+        key = bisect_left(cdf, key_draw() * cdf_total)
+        op = "get" if op_draw() < read_fraction else "put"
+        append(Request(req_id, client_draw(nclients), key, op,
+                       clock_us))
     return out
 
 

@@ -16,25 +16,41 @@ from repro.mem.checkpoint import (CheckpointError, checkpoint_node,
                                   restore_node, wipe_node)
 
 
-def machine_after_run(protocol="li", nprocs=2):
+#: Small runs of the kernels whose checkpoints the round trip covers.
+APPS = {"jacobi": dict(n=16, iterations=2),
+        "water": dict(nmols=8, steps=1),
+        "cholesky": dict(k=3)}
+
+#: Every protocol whose consistency state RCKP serializes.
+CHECKPOINTABLE = ("li", "lu", "lh", "ec", "ei", "eu")
+
+
+def machine_after_run(protocol="li", nprocs=2, app="jacobi"):
     """A machine that has completed a small run, so every node holds
     real pages, twins, intervals, diffs, and copyset state."""
     machine = Machine(MachineConfig(nprocs=nprocs,
                                     network=NetworkConfig.ideal()),
                       protocol=protocol)
-    machine.run_app(create_app("jacobi", n=16, iterations=2))
+    machine.run_app(create_app(app, **APPS[app]))
     return machine
 
 
-def test_round_trip_is_byte_identical():
-    machine = machine_after_run()
+@pytest.mark.parametrize("app", sorted(APPS))
+@pytest.mark.parametrize("protocol", CHECKPOINTABLE)
+def test_round_trip_is_byte_identical(protocol, app):
+    machine = machine_after_run(protocol=protocol, app=app)
     for node in machine.nodes:
         blob = checkpoint_node(node)
         assert checkpoint_node(node) == blob  # read-only
+        live = {record.interval_id: record.order
+                for record in node.interval_log.all_records()}
         wipe_node(node)
         assert checkpoint_node(node) != blob  # wipe really erased
         restore_node(node, blob)
         assert checkpoint_node(node) == blob
+        restored = {record.interval_id: record.order
+                    for record in node.interval_log.all_records()}
+        assert restored == live
 
 
 def test_restore_preserves_object_identities():

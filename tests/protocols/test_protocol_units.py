@@ -5,6 +5,7 @@ the eager release flush driven node by node."""
 import numpy as np
 import pytest
 
+from repro.apps import create_app
 from repro.core import Machine, MachineConfig, NetworkConfig
 from repro.mem.intervals import IntervalRecord, WriteNotice
 from repro.mem.timestamps import VectorClock
@@ -355,3 +356,26 @@ class TestEagerFlush:
         (reply,) = [m for m in sent if m.kind == MsgKind.PAGE_REPLY]
         assert reply.payload["copyset"] == 0b0111
         assert misser.copysets.mask(1) == 0b1111
+
+    @pytest.mark.parametrize("protocol,app,params", [
+        pytest.param("eu", "water", dict(nmols=20, steps=1),
+                     id="eu-water"),
+        pytest.param("ei", "water", dict(nmols=20, steps=1),
+                     id="ei-water"),
+        pytest.param("eu", "tsp", dict(ncities=8), id="eu-tsp"),
+    ])
+    def test_applied_flush_leaves_no_covered_notice_pending(
+            self, protocol, app, params):
+        """A flushed diff applied in place retires the notice filed
+        for it: no copy ends a run holding a pending notice its own
+        coverage map already covers (checkpoints serialize them)."""
+        machine = Machine(MachineConfig(nprocs=4,
+                                        network=NetworkConfig.atm()),
+                          protocol=protocol)
+        machine.run_app(create_app(app, **params))
+        covered = [(node.proc, notice.page, notice.interval_id)
+                   for node in machine.nodes
+                   for copy in node.pagetable.copies.values()
+                   for notice in copy.pending_notices
+                   if copy.is_applied(notice.proc, notice.index)]
+        assert covered == []

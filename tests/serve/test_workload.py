@@ -1,15 +1,17 @@
 """The open-loop generator: validation, shape, and the determinism
 property the lab cache and per-node multiplexing stand on."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
 
+from repro.core.rng import substream
 from repro.serve.workload import (SERVE_APP_PARAMS, Request,
                                   generate_requests, node_schedules,
                                   validate_workload, write_counts,
@@ -118,11 +120,10 @@ def test_write_counts_match_the_puts():
 
 _CHILD = """
 import json, sys
-from dataclasses import asdict
 from repro.serve.workload import generate_requests
 args = json.loads(sys.stdin.read())
 schedule = generate_requests(**args)
-print(json.dumps([asdict(r) for r in schedule], sort_keys=True))
+print(json.dumps([r._asdict() for r in schedule], sort_keys=True))
 """
 
 
@@ -138,11 +139,63 @@ def _schedule_in_subprocess(args: dict, hashseed: str) -> str:
 
 
 def test_same_seed_same_schedule_across_processes():
-    local = json.dumps([asdict(r) for r in
+    local = json.dumps([r._asdict() for r in
                         generate_requests(**GEN_ARGS)],
                        sort_keys=True)
     assert _schedule_in_subprocess(GEN_ARGS, "0") == local
     assert _schedule_in_subprocess(GEN_ARGS, "1") == local
+
+
+def _reference_schedule(nkeys, requests, rate_rps, read_fraction,
+                        zipf_s, nclients, arrival, seed):
+    """The documented model written with the plain Random API: one
+    draw per substream per request, in the module docstring's order."""
+    arrivals_rng = substream(seed, "serve.arrivals")
+    keys_rng = substream(seed, "serve.keys")
+    ops_rng = substream(seed, "serve.ops")
+    clients_rng = substream(seed, "serve.clients")
+    cdf = zipf_cdf(nkeys, zipf_s)
+    mean_gap_us = 1e6 / rate_rps
+    clock_us = 0.0
+    out = []
+    for req_id in range(requests):
+        if arrival == "poisson":
+            clock_us += arrivals_rng.expovariate(1.0 / mean_gap_us)
+        else:
+            clock_us = req_id * mean_gap_us
+        key = bisect_left(cdf, keys_rng.random() * cdf[-1])
+        op = "get" if ops_rng.random() < read_fraction else "put"
+        out.append((req_id, clients_rng.randrange(nclients), key, op,
+                    clock_us))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 1993, 2**40 + 7])
+@pytest.mark.parametrize("arrival", ["poisson", "fixed"])
+@pytest.mark.parametrize("nclients", [1, 1_000_000])
+def test_schedule_is_the_documented_model(seed, arrival, nclients):
+    args = dict(GEN_ARGS, requests=500, seed=seed, arrival=arrival,
+                nclients=nclients)
+    schedule = generate_requests(**args)
+    # Tuple equality: every field, floats compared exactly.
+    assert [tuple(r) for r in schedule] == _reference_schedule(**args)
+
+
+#: SHA-256 of the seed-1993 ``serve_read_clean`` schedule (20,000
+#: requests), serialised as compact JSON rows ``[req_id, client, key,
+#: op, arrival_us]``.  Every supported Python must produce it.
+SERVE_READ_CLEAN_SHA256 = (
+    "70d8b7b178b52d2bbba99569d010c64569f1fb71be2caa268726ca6af0cd11d9")
+
+
+def test_serve_read_clean_schedule_is_pinned():
+    schedule = generate_requests(
+        nkeys=256, requests=20_000, rate_rps=10_000.0,
+        read_fraction=0.9, zipf_s=0.99, nclients=1_000_000,
+        arrival="poisson", seed=1993)
+    blob = json.dumps([list(r) for r in schedule],
+                      separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == SERVE_READ_CLEAN_SHA256
 
 
 def test_different_seeds_differ():
