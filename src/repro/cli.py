@@ -40,6 +40,10 @@ from repro.serve.workload import SERVE_APP_PARAMS
 CLI_APP_CHOICES = APP_NAMES + ["kvstore"]
 
 
+#: What ``--network`` and each ``--networks`` entry may name.
+NETWORK_NAMES = ["atm", "ethernet", "ideal"]
+
+
 def _network(args, name: Optional[str] = None) -> NetworkConfig:
     """The network called ``name`` (default: ``--network``), shaped by
     ``--bandwidth`` and ``--no-collisions``."""
@@ -48,25 +52,12 @@ def _network(args, name: Optional[str] = None) -> NetworkConfig:
         return NetworkConfig.ethernet(collisions=not args.no_collisions)
     if name == "atm":
         return NetworkConfig.atm(args.bandwidth)
-    if name == "ideal":
-        return NetworkConfig.ideal()
-    raise SystemExit(f"unknown network {name!r}")
+    return NetworkConfig.ideal()
 
 
 def _networks(args) -> list:
     """The ``--networks`` list as ``(name, NetworkConfig)`` cells."""
-    return [(name, _network(args, name))
-            for name in args.networks.split(",")]
-
-
-def _protocols(args) -> List[str]:
-    """The ``--protocols`` list, checked (unset: all five)."""
-    protocols = (args.protocols.split(",") if args.protocols
-                 else list(PROTOCOL_NAMES))
-    for protocol in protocols:
-        if protocol not in PROTOCOL_NAMES:
-            raise SystemExit(f"unknown protocol {protocol!r}")
-    return protocols
+    return [(name, _network(args, name)) for name in args.networks]
 
 
 def _app_params(args) -> dict:
@@ -118,6 +109,21 @@ def _list_arg(item):
     return parse
 
 
+def _name_arg(what: str, names: List[str]):
+    """Argparse type for one entry of a list of names."""
+    def parse(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {text!r} (choose from "
+                f"{', '.join(names)})")
+        return text
+    return parse
+
+
+_protocol_list = _list_arg(_name_arg("protocol", PROTOCOL_NAMES))
+_network_list = _list_arg(_name_arg("network", NETWORK_NAMES))
+
+
 # The --proc-list processor counts, each at least 1.
 _proc_list = _list_arg(_positive_int)
 # Per-message fault rates: [0.0, 1.0), the injector's domain.
@@ -128,6 +134,9 @@ _probability = _float_arg(
 _nonnegative_us = _float_arg(
     "microseconds", lambda v: not v < 0,
     "microseconds must be non-negative")
+# Latency SLO: at 0 no request can meet it.
+_slo_us = _float_arg("microseconds", lambda v: v > 0,
+                     "SLO must be > 0 µs")
 # Offered load: an open-loop generator with no arrivals is a mistake,
 # not a workload.
 _positive_rate = _float_arg(
@@ -387,7 +396,7 @@ def cmd_losssweep(args) -> int:
     """Per-protocol slowdown across message-loss rates
     (docs/robustness.md)."""
     from repro.analysis.faults import format_loss_table, loss_sweep
-    protocols = _protocols(args)
+    protocols = args.protocols
     print(f"{args.app} on {args.procs} procs ({args.network}), "
           f"loss rates {args.rates}")
     with _lab(args) as lab:
@@ -404,7 +413,7 @@ def cmd_crashsweep(args) -> int:
     (docs/robustness.md)."""
     from repro.analysis.availability import (availability_sweep,
                                              format_availability_table)
-    protocols = _protocols(args)
+    protocols = args.protocols
     networks = _networks(args)
     print(f"{args.app} on {args.procs} procs, "
           f"mttf {args.mttfs} µs, mttr {args.crash_mttr} µs, "
@@ -464,7 +473,7 @@ def cmd_serve(args) -> int:
                                         format_serving_table,
                                         serving_grid)
 
-    protocols = _protocols(args)
+    protocols = args.protocols
     networks = _networks(args)
     config = _serve_config(args)
     print(f"kvstore open-loop at {args.rate:.0f} req/s on "
@@ -507,7 +516,7 @@ def cmd_servesweep(args) -> int:
                                         format_serving_table,
                                         sweep_to_json)
 
-    protocols = _protocols(args)
+    protocols = args.protocols
     networks = _networks(args)
     config = _serve_config(args)
     print(f"kvstore capacity sweep, rates {args.rates} req/s on "
@@ -540,12 +549,9 @@ def _timeseries_run(args, with_trace: bool = False):
     (p50/p99, burn rate) is populated."""
     from repro.obs import MemorySink, TimeseriesSampler
 
-    try:
-        sampler = TimeseriesSampler(window_us=args.window_us,
-                                    slo_us=args.slo_us,
-                                    slo_target=args.slo_target)
-    except ValueError as exc:
-        raise SystemExit(f"timeseries: {exc}")
+    sampler = TimeseriesSampler(window_us=args.window_us,
+                                slo_us=args.slo_us,
+                                slo_target=args.slo_target)
     if args.app is None:
         params = dict(SERVE_APP_PARAMS[args.scale])
         params["rate_rps"] = args.rate
@@ -752,8 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
         flag("--procs", type=_positive_int, default=8)
         flag("--protocol", choices=PROTOCOL_NAMES,
              default="lh")
-        flag("--network", choices=["atm", "ethernet",
-                                   "ideal"], default="atm")
+        flag("--network", choices=NETWORK_NAMES, default="atm")
         flag("--bandwidth", type=_positive_hw_rate, default=100.0,
              help="Mbit/s (ATM only)")
         flag("--no-collisions", action="store_true")
@@ -857,7 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="0.0,0.001,0.01,0.05",
                         help="comma-separated drop probabilities "
                              "(first is the slowdown baseline)")
-    p_loss.add_argument("--protocols", default=None,
+    p_loss.add_argument("--protocols", type=_protocol_list,
+                        default=",".join(PROTOCOL_NAMES),
                         help="comma-separated protocol subset "
                              "(default: all five)")
     p_loss.set_defaults(func=cmd_losssweep, loss=0.0)
@@ -871,10 +877,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated per-node MTTFs in µs "
                               "(0 = the crash-free baseline; pass it "
                               "first)")
-    p_crash.add_argument("--protocols", default="li,lh",
+    p_crash.add_argument("--protocols", type=_protocol_list,
+                         default="li,lh",
                          help="comma-separated protocol subset "
                               "(default: li,lh)")
-    p_crash.add_argument("--networks", default="ethernet,atm",
+    p_crash.add_argument("--networks", type=_network_list,
+                         default="ethernet,atm",
                          help="comma-separated networks "
                               "(default: ethernet,atm)")
     p_crash.add_argument("--max-events", type=_positive_int,
@@ -886,10 +894,12 @@ def build_parser() -> argparse.ArgumentParser:
                          crash_mttr=5_000.0, crash_horizon=100_000.0)
 
     def serve_flags(p):
-        p.add_argument("--protocols", default="li,lh",
+        p.add_argument("--protocols", type=_protocol_list,
+                       default="li,lh",
                        help="comma-separated protocol subset "
                             "(default: li,lh)")
-        p.add_argument("--networks", default="ethernet,atm",
+        p.add_argument("--networks", type=_network_list,
+                       default="ethernet,atm",
                        help="comma-separated networks "
                             "(default: ethernet,atm)")
         p.add_argument("--read-fraction", type=_unit_fraction,
@@ -907,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="poisson",
                        help="inter-arrival process (default: "
                             "poisson)")
-        p.add_argument("--slo-us", type=_nonnegative_us,
+        p.add_argument("--slo-us", type=_slo_us,
                        default=500.0, dest="slo_us", metavar="US",
                        help="latency SLO for attainment reporting "
                             "(default: 500 µs)")
@@ -958,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--requests", type=_positive_int, default=None,
                        help="override the scaled request count "
                             "(kvstore workload only)")
-        p.add_argument("--slo-us", type=_nonnegative_us,
+        p.add_argument("--slo-us", type=_slo_us,
                        default=500.0, dest="slo_us", metavar="US",
                        help="latency SLO for the burn-rate series "
                             "(default: 500 µs)")

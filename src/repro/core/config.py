@@ -62,7 +62,6 @@ class NetworkConfig:
     bandwidth_mbps: float = ATM_MBPS
     latency_us: float = 10.0
     collisions: bool = False
-    backoff_slot_us: float = 51.2  # classic Ethernet slot time
 
     def __post_init__(self) -> None:
         if self.bandwidth_mbps <= 0:
@@ -73,9 +72,8 @@ class NetworkConfig:
         return self.bandwidth_mbps * 1e6
 
     @staticmethod
-    def ethernet(collisions: bool = True,
-                 bandwidth_mbps: float = ETHERNET_MBPS) -> "NetworkConfig":
-        return NetworkConfig(kind="ethernet", bandwidth_mbps=bandwidth_mbps,
+    def ethernet(collisions: bool = True) -> "NetworkConfig":
+        return NetworkConfig(kind="ethernet", bandwidth_mbps=ETHERNET_MBPS,
                              latency_us=5.0, collisions=collisions)
 
     @staticmethod
@@ -93,25 +91,23 @@ class NetworkConfig:
 class OverheadConfig:
     """Per-message software cost model (paper section 5.3).
 
-    ``scale`` implements Table 3's zero / normal / double sweep.
+    ``scale`` implements Table 3's zero / normal / double sweep; the
+    fixed, per-byte and per-word costs are the module constants above.
     """
 
-    fixed_cycles: float = OVERHEAD_FIXED_CYCLES
-    per_byte_cycles: float = OVERHEAD_PER_BYTE_CYCLES
     lazy_per_byte_factor: float = LAZY_PER_BYTE_FACTOR
-    diff_cycles_per_word: float = DIFF_CYCLES_PER_WORD
     scale: float = 1.0
 
     def message_cycles(self, size_bytes: int, lazy: bool) -> float:
         """Software cost, in cycles, paid at *each* end of a message."""
-        per_byte = self.per_byte_cycles
+        per_byte = OVERHEAD_PER_BYTE_CYCLES
         if lazy:
             per_byte *= self.lazy_per_byte_factor
-        return self.scale * (self.fixed_cycles + size_bytes * per_byte)
+        return self.scale * (OVERHEAD_FIXED_CYCLES + size_bytes * per_byte)
 
     def diff_cycles(self, words_per_page: int) -> float:
         """Cost of creating one diff ("per word per page")."""
-        return self.scale * self.diff_cycles_per_word * words_per_page
+        return self.scale * DIFF_CYCLES_PER_WORD * words_per_page
 
 
 @dataclass(frozen=True)
@@ -154,31 +150,6 @@ class CrashSpec:
 
 
 @dataclass(frozen=True)
-class LinkFault:
-    """Per-link fault-rate overrides for the directed link
-    ``src -> dst``.  ``None`` fields fall back to the global rates.  A
-    rate may be 1.0 (a cut link), unlike a global rate.  The injector
-    checks ``src`` and ``dst`` against the machine's size."""
-
-    src: int
-    dst: int
-    drop_prob: "float | None" = None
-    dup_prob: "float | None" = None
-    reorder_prob: "float | None" = None
-    delay_prob: "float | None" = None
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"link {self.src} -> {self.dst} is a loop")
-        for name in ("drop_prob", "dup_prob", "reorder_prob",
-                     "delay_prob"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"link {name} must be None or in [0, 1]: {value}")
-
-
-@dataclass(frozen=True)
 class FaultConfig:
     """Deterministic fault-injection plan (see :mod:`repro.faults`).
 
@@ -195,11 +166,7 @@ class FaultConfig:
     drop_prob: float = 0.0
     dup_prob: float = 0.0
     reorder_prob: float = 0.0
-    delay_prob: float = 0.0
-    delay_us: float = 100.0         # extra latency per delayed message
-    reorder_delay_us: float = 300.0  # hold-back applied to reordered msgs
     stalls: "Tuple[StallSpec, ...]" = ()
-    links: "Tuple[LinkFault, ...]" = ()
     seed: "int | None" = None       # fault substream seed (None: machine)
     # Node-lifecycle faults (crash-stop / crash-recover).  ``crashes``
     # is an explicit schedule; ``crash_mttf_us`` > 0 additionally draws
@@ -214,13 +181,11 @@ class FaultConfig:
     crash_horizon_us: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("drop_prob", "dup_prob", "reorder_prob",
-                     "delay_prob"):
+        for name in ("drop_prob", "dup_prob", "reorder_prob"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1): {value}")
         object.__setattr__(self, "stalls", tuple(self.stalls))
-        object.__setattr__(self, "links", tuple(self.links))
         object.__setattr__(self, "crashes", tuple(self.crashes))
         for name in ("crash_mttf_us", "crash_mttr_us",
                      "crash_horizon_us"):
@@ -235,13 +200,8 @@ class FaultConfig:
     @property
     def enabled(self) -> bool:
         """Whether any fault source is configured."""
-        if (self.drop_prob or self.dup_prob or self.reorder_prob
-                or self.delay_prob or self.stalls
-                or self.crash_enabled):
-            return True
-        return any(rate for link in self.links
-                   for rate in (link.drop_prob, link.dup_prob,
-                                link.reorder_prob, link.delay_prob))
+        return bool(self.drop_prob or self.dup_prob or self.reorder_prob
+                    or self.stalls or self.crash_enabled)
 
     @property
     def crash_enabled(self) -> bool:
@@ -254,58 +214,16 @@ class FaultConfig:
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Reliable-transport tuning (see :mod:`repro.net.transport`).
+    """Reliable-transport switch (see :mod:`repro.net.transport`, whose
+    module constants hold the timer tuning).
 
-    The retransmission timeout adapts to the measured round-trip time
-    per stream (RFC 6298-style SRTT/RTTVAR, Karn's rule) so that the
-    heavy, bursty contention of a shared Ethernet does not cause
-    spurious retransmissions; before the first sample it falls back to
-    ``rto_us`` plus the packet's own wire time.  The 10ms default is
-    deliberately conservative (1993-era TCP started at 3 *seconds*):
-    barrier episodes on the 10Mbit Ethernet routinely hold replies for
-    several milliseconds, and a sweep showed tighter values retransmit
-    spuriously (at 1ms, ~100 retransmissions per real drop; at 10ms,
-    one for one).  Each consecutive
-    expiry multiplies the timeout by ``rto_backoff`` (capped at
-    ``rto_backoff ** max_backoff_exp``), and every arm is stretched by
-    a multiplicative jitter of up to ``jitter_frac`` so synchronized
-    losers do not retransmit in lockstep.
-
-    ``rto_max_us`` is an *absolute* ceiling on the armed timeout,
-    applied after the backoff multiplier but before jitter (so probes
-    to a dead peer stay de-synchronized): no matter how far SRTT
-    inflates or how many expiries accumulate, a sender probes a silent
-    peer at least every ``rto_max_us * (1 + jitter_frac)``
-    microseconds.  Without it a long-dead peer (see node crashes in
-    :class:`FaultConfig`) could drive the interval unbounded and make
-    recovery latency depend on how long the node happened to be down.
-    The 2-second default mirrors deployed TCP maximums (RFC 6298
-    permits anything >= 60s; BSD derivatives clamp far lower) scaled
-    to simulated runs lasting single-digit seconds.
-
-    ``force`` enables the transport even with no faults configured
-    (testing only — the default keeps fault-free runs on the raw,
-    zero-overhead path).
+    ``force`` runs every message through the transport even with no
+    faults configured.  The default keeps fault-free runs on the raw,
+    zero-overhead path; crash sweeps force it so the clean cell pays
+    the same transport costs as the faulty ones.
     """
 
-    rto_us: float = 10000.0
-    rto_backoff: float = 2.0
-    max_backoff_exp: int = 6
-    rto_max_us: float = 2_000_000.0
-    ack_delay_us: float = 200.0
-    jitter_frac: float = 0.1
     force: bool = False
-
-    def __post_init__(self) -> None:
-        if self.rto_us <= 0:
-            raise ValueError("rto_us must be positive")
-        if self.rto_backoff < 1.0:
-            raise ValueError("rto_backoff must be >= 1")
-        if self.rto_max_us < self.rto_us:
-            raise ValueError("rto_max_us must be >= rto_us")
-        for name in ("max_backoff_exp", "ack_delay_us", "jitter_frac"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -315,7 +233,6 @@ class MachineConfig:
     nprocs: int = 16
     cpu_mhz: float = DEFAULT_CPU_MHZ
     page_size: int = DEFAULT_PAGE_SIZE
-    word_size: int = WORD_SIZE
     network: NetworkConfig = field(default_factory=NetworkConfig.atm)
     overhead: OverheadConfig = field(default_factory=OverheadConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
@@ -332,13 +249,13 @@ class MachineConfig:
             raise ValueError("nprocs must be >= 1")
         if self.cpu_mhz <= 0:
             raise ValueError("cpu_mhz must be > 0")
-        if self.page_size <= 0 or self.page_size % self.word_size:
+        if self.page_size <= 0 or self.page_size % WORD_SIZE:
             raise ValueError(
-                "page_size must be a positive multiple of word_size")
+                f"page_size must be a positive multiple of {WORD_SIZE} bytes")
 
     @property
     def words_per_page(self) -> int:
-        return self.page_size // self.word_size
+        return self.page_size // WORD_SIZE
 
     @property
     def cycles_per_second(self) -> float:
@@ -377,8 +294,6 @@ class MachineConfig:
         faults = dict(data["faults"])
         faults["stalls"] = tuple(StallSpec(**s)
                                  for s in faults.get("stalls", ()))
-        faults["links"] = tuple(LinkFault(**l)
-                                for l in faults.get("links", ()))
         faults["crashes"] = tuple(CrashSpec(**c)
                                   for c in faults.get("crashes", ()))
         data["faults"] = FaultConfig(**faults)

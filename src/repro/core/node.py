@@ -22,7 +22,8 @@ from heapq import heappush
 from math import inf
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.core.config import MachineConfig
+from repro.core.config import (OVERHEAD_FIXED_CYCLES,
+                               OVERHEAD_PER_BYTE_CYCLES, MachineConfig)
 from repro.mem.copyset import CopysetTable
 from repro.mem.intervals import DiffStore, IntervalLog
 from repro.mem.pages import PageTable
@@ -77,9 +78,9 @@ class Node:
         # operation order of OverheadConfig.message_cycles.
         overhead = self.config.overhead
         self._oh_scale = overhead.scale
-        self._oh_fixed = overhead.fixed_cycles
-        self._oh_per_byte = overhead.per_byte_cycles
-        self._oh_per_byte_lazy = (overhead.per_byte_cycles
+        self._oh_fixed = OVERHEAD_FIXED_CYCLES
+        self._oh_per_byte = OVERHEAD_PER_BYTE_CYCLES
+        self._oh_per_byte_lazy = (OVERHEAD_PER_BYTE_CYCLES
                                   * overhead.lazy_per_byte_factor)
         self._handler_busy_until = 0.0
         self._interrupt_cycles = 0.0

@@ -4,8 +4,8 @@ CPU faults.
 Determinism discipline
 ----------------------
 Each fault class draws from its own named substream
-(``faults.drop``, ``faults.dup``, ``faults.reorder``,
-``faults.delay`` — see :mod:`repro.core.rng`), and one uniform is
+(``faults.drop``, ``faults.dup``, ``faults.reorder`` — see
+:mod:`repro.core.rng`), and one uniform is
 drawn from *every* stream for *every* transmission, whether or not
 that class is enabled.  Consequences:
 
@@ -16,7 +16,7 @@ that class is enabled.  Consequences:
   like.
 
 The injector never *hides* a loss from the accounting: every drop,
-duplicate, reorder hold and injected delay is counted in the
+duplicate and reorder hold is counted in the
 ``faults.*`` metrics, and the conservation property
 ``received + dropped == sent + duplicated`` is pinned by
 ``tests/properties/test_fault_tolerance.py``.
@@ -31,6 +31,8 @@ from typing import Optional, Tuple
 
 from repro.core.config import MachineConfig
 from repro.core.rng import substream
+
+REORDER_DELAY_US = 300.0  # hold-back applied to a reordered message
 
 
 class Decision:
@@ -84,23 +86,9 @@ class FaultInjector:
         self._drop_rng = substream(seed, "faults.drop")
         self._dup_rng = substream(seed, "faults.dup")
         self._reorder_rng = substream(seed, "faults.reorder")
-        self._delay_rng = substream(seed, "faults.delay")
-        self._links = {}
-        for link in fc.links:
-            for proc in (link.src, link.dst):
-                if not 0 <= proc < config.nprocs:
-                    raise ValueError(
-                        f"link {link.src} -> {link.dst} names processor "
-                        f"{proc}, machine has {config.nprocs}")
-            self._links[(link.src, link.dst)] = link
-        # The rates decide() reads, resolved once (FaultConfig is
-        # frozen): the global tuple, and one tuple per overridden link.
-        self._rates = (fc.drop_prob, fc.dup_prob, fc.reorder_prob,
-                       fc.delay_prob)
-        self._link_rates = {key: self.rates_for(*key)
-                            for key in self._links}
-        self.reorder_delay = config.us_to_cycles(fc.reorder_delay_us)
-        self.delay_cycles = config.us_to_cycles(fc.delay_us)
+        # The rates decide() reads, resolved once (FaultConfig is frozen).
+        self._rates = (fc.drop_prob, fc.dup_prob, fc.reorder_prob)
+        self.reorder_delay = config.us_to_cycles(REORDER_DELAY_US)
         # Node-lifecycle plan, drawn eagerly at construction (same
         # pre-draw discipline as the message streams): a pure function
         # of (seed, config), never of what the run does.
@@ -181,23 +169,6 @@ class FaultInjector:
 
     # -- per-transmission decisions -------------------------------------
 
-    def rates_for(self, src: int, dst: int
-                  ) -> Tuple[float, float, float, float]:
-        """(drop, dup, reorder, delay) probabilities for one link: the
-        global rates, each replaced by the link's override when set.
-        :meth:`decide` reads these tuples from a table built at
-        construction."""
-        fc = self.config.faults
-        rates = [fc.drop_prob, fc.dup_prob, fc.reorder_prob,
-                 fc.delay_prob]
-        link = self._links.get((src, dst))
-        if link is not None:
-            overrides = (link.drop_prob, link.dup_prob,
-                         link.reorder_prob, link.delay_prob)
-            rates = [o if o is not None else r
-                     for o, r in zip(overrides, rates)]
-        return tuple(rates)
-
     def decide(self, message) -> Optional[Decision]:
         """Fault verdict for one transmission; ``None`` means deliver
         normally.  Always draws one uniform per fault stream so that
@@ -205,21 +176,14 @@ class FaultInjector:
         u_drop = self._drop_rng.random()
         u_dup = self._dup_rng.random()
         u_reorder = self._reorder_rng.random()
-        u_delay = self._delay_rng.random()
-        link_rates = self._link_rates
-        drop, dup, reorder, delay = (
-            link_rates.get((message.src, message.dst), self._rates)
-            if link_rates else self._rates)
+        drop, dup, reorder = self._rates
         if u_drop < drop:
             self._drops.value += 1
             return Decision(drop=True)
         extra = 0.0
         if u_reorder < reorder:
             self._reorders.value += 1
-            extra += self.reorder_delay
-        if u_delay < delay:
-            extra += self.delay_cycles
-        if extra > 0.0:
+            extra = self.reorder_delay
             self._delay.value += extra
         duplicate = u_dup < dup
         if duplicate:

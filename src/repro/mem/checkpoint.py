@@ -45,6 +45,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Tuple
 
+from repro.core.config import WORD_SIZE
 from repro.mem.diffs import Diff
 from repro.mem.intervals import IntervalRecord, WriteNotice
 from repro.mem.pages import PageCopy
@@ -276,7 +277,7 @@ def checkpoint_node(node) -> bytes:
         (b"PROT", _encode_protocol(node)),
     )
     parts = [_HEADER.pack(MAGIC, CHECKPOINT_VERSION,
-                          node.config.word_size, 0, node.proc,
+                          WORD_SIZE, 0, node.proc,
                           node.config.nprocs,
                           node.config.words_per_page)]
     for tag, payload in sections:
@@ -467,10 +468,9 @@ def restore_node(node, blob: bytes) -> None:
         raise CheckpointError(
             f"checkpoint for {nprocs} procs, machine has "
             f"{node.config.nprocs}")
-    if word_size != node.config.word_size:
+    if word_size != WORD_SIZE:
         raise CheckpointError(
-            f"word size mismatch: {word_size} vs "
-            f"{node.config.word_size}")
+            f"word size mismatch: {word_size} vs {WORD_SIZE}")
     if words_per_page != node.config.words_per_page:
         raise CheckpointError(
             f"page geometry mismatch: {words_per_page} vs "

@@ -16,6 +16,8 @@ from repro.net.base import Network
 from repro.net.message import Message
 from repro.sim.engine import Simulator
 
+BACKOFF_SLOT_US = 51.2  # classic 10 Mbit/s Ethernet slot time
+
 
 class EthernetNetwork(Network):
     """Single shared medium with optional CSMA/CD backoff penalties.
@@ -30,8 +32,7 @@ class EthernetNetwork(Network):
     def __init__(self, sim: Simulator, config: MachineConfig) -> None:
         super().__init__(sim, config)
         self.collisions = config.network.collisions
-        self.slot_cycles = config.us_to_cycles(
-            config.network.backoff_slot_us)
+        self.slot_cycles = config.us_to_cycles(BACKOFF_SLOT_US)
         self._free_at = 0.0
         self._queued = 0
         self._rng = substream(config.seed, "ethernet")

@@ -15,7 +15,7 @@ Mechanism (per directed node pair, TCP-flavoured but simpler):
   a per-destination sequence number.
 - **Cumulative acks, piggybacked** — every data packet carries the
   highest in-order sequence number received on the reverse stream;
-  when no reverse traffic appears within ``ack_delay_us``, a pure
+  when no reverse traffic appears within ``ACK_DELAY_US``, a pure
   ``TRANSPORT_ACK`` packet (header-sized) is sent instead.
 - **Timeout retransmission** — the sender re-sends the oldest
   unacknowledged packet when its retransmission timer fires; the
@@ -48,6 +48,15 @@ from repro.core.config import MESSAGE_HEADER_BYTES, MachineConfig
 from repro.core.rng import substream
 from repro.net.message import Message, MsgKind
 from repro.sim.engine import Simulator
+
+# Timer tuning.  docs/robustness.md "Transport tuning" gives each
+# value's reason, including the sweep behind the 10 ms RTO.
+RTO_US = 10_000.0          # base timeout before any RTT sample
+RTO_BACKOFF = 2.0          # multiplier per consecutive expiry
+MAX_BACKOFF_EXP = 6        # backoff stops growing after 2**6
+RTO_MAX_US = 2_000_000.0   # absolute ceiling, applied before jitter
+ACK_DELAY_US = 200.0       # wait for reverse data before a pure ack
+JITTER_FRAC = 0.1          # each arm stretched by up to 10 %
 
 
 class Packet:
@@ -141,17 +150,13 @@ class ReliableTransport:
         self.network = network
         self._deliver_up = deliver
         self.tracer = tracer
-        tc = config.transport
-        self.rto_cycles = config.us_to_cycles(tc.rto_us)
-        self.rto_backoff = tc.rto_backoff
-        self.max_backoff_exp = tc.max_backoff_exp
-        self.rto_max_cycles = config.us_to_cycles(tc.rto_max_us)
+        self.rto_cycles = config.us_to_cycles(RTO_US)
+        self.rto_max_cycles = config.us_to_cycles(RTO_MAX_US)
         # Set by the machine when crash faults are enabled; lets the
         # transport idle streams whose sender is down and reset
         # sessions when a peer rejoins.
         self.lifecycle = None
-        self.ack_delay = config.us_to_cycles(tc.ack_delay_us)
-        self.jitter_frac = tc.jitter_frac
+        self.ack_delay = config.us_to_cycles(ACK_DELAY_US)
         fault_seed = config.faults.seed
         seed = fault_seed if fault_seed is not None else config.seed
         self._jitter_rng = substream(seed, "transport.jitter")
@@ -280,14 +285,13 @@ class ReliableTransport:
             base = max(self.rto_cycles,
                        stream.srtt + 4.0 * stream.rttvar
                        + wire_round_trip)
-        exponent = min(stream.backoff_exp, self.max_backoff_exp)
+        exponent = min(stream.backoff_exp, MAX_BACKOFF_EXP)
         # Absolute ceiling: a long-dead peer must not drive the probe
         # interval unbounded — cap the backed-off base, then jitter on
         # top so capped probes stay de-synchronized across streams.
-        delay = min(base * (self.rto_backoff ** exponent),
+        delay = min(base * (RTO_BACKOFF ** exponent),
                     self.rto_max_cycles)
-        return delay * (1.0 + self.jitter_frac
-                        * self._jitter_rng.random())
+        return delay * (1.0 + JITTER_FRAC * self._jitter_rng.random())
 
     def _arm(self, stream: _Stream) -> None:
         oldest = next(iter(stream.unacked.values()))
@@ -310,7 +314,7 @@ class ReliableTransport:
             return
         self._timeouts.value += 1
         stream.backoff_exp += 1
-        if stream.backoff_exp > self.max_backoff_exp:
+        if stream.backoff_exp > MAX_BACKOFF_EXP:
             # Repeated expiries at the backoff cap are the sender's
             # peer-death suspicion signal (probing a silent peer).
             self._peer_down.value += 1

@@ -19,7 +19,7 @@ from repro.obs.catalog import (CATALOG, CATALOG_BY_NAME, LAB_CATALOG,
                                SYNC_MSG_TYPES, install)
 from repro.obs.registry import (DEFAULT_BUCKETS, Metric, MetricError,
                                 MetricsRegistry)
-from repro.obs.causal import CausalGraph, CausalTrace
+from repro.obs.causal import CausalTrace
 from repro.obs.chrome_trace import chrome_trace, validate_chrome_trace
 from repro.obs.timeseries import (TIMESERIES_SCHEMA, TimeseriesSampler,
                                   Window, format_timeseries_table)
@@ -28,7 +28,7 @@ from repro.obs.tracer import (TRACE_EVENTS, JsonlSink, MemorySink,
                               read_jsonl)
 
 __all__ = [
-    "CATALOG", "CATALOG_BY_NAME", "CausalGraph", "CausalTrace",
+    "CATALOG", "CATALOG_BY_NAME", "CausalTrace",
     "DEFAULT_BUCKETS", "JsonlSink",
     "LAB_CATALOG", "MEM_CATALOG", "MemorySink", "Metric",
     "MetricError", "MetricSpec",

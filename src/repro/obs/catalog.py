@@ -177,6 +177,8 @@ ROBUSTNESS_CATALOG: Tuple[MetricSpec, ...] = (
           "Extra deliveries created by the fault injector."),
     _spec("faults.reorders_total", COUNTER, "packets",
           "Packets held back to force reordering."),
+    # Counts reorder holds only.  The help text is embedded in the
+    # kvstore_lh_atm8_lossy and jacobi_lh_atm4_crash golden dumps.
     _spec("faults.delay_cycles_total", COUNTER, "cycles",
           "Extra delivery latency injected (delays + reorder holds)."),
     _spec("faults.stalls_total", COUNTER, "stalls",

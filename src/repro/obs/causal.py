@@ -1,4 +1,4 @@
-"""Causal structure of a trace: happens-before graph + indexes.
+"""Causal structure of a trace: the indexes behind the critical path.
 
 :class:`CausalTrace` digests a raw event stream (from a
 :class:`~repro.obs.tracer.MemorySink` or a JSONL file) into the
@@ -12,19 +12,16 @@ indexes the critical-path walker and the exporters need:
 - per-processor compute spans and interval-seal costs;
 - per-worker finish times (from ``sim.process_done``).
 
-:meth:`CausalTrace.graph` materializes the happens-before DAG itself:
-program-order edges chain each processor's events, message edges join
-``msg.send`` to ``msg.recv``, and lock-handoff edges join a release to
-the grant that passes the token on.  The DAG is what makes "why was
-LH faster here" answerable causally; the walker in
-:mod:`repro.analysis.critical_path` consumes the indexes directly.
+The walker in :mod:`repro.analysis.critical_path` follows these
+indexes backwards from the last finisher, which is what makes "why was
+LH faster here" answerable causally.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import TraceEvent, read_jsonl
@@ -80,57 +77,6 @@ class WakeRecord:
     node: int
     kind: str
     cause: Optional[int]
-
-
-@dataclass
-class CausalGraph:
-    """Happens-before DAG over trace-event indexes.
-
-    ``edges[i]`` lists the indexes of events that directly
-    happen-after event ``i``; ``kind[(i, j)]`` says why
-    (``program``, ``message``, or ``lock``)."""
-
-    events: List[TraceEvent]
-    edges: Dict[int, List[int]] = field(default_factory=dict)
-    kinds: Dict[Tuple[int, int], str] = field(default_factory=dict)
-
-    def add_edge(self, src: int, dst: int, kind: str) -> None:
-        self.edges.setdefault(src, []).append(dst)
-        self.kinds[(src, dst)] = kind
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.edges.values())
-
-    def is_acyclic(self) -> bool:
-        """Kahn's algorithm; happens-before must never cycle."""
-        indeg = {i: 0 for i in range(len(self.events))}
-        for src, dsts in self.edges.items():
-            for dst in dsts:
-                indeg[dst] += 1
-        ready = [i for i, d in indeg.items() if d == 0]
-        seen = 0
-        while ready:
-            node = ready.pop()
-            seen += 1
-            for dst in self.edges.get(node, ()):
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    ready.append(dst)
-        return seen == len(self.events)
-
-
-def _event_proc(event: TraceEvent) -> Optional[int]:
-    """The processor an event belongs to (None for network/global)."""
-    fields = event.fields
-    node = fields.get("node")
-    if node is not None:
-        return node
-    name = event.name
-    if name == "msg.send":
-        return fields.get("src")
-    if name == "msg.recv":
-        return fields.get("dst")
-    return None
 
 
 class CausalTrace:
@@ -301,47 +247,3 @@ class CausalTrace:
         if not costs:
             return 0.0
         return sum(cost for ts, cost in costs if lo < ts <= hi)
-
-    # -- happens-before DAG ----------------------------------------------
-
-    def graph(self) -> CausalGraph:
-        """Materialize the happens-before DAG.
-
-        Edges: *program order* chains every processor's events in
-        time order (stable on the emission order for ties — emission
-        order is execution order within a timestamp); *message* edges
-        join each ``msg.send`` to its ``msg.recv``; *lock* edges join
-        each ``sync.lock_release``/``sync.lock_grant`` pair on the
-        granting node (the token handoff that orders the critical
-        sections)."""
-        graph = CausalGraph(self.events)
-        per_proc_last: Dict[int, int] = {}
-        sends: Dict[int, int] = {}
-        recvs: Dict[int, int] = {}
-        last_release: Dict[Tuple[int, int], int] = {}
-        for index, event in enumerate(self.events):
-            proc = _event_proc(event)
-            if proc is not None:
-                prev = per_proc_last.get(proc)
-                if prev is not None:
-                    graph.add_edge(prev, index, "program")
-                per_proc_last[proc] = index
-            name = event.name
-            fields = event.fields
-            if name == "msg.send" and "msg" in fields:
-                sends[fields["msg"]] = index
-            elif name == "msg.recv" and "msg" in fields:
-                recvs.setdefault(fields["msg"], index)
-            elif name == "sync.lock_release":
-                last_release[(fields.get("lock"),
-                              fields.get("node"))] = index
-            elif name == "sync.lock_grant":
-                release = last_release.get((fields.get("lock"),
-                                            fields.get("node")))
-                if release is not None and release != index:
-                    graph.add_edge(release, index, "lock")
-        for msg_id, send_index in sends.items():
-            recv_index = recvs.get(msg_id)
-            if recv_index is not None:
-                graph.add_edge(send_index, recv_index, "message")
-        return graph

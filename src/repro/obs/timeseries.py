@@ -47,6 +47,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.config import WORD_SIZE
+
 #: Bumped whenever the exported window layout changes.
 TIMESERIES_SCHEMA = "repro.obs.timeseries/1"
 
@@ -155,7 +157,6 @@ class TimeseriesSampler:
         self.cpu_mhz: float = 0.0
         self._sim = None
         self._registry = None
-        self._word_size = 8
         self._origin = 0.0
         self._window_start = 0.0
         self._last: Optional[dict] = None
@@ -180,7 +181,6 @@ class TimeseriesSampler:
                 f"{config.cpu_mhz:g} MHz — smaller than the scheduler "
                 "tick (1 cycle)")
         self.cpu_mhz = config.cpu_mhz
-        self._word_size = config.word_size
         self._sim = machine.sim
         self._registry = machine.obs.registry
         self._origin = machine.sim.now
@@ -206,7 +206,7 @@ class TimeseriesSampler:
             "lock_wait_cycles": registry.get(
                 "sync.lock_wait_cycles").total(),
             "diff_bytes": registry.get("dsm.diff_words_total").total()
-            * self._word_size,
+            * WORD_SIZE,
         }
 
     # -- sampling hooks (scheduler / serving pump) ---------------------

@@ -33,6 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.config import WORD_SIZE
 from repro.mem.diffs import Diff
 from repro.mem.intervals import (BY_ORDER, IntervalId, IntervalRecord,
                                  WriteNotice)
@@ -157,7 +158,6 @@ class BaseProtocol:
         pending_ranges: Dict[int, List[Tuple[int, int]]] = {}
         cost = 0.0
         per_diff_cost = node.diff_creation_cost()
-        word_size = node.config.word_size
         words_created = 0
         for page, copy in dirty:
             ranges = copy.take_written_ranges()
@@ -165,7 +165,7 @@ class BaseProtocol:
             # record_write keeps the ranges normalized incrementally.
             # One byte-slice per run off the copy's flat buffer.
             diff = Diff.from_ranges(page, copy, ranges,
-                                    word_size=word_size,
+                                    word_size=WORD_SIZE,
                                     assume_normalized=True)
             node.diff_store.put(node.proc, index, diff)
             copy.mark_applied(node.proc, index)

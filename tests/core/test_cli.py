@@ -129,6 +129,11 @@ def test_flags_a_subcommand_cannot_honour_are_rejected(argv, capsys):
     ["servesweep", "--requests", "0"],
     ["timeseries", "report", "--requests", "0"],
     ["crashsweep", "jacobi", "--max-events", "0"],
+    ["serve", "--protocols", "li,bogus"],
+    ["serve", "--networks", "token-ring"],
+    ["servesweep", "--networks", "token-ring"],
+    ["serve", "--slo-us", "0"],
+    ["timeseries", "report", "--slo-us", "0"],
 ], ids=" ".join)
 def test_bad_numbers_fail_at_the_command_line(argv, capsys):
     """A count, rate or size no run can have exits 2 naming the flag:
@@ -339,13 +344,10 @@ def test_serve_flag_validation(flags):
 
 @pytest.mark.parametrize("argv,message", [
     (["servesweep", "--crash", "0:5000"], "crash-stop"),
-    (["serve", "--protocols", "li,bogus"], "unknown protocol"),
-    (["serve", "--networks", "token-ring"], "unknown network"),
-    (["servesweep", "--networks", "token-ring"], "unknown network"),
     (["serve", "--crash-mttf", "50000", "--crash-horizon", "100000"],
      "crash-stop"),
     (["serve", "--crash", "0:5000"], "crash-stop"),
-])
+], ids=["argv0-crash-stop", "argv4-crash-stop", "argv5-crash-stop"])
 def test_serve_rejects_unrunnable_cells(argv, message):
     with pytest.raises(SystemExit, match=message):
         main(argv)

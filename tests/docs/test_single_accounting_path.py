@@ -33,7 +33,10 @@ next one returns its generator instead.  A crash-stop run is a partial
 result by its crash plan, not by an option, so every run (the
 availability study's and the trace recorder's included) goes through
 ``Machine.run_app``; the window merge and the inspection helpers only
-tests called are gone.  This scans ``src/repro``
+tests called are gone.  The fault injector reads one rate tuple for
+every link and injects no delay but the reorder hold; a value no run
+varies is a module constant, not a config field; and the happens-before
+DAG nothing walked is gone.  This scans ``src/repro``
 (comments and docstrings included — a stale mention misleads as well
 as a stale call) so the second accounting path cannot grow back one
 site at a time.
@@ -84,7 +87,7 @@ FORBIDDEN = [
     ("factory runner helper (build RunSpecs and use Lab.run_many)",
      re.compile(r"\brun_protocols\b|\bsequential_baseline\b"
                 r"|\bspeedup_curve\b"), ()),
-    ("per-subcommand list parser (cli._networks / cli._protocols)",
+    ("per-subcommand list parser (cli._networks / cli._protocol_list)",
      re.compile(r"\b_serve_networks\b|\b_serve_protocols\b"), ()),
     ("first-harness artifact (the record is benchmarks/ledger's rows)",
      re.compile(r"\bBENCH_\w+"), ()),
@@ -150,6 +153,15 @@ FORBIDDEN = [
      re.compile(r"\bmerge_windows\b|\blatencies_us\b"), ()),
     ("inspection helpers (tests read the state directly)",
      re.compile(r"\bpage_values\b|\.named\("), ()),
+    ("per-link fault rates (one rate tuple for every link)",
+     re.compile(r"\bLinkFault\b|\brates_for\b"), ()),
+    ("delay fault (reorder holds are the one injected latency)",
+     re.compile(r"\bdelay_prob\b"), ()),
+    ("config field no driver sets (a module constant: "
+     "ethernet.BACKOFF_SLOT_US, transport.RTO_US)",
+     re.compile(r"\bbackoff_slot_us\b|\.rto_us\b|\brto_us\s*[:=]"), ()),
+    ("happens-before DAG class (the critical path reads "
+     "CausalTrace's indexes)", re.compile(r"\bCausalGraph\b"), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -378,6 +390,14 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("    def page_values(self, page: int, proc: int) -> np.ndarray:",
      41),
     ("    arrives = sink.named(\"req.arrive\")", 41),
+    ("        links=(LinkFault(src=0, dst=1, drop_prob=0.2),),", 42),
+    ("        self._link_rates = {key: self.rates_for(*key)", 42),
+    ("    delay_prob: float = 0.0", 43),
+    ("            config.network.backoff_slot_us)", 44),
+    ("        self.rto_cycles = config.us_to_cycles(tc.rto_us)", 44),
+    ("    rto_us: float = 10000.0", 44),
+    ("        transport=TransportConfig(rto_us=1_000.0)", 44),
+    ("from repro.obs.causal import CausalGraph, CausalTrace", 45),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

@@ -12,7 +12,8 @@ from repro.core.config import (MESSAGE_HEADER_BYTES, MachineConfig,
 from repro.faults.injector import Decision
 from repro.net import build_network
 from repro.net.message import Message, MsgKind
-from repro.net.transport import Packet, ReliableTransport, _Timer
+from repro.net.transport import (JITTER_FRAC, Packet, ReliableTransport,
+                                 _Timer)
 from repro.obs import Observability
 from repro.sim import Simulator
 
@@ -146,7 +147,7 @@ def test_retransmission_timeout_backs_off_exponentially():
         ReliableTransport._on_timeout = original
     assert len(fires) == 3
     gaps = [b - a for a, b in zip(fires, fires[1:])]
-    # Jitter stretches each arm by at most jitter_frac, far less than
+    # Jitter stretches each arm by at most JITTER_FRAC, far less than
     # the 2x backoff, so consecutive gaps must still grow.
     assert gaps[1] > gaps[0] * 1.5
 
@@ -195,18 +196,19 @@ def test_transport_counts_wire_packets_not_protocol_messages():
 def test_rto_backoff_is_capped_by_absolute_maximum():
     """A long-dead peer must not drive the retransmit interval
     unbounded: after the exponential ramp, every probe interval stays
-    at or below ``rto_max_us`` (plus jitter)."""
-    from repro.core.config import TransportConfig
+    at or below the ceiling (plus jitter)."""
     sim = Simulator()
-    config = MachineConfig(
-        nprocs=2, network=NetworkConfig.ideal(),
-        transport=TransportConfig(rto_us=1_000.0, rto_max_us=4_000.0))
+    config = MachineConfig(nprocs=2, network=NetworkConfig.ideal())
     net = build_network(sim, config)
     net.attach_faults(ScriptedFaults([Decision(drop=True)] * 10))
     delivered = []
     obs = Observability()
     transport = ReliableTransport(sim, config, net, delivered.append,
                                   obs=obs)
+    # A 1 ms base under a 4 ms ceiling reaches the cap after two
+    # doublings, so the ten drops below spend most probes at it.
+    transport.rto_cycles = config.us_to_cycles(1_000.0)
+    transport.rto_max_cycles = config.us_to_cycles(4_000.0)
     net.attach(transport.on_network_delivery)
     transport.send(msg())
     fires = []
@@ -223,8 +225,7 @@ def test_rto_backoff_is_capped_by_absolute_maximum():
         ReliableTransport._on_timeout = original
     assert delivered  # the 11th attempt finally got through
     gaps = [b - a for a, b in zip(fires, fires[1:])]
-    cap = (config.us_to_cycles(config.transport.rto_max_us)
-           * (1.0 + config.transport.jitter_frac))
+    cap = transport.rto_max_cycles * (1.0 + JITTER_FRAC)
     assert max(gaps) <= cap * 1.0001
     # The ramp really hit the ceiling: without the cap, ten doublings
     # of a 1 ms base would dwarf it.
@@ -232,20 +233,6 @@ def test_rto_backoff_is_capped_by_absolute_maximum():
     # Probes at the cap are the peer-death suspicion signal.
     assert obs.registry.total(
         "transport.peer_down_timeouts_total") > 0
-
-
-def test_transport_config_validates_rto_max():
-    from repro.core.config import TransportConfig
-    with pytest.raises(ValueError):
-        TransportConfig(rto_us=10_000.0, rto_max_us=1_000.0)
-
-
-@pytest.mark.parametrize("field", ["ack_delay_us", "jitter_frac",
-                                   "max_backoff_exp"])
-def test_transport_config_rejects_negative(field):
-    from repro.core.config import TransportConfig
-    with pytest.raises(ValueError, match=field):
-        TransportConfig(**{field: -1})
 
 
 @pytest.mark.parametrize("cancel", [True, False],
