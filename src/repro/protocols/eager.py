@@ -26,6 +26,7 @@ message per excess modifier, 'v' in Table 1).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Generator, List, Set, Tuple
 
 from repro.mem.intervals import IntervalRecord
@@ -163,20 +164,26 @@ class EagerBase(BaseProtocol):
         # round must still reach it.
         sent: Dict[int, int] = dict.fromkeys(home_bit, 0)
         mask_of = node.copysets.mask
+        recheck = node.multithreaded
+        diff_bytes = self.diff_bytes
         while True:
             plan = self._flush_entries(pending, home_bit, sent)
             reply_events = []
             for bit in sorted(plan):
-                # Membership re-check: with several threads per node
-                # another thread's ack can clear a bit while this
-                # round's earlier sends were paying their overhead.
-                entries = [entry for entry in plan[bit]
-                           if mask_of(entry[1]) & bit
-                           or home_bit[entry[1]] == bit]
-                if not entries:
-                    continue
-                data = sum(self.diff_bytes(d)
-                           for _r, _p, d in entries if d is not None)
+                entries = plan[bit]
+                if recheck:
+                    # Membership re-check, multithreaded only: another
+                    # thread's ack can clear a bit while this round's
+                    # earlier sends were paying their overhead.
+                    entries = [entry for entry in entries
+                               if mask_of(entry[1]) & bit
+                               or home_bit[entry[1]] == bit]
+                    if not entries:
+                        continue
+                data = 0
+                for _record, _page, diff in entries:
+                    if diff is not None:
+                        data += diff_bytes(diff)
                 message = Message(
                     src=node.proc, dst=bit.bit_length() - 1,
                     kind=MsgKind.FLUSH,
@@ -248,14 +255,19 @@ class EagerBase(BaseProtocol):
         node = self.node
         entries = message.payload["entries"]
         src = message.src
-        copysets = node.copysets
+        masks = node.copysets._masks
+        masks_get = masks.get
         copies = node.pagetable.copies
+        known = node.interval_log._records
+        by_proc = node.interval_log._by_proc
+        emit = node.tracer.emit if node.tracer.sink.enabled else None
         # Our copyset of each flushed page as it stood before the
         # flusher was added, returned so a stale flusher learns of
         # cachers it missed.
         ack_masks: Dict[int, int] = {}
         # Insertion-ordered dedup (a page can recur across records).
         not_cached: Dict[int, None] = {}
+        received = applied = 0
         for _record, page, diff in entries:
             if diff is None:
                 copy = copies.get(page)
@@ -265,34 +277,62 @@ class EagerBase(BaseProtocol):
                     self.seal_in_handler()
                     break
         for record, page, diff in entries:
-            self.incorporate_records([record])
-            ack_masks[page] = copysets.mask(page)
-            copysets.add(page, src)
+            copy = copies.get(page)
+            interval_id = record.interval_id
+            proc, index = interval_id
+            if (diff is not None and interval_id not in known
+                    and len(record.pages) == 1 and copy is not None
+                    and copy.valid and page not in self._miss_in_flight
+                    and interval_id not in copy._pending_ids):
+                # A one-page record whose diff is applied below: all
+                # incorporate_records would do but file its notice.
+                if emit:
+                    emit("protocol.notices_in", node=node.proc,
+                         records=1, pages=1)
+                known[interval_id] = record
+                indices, logged = by_proc.setdefault(proc, ([], []))
+                position = bisect_left(indices, index)
+                indices.insert(position, index)
+                logged.insert(position, record)
+                if copy.applied.get(proc, 0) < index:
+                    masks[page] = masks_get(page, 0) | 1 << proc
+                pending_vcs = node._peer_vc_pending[proc]
+                pending_vcs.append(record.vc)
+                if len(pending_vcs) >= node.PEER_VC_FOLD:
+                    node.peer_clock(proc)
+                received += 1
+            else:
+                self.incorporate_records([record])
+            mask = ack_masks[page] = masks_get(page, 0)
+            masks[page] = mask | 1 << src
             if page in self._miss_in_flight:
                 # Reconciled after the racing fetch installs.
                 self._poison_records.setdefault(page, []).append(
                     (record, diff))
                 continue
-            copy = copies.get(page)
             if diff is not None:
                 if copy is None or not copy.valid:
                     raise ProtocolError(
                         f"node {node.proc}: flush diff for page {page} "
                         "arrived at a "
                         f"{'missing' if copy is None else 'stale'} copy")
-                # EU update, or EI home merge: apply in place.  The
-                # notice incorporate_records just filed is now covered.
+                # EU update, or EI home merge: apply in place, which
+                # covers any notice incorporate_records filed for it.
                 diff.apply(copy)
-                copy.mark_applied(record.proc, record.index)
-                copy.discard_notice(record.interval_id)
-                node.diff_store.put(record.proc, record.index, diff)
-                node.ins.diffs_applied.inc()
+                if copy.applied.get(proc, 0) < index:
+                    copy.applied[proc] = index
+                if interval_id in copy._pending_ids:
+                    copy.discard_notice(interval_id)
+                node.diff_store._diffs.setdefault((proc, index, page), diff)
+                applied += 1
             else:
                 # EI invalidation notice.
                 if copy is None:
                     not_cached[page] = None
                 elif copy.valid:
                     self.invalidate_page(page)
+        node.ins.notices_received.value += received
+        node.ins.diffs_applied.value += applied
         node.handler_send(Message(
             src=node.proc, dst=src, kind=MsgKind.FLUSH_ACK,
             reply_to=message.msg_id,

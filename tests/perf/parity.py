@@ -96,7 +96,7 @@ def cases():
                         config=MachineConfig(
                             nprocs=16,
                             network=NetworkConfig.atm()))))
-    # The only multithreaded golden (``threads_per_proc=2``, paper
+    # The first multithreaded golden (``threads_per_proc=2``, paper
     # section 8; Cholesky is the one app with ``worker_thread``).
     # Captured while ``execute_spec`` still carried its own copy of
     # the run body for this case, to pin the move into ``run_app``.
@@ -106,6 +106,18 @@ def cases():
                             nprocs=4,
                             network=NetworkConfig.atm()),
                         threads_per_proc=2)))
+    # The same multithreaded shape under both eager protocols: the
+    # only goldens that run the flush's membership re-check (another
+    # thread of the node may clear a copyset bit between planning and
+    # sending).  Captured before that re-check became multithreaded
+    # only.
+    for protocol in ("eu", "ei"):
+        out.append((f"cholesky_{protocol}_atm4_t2",
+                    RunSpec("cholesky", dict(k=4), protocol=protocol,
+                            config=MachineConfig(
+                                nprocs=4,
+                                network=NetworkConfig.atm()),
+                            threads_per_proc=2)))
     # The two lossy goldens: the only cases that run the reliable
     # transport and the fault injector.  The first is the ledger's
     # serve_write_lossy shape at 500 requests (loss, duplication and

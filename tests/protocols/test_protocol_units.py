@@ -240,17 +240,186 @@ def drive(machine, generator):
 
 
 def write_and_seal(node, page, value):
-    copy = node.pagetable.get(page) or node.pagetable.install(
-        page, valid=True)
-    copy.values[0] = value
-    node.protocol.record_write(page, 0, 1)
-    node.protocol.seal_interval()
-    return node.interval_log.get((node.proc, node.vc[node.proc]))
+    return seal_pages(node, [page], value)
 
 
 def flushes(sent):
     return [(m.dst, [page for _r, page, _d in m.payload["entries"]])
             for m in sent if m.kind == MsgKind.FLUSH]
+
+
+def receiver_state(node):
+    """Everything a FLUSH may change on its receiver, object-free."""
+    def ids(records):
+        return [record.interval_id for record in records]
+    return {
+        "log": sorted(node.interval_log._records),
+        "by_proc": {proc: (list(indices), ids(logged))
+                    for proc, (indices, logged)
+                    in node.interval_log._by_proc.items()},
+        "copies": {page: (copy.valid, bytes(copy.buffer),
+                          dict(copy.applied),
+                          [(n.page, n.interval_id)
+                           for n in copy.pending_notices])
+                   for page, copy in node.pagetable.copies.items()},
+        "orphans": {page: list(bucket)
+                    for page, bucket in node.protocol.orphan_notices.items()},
+        "poisoned": {page: [(r.interval_id, d is not None)
+                            for r, d in raced]
+                     for page, raced
+                     in node.protocol._poison_records.items()},
+        "masks": dict(node.copysets._masks),
+        "diffs": sorted(node.diff_store._diffs),
+        "peer_vcs": [[vc.components for vc in pending]
+                     for pending in node._peer_vc_pending],
+        "notices_received": node.ins.notices_received.value,
+        "diffs_applied": node.ins.diffs_applied.value,
+    }
+
+
+def _reference_handle_flush(self, message):
+    """The FLUSH handler as it was before the one-page fast path:
+    every entry goes through incorporate_records, and a diff applied
+    in place then discards the notice that call filed."""
+    node = self.node
+    entries = message.payload["entries"]
+    src = message.src
+    copysets = node.copysets
+    copies = node.pagetable.copies
+    ack_masks = {}
+    not_cached = {}
+    for _record, page, diff in entries:
+        if diff is None:
+            copy = copies.get(page)
+            if copy is not None and copy.dirty:
+                self.seal_in_handler()
+                break
+    for record, page, diff in entries:
+        self.incorporate_records([record])
+        ack_masks[page] = copysets.mask(page)
+        copysets.add(page, src)
+        if page in self._miss_in_flight:
+            self._poison_records.setdefault(page, []).append(
+                (record, diff))
+            continue
+        copy = copies.get(page)
+        if diff is not None:
+            if copy is None or not copy.valid:
+                raise ProtocolError(
+                    f"node {node.proc}: flush diff for page {page} "
+                    "arrived at a "
+                    f"{'missing' if copy is None else 'stale'} copy")
+            diff.apply(copy)
+            copy.mark_applied(record.proc, record.index)
+            copy.discard_notice(record.interval_id)
+            node.diff_store.put(record.proc, record.index, diff)
+            node.ins.diffs_applied.inc()
+        else:
+            if copy is None:
+                not_cached[page] = None
+            elif copy.valid:
+                self.invalidate_page(page)
+    node.handler_send(Message(
+        src=node.proc, dst=src, kind=MsgKind.FLUSH_ACK,
+        reply_to=message.msg_id,
+        payload={"copysets": ack_masks,
+                 "not_cached": list(not_cached)}))
+
+
+def seal_pages(node, pages, value):
+    """One interval writing word 0 of each page; returns its record."""
+    for page in pages:
+        copy = node.pagetable.get(page) or node.pagetable.install(
+            page, valid=True)
+        copy.values[0] = value
+        node.protocol.record_write(page, 0, 1)
+    node.protocol.seal_interval()
+    return node.interval_log.get((node.proc, node.vc[node.proc]))
+
+
+def pushed(node, record, pages, diffs=True):
+    """FLUSH entries for ``pages`` of ``record``, as the flusher
+    plans them (a diff each, or bare notices)."""
+    return [(record, page,
+             node.diff_store.get(record.proc, record.index, page)
+             if diffs else None)
+            for page in pages]
+
+
+def _valid(receiver, *pages):
+    for page in pages:
+        receiver.pagetable.install(page, valid=True)
+
+
+def _one_page(flusher, receiver):
+    _valid(receiver, 1)
+    receiver.copysets.add(1, 3)
+    first = write_and_seal(flusher, 1, 3.0)
+    second = write_and_seal(flusher, 1, 4.0)
+    return [pushed(flusher, first, [1]) + pushed(flusher, second, [1])]
+
+
+def _two_pages_one_flush(flusher, receiver):
+    _valid(receiver, 1, 5)
+    record = seal_pages(flusher, [1, 5], 6.0)
+    return [pushed(flusher, record, [1, 5])]
+
+
+def _two_pages_two_rounds(flusher, receiver):
+    _valid(receiver, 1, 5)
+    record = seal_pages(flusher, [1, 5], 6.0)
+    return [pushed(flusher, record, [1]), pushed(flusher, record, [5])]
+
+
+def _known_from_a_departure(flusher, receiver):
+    _valid(receiver, 1, 5)
+    departed = write_and_seal(flusher, 1, 2.0)
+    receiver.protocol.incorporate_records([departed])
+    fresh = write_and_seal(flusher, 5, 8.0)
+    return [pushed(flusher, departed, [1]) + pushed(flusher, fresh, [5])]
+
+
+def _miss_in_flight(flusher, receiver):
+    _valid(receiver, 5)
+    receiver.protocol._miss_in_flight.add(1)
+    record = write_and_seal(flusher, 1, 3.0)
+    other = write_and_seal(flusher, 5, 4.0)
+    return [pushed(flusher, record, [1]) + pushed(flusher, other, [5])]
+
+
+def _already_applied(flusher, receiver):
+    _valid(receiver, 1)
+    record = write_and_seal(flusher, 1, 3.0)
+    receiver.pagetable.get(1).mark_applied(0, record.index)
+    return [pushed(flusher, record, [1])]
+
+
+def _pending_but_unlogged(flusher, receiver):
+    # A notice filed on the copy for a record the log does not hold.
+    _valid(receiver, 1)
+    record = write_and_seal(flusher, 1, 3.0)
+    receiver.pagetable.get(1).add_notice(record.notices()[0])
+    return [pushed(flusher, record, [1])]
+
+
+def _ei_bare_notices(flusher, receiver):
+    _valid(receiver, 1)         # page 5 is never cached here
+    record = seal_pages(flusher, [1, 5], 6.0)
+    return [pushed(flusher, record, [1, 5], diffs=False)]
+
+
+#: shape -> (protocol, setup(flusher, receiver) -> one entry list per
+#: FLUSH round), for the differential test of the receive path.
+FLUSH_SHAPES = {
+    "one-page": ("eu", _one_page),
+    "two-pages-one-flush": ("eu", _two_pages_one_flush),
+    "two-pages-two-rounds": ("eu", _two_pages_two_rounds),
+    "known-from-a-departure": ("eu", _known_from_a_departure),
+    "miss-in-flight": ("eu", _miss_in_flight),
+    "already-applied": ("eu", _already_applied),
+    "pending-but-unlogged": ("eu", _pending_but_unlogged),
+    "ei-bare-notices": ("ei", _ei_bare_notices),
+}
 
 
 class TestEagerFlush:
@@ -357,25 +526,82 @@ class TestEagerFlush:
         assert reply.payload["copyset"] == 0b0111
         assert misser.copysets.mask(1) == 0b1111
 
-    @pytest.mark.parametrize("protocol,app,params", [
-        pytest.param("eu", "water", dict(nmols=20, steps=1),
+    @pytest.mark.parametrize("protocol,app,params,threads", [
+        pytest.param("eu", "water", dict(nmols=20, steps=1), 1,
                      id="eu-water"),
-        pytest.param("ei", "water", dict(nmols=20, steps=1),
+        pytest.param("ei", "water", dict(nmols=20, steps=1), 1,
                      id="ei-water"),
-        pytest.param("eu", "tsp", dict(ncities=8), id="eu-tsp"),
+        pytest.param("eu", "tsp", dict(ncities=8), 1, id="eu-tsp"),
+        pytest.param("eu", "cholesky", dict(k=4), 2, id="eu-cholesky-t2"),
+        pytest.param("ei", "cholesky", dict(k=4), 2, id="ei-cholesky-t2"),
     ])
     def test_applied_flush_leaves_no_covered_notice_pending(
-            self, protocol, app, params):
-        """A flushed diff applied in place retires the notice filed
-        for it: no copy ends a run holding a pending notice its own
-        coverage map already covers (checkpoints serialize them)."""
+            self, protocol, app, params, threads):
+        """A one-page record whose diff arrives with it never files a
+        notice; a filed one (the pages of a multi-page record, in the
+        same FLUSH or a later round, or a record already known) is
+        retired when its diff is applied.  Either way no copy ends a
+        run holding a pending notice its own coverage map already
+        covers (checkpoints serialize them)."""
         machine = Machine(MachineConfig(nprocs=4,
                                         network=NetworkConfig.atm()),
                           protocol=protocol)
-        machine.run_app(create_app(app, **params))
+        machine.run_app(create_app(app, **params),
+                        threads_per_proc=threads)
         covered = [(node.proc, notice.page, notice.interval_id)
                    for node in machine.nodes
                    for copy in node.pagetable.copies.values()
                    for notice in copy.pending_notices
                    if copy.is_applied(notice.proc, notice.index)]
         assert covered == []
+
+    @pytest.mark.parametrize("state", ["missing", "stale"])
+    def test_flush_diff_at_an_invalid_copy_is_a_protocol_error(
+            self, state):
+        machine = make_machine("eu")
+        flusher, receiver = machine.nodes[0], machine.nodes[2]
+        if state == "stale":
+            receiver.pagetable.install(1, valid=False)
+        record = write_and_seal(flusher, 1, 3.0)
+        diff = flusher.diff_store.get(0, record.index, 1)
+        with pytest.raises(ProtocolError,
+                           match=f"flush diff for page 1 arrived at a "
+                                 f"{state} copy"):
+            receiver.protocol.handle(Message(
+                src=0, dst=2, kind=MsgKind.FLUSH,
+                payload={"entries": [(record, 1, diff)], "update": True},
+                data_bytes=diff.size_bytes))
+        assert receiver.ins.diffs_applied.value == 0
+        assert not receiver.diff_store.has(0, record.index, 1)
+        copy = receiver.pagetable.copies.get(1)
+        if copy is not None:
+            assert not copy.is_applied(0, record.index)
+            assert copy.values[0] == 0.0
+
+    @pytest.mark.parametrize("shape", list(FLUSH_SHAPES))
+    def test_flush_receive_matches_the_reference_handler(self, shape):
+        """The FLUSH handler leaves the receiver in exactly the state
+        the straightforward one (every entry through
+        incorporate_records, then a discard of the notice it filed)
+        does, and acks with the same payload."""
+        protocol, setup = FLUSH_SHAPES[shape]
+        results = []
+        for handle in (_reference_handle_flush,
+                       lambda proto, message: proto.handle(message)):
+            machine = make_machine(protocol)
+            flusher, receiver = machine.nodes[0], machine.nodes[2]
+            sent = tap(machine)
+            states = []
+            for entries in setup(flusher, receiver):
+                flush = Message(src=0, dst=2, kind=MsgKind.FLUSH,
+                                payload={"entries": entries,
+                                         "update": protocol == "eu"})
+                acked = flusher.expect_reply(flush)
+                handle(receiver.protocol, flush)
+                machine.sim.run_until(acked)
+                states.append(receiver_state(receiver))
+            acks = [m.payload for m in sent if m.kind == MsgKind.FLUSH_ACK]
+            assert len(acks) == len(states)
+            results.append((acks, states))
+        assert results[1] == results[0]
+
