@@ -36,7 +36,7 @@ def _grid(app: str, scale: str, nprocs: int,
     cells = {label: replace(base, **fields)
              for label, fields in variants.items()}
     lab = lab if lab is not None else Lab()
-    return dict(zip(cells, lab.run_many(list(cells.values()))))
+    return lab.run_grid(cells)
 
 
 def ablate_diff_encoding(app: str = "water", nprocs: int = 16,

@@ -119,7 +119,7 @@ def availability_sweep(app: str, app_params: Optional[dict] = None,
                  config=cell(network, mttf), max_events=max_events)
              for protocol in protocols for net_name, network in networks
              for mttf in mttfs}
-    run = dict(zip(cells, lab.run_many(list(cells.values()))))
+    run = lab.run_grid(cells)
 
     results: Dict[Tuple[str, str], List[AvailabilityPoint]] = {}
     for protocol in protocols:

@@ -106,7 +106,7 @@ def protocol_sweep(app: str, network: NetworkConfig,
                 cells[protocol, nprocs] = replace(
                     one, protocol=protocol,
                     config=one.config.replace(nprocs=nprocs))
-    results = dict(zip(cells, lab.run_many(list(cells.values()))))
+    results = lab.run_grid(cells)
     baseline = results["baseline"]
     curves: Dict[str, Curve] = {}
     for protocol in protocols:

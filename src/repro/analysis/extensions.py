@@ -39,7 +39,7 @@ def multithreading_study(nprocs: int = 8,
     cells = {"baseline": spec.baseline(),
              **{threads: replace(spec, threads_per_proc=threads)
                 for threads in thread_counts}}
-    results = dict(zip(cells, lab.run_many(list(cells.values()))))
+    results = lab.run_grid(cells)
     baseline = results.pop("baseline")
     study: Dict[int, Dict[str, float]] = {}
     for threads, result in results.items():

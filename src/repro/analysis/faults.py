@@ -68,7 +68,7 @@ def loss_sweep(app: str, config: MachineConfig,
                  config=config.replace(
                      faults=config.faults.replace(drop_prob=rate)))
              for protocol in protocols for rate in rates}
-    run = dict(zip(cells, lab.run_many(list(cells.values()))))
+    run = lab.run_grid(cells)
 
     results: Dict[str, List[LossPoint]] = {}
     for protocol in protocols:

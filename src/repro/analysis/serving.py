@@ -21,23 +21,49 @@ capacity planning needs:
 
 All sweeps route through the shared :class:`repro.lab.Lab`, so cells
 run in parallel and cache across sessions like every other driver.
+The same records give a windowed run its serving columns
+(:func:`timeseries`), so the SLO is chosen when the windows are read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MachineConfig, NetworkConfig
+from repro.core.metrics import RunResult
 from repro.lab import Lab, RunSpec
 from repro.obs.causal import CausalTrace
-from repro.obs.timeseries import (DEFAULT_SLO_TARGET, DEFAULT_SLO_US,
-                                  percentile, request_stats)
+from repro.obs.timeseries import TIMESERIES_SCHEMA, window_cycles
 from repro.serve.workload import SERVE_APP_PARAMS, validate_workload
 
 DEFAULT_NETWORKS: Tuple[Tuple[str, NetworkConfig], ...] = (
     ("ethernet", NetworkConfig.ethernet()),
     ("atm", NetworkConfig.atm()))
+
+#: Default SLO latency threshold (µs) and attainment target; the burn
+#: rate of a window is ``violation_fraction / (1 - slo_target)`` — the
+#: SRE convention where 1.0 means "spending error budget exactly as
+#: fast as the target allows".
+DEFAULT_SLO_US = 500.0
+DEFAULT_SLO_TARGET = 0.999
+
+#: A window's serving columns, as no completion leaves them.
+IDLE_COLUMNS = {"requests": 0, "slo_violations": 0, "p50_us": 0.0,
+                "p99_us": 0.0, "burn_rate": 0.0}
+
+
+def percentile(values: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile of an already-sorted sequence (the one
+    rule behind every latency percentile: :func:`build_report` and
+    :func:`windowed_reports`)."""
+    if not values:
+        return 0.0
+    if not 0 < p <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {p}")
+    rank = max(1, math.ceil(p / 100.0 * len(values)))
+    return float(values[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -123,11 +149,11 @@ def windowed_reports(app_result, cpu_mhz: float, window_us: float,
     completions, nearest-rank p50/p99, and SLO burn rate.
 
     Requests group into the fixed grid ``[k*w, (k+1)*w)`` by
-    *completion* time (matching the live
-    :class:`repro.obs.TimeseriesSampler`, which observes a request
-    when it finishes), latencies measured from the scheduled arrival.
-    Being a pure function of the cached ``app_result``, this powers
-    the report timeline without re-running anything."""
+    *completion* time (the sampled windows' grid, so a request lands
+    in the window its completion event dispatched in), latencies
+    measured from the scheduled arrival.  Being a pure function of
+    the cached ``app_result``, this powers the report timeline and
+    :func:`timeseries` without re-running anything."""
     if not window_us > 0:
         raise ValueError(f"window must be > 0 µs, got {window_us}")
     if not 0.0 < slo_target < 1.0:
@@ -143,19 +169,52 @@ def windowed_reports(app_result, cpu_mhz: float, window_us: float,
             (done - arrival) / cpu_mhz)
     out: List[WindowReport] = []
     for index in range(max(by_window) + 1):
-        completed, violations, p50, p99, burn = request_stats(
-            sorted(by_window.get(index, [])), slo_us, slo_target)
+        latencies = sorted(by_window.get(index, []))
+        completed = len(latencies)
+        violations = sum(1 for lat in latencies if lat > slo_us)
         out.append(WindowReport(
             index=index,
             t0_us=index * window_us,
             t1_us=(index + 1) * window_us,
-            completed=completed, p50_us=p50, p99_us=p99,
-            slo_violations=violations, burn_rate=burn))
+            completed=completed, p50_us=percentile(latencies, 50),
+            p99_us=percentile(latencies, 99),
+            slo_violations=violations,
+            burn_rate=(violations / completed / (1.0 - slo_target)
+                       if completed else 0.0)))
     return out
 
 
-def _serve_params(scale: str, rate_rps: float,
-                  overrides: Optional[dict] = None) -> dict:
+def timeseries(spec: RunSpec, result: RunResult,
+               slo_us: float = DEFAULT_SLO_US,
+               slo_target: float = DEFAULT_SLO_TARGET) -> dict:
+    """The schema-versioned export of a windowed run
+    (``spec.window_us``) read under one SLO: each of
+    ``result.windows`` joined with its serving columns from
+    :func:`windowed_reports` over the run's request records
+    (:data:`IDLE_COLUMNS` where no request completed)."""
+    cpu_mhz = spec.config.cpu_mhz
+    reports = (windowed_reports(result.app_result, cpu_mhz,
+                                spec.window_us, slo_us, slo_target)
+               if "serve.requests_total" in result.registry else [])
+    columns = {r.index: {"requests": r.completed,
+                         "slo_violations": r.slo_violations,
+                         "p50_us": r.p50_us, "p99_us": r.p99_us,
+                         "burn_rate": r.burn_rate} for r in reports}
+    return {"schema": TIMESERIES_SCHEMA, "window_us": spec.window_us,
+            "window_cycles": window_cycles(spec.window_us, cpu_mhz),
+            "cpu_mhz": cpu_mhz, "slo_us": slo_us,
+            "slo_target": slo_target,
+            "windows": [{**window, **columns.get(window["index"],
+                                                  IDLE_COLUMNS)}
+                        for window in result.windows]}
+
+
+def serve_spec(rate_rps: float, protocol: str = "lh",
+               config: Optional[MachineConfig] = None,
+               scale: str = "small",
+               overrides: Optional[dict] = None) -> RunSpec:
+    """The kvstore run at one offered load: the ``scale`` workload
+    with ``overrides`` on top, validated."""
     params = dict(SERVE_APP_PARAMS[scale])
     params["rate_rps"] = rate_rps
     params.update(overrides or {})
@@ -164,27 +223,44 @@ def _serve_params(scale: str, rate_rps: float,
                       requests=params["requests"],
                       nclients=params["nclients"],
                       arrival=params.get("arrival", "poisson"))
-    return params
+    return RunSpec("kvstore", params, protocol=protocol,
+                   config=config or MachineConfig(nprocs=4))
 
 
-def serving_grid(rate_rps: float,
-                 protocols: Sequence[str] = ("li", "lh"),
-                 networks: Sequence[Tuple[str, NetworkConfig]] =
-                 DEFAULT_NETWORKS,
-                 scale: str = "small",
-                 config: Optional[MachineConfig] = None,
-                 slo_us: float = DEFAULT_SLO_US,
-                 overrides: Optional[dict] = None,
-                 lab: Optional[Lab] = None) -> List[ServingReport]:
-    """One offered load across every (protocol, network) cell: a
-    one-rate :func:`capacity_sweep`, flattened."""
-    curves = capacity_sweep([rate_rps], protocols=protocols,
-                            networks=networks, scale=scale,
-                            config=config, slo_us=slo_us,
-                            overrides=overrides, lab=lab)
-    return [curves[protocol, net_name][0]
+def serving_cells(rates_rps: Sequence[float],
+                  protocols: Sequence[str] = ("li", "lh"),
+                  networks: Sequence[Tuple[str, NetworkConfig]] =
+                  DEFAULT_NETWORKS,
+                  scale: str = "small",
+                  config: Optional[MachineConfig] = None,
+                  overrides: Optional[dict] = None
+                  ) -> Dict[Tuple[str, str, float], RunSpec]:
+    """Every (protocol, network, rate) cell of a serving study, keyed
+    in that order."""
+    if not rates_rps:
+        raise ValueError("rates_rps must be non-empty")
+    base = config or MachineConfig(nprocs=4)
+    return {(protocol, net_name, rate): serve_spec(
+                rate, protocol, base.replace(network=network), scale,
+                overrides)
             for protocol in protocols
-            for net_name, _network in networks]
+            for net_name, network in networks
+            for rate in rates_rps}
+
+
+def serving_curves(cells: Dict[Tuple[str, str, float], RunSpec],
+                   results: Dict[Tuple[str, str, float], RunResult],
+                   slo_us: float = DEFAULT_SLO_US
+                   ) -> Dict[Tuple[str, str], List[ServingReport]]:
+    """One report list per (protocol, network), in the cells' rate
+    order."""
+    curves: Dict[Tuple[str, str], List[ServingReport]] = {}
+    for (protocol, net_name, rate), spec in cells.items():
+        curves.setdefault((protocol, net_name), []).append(
+            build_report(results[protocol, net_name, rate].app_result,
+                         spec.config.cpu_mhz, protocol, net_name,
+                         offered_rps=rate, slo_us=slo_us))
+    return curves
 
 
 def capacity_sweep(rates_rps: Sequence[float],
@@ -200,25 +276,10 @@ def capacity_sweep(rates_rps: Sequence[float],
     """SLO-attainment curves vs offered load: every (protocol,
     network) cell at every rate, one Lab batch (parallel + cached).
     The per-cell report lists follow ``rates_rps`` order."""
-    if not rates_rps:
-        raise ValueError("rates_rps must be non-empty")
+    cells = serving_cells(rates_rps, protocols, networks, scale, config,
+                          overrides)
     lab = lab if lab is not None else Lab()
-    base = config or MachineConfig(nprocs=4)
-    cells = {(protocol, net_name, rate): RunSpec(
-                 "kvstore", _serve_params(scale, rate, overrides),
-                 protocol=protocol,
-                 config=base.replace(network=network))
-             for protocol in protocols
-             for net_name, network in networks
-             for rate in rates_rps}
-    results = dict(zip(cells, lab.run_many(list(cells.values()))))
-    return {(protocol, net_name): [
-                build_report(results[protocol, net_name, rate].app_result,
-                             base.cpu_mhz, protocol, net_name,
-                             offered_rps=rate, slo_us=slo_us)
-                for rate in rates_rps]
-            for protocol in protocols
-            for net_name, _network in networks}
+    return serving_curves(cells, lab.run_grid(cells), slo_us)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,6 @@ class EventDrivenApplication(Application):
         # op -> bound requests_total child, resolved on the op's first
         # request (an op that never occurs gets no series).
         op_counters = {}
-        sampler = node.machine.sampler
         records = []
         for request in self.schedule(proc, shared):
             # MachineConfig.us_to_cycles, in its operation order.
@@ -112,8 +111,6 @@ class EventDrivenApplication(Application):
             yield from self.handle_request(api, proc, shared, request)
             done = sim.now
             latency = done - arrival
-            if sampler is not None:
-                sampler.record_request(latency)
             if tracer.sink.enabled:
                 tracer.emit("req.done", req=request.req_id,
                             node=proc, key=request.key,

@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis.experiments import APP_PARAMS, protocol_sweep
@@ -30,7 +31,7 @@ from repro.apps import APP_NAMES
 from repro.core.config import (WORD_SIZE, CrashSpec, FaultConfig,
                                MachineConfig, NetworkConfig, StallSpec)
 from repro.core.metrics import RunResult
-from repro.lab import DEFAULT_CACHE_DIR, Lab, RunSpec, execute_spec
+from repro.lab import DEFAULT_CACHE_DIR, Lab, RunSpec
 from repro.protocols import PROTOCOL_NAMES
 from repro.serve.workload import SERVE_APP_PARAMS
 
@@ -147,8 +148,8 @@ _unit_fraction = _float_arg(
     "a fraction", lambda v: 0.0 <= v <= 1.0,
     "fraction must be within [0, 1]")
 # Telemetry window.  (The companion check — a window smaller than the
-# scheduler tick — needs the machine's clock rate, so it happens at
-# sampler bind time and surfaces as a clean error too.)
+# scheduler tick — needs the machine's clock rate, so RunSpec makes it
+# and it surfaces as a clean error too.)
 _window_us = _float_arg(
     "a window in microseconds", lambda v: v > 0,
     "window must be > 0 µs")
@@ -256,8 +257,7 @@ def _config(args, nprocs: Optional[int] = None,
 def _lab(args) -> Lab:
     """The experiment harness configured by the shared CLI flags."""
     return Lab(jobs=args.jobs, cache_dir=args.cache_dir,
-               cache=not args.no_cache, progress=True,
-               trace_dir=args.trace_dir)
+               cache=not args.no_cache, progress=True)
 
 
 def _spec(args, protocol: Optional[str] = None,
@@ -344,20 +344,22 @@ def cmd_networks(args) -> int:
 
 def cmd_stats(args) -> int:
     """Run one application and dump its metrics registry (JSON by
-    default, or a text table), optionally tracing to a JSONL file; or
-    inspect a result saved earlier with ``--save``/the lab cache via
-    ``--load``."""
+    default, or a text table), optionally writing its trace to a JSONL
+    file; or inspect a result saved earlier with ``--save``/the lab
+    cache via ``--load``."""
     if args.load is not None:
         result = args.load            # loaded by _saved_result
+        if args.trace and result.trace is None:
+            print("stats: --trace with --load needs a result saved "
+                  "from a traced run (stats APP --trace FILE --save "
+                  "FILE)", file=sys.stderr)
+            return 2
     elif args.app is None:
         raise SystemExit("stats: pass an app name or --load FILE")
-    elif args.trace:
-        # Tracing is a side effect of simulating, so a traced run
-        # bypasses the lab cache and always executes in-process.
-        result = execute_spec(_spec(args), trace_path=args.trace)
     else:
         with _lab(args) as lab:
-            result = lab.run(_spec(args))
+            result = lab.run(replace(_spec(args),
+                                     trace=bool(args.trace)))
     if args.save:
         with open(args.save, "w") as handle:
             json.dump(result.to_dict(), handle, sort_keys=True)
@@ -375,6 +377,11 @@ def cmd_stats(args) -> int:
     else:
         print(text)
     if args.trace:
+        from repro.obs import JsonlSink, TraceEvent
+
+        with JsonlSink(args.trace) as sink:
+            for record in result.trace:
+                sink.emit(TraceEvent.from_record(record))
         print(f"trace written to {args.trace}", file=sys.stderr)
     return 0
 
@@ -385,8 +392,8 @@ def cmd_profile(args) -> int:
     the metrics registry (docs/performance.md)."""
     from repro.analysis.profiling import format_profile, profile_spec
 
-    # Like a traced run, a profiled run is all about the side effect,
-    # so it always executes in-process and bypasses the lab cache.
+    # A profile measures the host running the simulation, so it always
+    # executes in-process and bypasses the lab cache.
     report = profile_spec(_spec(args), top=args.top)
     print(format_profile(report, top=args.top))
     return 0
@@ -471,7 +478,8 @@ def cmd_serve(args) -> int:
     from repro.analysis.serving import (attribute_tail,
                                         format_attribution_table,
                                         format_serving_table,
-                                        serving_grid)
+                                        serving_cells, serving_curves)
+    from repro.obs import CausalTrace
 
     protocols = args.protocols
     networks = _networks(args)
@@ -480,30 +488,26 @@ def cmd_serve(args) -> int:
           f"{args.procs} procs (scale {args.scale}, "
           f"read fraction {args.read_fraction}, "
           f"zipf {args.zipf_s}, SLO {args.slo_us:.0f} µs)")
-    with _lab(args) as lab:
-        reports = serving_grid(
-            rate_rps=args.rate, protocols=protocols,
-            networks=networks, scale=args.scale, config=config,
-            slo_us=args.slo_us, overrides=_serve_overrides(args),
-            lab=lab)
-    print(format_serving_table(reports))
+    cells = serving_cells([args.rate], protocols, networks,
+                          args.scale, config, _serve_overrides(args))
+    first = next(iter(cells))
     if args.tail:
-        from repro.obs import CausalTrace, MemorySink
-
-        # Tracing is a side effect, so the tail run executes
-        # in-process (first protocol x first network cell).
-        protocol, (net_name, network) = protocols[0], networks[0]
-        params = dict(SERVE_APP_PARAMS[args.scale])
-        params.update(_serve_overrides(args))
-        params["rate_rps"] = args.rate
-        sink = MemorySink()
-        execute_spec(RunSpec("kvstore", params, protocol=protocol,
-                             config=config.replace(network=network)),
-                     sink=sink)
+        # The first cell captures its trace: one run gives its table
+        # row and the tail attribution.
+        cells[first] = replace(cells[first], trace=True)
+    with _lab(args) as lab:
+        results = lab.run_grid(cells)
+    print(format_serving_table(
+        [report for curve in serving_curves(cells, results,
+                                            args.slo_us).values()
+         for report in curve]))
+    if args.tail:
+        protocol, net_name, _rate = first
         print(f"\nslowest {args.tail} requests "
               f"({protocol}/{net_name}, cycles):")
-        print(format_attribution_table(
-            attribute_tail(CausalTrace(sink.events), top=args.tail)))
+        print(format_attribution_table(attribute_tail(
+            CausalTrace.from_records(results[first].trace),
+            top=args.tail)))
     return 0
 
 
@@ -541,33 +545,35 @@ def cmd_servesweep(args) -> int:
     return 0
 
 
-def _timeseries_run(args, with_trace: bool = False):
-    """Execute one run with a :class:`TimeseriesSampler` attached.
-    Sampling is a side effect, so the run executes in-process and
-    bypasses the lab cache (like ``trace`` and ``profile``).  With no
-    app named, runs the kvstore serving workload so the request series
-    (p50/p99, burn rate) is populated."""
-    from repro.obs import MemorySink, TimeseriesSampler
+def _timeseries_spec(args, trace: bool = False) -> RunSpec:
+    """The windowed run the timeseries subcommands read: the kvstore
+    serving workload (at ``--rate``, ``--requests``) when no app or
+    ``kvstore`` is named, so the request columns are populated.  A
+    window the spec rejects exits with a one-line error."""
+    from repro.analysis.serving import serve_spec
 
-    sampler = TimeseriesSampler(window_us=args.window_us,
-                                slo_us=args.slo_us,
-                                slo_target=args.slo_target)
-    if args.app is None:
-        params = dict(SERVE_APP_PARAMS[args.scale])
-        params["rate_rps"] = args.rate
-        if args.requests is not None:
-            params["requests"] = args.requests
-        spec = RunSpec("kvstore", params, protocol=args.protocol,
-                       config=_config(args))
-    else:
-        spec = _spec(args)
-    sink = MemorySink() if with_trace else None
     try:
-        execute_spec(spec, sink=sink, sampler=sampler)
+        if args.app in (None, "kvstore"):
+            overrides = ({} if args.requests is None
+                         else {"requests": args.requests})
+            spec = serve_spec(args.rate, args.protocol, _config(args),
+                              args.scale, overrides)
+        else:
+            spec = _spec(args)
+        return replace(spec, trace=trace, window_us=args.window_us)
     except ValueError as exc:
-        # bind() rejects windows finer than the scheduler tick.
         raise SystemExit(f"timeseries: {exc}")
-    return sampler, sink, spec.app
+
+
+def _timeseries(args, trace: bool = False):
+    """The windowed run, resolved through the lab, and its export
+    under ``--slo-us``/``--slo-target``."""
+    from repro.analysis.serving import timeseries
+
+    spec = _timeseries_spec(args, trace=trace)
+    with _lab(args) as lab:
+        result = lab.run(spec)
+    return result, timeseries(spec, result, args.slo_us, args.slo_target)
 
 
 def cmd_timeseries_report(args) -> int:
@@ -577,19 +583,19 @@ def cmd_timeseries_report(args) -> int:
     (docs/observability.md)."""
     from repro.obs import format_timeseries_table
 
-    sampler, _sink, label = _timeseries_run(args)
-    print(f"{label} on {args.procs} procs ({args.protocol}/"
+    result, series = _timeseries(args)
+    print(f"{result.app} on {args.procs} procs ({args.protocol}/"
           f"{args.network}), {args.window_us:g} µs windows, "
           f"SLO {args.slo_us:g} µs at {args.slo_target:g}")
-    print(format_timeseries_table(sampler))
-    windows = sampler.windows
-    served = [w for w in windows if w.requests]
+    print(format_timeseries_table(series))
+    windows = series["windows"]
+    served = [w for w in windows if w["requests"]]
     print(f"\n{len(windows)} windows, "
-          f"{sum(w.events for w in windows)} events")
+          f"{sum(w['events'] for w in windows)} events")
     if served:
-        print(f"peak p99 {max(w.p99_us for w in served):.1f} µs, "
+        print(f"peak p99 {max(w['p99_us'] for w in served):.1f} µs, "
               f"peak burn rate "
-              f"{max(w.burn_rate for w in served):.2f}")
+              f"{max(w['burn_rate'] for w in served):.2f}")
     return 0
 
 
@@ -600,15 +606,15 @@ def cmd_timeseries_export(args) -> int:
     from repro.obs import (CausalTrace, chrome_trace,
                            validate_chrome_trace)
 
-    sampler, sink, _label = _timeseries_run(
-        args, with_trace=bool(args.chrome))
+    result, series = _timeseries(args, trace=bool(args.chrome))
     with open(args.out, "w") as handle:
-        handle.write(sampler.as_json() + "\n")
-    print(f"wrote {args.out}: {len(sampler.windows)} windows of "
+        handle.write(json.dumps(series, indent=1, sort_keys=True)
+                     + "\n")
+    print(f"wrote {args.out}: {len(series['windows'])} windows of "
           f"{args.window_us:g} µs")
     if args.chrome:
-        exported = chrome_trace(CausalTrace(sink.events),
-                                timeseries=sampler)
+        exported = chrome_trace(CausalTrace.from_records(result.trace),
+                                timeseries=series)
         errors = validate_chrome_trace(exported)
         if errors:
             for error in errors:
@@ -627,19 +633,17 @@ def cmd_timeseries_export(args) -> int:
 
 def _causal_trace(args):
     """A :class:`repro.obs.CausalTrace` for the trace subcommands:
-    replay ``--from FILE`` if given, else simulate the requested run
-    in-process with an in-memory sink (a traced run is all about the
-    side effect, so it bypasses the lab cache like ``stats --trace``
-    and ``profile`` do)."""
-    from repro.obs import CausalTrace, MemorySink
+    replay ``--from FILE`` if given, else the requested run's captured
+    trace, resolved through the lab like any run."""
+    from repro.obs import CausalTrace
 
     if args.from_file:
         return CausalTrace.from_jsonl(args.from_file)
     if args.app is None:
         raise SystemExit("trace: pass an app name or --from FILE")
-    sink = MemorySink()
-    execute_spec(_spec(args), sink=sink)
-    return CausalTrace(sink.events)
+    with _lab(args) as lab:
+        result = lab.run(replace(_spec(args), trace=True))
+    return CausalTrace.from_records(result.trace)
 
 
 def cmd_trace_export(args) -> int:
@@ -732,12 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="no_cache",
                        help="always simulate; neither read nor write "
                             "the result cache")
-        p.add_argument("--trace-dir", default=None, dest="trace_dir",
-                       metavar="DIR",
-                       help="stream a JSONL event trace per executed "
-                            "spec into DIR (cache hits trace "
-                            "nothing; combine with --no-cache to "
-                            "trace everything — docs/tracing.md)")
 
     def common(p, with_app=True, app_optional=False, omit=(),
                lab=True):
@@ -836,7 +834,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--output", default=None,
                          help="write the dump to a file")
     p_stats.add_argument("--trace", default=None, metavar="FILE",
-                         help="also record a JSONL event trace")
+                         help="also write the run's JSONL event "
+                              "trace (with --load: the saved "
+                              "result's)")
     p_stats.add_argument("--save", default=None, metavar="FILE",
                          help="save the full RunResult as JSON "
                               "(reloadable with --load)")
@@ -847,8 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_prof = sub.add_parser("profile", help=cmd_profile.__doc__)
-    # In-process like the trace and timeseries tools: no Lab, so no
-    # lab flags.
+    # The one in-process subcommand: no Lab, so no lab flags.
     common(p_prof, lab=False)
     p_prof.add_argument("--top", type=_nonnegative_int, default=15,
                         metavar="N",
@@ -931,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(> 0; default: 40000)")
     p_serve.add_argument("--tail", type=_nonnegative_int, default=0,
                          metavar="N",
-                         help="also trace one cell in-process and "
+                         help="also trace the first cell and "
                               "attribute the N slowest requests")
     p_serve.set_defaults(func=cmd_serve, procs=4, scale="small")
 
@@ -955,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     ts_sub = p_ts.add_subparsers(dest="action", **subparsers)
 
     def timeseries_common(p):
-        common(p, app_optional=True, lab=False)
+        common(p, app_optional=True)
         p.add_argument("--window-us", type=_window_us, default=200.0,
                        dest="window_us", metavar="US",
                        help="telemetry window in simulated µs (> 0 "
@@ -970,7 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(kvstore workload only)")
         p.add_argument("--slo-us", type=_slo_us,
                        default=500.0, dest="slo_us", metavar="US",
-                       help="latency SLO for the burn-rate series "
+                       help="latency SLO for the burn-rate series, "
+                            "applied when the windows are read "
                             "(default: 500 µs)")
         p.add_argument("--slo-target", type=_slo_target,
                        default=0.999, dest="slo_target",
@@ -1003,12 +1003,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = p_trace.add_subparsers(dest="action", **subparsers)
 
     def trace_common(p):
-        common(p, app_optional=True, lab=False)
+        common(p, app_optional=True)
         p.add_argument("--from", dest="from_file", default=None,
                        metavar="FILE",
                        help="replay a JSONL trace (e.g. from "
-                            "`stats --trace` or Lab(trace_dir=...)) "
-                            "instead of simulating")
+                            "`stats --trace`) instead of reading the "
+                            "run's captured trace")
 
     p_texp = trace_sub.add_parser("export",
                                   help=cmd_trace_export.__doc__)

@@ -12,7 +12,7 @@ from repro.core.metrics import RunResult
 from repro.core.node import Node
 from repro.mem.addressing import AddressSpace, Segment
 from repro.net import build_network
-from repro.net.message import Message
+from repro.net.message import Message, restart_message_ids
 from repro.obs import Observability
 from repro.sim.engine import (SimulationError, Simulator,
                               unfinished_reason)
@@ -41,6 +41,7 @@ class Machine:
         self.config = config
         self.protocol_name = protocol
         self.lock_broadcast = lock_broadcast
+        restart_message_ids()
         self.sim = Simulator()
         # Observability: registry + tracer threaded through every
         # layer (sim, net, nodes, protocols, sync).  Callers may pass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.obs import SYNC_MSG_TYPES, MetricsRegistry
 
@@ -59,6 +59,10 @@ class RunResult:
     #: The run's metrics registry (repro.obs): the documented stats
     #: schema and the only source of every count below.
     registry: MetricsRegistry
+    #: The captures its spec asked for (``RunSpec.trace``, ``window_us``):
+    #: ``TraceEvent.to_record`` records and sampler windows, or None.
+    trace: Optional[List[dict]] = None
+    windows: Optional[List[dict]] = None
 
     @property
     def total_messages(self) -> int:
@@ -100,8 +104,9 @@ class RunResult:
         included, so results can cross process boundaries and
         sessions (see docs/lab.md).  ``app_result`` goes through
         :func:`json_safe`; everything else round-trips exactly
-        (JSON floats preserve the full double)."""
-        return {
+        (JSON floats preserve the full double).  A capture appears
+        only when the run made one."""
+        data = {
             "schema": RunResult.SCHEMA_VERSION,
             "app": self.app,
             "protocol": self.protocol,
@@ -111,6 +116,10 @@ class RunResult:
             "app_result": json_safe(self.app_result),
             "registry": self.registry.dump(),
         }
+        for name in ("trace", "windows"):
+            if getattr(self, name) is not None:
+                data[name] = getattr(self, name)
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "RunResult":
@@ -129,6 +138,8 @@ class RunResult:
             finish_times=data["finish_times"],
             app_result=data["app_result"],
             registry=MetricsRegistry.from_dump(data["registry"]),
+            trace=data.get("trace"),
+            windows=data.get("windows"),
         )
 
     # -- derived views -------------------------------------------------

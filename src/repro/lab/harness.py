@@ -28,7 +28,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
     wait
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence
 
 from repro.core.metrics import RunResult
 from repro.lab.cache import ResultCache
@@ -173,9 +173,7 @@ def _execute_payload(payload: dict) -> dict:
     that raises is reported as data so it never kills the batch."""
     started = time.perf_counter()
     try:
-        spec = RunSpec.from_dict(payload["spec"])
-        result = execute_spec(spec,
-                              trace_path=payload.get("trace_path"))
+        result = execute_spec(RunSpec.from_dict(payload["spec"]))
         return {"fingerprint": payload["fingerprint"], "ok": True,
                 "result": result.to_dict(),
                 "seconds": time.perf_counter() - started}
@@ -212,21 +210,14 @@ class Lab:
     keeps the memo but skips the disk tier.  Whichever tier serves a
     spec, the result is one restored by ``RunResult.from_dict`` — an
     executed run is serialized and restored like a cached one, so
-    ``app_result`` is JSON-shaped everywhere.
-
-    ``trace_dir`` streams a JSONL trace of every *executed* spec into
-    that directory — one file per spec (so pool workers never share a
-    sink and lines cannot interleave), named
-    ``<app>-<protocol>-<fingerprint12>.jsonl``.  Cache hits skip
-    execution and therefore produce no trace; run with
-    ``cache=False`` to trace everything (determinism guarantees the
-    traced run equals the cached one).
+    ``app_result`` is JSON-shaped everywhere.  A spec that asks for a
+    capture (``RunSpec.trace``, ``RunSpec.window_us``) gets it back on
+    the result from every tier alike.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None, cache: bool = True,
-                 progress: bool = False,
-                 trace_dir: Optional[str] = None) -> None:
+                 progress: bool = False) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1 (or None for serial)")
         self.jobs = jobs
@@ -234,9 +225,6 @@ class Lab:
         self.disk = (ResultCache(cache_dir)
                      if cache and cache_dir else None)
         self.progress = progress
-        self.trace_dir = trace_dir
-        if trace_dir is not None:
-            os.makedirs(trace_dir, exist_ok=True)
         self._memo: Dict[str, RunResult] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         #: One-time pool spin-up cost (fork + imports + warm pings);
@@ -318,6 +306,12 @@ class Lab:
         """Resolve one spec (cache or execute)."""
         return self.run_many([spec])[0]
 
+    def run_grid(self, cells: Dict[Hashable, RunSpec]
+                 ) -> Dict[Hashable, RunResult]:
+        """Resolve a ``{key: RunSpec}`` grid as one batch; the results
+        come back under the same keys."""
+        return dict(zip(cells, self.run_many(list(cells.values()))))
+
     def run_many(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Resolve every spec, order-preserving.
 
@@ -382,23 +376,12 @@ class Lab:
 
     # -- execution -----------------------------------------------------
 
-    def _trace_path(self, fingerprint: str,
-                    spec: RunSpec) -> Optional[str]:
-        """Per-spec trace file under ``trace_dir`` (None when the lab
-        is not tracing)."""
-        if self.trace_dir is None:
-            return None
-        return os.path.join(
-            self.trace_dir,
-            f"{spec.app}-{spec.protocol}-{fingerprint[:12]}.jsonl")
-
     def _outcomes(self, to_run: Dict[str, RunSpec]) -> Iterator[dict]:
         """One :func:`_execute_payload` outcome per spec, in
         completion order: called here for ``jobs=None``, through the
         chunked pool otherwise."""
         payloads = [{"fingerprint": fingerprint,
-                     "spec": spec.to_dict(),
-                     "trace_path": self._trace_path(fingerprint, spec)}
+                     "spec": spec.to_dict()}
                     for fingerprint, spec in to_run.items()]
         if self.jobs is None:
             yield from map(_execute_payload, payloads)

@@ -3,7 +3,8 @@
 A :class:`RunSpec` is the *complete* description of one simulated run:
 application + parameters, protocol, :class:`repro.MachineConfig`
 (network, overheads, fault plan, transport tuning, seed), protocol
-options, and execution knobs.  Because the simulator is deterministic
+options, execution knobs, and what the run captures besides its
+result (a trace, telemetry windows).  Because the simulator is deterministic
 (the cross-process gate in ``tests/properties`` pins this), the spec
 fully determines the :class:`repro.RunResult` — which is what makes
 content-addressed caching safe.
@@ -25,7 +26,9 @@ from typing import Optional
 
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.metrics import RunResult, json_safe
-from repro.obs import JsonlSink, Observability, Tracer
+from repro.obs import (JsonlSink, MemorySink, Observability,
+                       TimeseriesSampler, Tracer)
+from repro.obs.timeseries import window_cycles
 
 _code_version_cache: Optional[str] = None
 
@@ -66,11 +69,27 @@ class RunSpec:
     lock_broadcast: bool = False
     threads_per_proc: int = 1
     max_events: Optional[int] = None
+    #: Capture the run's trace events on ``RunResult.trace``.
+    trace: bool = False
+    #: Sample telemetry windows of this many simulated µs onto
+    #: ``RunResult.windows`` (0: no windows).
+    window_us: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.window_us >= 0:
+            raise ValueError(
+                f"window_us must be >= 0 (0 = no windows), got "
+                f"{self.window_us}")
+        if self.window_us:
+            window_cycles(self.window_us, self.config.cpu_mhz)
+        # One spelling per window: 200 and 200.0 are one fingerprint.
+        object.__setattr__(self, "window_us", float(self.window_us))
 
     def to_dict(self) -> dict:
         """Canonical JSON-ready form (``protocol_options=None`` and
-        ``{}`` normalize to the same spec)."""
-        return {
+        ``{}`` normalize to the same spec).  A capture field appears
+        only when set, so an uncaptured spec keeps its fingerprint."""
+        data = {
             "app": self.app,
             "app_params": json_safe(dict(self.app_params)),
             "protocol": self.protocol,
@@ -81,6 +100,11 @@ class RunSpec:
             "threads_per_proc": self.threads_per_proc,
             "max_events": self.max_events,
         }
+        if self.trace:
+            data["trace"] = True
+        if self.window_us:
+            data["window_us"] = self.window_us
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "RunSpec":
@@ -94,6 +118,8 @@ class RunSpec:
             lock_broadcast=data.get("lock_broadcast", False),
             threads_per_proc=data.get("threads_per_proc", 1),
             max_events=data.get("max_events"),
+            trace=data.get("trace", False),
+            window_us=data.get("window_us", 0.0),
         )
 
     def canonical(self) -> str:
@@ -125,38 +151,44 @@ class RunSpec:
                 f"@{self.config.nprocs}p/{self.config.network.kind}")
 
 
-def execute_spec(spec: RunSpec, trace_path: Optional[str] = None,
-                 sink=None, sampler=None) -> RunResult:
+def execute_spec(spec: RunSpec,
+                 trace_path: Optional[str] = None) -> RunResult:
     """Run one spec in this process (the lab's pool workers and its
-    ``jobs=None`` mode both land here).
+    ``jobs=None`` mode both land here), with the captures it asks
+    for: ``spec.trace`` fills ``RunResult.trace``, ``spec.window_us``
+    ``RunResult.windows``.
 
-    The optional observers are *not* part of the spec and never enter
-    the cache fingerprint — observing a run does not change it
-    (determinism makes the observed run identical to the cached one).
-    ``sink`` is any :class:`repro.obs.TraceSink` that receives the
-    run's trace events (a ``MemorySink`` to build a ``CausalTrace``
-    from); ``trace_path`` is shorthand for a JSONL sink on that file
-    (gzipped for ``.gz`` paths), closed when the run ends; ``sampler``
-    is a :class:`repro.obs.TimeseriesSampler` that records windowed
-    telemetry."""
+    ``trace_path`` streams the trace to a JSONL file instead (gzipped
+    for ``.gz`` paths), closed when the run ends; it is not part of
+    the spec, so the result is the untraced run's."""
     from repro.apps import create_app
     from repro.core.runner import run_app
 
     if trace_path is not None:
-        if sink is not None:
-            raise ValueError("pass trace_path or sink, not both")
+        if spec.trace:
+            raise ValueError("a traced spec captures its own trace; "
+                             "pass trace_path for an untraced one")
         sink = JsonlSink(str(trace_path))
+    else:
+        sink = MemorySink() if spec.trace else None
     obs = None
     if sink is not None:
         obs = Observability(tracer=Tracer(sink))
+    sampler = (TimeseriesSampler(spec.window_us) if spec.window_us
+               else None)
     try:
-        return run_app(create_app(spec.app, **spec.app_params),
-                       spec.config, protocol=spec.protocol,
-                       max_events=spec.max_events,
-                       protocol_options=spec.protocol_options,
-                       lock_broadcast=spec.lock_broadcast,
-                       obs=obs, sampler=sampler,
-                       threads_per_proc=spec.threads_per_proc)
+        result = run_app(create_app(spec.app, **spec.app_params),
+                         spec.config, protocol=spec.protocol,
+                         max_events=spec.max_events,
+                         protocol_options=spec.protocol_options,
+                         lock_broadcast=spec.lock_broadcast,
+                         obs=obs, sampler=sampler,
+                         threads_per_proc=spec.threads_per_proc)
     finally:
         if trace_path is not None:
             sink.close()
+    if spec.trace:
+        result.trace = [event.to_record() for event in sink.events]
+    if sampler is not None:
+        result.windows = sampler.windows
+    return result

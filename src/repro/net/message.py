@@ -19,6 +19,13 @@ from repro.core.config import MESSAGE_HEADER_BYTES
 _next_message_id = itertools.count().__next__
 
 
+def restart_message_ids() -> None:
+    """Number the next messages from 0 again (every machine does, so
+    a run's message ids — and its trace — depend on the run alone)."""
+    global _next_message_id
+    _next_message_id = itertools.count().__next__
+
+
 class MsgKind(Enum):
     """Every message type exchanged by the five protocols."""
 

@@ -22,7 +22,7 @@ from repro.obs.registry import (DEFAULT_BUCKETS, Metric, MetricError,
 from repro.obs.causal import CausalTrace
 from repro.obs.chrome_trace import chrome_trace, validate_chrome_trace
 from repro.obs.timeseries import (TIMESERIES_SCHEMA, TimeseriesSampler,
-                                  Window, format_timeseries_table)
+                                  format_timeseries_table)
 from repro.obs.tracer import (TRACE_EVENTS, JsonlSink, MemorySink,
                               NullSink, TraceEvent, TraceSink, Tracer,
                               read_jsonl)
@@ -35,7 +35,7 @@ __all__ = [
     "MetricsRegistry", "NodeInstruments", "NullSink", "Observability",
     "ROBUSTNESS_CATALOG", "SERVE_CATALOG", "SYNC_MSG_TYPES",
     "TIMESERIES_SCHEMA", "TRACE_EVENTS", "TimeseriesSampler",
-    "TraceEvent", "TraceSink", "Tracer", "Window", "chrome_trace",
+    "TraceEvent", "TraceSink", "Tracer", "chrome_trace",
     "format_timeseries_table", "install", "read_jsonl",
     "validate_chrome_trace",
 ]

@@ -102,6 +102,11 @@ class CausalTrace:
     def from_jsonl(cls, path: str) -> "CausalTrace":
         return cls(read_jsonl(path))
 
+    @classmethod
+    def from_records(cls, records: Iterable[dict]) -> "CausalTrace":
+        """Index a captured run's ``RunResult.trace``."""
+        return cls(map(TraceEvent.from_record, records))
+
     # -- indexing --------------------------------------------------------
 
     def _message(self, msg_id: int) -> MessageRecord:

@@ -8,7 +8,7 @@ Layout:
   misses;
 - process 2, "network": one track per destination port, carrying the
   wire occupancy of every transmission;
-- process 3, "telemetry" (only when a timeseries sampler is passed):
+- process 3, "telemetry" (only when a timeseries is passed):
   counter (``C``) tracks sampled per window — events dispatched,
   messages, wire KB, lock wait, queue depth, and the serving series
   (requests, p99 µs, SLO burn rate);
@@ -56,34 +56,34 @@ def _counter(name: str, ts: float, value: float) -> Dict[str, Any]:
 
 
 def _counter_tracks(timeseries) -> List[Dict[str, Any]]:
-    """Counter (``C``) events for a :class:`TimeseriesSampler`'s
-    windows, one sample per window at the window's start.  Perfetto
-    draws each named counter as a stepped track under the telemetry
-    process."""
+    """Counter (``C``) events for a timeseries export's windows, one
+    sample per window at the window's start.  Perfetto draws each
+    named counter as a stepped track under the telemetry process."""
     events: List[Dict[str, Any]] = [
         _meta(_PID_TELEMETRY, None, "telemetry", "process_name")]
-    serving = any(w.requests for w in timeseries.windows)
-    for w in timeseries.windows:
-        ts = w.t0_cycles
-        events.append(_counter("events dispatched", ts, w.events))
+    serving = any(w["requests"] for w in timeseries["windows"])
+    for w in timeseries["windows"]:
+        ts = w["t0_cycles"]
+        events.append(_counter("events dispatched", ts, w["events"]))
         events.append(_counter("messages", ts,
-                               sum(w.messages.values())))
-        events.append(_counter("wire KB", ts, w.wire_bytes / 1024))
+                               sum(w["messages"].values())))
+        events.append(_counter("wire KB", ts, w["wire_bytes"] / 1024))
         events.append(_counter("lock wait cycles", ts,
-                               w.lock_wait_cycles))
-        events.append(_counter("queue depth", ts, w.queue_depth))
+                               w["lock_wait_cycles"]))
+        events.append(_counter("queue depth", ts, w["queue_depth"]))
         if serving:
-            events.append(_counter("requests", ts, w.requests))
-            events.append(_counter("p99 us", ts, w.p99_us))
-            events.append(_counter("SLO burn rate", ts, w.burn_rate))
+            events.append(_counter("requests", ts, w["requests"]))
+            events.append(_counter("p99 us", ts, w["p99_us"]))
+            events.append(_counter("SLO burn rate", ts,
+                                   w["burn_rate"]))
     return events
 
 
 def chrome_trace(trace: CausalTrace,
                  timeseries=None) -> Dict[str, Any]:
     """Render ``trace`` as a Chrome trace-event JSON object.  With a
-    bound :class:`repro.obs.TimeseriesSampler` in ``timeseries``, the
-    export also carries its windows as counter tracks."""
+    timeseries export (:func:`repro.analysis.serving.timeseries`) in
+    ``timeseries``, it also carries the windows as counter tracks."""
     events: List[Dict[str, Any]] = []
     procs = sorted(set(trace.computes) | set(trace.wakes)
                    | set(trace.finish)
@@ -155,7 +155,7 @@ def chrome_trace(trace: CausalTrace,
                        "tid": max(message.dst, 0),
                        "ts": message.recv_ts})
 
-    if timeseries is not None and timeseries.windows:
+    if timeseries is not None and timeseries["windows"]:
         events.extend(_counter_tracks(timeseries))
 
     return {"traceEvents": events, "displayTimeUnit": "ms",

@@ -113,11 +113,26 @@ class TraceEvent:
     name: str
     fields: Dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_record(self) -> dict:
+        """The event as one JSON-ready object: ``ts``, ``name``, then
+        the fields (a JSONL line, or an entry of a captured run's
+        ``RunResult.trace``)."""
         record = {"ts": self.ts, "name": self.name}
         for key, value in self.fields.items():
             record[key] = _jsonable(value)
-        return json.dumps(record, sort_keys=False)
+        return record
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_record(), sort_keys=False)
+
+    @staticmethod
+    def from_record(record: dict) -> "TraceEvent":
+        """The event a record holds, fields in key order (so a record
+        read back from a sorted JSON dump re-serializes the same)."""
+        fields = {key: record[key] for key in sorted(record)
+                  if key not in ("ts", "name")}
+        return TraceEvent(ts=record["ts"], name=record["name"],
+                          fields=fields)
 
 
 def _jsonable(value: Any) -> Any:
@@ -232,10 +247,7 @@ def read_jsonl(path: str) -> Iterator[TraceEvent]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            ts = record.pop("ts")
-            name = record.pop("name")
-            yield TraceEvent(ts=ts, name=name, fields=record)
+            yield TraceEvent.from_record(json.loads(line))
 
 
 class Tracer:

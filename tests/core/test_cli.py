@@ -90,14 +90,17 @@ def test_networks_honours_protocol_and_machine_flags(capsys):
     ["servesweep", "--protocol", "li"],
     ["servesweep", "--network", "atm"],
     ["crashsweep", "jacobi", "--protocol", "li"],
-    # The in-process tools build no Lab.
+    # The one in-process tool builds no Lab.
     ["profile", "jacobi", "--jobs", "2"],
     ["profile", "jacobi", "--no-cache"],
-    ["trace", "export", "jacobi", "--cache-dir", "c"],
+    # A capture is part of the spec: no subcommand streams traces
+    # into a directory, the trace tools sample no windows, and the
+    # timeseries tools replay no trace file.
+    ["run", "jacobi", "--trace-dir", "t"],
     ["trace", "critical-path", "jacobi", "--trace-dir", "t"],
-    ["trace", "contention", "jacobi", "--jobs", "2"],
-    ["timeseries", "report", "--no-cache"],
-    ["timeseries", "export", "kvstore", "--jobs", "2"],
+    ["trace", "export", "jacobi", "--window-us", "100"],
+    ["timeseries", "report", "kvstore", "--from", "t.jsonl"],
+    ["trace", "contention", "jacobi", "--slo-us", "100"],
 ])
 def test_flags_a_subcommand_cannot_honour_are_rejected(argv, capsys):
     """What a subcommand would parse and ignore is not registered on
@@ -276,6 +279,101 @@ def test_stats_load_rejects_what_is_not_a_result(tmp_path, capsys,
         main(["stats", "--load", str(path)])
     assert exit_info.value.code == 2
     assert f"argument --load: {path}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "export", "jacobi", "--cache-dir", "c"],
+    ["trace", "contention", "jacobi", "--jobs", "2"],
+    ["timeseries", "report", "--no-cache"],
+    ["timeseries", "export", "kvstore", "--jobs", "2"],
+])
+def test_capture_subcommands_take_the_lab_flags(argv):
+    """The trace and timeseries tools resolve their run through the
+    lab, so they take its flags."""
+    args = build_parser().parse_args(argv)
+    assert (args.jobs, args.cache_dir, args.no_cache) != \
+        (None, ".repro-cache", False)
+
+
+def _trace_stats(tmp_path, *flags):
+    return main(["stats", "jacobi", "--procs", "2", "--scale", "small",
+                 "--cache-dir", str(tmp_path / "cache"), *flags])
+
+
+def test_stats_load_writes_the_saved_trace(tmp_path, capsys):
+    saved, first, second = (tmp_path / name for name in
+                            ("result.json", "a.jsonl", "b.jsonl"))
+    assert _trace_stats(tmp_path, "--trace", str(first),
+                        "--save", str(saved)) == 0
+    registry = capsys.readouterr().out
+    assert main(["stats", "--load", str(saved),
+                 "--trace", str(second)]) == 0
+    assert capsys.readouterr().out == registry
+    assert first.read_bytes() and \
+        second.read_bytes() == first.read_bytes()
+
+
+def test_stats_load_trace_needs_a_traced_result(tmp_path, capsys):
+    saved, out = tmp_path / "result.json", tmp_path / "t.jsonl"
+    assert _trace_stats(tmp_path, "--save", str(saved)) == 0
+    capsys.readouterr()
+    assert main(["stats", "--load", str(saved),
+                 "--trace", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--trace" in err and "--load" in err
+    assert not out.exists()
+
+
+def test_timeseries_kvstore_spellings_are_one_spec():
+    """Naming the serving app changes nothing: ``--rate`` and
+    ``--requests`` shape the run either way."""
+    from repro.cli import _timeseries_spec
+
+    flags = ["--requests", "60", "--rate", "20000"]
+    bare, named = (_timeseries_spec(build_parser().parse_args(argv))
+                   for argv in (["timeseries", "report", *flags],
+                                ["timeseries", "report", "kvstore",
+                                 *flags]))
+    assert bare.fingerprint() == named.fingerprint()
+    assert (named.app_params["requests"],
+            named.app_params["rate_rps"]) == (60, 20000.0)
+
+
+def test_timeseries_rejects_a_subtick_window_in_one_line():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["timeseries", "report", "--window-us", "0.01",
+              "--no-cache"])
+    assert exit_info.value.code == (
+        "timeseries: window_us=0.01 is 0.400 cycles at 40 MHz — "
+        "smaller than the scheduler tick (1 cycle)")
+
+
+def test_capture_views_execute_nothing_on_a_warm_cache(
+        tmp_path, capsys, monkeypatch):
+    """A second ``trace critical-path`` and ``timeseries report``
+    against the same cache simulate nothing and print the same
+    bytes; another SLO re-reads the cached windows."""
+    from repro.lab import harness
+
+    lab = ["--cache-dir", str(tmp_path / "cache")]
+    views = [["trace", "critical-path", "jacobi", "--scale", "small",
+              "--procs", "2", "--protocol", "li", *lab],
+             ["timeseries", "report", "--requests", "40", "--rate",
+              "20000", *lab]]
+    cold = []
+    for argv in views:
+        assert main(argv) == 0
+        cold.append(capsys.readouterr().out)
+
+    def no_simulation(spec, trace_path=None):
+        raise AssertionError(f"simulated {spec.label()}")
+
+    monkeypatch.setattr(harness, "execute_spec", no_simulation)
+    for argv, out in zip(views, cold):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    assert main(views[1] + ["--slo-us", "50"]) == 0
+    assert "SLO 50 µs" in capsys.readouterr().out
 
 
 def test_stats_requires_app_or_load(capsys):

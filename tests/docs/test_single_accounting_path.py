@@ -11,9 +11,11 @@ are gone, and ``sim/engine.py`` pops events in exactly one place
 (``Simulator._dispatch``).  An application is named (``RunSpec.app``),
 never passed as a factory callable; ``Machine.run_app`` is the one
 run body and ``execute_spec`` the one place a trace sink is wired to
-a run.  ``benchmarks/ledger`` is the only thing that times a run: the
-events/second harness, its committed baselines and the regression
-sentinel that read them are gone.  ``RunSpec.baseline()`` is the
+a run; a run's capture is part of its spec, so nothing but the lab
+and ``profile`` calls ``execute_spec``.  ``benchmarks/ledger`` is the
+only thing that times a run: the events/second harness, its
+committed baselines and the regression sentinel that read them are
+gone.  ``RunSpec.baseline()`` is the
 speedup denominator and a grid of runs is a dict looked up by key;
 the axis DSL, the message timeline, the span timers and the FIFO
 store no root reached are gone (``test_reachability.py`` finds the
@@ -107,7 +109,7 @@ FORBIDDEN = [
     ("hand-built speedup denominator (RunSpec.baseline())",
      re.compile(r"_baseline_spec"), ()),
     ("lock-step walk of a result list (look results up by key: "
-     "dict(zip(cells, lab.run_many(...))))",
+     "lab.run_grid(cells))",
      re.compile(r"iter\(\w*\.?run_many\("), ()),
     ("second Lab executor (Lab._outcomes feeds the one settle loop)",
      re.compile(r"\b_run_serial\b|\b_run_pool\b"), ()),
@@ -162,6 +164,14 @@ FORBIDDEN = [
      re.compile(r"\bbackoff_slot_us\b|\.rto_us\b|\brto_us\s*[:=]"), ()),
     ("happens-before DAG class (the critical path reads "
      "CausalTrace's indexes)", re.compile(r"\bCausalGraph\b"), ()),
+    ("in-process run outside the lab (ask the spec for its capture: "
+     "RunSpec(trace=True, window_us=...) through Lab.run; profile is "
+     "the one in-process tool)", re.compile(r"\bexecute_spec\("),
+     ("lab/spec.py", "lab/harness.py", "analysis/profiling.py")),
+    ("trace directory and live request probes (a capture rides on "
+     "RunResult; the serving columns are joined when windows are "
+     "read)",
+     re.compile(r"\btrace_dir\b|--trace-dir|\brecord_request\b"), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -181,7 +191,8 @@ DELETED_FILES = [
 
 #: (what it is, pattern, most files of ``src/repro`` it may occur in).
 AT_MOST = [
-    ("trace-sink wiring (pass execute_spec a sink= or trace_path=)",
+    ("trace-sink wiring (ask the spec: RunSpec(trace=True), or "
+     "execute_spec's trace_path=)",
      re.compile(r"Observability\(tracer=Tracer\("), 1),
     ("run body calling an application's setup (Machine.run_app)",
      re.compile(r"\.setup\("), 1),

@@ -46,9 +46,40 @@ def test_fingerprint_is_stable_and_64_hex():
     dict(lock_broadcast=True),
     dict(threads_per_proc=2),
     dict(max_events=1000),
+    dict(trace=True),
+    dict(window_us=100.0),
 ])
 def test_fingerprint_commits_to_every_field(change):
     assert _spec(**change).fingerprint() != _spec().fingerprint()
+
+
+def test_an_uncaptured_spec_keeps_its_canonical_form():
+    """The capture fields enter the canonical form only when set, so
+    every spec that captures nothing keeps the address it had before
+    they existed; a window spelled as an int is the float one."""
+    assert "trace" not in _spec().to_dict()
+    assert "window_us" not in _spec().to_dict()
+    captured = _spec(trace=True, window_us=200)
+    assert captured.to_dict()["window_us"] == 200.0
+    assert captured.fingerprint() == \
+        _spec(trace=True, window_us=200.0).fingerprint()
+    clone = RunSpec.from_dict(json.loads(json.dumps(captured.to_dict())))
+    assert clone == captured
+
+
+@pytest.mark.parametrize("window_us,match", [
+    (-1.0, "window_us must be >= 0"),
+    (float("nan"), "window_us must be >= 0"),
+    (0.01, r"window_us=0\.01 is 0\.400 cycles.*scheduler tick"),
+], ids=["negative", "nan", "sub-tick"])
+def test_a_bad_window_is_rejected_at_the_spec(window_us, match):
+    """A negative window, or one under a cycle at the machine's clock
+    (0.01 µs at 40 MHz), is refused when the spec is built — not
+    inside the run, where the lab would report it as a failure."""
+    with pytest.raises(ValueError, match=match):
+        _spec(window_us=window_us)
+    # One cycle at 40 MHz is the finest grid the clock can land on.
+    assert _spec(window_us=0.025).window_us == 0.025
 
 
 def test_empty_protocol_options_normalize_to_none():
@@ -126,43 +157,35 @@ def test_execute_spec_matches_run_app():
 
 
 def test_observers_ride_along_without_changing_the_run():
-    """``sink`` and ``sampler`` observe: the result dump is byte-equal
-    to the unobserved run's, and the sink holds exactly the events a
-    hand-wired ``run_app(..., obs=...)`` records."""
+    """A spec's captures observe: the result dump without them is
+    byte-equal to the uncaptured run's, the trace holds exactly the
+    events a hand-wired ``run_app(..., obs=...)`` records, and the
+    windows are a bare sampler's."""
     from repro.obs import (MemorySink, Observability,
                            TimeseriesSampler, Tracer)
 
-    spec = _spec(protocol="li")
-    sink = MemorySink()
-    sampler = TimeseriesSampler(window_us=250.0)
-    observed = execute_spec(spec, sink=sink, sampler=sampler)
-    assert json.dumps(observed.to_dict(), sort_keys=True) == \
-        json.dumps(execute_spec(spec).to_dict(), sort_keys=True)
-    assert sampler.windows
+    spec = _spec(protocol="li", trace=True, window_us=250.0)
+    observed = execute_spec(spec).to_dict()
+    trace, windows = observed.pop("trace"), observed.pop("windows")
+    assert json.dumps(observed, sort_keys=True) == json.dumps(
+        execute_spec(_spec(protocol="li")).to_dict(), sort_keys=True)
 
     wired = MemorySink()
+    sampler = TimeseriesSampler(window_us=250.0)
     run_app(create_app("jacobi", **SMALL), spec.config, protocol="li",
-            obs=Observability(tracer=Tracer(wired)))
-
-    def stream(events):
-        # Message ids come from a process-wide counter: rebase them.
-        ids = ("msg", "reply_to", "cause")
-        base = min(e.fields["msg"] for e in events if "msg" in e.fields)
-        return [(e.ts, e.name,
-                 {k: v - base if k in ids and v is not None else v
-                  for k, v in e.fields.items()})
-                for e in events]
-
-    assert sink.events and stream(sink.events) == stream(wired.events)
-    assert spec.fingerprint() == _spec(protocol="li").fingerprint()
+            obs=Observability(tracer=Tracer(wired)), sampler=sampler)
+    assert windows == sampler.windows
+    # Every machine numbers its messages from 0: the ids match too.
+    assert trace and trace == [event.to_record()
+                               for event in wired.events]
 
 
 def test_trace_path_and_sink_are_one_choice(tmp_path):
-    from repro.obs import MemorySink
-
-    with pytest.raises(ValueError, match="trace_path or sink"):
-        execute_spec(_spec(), trace_path=str(tmp_path / "t.jsonl"),
-                     sink=MemorySink())
+    """A traced spec captures into its own sink; ``trace_path``
+    streams an untraced one to a file — not both at once."""
+    with pytest.raises(ValueError, match="traced spec"):
+        execute_spec(_spec(trace=True),
+                     trace_path=str(tmp_path / "t.jsonl"))
 
 
 def test_threads_per_proc_needs_a_multithreaded_app():

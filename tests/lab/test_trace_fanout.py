@@ -1,84 +1,92 @@
-"""Tracing under the experiment harness: per-spec sink files under
-pool fan-out (no shared sinks, no corrupt lines), cache interaction,
-and mid-run tracer toggling at the engine level."""
+"""Capture under the experiment harness: a spec that asks for its
+trace and windows gets the same capture from every tier — serial,
+pool fan-out, memo and disk hits — equal to a direct
+``execute_spec``, without changing the run; and mid-run tracer
+toggling at the engine level."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core.config import MachineConfig, NetworkConfig
-from repro.lab import Lab, RunSpec
+from repro.lab import Lab, RunSpec, execute_spec
 from repro.obs import (CausalTrace, MemorySink, NullSink,
-                       Observability, Tracer, read_jsonl)
+                       Observability, Tracer)
 
 JACOBI = {"n": 16, "iterations": 2}
 
 
 def specs(protocols=("lh", "li", "lu", "ei")):
-    return [RunSpec("jacobi", JACOBI, protocol=protocol,
+    return [RunSpec("jacobi", JACOBI, protocol=protocol, trace=True,
+                    window_us=100.0,
                     config=MachineConfig(
                         nprocs=4, network=NetworkConfig.atm()))
             for protocol in protocols]
 
 
-def _check_traces(trace_dir, run_specs, results):
-    files = {path.name: path for path in trace_dir.glob("*.jsonl")}
-    assert len(files) == len(run_specs)
+def _capture(result):
+    """The capture as the JSON a cache entry holds."""
+    return json.dumps({"trace": result.trace,
+                       "windows": result.windows}, sort_keys=True)
+
+
+def _direct(spec):
+    return _capture(execute_spec(spec))
+
+
+def test_pool_fanout_writes_one_valid_trace_per_spec():
+    """Pool workers each capture their own spec's trace (no shared
+    sink), and every trace reconciles with its result."""
+    run_specs = specs()
+    with Lab(jobs=2, cache=False) as lab:
+        results = lab.run_many(run_specs)
     for spec, result in zip(run_specs, results):
-        name = (f"{spec.app}-{spec.protocol}-"
-                f"{spec.fingerprint()[:12]}.jsonl")
-        assert name in files, f"missing trace {name}"
-        # Every line is one complete JSON object (no interleaving,
-        # no truncation), and the trace reconciles with the result.
-        lines = files[name].read_text().splitlines()
-        assert lines
-        for line in lines:
-            record = json.loads(line)
+        assert _capture(result) == _direct(spec)
+        for record in result.trace:
             assert "ts" in record and "name" in record
-        trace = CausalTrace(read_jsonl(str(files[name])))
+        trace = CausalTrace.from_records(result.trace)
         assert trace.elapsed == pytest.approx(result.elapsed_cycles,
                                               rel=0.01)
+        assert result.windows[-1]["t1_cycles"] == result.elapsed_cycles
 
 
-def test_pool_fanout_writes_one_valid_trace_per_spec(tmp_path):
+def test_serial_path_traces_identically():
     run_specs = specs()
-    with Lab(jobs=2, cache=False,
-             trace_dir=str(tmp_path / "traces")) as lab:
-        results = lab.run_many(run_specs)
-    _check_traces(tmp_path / "traces", run_specs, results)
+    with Lab(cache=False) as lab:
+        serial = lab.run_many(run_specs)
+    with Lab(jobs=2, cache=False) as lab:
+        pooled = lab.run_many(run_specs)
+    assert [_capture(r) for r in serial] == \
+        [_capture(r) for r in pooled] == \
+        [_direct(spec) for spec in run_specs]
 
 
-def test_serial_path_traces_identically(tmp_path):
-    run_specs = specs()
-    with Lab(cache=False, trace_dir=str(tmp_path / "traces")) as lab:
-        results = lab.run_many(run_specs)
-    _check_traces(tmp_path / "traces", run_specs, results)
-
-
-def test_cache_hits_produce_no_trace(tmp_path):
+def test_cache_hits_return_the_same_capture(tmp_path):
     spec = specs(("lh",))[0]
     cache_dir = str(tmp_path / "cache")
     with Lab(cache_dir=cache_dir) as lab:
-        lab.run(spec)  # populate, untraced
-    trace_dir = tmp_path / "traces"
-    with Lab(cache_dir=cache_dir,
-             trace_dir=str(trace_dir)) as lab:
-        lab.run(spec)  # disk hit: executes nothing, traces nothing
+        executed = lab.run(spec)
+        memo = lab.run(spec)
+        assert lab.stats()["cache_hits_memory"] == 1
+    with Lab(cache_dir=cache_dir) as lab:
+        disk = lab.run(spec)   # executes nothing
         assert lab.stats()["cache_hits_disk"] == 1
-    assert list(trace_dir.glob("*.jsonl")) == []
+        assert lab.stats()["executed"] == 0
+    assert _capture(executed) == _capture(memo) == _capture(disk) \
+        == _direct(spec)
 
 
-def test_trace_dir_does_not_change_fingerprints(tmp_path):
+def test_capture_leaves_the_registry_byte_equal():
     spec = specs(("lh",))[0]
-    with Lab(cache=False,
-             trace_dir=str(tmp_path / "traces")) as traced_lab:
-        traced = traced_lab.run(spec)
-    with Lab(cache=False) as plain_lab:
-        plain = plain_lab.run(spec)
-    # Tracing observes the run without perturbing it.
-    assert traced.elapsed_cycles == plain.elapsed_cycles
-    assert traced.total_messages == plain.total_messages
-    assert traced.registry.dump() == plain.registry.dump()
+    with Lab(cache=False) as lab:
+        captured, plain = lab.run_many(
+            [spec, replace(spec, trace=False, window_us=0.0)])
+    # Capturing observes the run without perturbing it.
+    assert plain.trace is None and plain.windows is None
+    assert captured.elapsed_cycles == plain.elapsed_cycles
+    assert json.dumps(captured.registry.dump(), sort_keys=True) == \
+        json.dumps(plain.registry.dump(), sort_keys=True)
 
 
 def test_tracer_toggles_mid_simulation():

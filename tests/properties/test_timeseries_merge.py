@@ -20,7 +20,7 @@ from repro.obs import TimeseriesSampler
 
 #: The per-window deltas that add across adjacent windows.
 DELTAS = ("events", "wire_bytes", "data_bytes", "lock_wait_cycles",
-          "diff_bytes", "requests", "slo_violations")
+          "diff_bytes")
 
 
 def coarsened(windows, k):
@@ -32,13 +32,13 @@ def coarsened(windows, k):
         group = windows[start:start + k]
         messages = Counter()
         for window in group:
-            messages.update(window.messages)
+            messages.update(window["messages"])
         out.append({
-            "t0_cycles": group[0].t0_cycles,
-            "t1_cycles": group[-1].t1_cycles,
+            "t0_cycles": group[0]["t0_cycles"],
+            "t1_cycles": group[-1]["t1_cycles"],
             "messages": messages,
-            "queue_depth": group[-1].queue_depth,
-            **{name: sum(getattr(w, name) for w in group)
+            "queue_depth": group[-1]["queue_depth"],
+            **{name: sum(w[name] for w in group)
                for name in DELTAS},
         })
     return out
