@@ -97,7 +97,7 @@ class RunResult:
 
     #: Bumped whenever the serialized layout changes; the lab cache
     #: refuses dumps from another schema generation.
-    SCHEMA_VERSION = 2
+    SCHEMA_VERSION = 3
 
     def to_dict(self) -> dict:
         """JSON-ready dump of the whole result, metrics registry

@@ -259,7 +259,6 @@ class Node:
         ins = self.ins
         ins.messages[message.kind].value += 1
         ins.data_bytes.value += message.data_bytes
-        ins.wire_bytes.value += size
         if self.tracer.sink.enabled:
             self.tracer.emit("msg.send", msg=message.msg_id,
                              src=message.src,
@@ -289,7 +288,6 @@ class Node:
         ins = self.ins
         ins.messages[message.kind].value += 1
         ins.data_bytes.value += message.data_bytes
-        ins.wire_bytes.value += size
         if self.tracer.sink.enabled:
             self.tracer.emit("msg.send", msg=message.msg_id,
                              src=message.src,

@@ -113,9 +113,6 @@ class FaultInjector:
     reorders = property(lambda self: self._reorders.value)
     delay_cycles_injected = property(
         lambda self: float(self._delay.value))
-    stalls = property(lambda self: self._stalls.value)
-    stall_cycles = property(
-        lambda self: float(self._stall_cycles.value))
 
     # -- node-lifecycle plan --------------------------------------------
 

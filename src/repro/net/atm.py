@@ -29,12 +29,6 @@ class AtmNetwork(Network):
         nprocs = config.nprocs
         self._out_free = [0.0] * nprocs
         self._in_free = [0.0] * nprocs
-        self._obs_port_contention = None
-
-    def attach_obs(self, obs) -> None:
-        super().attach_obs(obs)
-        self._obs_port_contention = obs.registry.get(
-            "net.port_contention_total").labels()
 
     def _schedule(self, message: Message) -> float:
         now = self.sim.now
@@ -43,8 +37,6 @@ class AtmNetwork(Network):
         start = max(now, self._out_free[message.src],
                     self._in_free[message.dst])
         waited = start - now
-        if waited > 0 and self._obs_port_contention is not None:
-            self._obs_port_contention.value += 1
         end = start + wire
         self._out_free[message.src] = end
         self._in_free[message.dst] = end
@@ -52,7 +44,6 @@ class AtmNetwork(Network):
         stats.messages_cell.value += 1
         stats.wire_bytes_cell.value += size
         stats.data_bytes_cell.value += message.data_bytes
-        stats.wire_cycles_cell.value += wire
         stats.contention_cell.value += waited
         hist = stats.wire_hist
         if hist is not None:

@@ -30,7 +30,6 @@ class NetworkStats:
         "messages_cell": "net.messages_total",
         "wire_bytes_cell": "net.wire_bytes_total",
         "data_bytes_cell": "net.data_bytes_total",
-        "wire_cycles_cell": "net.wire_cycles_total",
         "contention_cell": "net.contention_cycles_total",
         "collisions_cell": "net.collisions_total",
     }
@@ -53,8 +52,6 @@ class NetworkStats:
     messages = property(lambda self: self.messages_cell.value)
     bytes_sent = property(lambda self: self.wire_bytes_cell.value)
     data_bytes_sent = property(lambda self: self.data_bytes_cell.value)
-    busy_cycles = property(
-        lambda self: float(self.wire_cycles_cell.value))
     contention_cycles = property(
         lambda self: float(self.contention_cell.value))
     collisions = property(lambda self: self.collisions_cell.value)
@@ -113,9 +110,7 @@ class Network(ABC):
         self.faults = injector
 
     def attach_obs(self, obs) -> None:
-        """Count traffic in the metrics registry from here on.
-        Subclasses extend this with their model-specific metrics
-        (backoff, port contention)."""
+        """Count traffic in the metrics registry from here on."""
         self.stats.attach_obs(obs)
         self._tracer = obs.tracer
 

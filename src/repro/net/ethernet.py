@@ -36,12 +36,6 @@ class EthernetNetwork(Network):
         self._free_at = 0.0
         self._queued = 0
         self._rng = substream(config.seed, "ethernet")
-        self._obs_backoff = None
-
-    def attach_obs(self, obs) -> None:
-        super().attach_obs(obs)
-        self._obs_backoff = obs.registry.get(
-            "net.backoff_cycles_total").labels()
 
     def _schedule(self, message: Message) -> float:
         now = self.sim.now
@@ -64,8 +58,6 @@ class EthernetNetwork(Network):
             start += backoff
             waited += backoff
             stats.collisions_cell.value += 1
-            if self._obs_backoff is not None:
-                self._obs_backoff.value += backoff
             end = start + wire
             self.sim.schedule(end - now, self._release_slot)
         else:
@@ -75,7 +67,6 @@ class EthernetNetwork(Network):
         stats.messages_cell.value += 1
         stats.wire_bytes_cell.value += size
         stats.data_bytes_cell.value += message.data_bytes
-        stats.wire_cycles_cell.value += wire
         stats.contention_cell.value += waited
         hist = stats.wire_hist
         if hist is not None:

@@ -22,13 +22,12 @@ class IdealNetwork(Network):
     DROP_CONSUMES_WIRE = False
 
     def _schedule(self, message: Message) -> float:
-        # No wire time, no waiting; adding 0.0 keeps the two cycle
-        # cells floats, which is how every dump holds them.
+        # No waiting; adding 0.0 keeps the contention cell a float,
+        # which is how every dump holds it.
         stats = self.stats
         stats.messages_cell.value += 1
         stats.wire_bytes_cell.value += message.size_bytes
         stats.data_bytes_cell.value += message.data_bytes
-        stats.wire_cycles_cell.value += 0.0
         stats.contention_cell.value += 0.0
         hist = stats.wire_hist
         if hist is not None:

@@ -76,13 +76,13 @@ class NodeInstruments:
     skip the ``inc()`` frame.
     """
 
-    __slots__ = ("messages", "data_bytes", "wire_bytes",
-                 "read_misses", "write_misses", "cold_misses",
-                 "page_transfers", "diffs_created", "diff_words",
-                 "diffs_applied", "invalidations", "notices_created",
-                 "notices_received", "miss_wait", "lock_acquires",
-                 "lock_local_acquires", "lock_wait", "barrier_waits",
-                 "barrier_wait", "compute_cycles", "overhead_cycles")
+    __slots__ = ("messages", "data_bytes", "read_misses",
+                 "write_misses", "page_transfers", "diffs_created",
+                 "diff_words", "diffs_applied", "invalidations",
+                 "notices_created", "notices_received", "miss_wait",
+                 "lock_acquires", "lock_local_acquires", "lock_wait",
+                 "barrier_waits", "barrier_wait", "compute_cycles",
+                 "overhead_cycles")
 
     def __init__(self, registry: MetricsRegistry, proc: int) -> None:
         node = str(proc)
@@ -93,10 +93,8 @@ class NodeInstruments:
         self.messages = _MessageChildren(
             registry.get("dsm.messages_total"), node)
         self.data_bytes = bound("dsm.data_bytes_total")
-        self.wire_bytes = bound("dsm.wire_bytes_total")
         self.read_misses = bound("dsm.read_misses_total")
         self.write_misses = bound("dsm.write_misses_total")
-        self.cold_misses = bound("dsm.cold_misses_total")
         self.page_transfers = bound("dsm.page_transfers_total")
         self.diffs_created = bound("dsm.diffs_created_total")
         self.diff_words = bound("dsm.diff_words_total")

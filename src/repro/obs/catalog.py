@@ -1,9 +1,10 @@
 """The metrics catalogue: every standard metric the simulator emits.
 
-Each :class:`MetricSpec` names one metric, its type, unit, label set,
-and the paper artifact(s) that consume it.  ``docs/observability.md``
-renders this catalogue for humans, and ``tests/docs`` asserts the two
-stay in sync.
+Each :class:`MetricSpec` names one metric, its type, unit, label set
+and description.  These words live here once: a registry dump carries
+values only and takes them back from :data:`CATALOG_BY_NAME` when it
+is restored.  ``docs/observability.md`` tables this catalogue for
+humans, and ``tests/docs`` asserts the two agree row for row.
 
 Naming convention: ``<layer>.<quantity>[_total]`` — ``_total`` marks a
 monotonic counter; histograms and gauges drop the suffix.  Layers:
@@ -35,7 +36,6 @@ class MetricSpec:
     unit: str
     description: str
     labels: Tuple[str, ...] = ()
-    consumers: Tuple[str, ...] = ()
     #: Histogram bucket bounds; empty means the registry's cycle-
     #: scaled ``DEFAULT_BUCKETS``.
     buckets: Tuple[float, ...] = ()
@@ -43,13 +43,6 @@ class MetricSpec:
     def __post_init__(self) -> None:
         if self.kind not in (COUNTER, GAUGE, HISTOGRAM):
             raise ValueError(f"bad metric kind {self.kind!r}")
-
-
-def _spec(name, kind, unit, description, labels=(), consumers=(),
-          buckets=()):
-    return MetricSpec(name=name, kind=kind, unit=unit,
-                      description=description, labels=tuple(labels),
-                      consumers=tuple(consumers), buckets=buckets)
 
 
 #: Checkpoint blobs run page-sized to megabytes, so the cycle-scaled
@@ -68,99 +61,70 @@ MEM_BYTE_BUCKETS: Tuple[float, ...] = (
 #: Every standard metric, in catalogue order.
 CATALOG: Tuple[MetricSpec, ...] = (
     # -- sim -----------------------------------------------------------
-    _spec("sim.events_dispatched_total", COUNTER, "events",
-          "Callbacks run by the discrete-event loop.",
-          consumers=("diagnostics",)),
-    _spec("sim.queue_depth_peak", GAUGE, "events",
-          "Peak length of the pending-event heap.",
-          consumers=("diagnostics",)),
+    MetricSpec("sim.events_dispatched_total", COUNTER, "events",
+               "Callbacks run by the discrete-event loop."),
+    MetricSpec("sim.queue_depth_peak", GAUGE, "events",
+               "Peak length of the pending-event heap."),
     # -- net -----------------------------------------------------------
-    _spec("net.messages_total", COUNTER, "messages",
-          "Messages accepted by the network.",
-          consumers=("Table 1", "Figs 8/11/14/17")),
-    _spec("net.wire_bytes_total", COUNTER, "bytes",
-          "Total bytes on the wire (headers + shared data)."),
-    _spec("net.data_bytes_total", COUNTER, "bytes",
-          "Shared-data bytes on the wire (diffs and pages only).",
-          consumers=("Figs 9/12/15/18",)),
-    _spec("net.wire_cycles_total", COUNTER, "cycles",
-          "Cycles the medium (or a port pair) was busy serializing."),
-    _spec("net.contention_cycles_total", COUNTER, "cycles",
-          "Cycles messages waited for the medium or a port.",
-          consumers=("Section 6.1", "Table 2")),
-    _spec("net.wire_cycles", HISTOGRAM, "cycles",
-          "Per-message serialization time."),
-    _spec("net.collisions_total", COUNTER, "collisions",
-          "Ethernet CSMA/CD collision episodes.",
-          consumers=("Section 6.1",)),
-    _spec("net.backoff_cycles_total", COUNTER, "cycles",
-          "Ethernet binary-exponential-backoff penalty cycles.",
-          consumers=("Section 6.1",)),
-    _spec("net.port_contention_total", COUNTER, "messages",
-          "ATM messages that waited for a busy input/output port."),
+    MetricSpec("net.messages_total", COUNTER, "messages",
+               "Messages accepted by the network."),
+    MetricSpec("net.wire_bytes_total", COUNTER, "bytes",
+               "Total bytes on the wire (headers + shared data)."),
+    MetricSpec("net.data_bytes_total", COUNTER, "bytes",
+               "Shared-data bytes on the wire (diffs and pages only)."),
+    MetricSpec("net.contention_cycles_total", COUNTER, "cycles",
+               "Cycles messages waited for the medium or a port."),
+    MetricSpec("net.wire_cycles", HISTOGRAM, "cycles",
+               "Per-message serialization time."),
+    MetricSpec("net.collisions_total", COUNTER, "collisions",
+               "Ethernet CSMA/CD collision episodes."),
     # -- dsm -----------------------------------------------------------
-    _spec("dsm.messages_total", COUNTER, "messages",
-          "Messages sent, by sending node and message type.",
-          labels=("node", "msg_type"),
-          consumers=("Table 1", "Figs 8/11/14/17", "Section 6.2")),
-    _spec("dsm.data_bytes_total", COUNTER, "bytes",
-          "Shared-data bytes sent per node.", labels=("node",),
-          consumers=("Figs 9/12/15/18",)),
-    _spec("dsm.wire_bytes_total", COUNTER, "bytes",
-          "Wire bytes (headers included) sent per node.",
-          labels=("node",)),
-    _spec("dsm.read_misses_total", COUNTER, "misses",
-          "Access misses on reads.", labels=("node",),
-          consumers=("Section 6.2",)),
-    _spec("dsm.write_misses_total", COUNTER, "misses",
-          "Access misses on writes.", labels=("node",),
-          consumers=("Section 6.2",)),
-    _spec("dsm.cold_misses_total", COUNTER, "misses",
-          "Misses on pages never cached locally.", labels=("node",)),
-    _spec("dsm.page_transfers_total", COUNTER, "pages",
-          "Whole-page copies received.", labels=("node",),
-          consumers=("Figs 9/12/15/18",)),
-    _spec("dsm.diffs_created_total", COUNTER, "diffs",
-          "Diffs created at interval seals.", labels=("node",),
-          consumers=("Section 6.2", "Table 5")),
-    _spec("dsm.diff_words_total", COUNTER, "words",
-          "Words captured in created diffs.", labels=("node",)),
-    _spec("dsm.diffs_applied_total", COUNTER, "diffs",
-          "Diffs received and stored from peers.", labels=("node",)),
-    _spec("dsm.invalidations_total", COUNTER, "invalidations",
-          "Page copies invalidated by write notices or flushes.",
-          labels=("node",)),
-    _spec("dsm.write_notices_created_total", COUNTER, "notices",
-          "Write notices created at interval seals.",
-          labels=("node",)),
-    _spec("dsm.write_notices_received_total", COUNTER, "notices",
-          "Write notices incorporated from peers.", labels=("node",)),
-    _spec("dsm.miss_wait_cycles", HISTOGRAM, "cycles",
-          "Full stall per access miss (messages + remote service).",
-          labels=("node",), consumers=("Section 6.2",)),
+    MetricSpec("dsm.messages_total", COUNTER, "messages",
+               "Messages sent, by sending node and message type.",
+               labels=("node", "msg_type")),
+    MetricSpec("dsm.data_bytes_total", COUNTER, "bytes",
+               "Shared-data bytes sent per node.", labels=("node",)),
+    MetricSpec("dsm.read_misses_total", COUNTER, "misses",
+               "Access misses on reads.", labels=("node",)),
+    MetricSpec("dsm.write_misses_total", COUNTER, "misses",
+               "Access misses on writes.", labels=("node",)),
+    MetricSpec("dsm.page_transfers_total", COUNTER, "pages",
+               "Whole-page copies received.", labels=("node",)),
+    MetricSpec("dsm.diffs_created_total", COUNTER, "diffs",
+               "Diffs created at interval seals.", labels=("node",)),
+    MetricSpec("dsm.diff_words_total", COUNTER, "words",
+               "Words captured in created diffs.", labels=("node",)),
+    MetricSpec("dsm.diffs_applied_total", COUNTER, "diffs",
+               "Diffs received and stored from peers.", labels=("node",)),
+    MetricSpec("dsm.invalidations_total", COUNTER, "invalidations",
+               "Page copies invalidated by write notices or flushes.",
+               labels=("node",)),
+    MetricSpec("dsm.write_notices_created_total", COUNTER, "notices",
+               "Write notices created at interval seals.",
+               labels=("node",)),
+    MetricSpec("dsm.write_notices_received_total", COUNTER, "notices",
+               "Write notices incorporated from peers.", labels=("node",)),
+    MetricSpec("dsm.miss_wait_cycles", HISTOGRAM, "cycles",
+               "Full stall per access miss (messages + remote service).",
+               labels=("node",)),
     # -- sync ----------------------------------------------------------
-    _spec("sync.lock_acquires_total", COUNTER, "acquires",
-          "Lock acquisitions (remote and local).", labels=("node",),
-          consumers=("Table 1", "Section 6.2")),
-    _spec("sync.lock_local_acquires_total", COUNTER, "acquires",
-          "Acquisitions satisfied by a locally cached token.",
-          labels=("node",), consumers=("Section 6.2",)),
-    _spec("sync.lock_wait_cycles", HISTOGRAM, "cycles",
-          "Stall per lock acquisition.", labels=("node",),
-          consumers=("Section 6.2",)),
-    _spec("sync.barrier_waits_total", COUNTER, "episodes",
-          "Barrier episodes completed.", labels=("node",),
-          consumers=("Table 1",)),
-    _spec("sync.barrier_wait_cycles", HISTOGRAM, "cycles",
-          "Stall per barrier episode.", labels=("node",),
-          consumers=("Section 6.1", "Section 6.2")),
+    MetricSpec("sync.lock_acquires_total", COUNTER, "acquires",
+               "Lock acquisitions (remote and local).", labels=("node",)),
+    MetricSpec("sync.lock_local_acquires_total", COUNTER, "acquires",
+               "Acquisitions satisfied by a locally cached token.",
+               labels=("node",)),
+    MetricSpec("sync.lock_wait_cycles", HISTOGRAM, "cycles",
+               "Stall per lock acquisition.", labels=("node",)),
+    MetricSpec("sync.barrier_waits_total", COUNTER, "episodes",
+               "Barrier episodes completed.", labels=("node",)),
+    MetricSpec("sync.barrier_wait_cycles", HISTOGRAM, "cycles",
+               "Stall per barrier episode.", labels=("node",)),
     # -- cpu -----------------------------------------------------------
-    _spec("cpu.compute_cycles_total", COUNTER, "cycles",
-          "Application computation charged.", labels=("node",),
-          consumers=("Table 3", "Table 4")),
-    _spec("cpu.overhead_cycles_total", COUNTER, "cycles",
-          "Software overhead (message handling + diffing).",
-          labels=("node",), consumers=("Table 3",)),
+    MetricSpec("cpu.compute_cycles_total", COUNTER, "cycles",
+               "Application computation charged.", labels=("node",)),
+    MetricSpec("cpu.overhead_cycles_total", COUNTER, "cycles",
+               "Software overhead (message handling + diffing).",
+               labels=("node",)),
 )
 
 #: Metrics of the robustness subsystem (fault injection + reliable
@@ -170,75 +134,68 @@ CATALOG: Tuple[MetricSpec, ...] = (
 #: without the subsystem (the obs parity test pins this).
 ROBUSTNESS_CATALOG: Tuple[MetricSpec, ...] = (
     # -- faults --------------------------------------------------------
-    _spec("faults.drops_total", COUNTER, "packets",
-          "Packets killed by the fault injector.",
-          consumers=("loss sweep",)),
-    _spec("faults.duplicates_total", COUNTER, "packets",
-          "Extra deliveries created by the fault injector."),
-    _spec("faults.reorders_total", COUNTER, "packets",
-          "Packets held back to force reordering."),
-    # Counts reorder holds only.  The help text is embedded in the
-    # kvstore_lh_atm8_lossy and jacobi_lh_atm4_crash golden dumps.
-    _spec("faults.delay_cycles_total", COUNTER, "cycles",
-          "Extra delivery latency injected (delays + reorder holds)."),
-    _spec("faults.stalls_total", COUNTER, "stalls",
-          "CPU stall windows injected."),
-    _spec("faults.stall_cycles_total", COUNTER, "cycles",
-          "Cycles of injected CPU stall."),
+    MetricSpec("faults.drops_total", COUNTER, "packets",
+               "Packets killed by the fault injector."),
+    MetricSpec("faults.duplicates_total", COUNTER, "packets",
+               "Extra deliveries created by the fault injector."),
+    MetricSpec("faults.reorders_total", COUNTER, "packets",
+               "Packets held back to force reordering."),
+    MetricSpec("faults.delay_cycles_total", COUNTER, "cycles",
+               "Extra delivery latency injected by reorder holds "
+               "(REORDER_DELAY_US per reordered packet)."),
+    MetricSpec("faults.stalls_total", COUNTER, "stalls",
+               "CPU stall windows injected."),
+    MetricSpec("faults.stall_cycles_total", COUNTER, "cycles",
+               "Cycles of injected CPU stall."),
     # -- node lifecycle (crash/recovery) -------------------------------
-    _spec("faults.crashes_total", COUNTER, "crashes",
-          "Node crashes executed by the lifecycle manager.",
-          consumers=("availability sweep",)),
-    _spec("faults.crash_dropped_packets_total", COUNTER, "packets",
-          "Packets dropped at a crashed node's dead NIC.",
-          consumers=("conservation invariant",)),
-    _spec("faults.crash_checkpoint_bytes", HISTOGRAM, "bytes",
-          "Serialized size of the DSM checkpoint taken at each "
-          "crash.", buckets=CRASH_BYTE_BUCKETS),
-    _spec("faults.recoveries_total", COUNTER, "recoveries",
-          "Crashed nodes restored from checkpoint.",
-          consumers=("availability sweep",)),
-    _spec("faults.recovery_outage_cycles", HISTOGRAM, "cycles",
-          "Crash-to-restore downtime per recovery.",
-          consumers=("availability sweep",)),
-    _spec("faults.recovery_replayed_total", COUNTER, "messages",
-          "Logged in-flight messages replayed into a restored node."),
+    MetricSpec("faults.crashes_total", COUNTER, "crashes",
+               "Node crashes executed from the crash plan."),
+    MetricSpec("faults.crash_dropped_packets_total", COUNTER, "packets",
+               "Packets discarded at the NIC because their "
+               "destination node was down."),
+    MetricSpec("faults.crash_checkpoint_bytes", HISTOGRAM, "bytes",
+               "Size of each RCKP checkpoint taken at a crash instant.",
+               buckets=CRASH_BYTE_BUCKETS),
+    MetricSpec("faults.recoveries_total", COUNTER, "recoveries",
+               "Node restorations from an RCKP checkpoint."),
+    MetricSpec("faults.recovery_outage_cycles", HISTOGRAM, "cycles",
+               "Length of each completed outage (crash instant to "
+               "restore)."),
+    MetricSpec("faults.recovery_replayed_total", COUNTER, "messages",
+               "Logged messages re-dispatched to a node after its "
+               "recovery."),
     # -- transport -----------------------------------------------------
-    _spec("transport.packets_sent_total", COUNTER, "packets",
-          "Packets handed to the network (data, acks, retransmits).",
-          consumers=("conservation invariant",)),
-    _spec("transport.packets_received_total", COUNTER, "packets",
-          "Packets arriving from the network.",
-          consumers=("conservation invariant",)),
-    _spec("transport.data_packets_total", COUNTER, "packets",
-          "First transmissions of data-bearing packets."),
-    _spec("transport.retransmits_total", COUNTER, "packets",
-          "Timeout-driven retransmissions.",
-          consumers=("loss sweep",)),
-    _spec("transport.timeout_fires_total", COUNTER, "timeouts",
-          "Retransmission timer expiries.",
-          consumers=("loss sweep",)),
-    _spec("transport.acks_sent_total", COUNTER, "packets",
-          "Standalone (pure) acknowledgement packets."),
-    _spec("transport.acks_piggybacked_total", COUNTER, "acks",
-          "Acknowledgements folded into outgoing data packets."),
-    _spec("transport.duplicates_suppressed_total", COUNTER, "packets",
-          "Duplicate data packets discarded by the receiver."),
-    _spec("transport.out_of_order_total", COUNTER, "packets",
-          "Packets buffered while awaiting earlier sequence numbers."),
-    _spec("transport.delivered_total", COUNTER, "messages",
-          "Protocol messages delivered upward, exactly once, in "
-          "order."),
-    _spec("transport.recovery_cycles", HISTOGRAM, "cycles",
-          "First-send-to-ack latency of packets that needed at least "
-          "one retransmission.", consumers=("loss sweep",)),
-    _spec("transport.peer_down_timeouts_total", COUNTER, "timeouts",
-          "Timer expiries at the maximum backoff — the sender's "
-          "peer-death suspicion signal.",
-          consumers=("availability sweep",)),
-    _spec("transport.session_resets_total", COUNTER, "streams",
-          "Per-stream resets (backoff cleared, oldest unacked "
-          "reprobed) when a crashed peer recovers."),
+    MetricSpec("transport.packets_sent_total", COUNTER, "packets",
+               "Packets handed to the network (data, acks, retransmits)."),
+    MetricSpec("transport.packets_received_total", COUNTER, "packets",
+               "Packets arriving from the network."),
+    MetricSpec("transport.data_packets_total", COUNTER, "packets",
+               "First transmissions of data-bearing packets."),
+    MetricSpec("transport.retransmits_total", COUNTER, "packets",
+               "Timeout-driven retransmissions."),
+    MetricSpec("transport.timeout_fires_total", COUNTER, "timeouts",
+               "Retransmission timer expiries."),
+    MetricSpec("transport.acks_sent_total", COUNTER, "packets",
+               "Standalone (pure) acknowledgement packets."),
+    MetricSpec("transport.acks_piggybacked_total", COUNTER, "acks",
+               "Acknowledgements folded into outgoing data packets."),
+    MetricSpec("transport.duplicates_suppressed_total", COUNTER, "packets",
+               "Duplicate data packets discarded by the receiver."),
+    MetricSpec("transport.out_of_order_total", COUNTER, "packets",
+               "Packets buffered while awaiting earlier sequence numbers."),
+    MetricSpec("transport.delivered_total", COUNTER, "messages",
+               "Protocol messages delivered upward, exactly once, in "
+               "order."),
+    MetricSpec("transport.recovery_cycles", HISTOGRAM, "cycles",
+               "First-send-to-ack latency of packets that needed at least "
+               "one retransmission."),
+    MetricSpec("transport.peer_down_timeouts_total", COUNTER, "timeouts",
+               "Timer expiries past the backoff-exponent cap — the "
+               "sender's peer-death suspicion signal."),
+    MetricSpec("transport.session_resets_total", COUNTER, "resets",
+               "Per-stream session resets performed when a crashed "
+               "peer rejoins (backoff cleared, oldest packet re-probed, "
+               "owed acks flushed)."),
 )
 
 #: Metrics of the experiment harness (:mod:`repro.lab`, see
@@ -247,34 +204,31 @@ ROBUSTNESS_CATALOG: Tuple[MetricSpec, ...] = (
 #: simulated cycles) and live on the lab's own registry, never on a
 #: machine run's, so per-run stats dumps are unchanged.
 LAB_CATALOG: Tuple[MetricSpec, ...] = (
-    _spec("lab.jobs_executed_total", COUNTER, "runs",
-          "Run specs actually simulated (cache misses that ran).",
-          consumers=("warm-cache CI gate",)),
-    _spec("lab.cache_hits_total", COUNTER, "runs",
-          "Run specs satisfied without simulating, by cache tier.",
-          labels=("tier",),
-          consumers=("warm-cache CI gate",)),
-    _spec("lab.cache_misses_total", COUNTER, "runs",
-          "Run specs found in neither cache tier."),
-    _spec("lab.retries_total", COUNTER, "runs",
-          "Run specs resubmitted after their process pool broke "
-          "(killed worker); a run that raised is never re-run."),
-    _spec("lab.failures_total", COUNTER, "runs",
-          "Run specs whose run raised (or whose pool broke twice)."),
-    _spec("lab.wall_seconds_total", COUNTER, "seconds",
-          "Real wall-clock time spent inside Lab.run_many.",
-          consumers=("Lab.format_stats",)),
-    _spec("lab.run_seconds", HISTOGRAM, "seconds",
-          "Per-run execution wall time, measured in the worker."),
-    _spec("lab.worker_utilization", GAUGE, "ratio",
-          "Busy-worker seconds over wall seconds x pool size, for "
-          "the latest parallel batch.",
-          consumers=("diagnostics",)),
-    _spec("lab.executor_startup_seconds", GAUGE, "seconds",
-          "One-time cost of spinning up and warming the process pool "
-          "(fork + imports + code-version seeding), measured at first "
-          "parallel batch.",
-          consumers=("benchmarks/test_lab.py",)),
+    MetricSpec("lab.jobs_executed_total", COUNTER, "runs",
+               "Run specs actually simulated (cache misses that ran)."),
+    MetricSpec("lab.cache_hits_total", COUNTER, "runs",
+               "Run specs satisfied without simulating, by cache tier "
+               "(memory / disk).",
+               labels=("tier",)),
+    MetricSpec("lab.cache_misses_total", COUNTER, "runs",
+               "Run specs found in neither cache tier."),
+    MetricSpec("lab.retries_total", COUNTER, "runs",
+               "Run specs resubmitted after their process pool broke "
+               "(killed worker); a run that raised is never re-run."),
+    MetricSpec("lab.failures_total", COUNTER, "runs",
+               "Run specs whose run raised (or whose pool broke twice)."),
+    MetricSpec("lab.wall_seconds_total", COUNTER, "seconds",
+               "Wall-clock time spent in Lab.run_many batches."),
+    MetricSpec("lab.run_seconds", HISTOGRAM, "seconds",
+               "Wall-clock time of each executed run, measured in the "
+               "worker."),
+    MetricSpec("lab.worker_utilization", GAUGE, "ratio",
+               "Busy-worker seconds over wall seconds x pool size, for "
+               "the latest parallel batch."),
+    MetricSpec("lab.executor_startup_seconds", GAUGE, "seconds",
+               "One-time cost of spinning up and warming the process pool "
+               "(fork + imports + code-version seeding), measured at first "
+               "parallel batch."),
 )
 
 #: Metrics of the memory substrate (:mod:`repro.mem`, see
@@ -284,27 +238,25 @@ LAB_CATALOG: Tuple[MetricSpec, ...] = (
 #: :func:`repro.mem.instrument.enable` — a default run's stats dump is
 #: bit-for-bit unchanged.
 MEM_CATALOG: Tuple[MetricSpec, ...] = (
-    _spec("mem.diffs_encoded_total", COUNTER, "diffs",
-          "Diffs serialized to the canonical RDIF wire format."),
-    _spec("mem.diffs_decoded_total", COUNTER, "diffs",
-          "RDIF blobs parsed (and validated) back into diffs."),
-    _spec("mem.diff_runs", HISTOGRAM, "runs",
-          "Run-table length of each encoded diff (1 = a single "
-          "contiguous dirty range).",
-          consumers=("write-amplification accounting",),
-          buckets=MEM_RUN_BUCKETS),
-    _spec("mem.diff_encoded_bytes", HISTOGRAM, "bytes",
-          "Host length of each encoded RDIF blob (16-byte header + "
-          "run table + float64 payload).", buckets=MEM_BYTE_BUCKETS),
-    _spec("mem.diff_accounted_bytes", HISTOGRAM, "bytes",
-          "Simulated wire cost (Diff.size_bytes) of each encoded "
-          "diff: 8 bytes per run + word_size bytes per word.",
-          consumers=("write-amplification accounting",),
-          buckets=MEM_BYTE_BUCKETS),
-    _spec("mem.twin_snapshots_total", COUNTER, "twins",
-          "Page twins frozen (full-buffer bytes snapshots)."),
-    _spec("mem.page_installs_total", COUNTER, "pages",
-          "Page copies created or refreshed in a node's page table."),
+    MetricSpec("mem.diffs_encoded_total", COUNTER, "diffs",
+               "Diffs serialized to the canonical RDIF wire format."),
+    MetricSpec("mem.diffs_decoded_total", COUNTER, "diffs",
+               "RDIF blobs parsed (and validated) back into diffs."),
+    MetricSpec("mem.diff_runs", HISTOGRAM, "runs",
+               "Run-table length of each encoded diff (1 = a single "
+               "contiguous dirty range).",
+               buckets=MEM_RUN_BUCKETS),
+    MetricSpec("mem.diff_encoded_bytes", HISTOGRAM, "bytes",
+               "Host length of each encoded RDIF blob (16-byte header + "
+               "run table + float64 payload).", buckets=MEM_BYTE_BUCKETS),
+    MetricSpec("mem.diff_accounted_bytes", HISTOGRAM, "bytes",
+               "Simulated wire cost (Diff.size_bytes) of each encoded "
+               "diff: 8 bytes per run + word_size bytes per word.",
+               buckets=MEM_BYTE_BUCKETS),
+    MetricSpec("mem.twin_snapshots_total", COUNTER, "twins",
+               "Page twins frozen (full-buffer bytes snapshots)."),
+    MetricSpec("mem.page_installs_total", COUNTER, "pages",
+               "Page copies created or refreshed in a node's page table."),
 )
 
 #: Metrics of the serving workload (:mod:`repro.serve`, see
@@ -312,18 +264,16 @@ MEM_CATALOG: Tuple[MetricSpec, ...] = (
 #: by the kvstore app's ``setup``, never by default, so the four
 #: paper kernels' stats dumps stay bit-for-bit unchanged.
 SERVE_CATALOG: Tuple[MetricSpec, ...] = (
-    _spec("serve.requests_total", COUNTER, "requests",
-          "Serving requests completed, by operation.",
-          labels=("op",), consumers=("serving sweep",)),
-    _spec("serve.request_latency_cycles", HISTOGRAM, "cycles",
-          "Scheduled-arrival-to-completion latency per request "
-          "(queue wait included — the open-loop number SLOs are "
-          "written against).",
-          consumers=("serving sweep",)),
-    _spec("serve.queue_wait_cycles", HISTOGRAM, "cycles",
-          "Cycles each request sat scheduled-but-unserved while its "
-          "node worked off earlier arrivals.",
-          consumers=("serving sweep",)),
+    MetricSpec("serve.requests_total", COUNTER, "requests",
+               "Serving requests completed, by operation.",
+               labels=("op",)),
+    MetricSpec("serve.request_latency_cycles", HISTOGRAM, "cycles",
+               "Scheduled-arrival-to-completion latency per request "
+               "(queue wait included — the open-loop number SLOs are "
+               "written against)."),
+    MetricSpec("serve.queue_wait_cycles", HISTOGRAM, "cycles",
+               "Cycles each request sat scheduled-but-unserved while its "
+               "node worked off earlier arrivals."),
 )
 
 CATALOG_BY_NAME: Dict[str, MetricSpec] = {

@@ -4,7 +4,8 @@ The hot-path contract is prometheus-style: ``labels(...)`` returns a
 *child* that the caller keeps and increments directly, so per-message
 emission costs one attribute access and one addition, not a dict walk.
 Catalogued names (see :mod:`repro.obs.catalog`) resolve their spec
-automatically; ad-hoc metrics supply their own description/unit/labels.
+automatically; an ad-hoc metric supplies its own unit and labels.  A
+dump holds values only; the catalogue holds the words.
 """
 
 from __future__ import annotations
@@ -97,11 +98,9 @@ def _numeric_first(value: str) -> Tuple:
 class Metric:
     """One named metric holding a child per label-value combination."""
 
-    def __init__(self, spec: MetricSpec,
-                 buckets: Optional[Tuple[float, ...]] = None) -> None:
+    def __init__(self, spec: MetricSpec) -> None:
         self.spec = spec
-        self._buckets = tuple(buckets or spec.buckets
-                              or DEFAULT_BUCKETS)
+        self._buckets = spec.buckets or DEFAULT_BUCKETS
         self._children: Dict[Tuple, object] = {}
         # Expected label names precomputed once: labels() sits on the
         # per-message hot path (docs/performance.md).
@@ -190,8 +189,7 @@ class MetricsRegistry:
 
     # -- registration --------------------------------------------------
 
-    def from_spec(self, spec: MetricSpec,
-                  buckets: Optional[Tuple[float, ...]] = None) -> Metric:
+    def from_spec(self, spec: MetricSpec) -> Metric:
         existing = self._metrics.get(spec.name)
         if existing is not None:
             if existing.spec != spec:
@@ -199,12 +197,12 @@ class MetricsRegistry:
                     f"metric {spec.name} re-registered with a "
                     "different spec")
             return existing
-        metric = Metric(spec, buckets=buckets)
+        metric = Metric(spec)
         self._metrics[spec.name] = metric
         return metric
 
     def _resolve(self, name: str, kind: str, unit: str,
-                 description: str, labels, consumers) -> MetricSpec:
+                 labels) -> MetricSpec:
         spec = CATALOG_BY_NAME.get(name)
         if spec is not None:
             if spec.kind != kind:
@@ -213,24 +211,17 @@ class MetricsRegistry:
                     f"requested as a {kind}")
             return spec
         return MetricSpec(name=name, kind=kind, unit=unit,
-                          description=description,
-                          labels=tuple(labels),
-                          consumers=tuple(consumers))
+                          description="", labels=tuple(labels))
 
     def counter(self, name: str, *, unit: str = "",
-                description: str = "", labels=(),
-                consumers=()) -> Metric:
+                labels=()) -> Metric:
         return self.from_spec(self._resolve(name, COUNTER, unit,
-                                            description, labels,
-                                            consumers))
+                                            labels))
 
     def histogram(self, name: str, *, unit: str = "",
-                  description: str = "", labels=(), consumers=(),
-                  buckets: Optional[Tuple[float, ...]] = None) -> Metric:
+                  labels=()) -> Metric:
         return self.from_spec(self._resolve(name, HISTOGRAM, unit,
-                                            description, labels,
-                                            consumers),
-                              buckets=buckets)
+                                            labels))
 
     # -- reading -------------------------------------------------------
 
@@ -266,34 +257,23 @@ class MetricsRegistry:
         them on a live run, so a float :meth:`total` adds in the live
         run's order and comes out bit-identical.  Re-dumping the
         restored registry reproduces ``data`` (the round-trip tests
-        over the ``tests/perf`` goldens pin this)."""
+        over the ``tests/perf`` goldens pin this).
+
+        Each metric's kind, labels and buckets come from
+        :data:`~repro.obs.catalog.CATALOG_BY_NAME`; a name the
+        catalogue does not hold raises :class:`MetricError`."""
         registry = cls(const_labels=data.get("const_labels"))
         for entry in data.get("metrics", ()):
             spec = CATALOG_BY_NAME.get(entry["name"])
-            if spec is None or spec.kind != entry["type"]:
-                spec = MetricSpec(
-                    name=entry["name"], kind=entry["type"],
-                    unit=entry["unit"],
-                    description=entry["description"],
-                    labels=tuple(entry["labels"]),
-                    consumers=tuple(entry["consumers"]))
-            buckets = None
-            if entry["type"] == HISTOGRAM and entry["series"]:
-                # Sorted numerically: JSON stores (and sort_keys
-                # reorders) bucket bounds as string keys.  A bound
-                # keeps its type, because ``str(bound)`` is the key:
-                # ``1024`` must not come back as ``1024.0``.
-                buckets = tuple(sorted(
-                    float(bound) if "." in bound or "e" in bound
-                    else int(bound)
-                    for bound in entry["series"][0]["buckets"]
-                    if bound != "+inf"))
-            metric = registry.from_spec(spec, buckets=buckets)
-            names = metric.spec.labels
+            if spec is None:
+                raise MetricError(
+                    f"uncatalogued metric {entry['name']!r} in dump")
+            metric = registry.from_spec(spec)
+            names = spec.labels
             for series in sorted(entry["series"], key=lambda s: [
                     _numeric_first(s["labels"][name]) for name in names]):
                 child = metric.labels(**series["labels"])
-                if entry["type"] == HISTOGRAM:
+                if spec.kind == HISTOGRAM:
                     child.count = series["count"]
                     child.sum = series["sum"]
                     child.min = series["min"]
@@ -309,8 +289,10 @@ class MetricsRegistry:
     # -- export --------------------------------------------------------
 
     def dump(self) -> dict:
-        """The full stats schema: const labels + every metric with its
-        spec and current series (see docs/observability.md)."""
+        """The stats schema: const labels + every metric's name,
+        total and series (see docs/observability.md).  A metric's
+        words (kind, unit, description, labels) are its spec's, not
+        the dump's."""
         metrics = []
         for name in self.names():
             metric = self._metrics[name]
@@ -329,14 +311,8 @@ class MetricsRegistry:
                              "value": child.value}
                 series.append(entry)
             series.sort(key=lambda e: sorted(e["labels"].items()))
-            metrics.append({
-                "name": name, "type": spec.kind, "unit": spec.unit,
-                "description": spec.description,
-                "labels": list(spec.labels),
-                "consumers": list(spec.consumers),
-                "total": metric.total(),
-                "series": series,
-            })
+            metrics.append({"name": name, "total": metric.total(),
+                            "series": series})
         return {"const_labels": dict(sorted(self.const_labels.items())),
                 "metrics": metrics}
 

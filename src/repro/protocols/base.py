@@ -369,8 +369,6 @@ class BaseProtocol:
             node.ins.write_misses.value += 1
         else:
             node.ins.read_misses.value += 1
-        if copy is None:
-            node.ins.cold_misses.value += 1
         if node.tracer.sink.enabled:
             node.tracer.emit("protocol.page_fault", page=page,
                              node=node.proc, write=for_write,

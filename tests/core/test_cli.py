@@ -255,19 +255,27 @@ def test_stats_load_accepts_cache_envelopes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content,reason", [
-    ('{"schema": 2, "app": ', "not JSON"),
+    ('{"schema": 3, "app": ', "not JSON"),
     ("[1, 2, 3]", "not a saved RunResult or lab cache entry"),
     ('{"const_labels": {}, "metrics": []}',
      "not a saved RunResult or lab cache entry"),
-    ('{"schema": 2, "app": "jacobi"}',
+    ('{"schema": 3, "app": "jacobi"}',
      "not a saved RunResult or lab cache entry"),
     ('{"schema": 1, "app": "jacobi"}',
-     "unsupported RunResult schema 1 (expected 2)"),
+     "unsupported RunResult schema 1 (expected 3)"),
+    ('{"schema": 2, "app": "jacobi"}',
+     "unsupported RunResult schema 2 (expected 3)"),
     ('{"fingerprint": "ab", "result": {"schema": 1}}',
-     "unsupported RunResult schema 1 (expected 2)"),
+     "unsupported RunResult schema 1 (expected 3)"),
+    ('{"schema": 3, "app": "jacobi", "protocol": "li", "nprocs": 1, '
+     '"elapsed_cycles": 1.0, "finish_times": [1.0], "app_result": null, '
+     '"registry": {"const_labels": {}, "metrics": [{"name": '
+     '"bogus.metric_total", "total": 1, "series": []}]}}',
+     "uncatalogued metric 'bogus.metric_total' in dump"),
     (None, "No such file or directory"),
 ], ids=["bad-json", "json-list", "registry-dump", "truncated-result",
-        "schema-1", "schema-1-envelope", "missing-file"])
+        "schema-1", "schema-2", "schema-1-envelope",
+        "uncatalogued-metric", "missing-file"])
 def test_stats_load_rejects_what_is_not_a_result(tmp_path, capsys,
                                                  content, reason):
     """A file ``--load`` cannot answer from exits 2 naming the file
@@ -278,7 +286,9 @@ def test_stats_load_rejects_what_is_not_a_result(tmp_path, capsys,
     with pytest.raises(SystemExit) as exit_info:
         main(["stats", "--load", str(path)])
     assert exit_info.value.code == 2
-    assert f"argument --load: {path}: {reason}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument --load: {path}: {reason}" in err
+    assert err.count(str(path)) == 1, err
 
 
 @pytest.mark.parametrize("argv", [

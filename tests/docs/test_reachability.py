@@ -16,6 +16,8 @@ spelling of its name anywhere a root can get to.
 The same walk over calls keeps ``core/config.py`` honest: every field
 of its dataclasses is one that some call in ``src/repro``,
 ``benchmarks/`` or ``examples/`` sets, or is on ``FIELD_EXEMPT``.
+And every metric in ``obs/catalog.py`` is one that a driver, a
+``docs/claims.md`` row or a tier-1 test names.
 """
 
 import ast
@@ -307,3 +309,53 @@ def test_every_config_field_is_set_by_a_driver():
     stale = sorted(set(FIELD_EXEMPT) - set(unset))
     assert not stale, (
         f"FIELD_EXEMPT entries a driver now sets, or gone: {stale}")
+
+
+#: Where naming a catalogued metric counts as reading it: the drivers
+#: that turn registry values into output, and the tier-1 tests.
+#: Golden JSON is not a reader.
+METRIC_READERS = (SRC / "analysis", SRC / "cli.py", SRC / "lab",
+                  SRC / "core" / "metrics.py", ROOT / "benchmarks",
+                  ROOT / "examples", ROOT / "tests")
+
+
+def unread_metrics(names, readers=METRIC_READERS,
+                   claims: Path = ROOT / "docs" / "claims.md"):
+    """The ``names`` that no ``.py`` file under ``readers`` and no
+    table row of ``claims`` spells out whole (``net.wire_cycles``
+    inside ``net.wire_cycles_total`` does not count)."""
+    texts = [line for line in claims.read_text().splitlines()
+             if line.startswith("|")]
+    for reader in readers:
+        paths = [reader] if reader.is_file() else reader.rglob("*.py")
+        texts += [path.read_text() for path in sorted(paths)
+                  if path != Path(__file__)]
+    text = "\n".join(texts)
+    return [name for name in names
+            if not re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)",
+                             text)]
+
+
+def test_every_metric_is_read():
+    """A metric exists because someone reads it: a catalogued name no
+    driver, claims row or test names is dead weight in every dump."""
+    from repro.obs.catalog import CATALOG_BY_NAME
+
+    unread = unread_metrics(CATALOG_BY_NAME)
+    assert not unread, (
+        "no driver, docs/claims.md row or tier-1 test names these "
+        "metrics — delete each with its emit site:\n  "
+        + "\n  ".join(unread))
+
+
+def test_the_metric_lint_catches_an_unread_metric(tmp_path):
+    driver = tmp_path / "driver.py"
+    driver.write_text('registry.total("net.read_total")\n'
+                      'registry.total("net.longer_total")\n')
+    claims = tmp_path / "claims.md"
+    claims.write_text("| a claim | `net.claimed_total` |\n"
+                      "Prose naming net.prose_total is no row.\n")
+    names = ["net.read_total", "net.claimed_total", "net.prose_total",
+             "net.longer", "net.unread_total"]
+    assert unread_metrics(names, readers=(driver,), claims=claims) == [
+        "net.prose_total", "net.longer", "net.unread_total"]

@@ -128,8 +128,9 @@ def test_stall_slows_the_stalled_node():
     stall_cycles = machine.config.us_to_cycles(spec.duration_us)
     assert stalled.elapsed_cycles == pytest.approx(
         clean.elapsed_cycles + stall_cycles)
-    assert machine.faults.stalls == 1
-    assert machine.faults.stall_cycles == pytest.approx(stall_cycles)
+    assert stalled.registry.total("faults.stalls_total") == 1
+    assert stalled.registry.total("faults.stall_cycles_total") == \
+        pytest.approx(stall_cycles)
 
 
 # -- crash plan (node lifecycle tier) ----------------------------------

@@ -6,7 +6,10 @@ reference run (jacobi n=24/iterations=3, 4 procs, ATM, protocol li)
 captured *before* the fault/transport subsystem existed.  A fault-free
 run today must reproduce it bit for bit — same metric set (no
 ``faults.*`` / ``transport.*`` series), same counts, same float cycle
-sums, same elapsed time.
+sums, same elapsed time.  The file was later edited, not re-run, to
+the values-only dump: each entry lost its words (they live in
+``repro.obs.catalog``) and five unread metrics' entries went, with
+every remaining value asserted bit-equal (see tests/perf/parity.py).
 """
 
 import json

@@ -41,8 +41,7 @@ def test_counter_float_increments_preserve_value():
 def test_gauge_set_and_set_max():
     registry = MetricsRegistry()
     gauge = registry.from_spec(MetricSpec(name="test.depth", kind=GAUGE,
-                                          unit="", description="",
-                                          labels=(), consumers=()))
+                                          unit="", description=""))
     gauge.set(7)
     assert gauge.total() == 7
     gauge.set_max(3)          # lower: ignored
@@ -57,8 +56,9 @@ def test_gauge_set_and_set_max():
 
 def test_histogram_count_sum_min_max_buckets():
     registry = MetricsRegistry()
-    hist = registry.histogram("test.wait_cycles", unit="cycles",
-                              buckets=(10.0, 100.0))
+    hist = registry.from_spec(MetricSpec(
+        name="test.wait_cycles", kind=HISTOGRAM, unit="cycles",
+        description="", buckets=(10.0, 100.0)))
     for value in (5.0, 50.0, 500.0, 7.0):
         hist.observe(value)
     child = hist.labels()
@@ -141,12 +141,10 @@ def test_reregistration_same_spec_returns_same_metric():
 def test_reregistration_with_conflicting_spec_raises():
     registry = MetricsRegistry()
     registry.from_spec(MetricSpec(name="test.x", kind=COUNTER,
-                                  unit="", description="",
-                                  labels=(), consumers=()))
+                                  unit="", description=""))
     with pytest.raises(MetricError):
         registry.from_spec(MetricSpec(name="test.x", kind=COUNTER,
-                                      unit="things", description="",
-                                      labels=(), consumers=()))
+                                      unit="things", description=""))
 
 
 def test_catalogued_name_with_wrong_kind_raises():
@@ -209,9 +207,7 @@ def test_install_catalog_registers_every_spec_idempotently():
 def test_dump_and_as_json_round_trip():
     registry = MetricsRegistry(const_labels={"protocol": "lh"})
     counter = registry.counter("test.msgs_total",
-                               labels=("node",), unit="messages",
-                               description="Test messages.",
-                               consumers=("Figure 8",))
+                               labels=("node",), unit="messages")
     counter.labels(node="0").inc(2)
     hist = registry.histogram("test.wait_cycles", unit="cycles")
     hist.observe(42.0)
@@ -220,18 +216,62 @@ def test_dump_and_as_json_round_trip():
     assert dump["const_labels"] == {"protocol": "lh"}
     by_name = {m["name"]: m for m in dump["metrics"]}
     msgs = by_name["test.msgs_total"]
-    assert msgs["type"] == COUNTER
-    assert msgs["unit"] == "messages"
-    assert msgs["consumers"] == ["Figure 8"]
+    # Values only: a metric's words are its spec's.
+    assert set(msgs) == {"name", "total", "series"}
     assert msgs["total"] == 2
     assert msgs["series"] == [{"labels": {"node": "0"}, "value": 2}]
     wait = by_name["test.wait_cycles"]
-    assert wait["type"] == HISTOGRAM
     assert wait["series"][0]["count"] == 1
     assert wait["series"][0]["sum"] == 42.0
 
     parsed = json.loads(registry.as_json())
     assert parsed == dump
+
+
+def test_every_catalogue_round_trips_through_a_values_only_dump():
+    """Every catalogued metric with series (labelled ones out of
+    numeric order, histograms in their first, a middle and the
+    overflow bucket — integer bounds included) restores from the
+    JSON of its dump and re-dumps to the same bytes."""
+    from repro.obs import (LAB_CATALOG, MEM_CATALOG,
+                           ROBUSTNESS_CATALOG, SERVE_CATALOG)
+
+    registry = MetricsRegistry(const_labels={"app": "jacobi"})
+    for catalogue in (CATALOG, ROBUSTNESS_CATALOG, LAB_CATALOG,
+                      MEM_CATALOG, SERVE_CATALOG):
+        install(registry, catalogue)
+    assert set(registry.names()) == set(CATALOG_BY_NAME)
+    for name in registry.names():
+        metric = registry.get(name)
+        spec = metric.spec
+        bounds = spec.buckets or DEFAULT_BUCKETS
+        for value in ("10", "2", "0"):
+            child = metric.labels(**{label: value
+                                     for label in spec.labels})
+            if spec.kind == HISTOGRAM:
+                for observed in (bounds[0], bounds[len(bounds) // 2],
+                                 bounds[-1] * 2):
+                    child.observe(observed)
+            elif spec.kind == GAUGE:
+                child.set(0.5)
+            else:
+                child.inc(int(value) + 0.25)
+            if not spec.labels:
+                break
+    text = json.dumps(registry.dump())
+    assert '"1024": 1' in text and '"64": 1' in text
+    restored = MetricsRegistry.from_dump(json.loads(text))
+    assert json.dumps(restored.dump()) == text
+    for name in registry.names():
+        assert restored.get(name).spec is CATALOG_BY_NAME[name]
+        assert restored.total(name) == registry.total(name)
+
+
+def test_restoring_an_uncatalogued_metric_raises():
+    registry = MetricsRegistry()
+    registry.counter("test.hits_total").inc()
+    with pytest.raises(MetricError, match="'test.hits_total'"):
+        MetricsRegistry.from_dump(registry.dump())
 
 
 def test_as_text_lists_series_and_skips_empty():

@@ -9,7 +9,7 @@ every one of them byte for byte — same elapsed cycles, same
 series ordering — which pins the optimizations to "faster, not
 different".
 
-The files are ``RunResult`` schema 2.  They were migrated from schema
+The files are ``RunResult`` schema 3.  They were migrated from schema
 1 by editing the committed JSON, not by re-running: the per-node
 counter records and the three network totals (each a copy of a
 registry series) were dropped, ``finish_times`` was filled from the
@@ -17,6 +17,17 @@ per-node records' finish times, ``schema`` became 2, and the
 ``registry`` sections were left byte-identical — so the goldens still
 pin the pre-optimization runs.  The two lossy goldens came later and
 were dumped as schema 2 directly (see :func:`cases`).
+
+The step from schema 2 to 3 was an edit of the committed JSON too.
+Each registry entry lost its words (``type``, ``unit``,
+``description``, ``labels``, ``consumers``), which live in
+``repro.obs.catalog``.  The entries of five metrics no driver or test
+read were dropped (``net.wire_cycles_total``,
+``net.backoff_cycles_total``, ``net.port_contention_total``,
+``dsm.wire_bytes_total``, ``dsm.cold_misses_total``).  ``schema``
+became 3.  Every remaining ``total``, series value and series order
+was asserted bit-equal before and after.  The same edit was applied
+to ``tests/obs/golden/jacobi_atm_li.json``.
 
 Regenerate (only when an *intentional* behavior change lands) with::
 
