@@ -22,7 +22,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.mem.wire import (HOST_WORD_BYTES, RUN_HEADER_BYTES,
-                            accounted_size, decode_diff, encode_diff)
+                            accounted_size, encode_diff)
 
 __all__ = ["Diff", "RUN_HEADER_BYTES", "normalize_ranges",
            "ranges_word_count"]
@@ -55,7 +55,7 @@ class Diff:
     """
 
     __slots__ = ("page", "starts", "counts", "payload", "word_size",
-                 "word_count", "size_bytes", "_runs", "_encoded")
+                 "word_count", "size_bytes", "_runs")
 
     def __init__(self, page: int,
                  runs: Sequence[Tuple[int, np.ndarray]],
@@ -83,10 +83,6 @@ class Diff:
         self.size_bytes = accounted_size(len(starts), self.word_count,
                                          word_size)
         self._runs = None
-        # Memoized canonical RDIF encoding (repro.mem.wire fills it on
-        # the first encode, or seeds it from the source blob on
-        # decode).  Immutability makes invalidation unnecessary.
-        self._encoded = None
 
     @classmethod
     def from_flat(cls, page: int, starts: Tuple[int, ...],
@@ -206,14 +202,9 @@ class Diff:
     # -- canonical serialization (repro.mem.wire) ----------------------
 
     def encode(self) -> bytes:
-        """Serialize into the canonical RDIF wire format (memoized —
-        the blob is built once and the same ``bytes`` reused)."""
+        """Serialize into the canonical RDIF wire format (the inverse
+        is :func:`repro.mem.wire.decode_diff`)."""
         return encode_diff(self)
-
-    @staticmethod
-    def decode(blob: bytes) -> "Diff":
-        """Inverse of :meth:`encode` (validating)."""
-        return decode_diff(blob)
 
     def overlaps(self, other: "Diff") -> bool:
         mine = normalize_ranges(self.ranges())

@@ -53,18 +53,12 @@ class WriteNotice:
 
 @dataclass(slots=True)
 class IntervalRecord:
-    """One sealed interval: which pages it wrote and its vector time.
-
-    ``pending_ranges`` holds the written word ranges per page until the
-    diff is actually created (lazy diff creation).
-    """
+    """One sealed interval: which pages it wrote and its vector time."""
 
     proc: int
     index: int
     vc: VectorClock
     pages: FrozenSet[int]
-    pending_ranges: Dict[int, List[Tuple[int, int]]] = field(
-        default_factory=dict)
     interval_id: IntervalId = field(init=False, repr=False,
                                     compare=False)
     order: Tuple[int, int, int] = field(init=False, repr=False,

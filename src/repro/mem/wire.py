@@ -84,27 +84,15 @@ def encoded_size(run_count: int, word_count: int) -> int:
 
 
 def encode_diff(diff: "Diff") -> bytes:
-    """Serialize ``diff`` into the canonical RDIF byte layout.
-
-    Memoized on the diff: a ``Diff`` is immutable and the format has
-    exactly one valid encoding per diff, so the blob is materialized
-    once and the bytes reused on every later call (checkpoints
-    re-encode the whole diff store each episode; repeated encodes of
-    the same diff are the common case there).  The instrument counters
-    keep per-call semantics — they count serialization events, cached
-    or not — so metric dumps are unaffected by the cache.
-    """
-    blob = diff._encoded
-    if blob is None:
-        starts = diff.starts
-        counts = diff.counts
-        parts = [_HEADER.pack(MAGIC, WIRE_VERSION, diff.word_size, 0,
-                              diff.page, len(starts))]
-        parts.extend(_RUN.pack(start, count)
-                     for start, count in zip(starts, counts))
-        parts.append(diff.payload)
-        blob = b"".join(parts)
-        diff._encoded = blob
+    """Serialize ``diff`` into the canonical RDIF byte layout."""
+    starts = diff.starts
+    counts = diff.counts
+    parts = [_HEADER.pack(MAGIC, WIRE_VERSION, diff.word_size, 0,
+                          diff.page, len(starts))]
+    parts.extend(_RUN.pack(start, count)
+                 for start, count in zip(starts, counts))
+    parts.append(diff.payload)
+    blob = b"".join(parts)
     ins = instrument.active
     if ins is not None:
         ins.diffs_encoded.inc()
@@ -166,10 +154,5 @@ def decode_diff(blob: bytes) -> "Diff":
     ins = instrument.active
     if ins is not None:
         ins.diffs_decoded.inc()
-    diff = Diff.from_flat(page, tuple(starts), tuple(counts), payload,
+    return Diff.from_flat(page, tuple(starts), tuple(counts), payload,
                           word_size=word_size)
-    # The validation above admits exactly the canonical layout, so the
-    # input blob IS this diff's encoding — seed the encode memo with it
-    # (a restored checkpoint re-checkpoints without re-encoding).
-    diff._encoded = bytes(blob)
-    return diff

@@ -45,11 +45,6 @@ class MetricSpec:
             raise ValueError(f"bad metric kind {self.kind!r}")
 
 
-#: Checkpoint blobs run page-sized to megabytes, so the cycle-scaled
-#: default histogram buckets would be useless for them.
-CRASH_BYTE_BUCKETS: Tuple[float, ...] = (
-    1024, 4096, 16384, 65536, 262144, 1048576, 4194304)
-
 #: Bucket bounds for the mem histograms: diffs are small discrete
 #: objects (runs, bytes), so the cycle-scaled default buckets would
 #: dump everything into the first bucket.
@@ -153,11 +148,8 @@ ROBUSTNESS_CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec("faults.crash_dropped_packets_total", COUNTER, "packets",
                "Packets discarded at the NIC because their "
                "destination node was down."),
-    MetricSpec("faults.crash_checkpoint_bytes", HISTOGRAM, "bytes",
-               "Size of each RCKP checkpoint taken at a crash instant.",
-               buckets=CRASH_BYTE_BUCKETS),
     MetricSpec("faults.recoveries_total", COUNTER, "recoveries",
-               "Node restorations from an RCKP checkpoint."),
+               "Node restorations from the crash-instant checkpoint."),
     MetricSpec("faults.recovery_outage_cycles", HISTOGRAM, "cycles",
                "Length of each completed outage (crash instant to "
                "restore)."),

@@ -90,8 +90,7 @@ TRACE_EVENTS: Dict[str, str] = {
         "seq, rto)",
     "node.crash":
         "a node crashed: workers frozen, NIC dead, DSM state "
-        "checkpointed (node, checkpoint_bytes, down_cycles or "
-        "crash-stop)",
+        "checkpointed (node, down_cycles or crash-stop)",
     "node.recover":
         "a crashed node restored its checkpoint and rejoined (node, "
         "outage_cycles, replayed)",

@@ -74,10 +74,10 @@ class BaseProtocol:
     #: knob -> the values it accepts.
     TUNABLES: Dict[str, tuple] = {"price_diffs_as_pages": (False, True)}
 
-    #: Whether :mod:`repro.mem.checkpoint` can serialize this
+    #: Whether :mod:`repro.mem.checkpoint` can snapshot this
     #: protocol's consistency state (the base orphan/own/unpropagated
     #: dicts and the barrier clock).  Subclasses carrying state the
-    #: RCKP format does not cover must opt out, which turns node-crash
+    #: checkpoint does not cover must opt out, which turns node-crash
     #: faults into an explicit configuration error instead of a
     #: silently incomplete restore.
     supports_checkpoint = True
@@ -155,13 +155,11 @@ class BaseProtocol:
             return 0.0
         node.vc = node.vc.incremented(node.proc)
         index = node.vc[node.proc]
-        pending_ranges: Dict[int, List[Tuple[int, int]]] = {}
         cost = 0.0
         per_diff_cost = node.diff_creation_cost()
         words_created = 0
         for page, copy in dirty:
             ranges = copy.take_written_ranges()
-            pending_ranges[page] = ranges
             # record_write keeps the ranges normalized incrementally.
             # One byte-slice per run off the copy's flat buffer.
             diff = Diff.from_ranges(page, copy, ranges,
@@ -176,8 +174,7 @@ class BaseProtocol:
         node.ins.diffs_created.value += created
         node.ins.diff_words.value += words_created
         record = IntervalRecord(proc=node.proc, index=index, vc=node.vc,
-                                pages=frozenset(pending_ranges),
-                                pending_ranges=pending_ranges)
+                                pages=frozenset(page for page, _ in dirty))
         node.interval_log.add(record)
         node.ins.notices_created.value += len(record.pages)
         if node.tracer.sink.enabled:

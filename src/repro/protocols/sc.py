@@ -55,7 +55,7 @@ class SequentialInvalidate(BaseProtocol):
     # through ensure_valid's ownership transaction.
     valid_copy_serves_writes = False
     # The ownership directory (managed/mode/_fault_done) is outside
-    # the RCKP checkpoint sections; crash faults reject SC runs.
+    # the crash checkpoint; crash faults reject SC runs.
     supports_checkpoint = False
 
     def __init__(self, node) -> None:

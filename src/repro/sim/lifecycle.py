@@ -6,12 +6,10 @@ crash instant**.  When a node's scheduled crash fires, the manager
 
 1. freezes the node's application workers (their deferred resumes are
    queued by :meth:`repro.sim.engine.Process.pause`),
-2. serializes the node's entire DSM state — page copies, twins,
+2. snapshots the node's entire DSM state — page copies, twins,
    vector clocks, interval log, stored diffs, copysets, protocol
-   queues — into an RCKP checkpoint blob
-   (:func:`repro.mem.checkpoint.checkpoint_node`) plus plain-dict
-   snapshots of the sync layer (lock tokens/queues, barrier
-   episodes), and
+   queues (:func:`repro.mem.checkpoint.checkpoint_node`) — and the
+   sync layer (lock tokens/queues, barrier episodes), and
 3. wipes the live state in place, so the node holds nothing the
    checkpoint does not.
 
@@ -58,8 +56,8 @@ class NodeLifecycleManager:
         self.transport = transport
         self.tracer = obs.tracer
         self._down: List[bool] = [False] * machine.config.nprocs
-        # proc -> (RCKP blob, lock snapshot, barrier snapshot).
-        self._checkpoints: Dict[int, Tuple[bytes, dict, dict]] = {}
+        # proc -> (DSM snapshot, lock snapshot, barrier snapshot).
+        self._checkpoints: Dict[int, Tuple[dict, dict, dict]] = {}
         self._crash_time: Dict[int, float] = {}
         if self.plan and not machine.nodes[0].protocol.supports_checkpoint:
             raise SimulationError(
@@ -74,8 +72,6 @@ class NodeLifecycleManager:
             "crashes": registry.get("faults.crashes_total").labels(),
             "crash_dropped": registry.get(
                 "faults.crash_dropped_packets_total").labels(),
-            "ckpt_bytes": registry.get(
-                "faults.crash_checkpoint_bytes").labels(),
             "recoveries": registry.get(
                 "faults.recoveries_total").labels(),
             "outage": registry.get(
@@ -120,8 +116,7 @@ class NodeLifecycleManager:
         node = self.machine.nodes[proc]
         for process in self.machine.worker_processes(proc):
             process.pause()
-        blob = checkpoint_node(node)
-        self._checkpoints[proc] = (blob,
+        self._checkpoints[proc] = (checkpoint_node(node),
                                    node.lock_manager.checkpoint_state(),
                                    node.barrier_manager.checkpoint_state())
         wipe_node(node)
@@ -129,12 +124,10 @@ class NodeLifecycleManager:
         self._down[proc] = True
         self._crash_time[proc] = self.sim.now
         self._obs["crashes"].inc()
-        self._obs["ckpt_bytes"].observe(len(blob))
         down_cycles = (None if ev.down_us is None
                        else self.config.us_to_cycles(ev.down_us))
         if self.tracer.sink.enabled:
             self.tracer.emit("node.crash", node=proc,
-                             checkpoint_bytes=len(blob),
                              down_cycles=down_cycles,
                              crash_stop=ev.down_us is None)
         if down_cycles is not None:
@@ -144,8 +137,8 @@ class NodeLifecycleManager:
 
     def _recover(self, proc: int) -> None:
         node = self.machine.nodes[proc]
-        blob, locks, barriers = self._checkpoints.pop(proc)
-        restore_node(node, blob)
+        snapshot, locks, barriers = self._checkpoints.pop(proc)
+        restore_node(node, snapshot)
         node.lock_manager.restore_state(locks)
         node.barrier_manager.restore_state(barriers)
         outage = self.sim.now - self._crash_time.pop(proc)

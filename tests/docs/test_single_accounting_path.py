@@ -38,7 +38,11 @@ availability study's and the trace recorder's included) goes through
 tests called are gone.  The fault injector reads one rate tuple for
 every link and injects no delay but the reorder hold; a value no run
 varies is a module constant, not a config field; and the happens-before
-DAG nothing walked is gone.  This scans ``src/repro``
+DAG nothing walked is gone.  A crash checkpoint is a snapshot of
+objects, not a byte format (no ``RCKP``, no ``struct`` in
+``mem/checkpoint.py``), and the interval record's unread
+``pending_ranges`` and the diff's encode memo are gone.  This scans
+``src/repro``
 (comments and docstrings included — a stale mention misleads as well
 as a stale call) so the second accounting path cannot grow back one
 site at a time.
@@ -172,6 +176,13 @@ FORBIDDEN = [
      "RunResult; the serving columns are joined when windows are "
      "read)",
      re.compile(r"\btrace_dir\b|--trace-dir|\brecord_request\b"), ()),
+    ("crash-checkpoint byte codec (a checkpoint is an in-memory "
+     "snapshot, saved like the lock and barrier state)",
+     re.compile(r"\bRCKP\b|\bCheckpointError\b"), ()),
+    ("IntervalRecord.pending_ranges (seal_interval creates every diff "
+     "at seal time)", re.compile(r"\bpending_ranges\b"), ()),
+    ("Diff._encoded memo (nothing encodes a diff twice)",
+     re.compile(r"\b_encoded\b"), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -409,6 +420,11 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("    rto_us: float = 10000.0", 44),
     ("        transport=TransportConfig(rto_us=1_000.0)", 44),
     ("from repro.obs.causal import CausalGraph, CausalTrace", 45),
+    ("        raise CheckpointError(f\"bad magic {magic!r}\")", 48),
+    ("\"\"\"Node-state checkpointing (the ``RCKP`` format).", 48),
+    ("                                pending_ranges=pending_ranges)",
+     49),
+    ("    blob = diff._encoded", 50),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)
@@ -426,3 +442,14 @@ def test_the_patterns_catch_what_was_deleted(line, index):
 def test_the_patterns_pass_the_current_idioms(line):
     assert not any(pattern.search(line)
                    for _what, pattern, _exempt in FORBIDDEN[:2])
+
+
+def test_the_checkpoint_packs_no_bytes():
+    """``mem/checkpoint.py`` imports no ``struct``: the snapshot holds
+    objects, not an encoding of them."""
+    tree = ast.parse((SRC / "mem" / "checkpoint.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "struct" not in imported

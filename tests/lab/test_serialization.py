@@ -100,16 +100,18 @@ def test_machine_config_roundtrips_with_faults():
 
 
 def test_fault_enabled_result_roundtrips():
-    """A fault-enabled run carries ``faults.crash_checkpoint_bytes``,
-    a histogram with *integer* bucket bounds (``"1024"``, not
-    ``"1024.0"``): restoring it once raised ``KeyError``, so no lossy
-    run could cross the process pool."""
+    """A fault-enabled run carries the robustness catalogue, its
+    histograms included, and restores bit for bit, so a lossy run can
+    cross the process pool.  Integer bucket bounds (``"1024"``, not
+    ``"1024.0"``, which once raised ``KeyError`` on restore) are
+    covered through ``MEM_CATALOG`` by tests/obs/test_registry.py's
+    values-only dump round trip."""
     result = execute_spec(RunSpec(
         "jacobi", APP_PARAMS["small"]["jacobi"], protocol="lh",
         config=MachineConfig(nprocs=2,
                              network=NetworkConfig.ethernet(),
                              faults=FaultConfig(drop_prob=0.01))))
     wire = json.dumps(result.to_dict(), sort_keys=True)
-    assert '"1024"' in wire
+    assert '"faults.recovery_outage_cycles"' in wire
     restored = RunResult.from_dict(json.loads(wire))
     assert json.dumps(restored.to_dict(), sort_keys=True) == wire

@@ -1,10 +1,10 @@
-"""Unit tests for the RCKP crash checkpoint (repro.mem.checkpoint).
+"""Unit tests for the crash checkpoint (repro.mem.checkpoint).
 
 The contract the lifecycle manager depends on: checkpointing is
-read-only, ``checkpoint -> wipe -> restore -> checkpoint`` is
-byte-identical, restore keeps the identities of objects that frozen
-worker continuations still reference, and corrupt or mismatched blobs
-are rejected loudly instead of half-restoring a node.
+read-only, ``checkpoint -> wipe -> restore -> checkpoint`` gives an
+equal snapshot, the wipe really erases what the snapshot holds, and
+restore keeps the identities of objects that frozen worker
+continuations still reference.
 """
 
 import pytest
@@ -12,8 +12,8 @@ import pytest
 from repro.apps import create_app
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.machine import Machine
-from repro.mem.checkpoint import (CheckpointError, checkpoint_node,
-                                  restore_node, wipe_node)
+from repro.mem.checkpoint import checkpoint_node, restore_node, wipe_node
+from repro.mem.timestamps import VectorClock
 
 
 #: Small runs of the kernels whose checkpoints the round trip covers.
@@ -21,7 +21,7 @@ APPS = {"jacobi": dict(n=16, iterations=2),
         "water": dict(nmols=8, steps=1),
         "cholesky": dict(k=3)}
 
-#: Every protocol whose consistency state RCKP serializes.
+#: Every protocol whose consistency state the checkpoint saves.
 CHECKPOINTABLE = ("li", "lu", "lh", "ec", "ei", "eu")
 
 
@@ -35,22 +35,65 @@ def machine_after_run(protocol="li", nprocs=2, app="jacobi"):
     return machine
 
 
+def assert_round_trip(node):
+    snapshot = checkpoint_node(node)
+    assert checkpoint_node(node) == snapshot  # read-only
+    live = {record.interval_id: record.order
+            for record in node.interval_log.all_records()}
+    wipe_node(node)
+    assert checkpoint_node(node) != snapshot  # wipe really erased
+    restore_node(node, snapshot)
+    assert checkpoint_node(node) == snapshot
+    restored = {record.interval_id: record.order
+                for record in node.interval_log.all_records()}
+    assert restored == live
+    return snapshot
+
+
 @pytest.mark.parametrize("app", sorted(APPS))
 @pytest.mark.parametrize("protocol", CHECKPOINTABLE)
 def test_round_trip_is_byte_identical(protocol, app):
+    """Every page's bytes and twin, and every clock, notice, record,
+    diff and copyset, come back as they were: the re-checkpoint equals
+    the snapshot."""
     machine = machine_after_run(protocol=protocol, app=app)
     for node in machine.nodes:
-        blob = checkpoint_node(node)
-        assert checkpoint_node(node) == blob  # read-only
-        live = {record.interval_id: record.order
-                for record in node.interval_log.all_records()}
-        wipe_node(node)
-        assert checkpoint_node(node) != blob  # wipe really erased
-        restore_node(node, blob)
-        assert checkpoint_node(node) == blob
-        restored = {record.interval_id: record.order
-                    for record in node.interval_log.all_records()}
-        assert restored == live
+        assert_round_trip(node)
+
+
+def test_round_trip_after_interval_gc():
+    """A GC'd node (pruned log and diff store) round-trips too, and
+    still serves acquirers the records it served before the crash."""
+    def records_held(gc_interval):
+        machine = Machine(MachineConfig(
+            nprocs=4, network=NetworkConfig.ideal(),
+            gc_barrier_interval=gc_interval), protocol="lh")
+        machine.run_app(create_app("jacobi", n=16, iterations=6))
+        return machine, sum(len(node.interval_log)
+                            for node in machine.nodes)
+
+    machine, pruned = records_held(1)
+    assert pruned < records_held(0)[1]  # GC really pruned
+    for node in machine.nodes:
+        zero = VectorClock.zero(node.config.nprocs)
+        served = node.interval_log.records_after(zero)
+        assert_round_trip(node)
+        assert node.interval_log.records_after(zero) == served
+
+
+def test_copyset_wider_than_64_procs_survives():
+    machine = Machine(MachineConfig(nprocs=72,
+                                    network=NetworkConfig.ideal()),
+                      protocol="eu")
+    node = machine.nodes[0]
+    node.copysets.add(5, 71)
+    node.copysets.add(5, 3)
+    snapshot = checkpoint_node(node)
+    wipe_node(node)
+    assert node.copysets.mask(5) == 0
+    restore_node(node, snapshot)
+    assert node.copysets.mask(5) == 1 << 71 | 1 << 3
+    assert node.copysets.believes_cached(5, 71)
 
 
 def test_restore_preserves_object_identities():
@@ -61,34 +104,19 @@ def test_restore_preserves_object_identities():
     before = dict(node.pagetable.copies)
     values_before = {page: copy.values.copy()
                      for page, copy in before.items()}
-    blob = checkpoint_node(node)
+    snapshot = checkpoint_node(node)
     wipe_node(node)
     for copy in before.values():
         assert not copy.valid  # wiped in place
-    restore_node(node, blob)
+    restore_node(node, snapshot)
     for page, copy in node.pagetable.copies.items():
         assert copy is before[page]
         assert (copy.values == values_before[page]).all()
 
 
-def test_restore_rejects_corrupt_and_mismatched_blobs():
-    machine = machine_after_run()
-    node = machine.nodes[0]
-    blob = checkpoint_node(node)
-    with pytest.raises(CheckpointError):
-        restore_node(node, b"JUNK" + blob[4:])
-    with pytest.raises(CheckpointError):
-        restore_node(node, blob[:len(blob) // 2])
-    with pytest.raises(CheckpointError):
-        restore_node(node, blob + b"\x00")
-    # Node identity is part of the header: a peer's blob is rejected.
-    with pytest.raises(CheckpointError):
-        restore_node(machine.nodes[1], blob)
-
-
 def test_sc_protocol_refuses_checkpoints():
     machine = machine_after_run(protocol="sc")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ValueError):
         checkpoint_node(machine.nodes[0])
 
 

@@ -12,8 +12,7 @@ from repro.mem.timestamps import VectorClock
 
 def record(proc, index, vc, pages):
     return IntervalRecord(proc=proc, index=index,
-                          vc=VectorClock(vc), pages=frozenset(pages),
-                          pending_ranges={p: [(0, 1)] for p in pages})
+                          vc=VectorClock(vc), pages=frozenset(pages))
 
 
 class TestIntervalRecord:
@@ -119,8 +118,8 @@ class TestCopysetTable:
         table.remove(2, 40)
         assert table.mask(9) == 1 << 63
         assert table.others_mask(9) == 0
-        # items(): pages ascending, emptied entries kept (the RCKP
-        # CSET section serializes the table as it stands).
+        # items(): pages ascending, emptied entries kept (the crash
+        # checkpoint saves the table as it stands).
         assert table.items() == [(2, 0), (9, 1 << 63)]
         table.clear()
         assert table.items() == []

@@ -211,4 +211,4 @@ def test_rejects_unsorted_runs():
 
 def test_diff_methods_wrap_module_functions():
     diff = Diff(3, [(1, np.array([4.0, 5.0]))])
-    assert Diff.decode(diff.encode()) == diff
+    assert diff.encode() == encode_diff(diff)

@@ -13,13 +13,12 @@ operation sequences and demands equality (docs/performance.md):
   interleaved notice arrivals and monotone clock advances;
 - :meth:`repro.mem.intervals.IntervalLog.prune_dominated` (interval
   GC) vs the unpruned log, for every acquirer clock the GC safety
-  argument admits — including after an RCKP ILOG round trip;
-- :func:`repro.mem.wire.encode_diff` (memoized blob cache) vs an
-  independent struct-level encoding of the documented RDIF layout —
-  cold, warm, decode-seeded, and across an RCKP DIFS round trip;
+  argument admits;
+- :func:`repro.mem.wire.encode_diff` vs an independent struct-level
+  encoding of the documented RDIF layout;
 - :class:`repro.mem.copyset.CopysetTable` (one int mask per page,
-  masks on the wire) vs a plain ``dict[int, set[int]]``, at every
-  width up to the 64-proc RCKP limit and across a CSET round trip.
+  masks on the wire) vs a plain ``dict[int, set[int]]``, at widths
+  past 64 processors.
 """
 
 import struct
@@ -29,19 +28,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.checkpoint import (_Reader, _encode_copysets,
-                                  _encode_diff_store,
-                                  _encode_interval_log,
-                                  _restore_copysets,
-                                  _restore_diff_store,
-                                  _restore_interval_log)
 from repro.mem.copyset import CopysetTable
 from repro.mem.diffs import Diff, normalize_ranges
-from repro.mem.intervals import (DiffStore, IntervalLog, IntervalRecord,
-                                 WriteNotice)
+from repro.mem.intervals import IntervalLog, IntervalRecord, WriteNotice
 from repro.mem.pages import PageCopy
 from repro.mem.timestamps import VectorClock
-from repro.mem.wire import decode_diff, encode_diff
+from repro.mem.wire import encode_diff
 from repro.protocols.lazy import LazyBase
 
 PAGE_WORDS = 64
@@ -193,33 +185,7 @@ def test_pruned_log_matches_unpruned_for_dominating_clocks(scenario):
     assert pruned.records_after(gc_vc) == oracle.records_after(gc_vc)
 
 
-@given(scenario=gc_scenarios())
-@settings(max_examples=100)
-def test_pruned_log_survives_rckp_round_trip(scenario):
-    nprocs, records, gc_vc, query = scenario
-    pruned = IntervalLog()
-    oracle = IntervalLog()
-    for record in records:
-        pruned.add(record)
-        oracle.add(record)
-    pruned.prune_dominated(gc_vc)
-    payload = _encode_interval_log(
-        SimpleNamespace(interval_log=pruned))
-    restored = IntervalLog()
-    reader = _Reader(payload, nprocs)
-    _restore_interval_log(reader, SimpleNamespace(
-        interval_log=restored))
-    assert reader.done()
-    assert len(restored) == len(pruned)
-    # The checkpointed-and-restored GC'd log serves acquirers the same
-    # records (ids, clocks, page sets) as the never-pruned oracle.
-    def keyed(found):
-        return [(r.interval_id, r.vc, r.pages) for r in found]
-    assert keyed(restored.records_after(query)) \
-        == keyed(oracle.records_after(query))
-
-
-# -- RDIF blob cache vs a struct-level oracle encoding -----------------
+# -- RDIF encoding vs a struct-level oracle encoding -------------------
 
 
 @st.composite
@@ -246,7 +212,7 @@ def diffs_(draw):
 
 
 def _oracle_encode(diff):
-    """Independent, memo-free rendering of the documented RDIF layout
+    """Independent rendering of the documented RDIF layout
     (docs/memory.md): header, run table, payload."""
     parts = [struct.pack("<4sBBHII", b"RDIF", 1, diff.word_size, 0,
                          diff.page, len(diff.starts))]
@@ -258,51 +224,15 @@ def _oracle_encode(diff):
 
 @given(diff=diffs_())
 @settings(max_examples=200)
-def test_blob_cache_matches_oracle_encoding(diff):
-    expected = _oracle_encode(diff)
-    cold = encode_diff(diff)           # fills the memo
-    warm = encode_diff(diff)           # serves from it
-    assert cold == expected
-    assert warm == expected
-    # Decode validates the canonical layout and seeds the memo from
-    # the source blob; the seeded re-encode must be the same bytes.
-    decoded = decode_diff(expected)
-    assert decoded == diff
-    assert encode_diff(decoded) == expected
-
-
-@given(entries=st.lists(
-    st.tuples(st.integers(0, 3), st.integers(1, 9), diffs_(),
-              st.booleans()),
-    min_size=1, max_size=6))
-@settings(max_examples=100)
-def test_blob_cache_survives_rckp_diff_store_round_trip(entries):
-    store = DiffStore()
-    originals = {}
-    for proc, index, diff, warm in entries:
-        if warm:
-            encode_diff(diff)          # pre-warmed memo entries mixed
-        store.put(proc, index, diff)   # with cold ones
-        originals.setdefault((proc, index, diff.page), diff)
-    payload = _encode_diff_store(SimpleNamespace(diff_store=store))
-    restored = DiffStore()
-    reader = _Reader(payload, 2)
-    _restore_diff_store(reader, SimpleNamespace(diff_store=restored))
-    assert reader.done()
-    assert len(restored) == len(originals)
-    for (proc, index, page), diff in originals.items():
-        twin = restored.get(proc, index, page)
-        assert twin == diff
-        # Restored diffs re-encode (memo seeded by decode) to exactly
-        # the oracle bytes of the original.
-        assert encode_diff(twin) == _oracle_encode(diff)
+def test_encode_diff_matches_oracle_encoding(diff):
+    assert encode_diff(diff) == _oracle_encode(diff)
 
 
 # -- copyset bitmasks vs a dict-of-sets model ---------------------------
 
 @st.composite
 def copyset_scripts(draw):
-    nprocs = draw(st.integers(1, 64))
+    nprocs = draw(st.integers(1, 96))
     self_proc = draw(st.integers(0, nprocs - 1))
     page = st.integers(0, 5)
     proc = st.integers(0, nprocs - 1)
@@ -346,15 +276,3 @@ def test_copyset_masks_match_dict_of_sets_model(script):
                 == model.get(page, set()) - {self_proc}
     for page in range(6):
         assert _members(table.mask(page)) == model.get(page, set())
-    # RCKP CSET round trip: the restored table is the same function
-    # of (page, proc) as the model, bit 63 included.
-    config = SimpleNamespace(nprocs=nprocs)
-    payload = _encode_copysets(
-        SimpleNamespace(copysets=table, config=config))
-    restored = CopysetTable(self_proc)
-    reader = _Reader(payload, nprocs)
-    _restore_copysets(reader, SimpleNamespace(copysets=restored))
-    assert reader.done()
-    assert restored.items() == table.items()
-    for page, members in model.items():
-        assert _members(restored.mask(page)) == members

@@ -149,7 +149,7 @@ def test_deferred_grant_observations_fold_to_the_eager_merge(count):
 def test_deferred_peer_clock_survives_the_crash_checkpoint():
     """A checkpoint taken with grant observations still pending
     carries the eagerly merged clock: restoring it gives the same
-    ``peer_clock``, and the RCKP bytes equal an eager-merging node's."""
+    ``peer_clock``, and the snapshot equals an eager-merging node's."""
     rng = random.Random(7)
     deferred, eager = make_machine("lh"), make_machine("lh")
     node, mirror = deferred.nodes[2], eager.nodes[2]
@@ -159,9 +159,9 @@ def test_deferred_peer_clock_survives_the_crash_checkpoint():
         node.protocol.grant_payload(requester, VectorClock.zero(NPROCS))
         _eager(mirror, requester, vc)
     assert any(node._peer_vc_pending)          # still deferred
-    blob = checkpoint_node(node)
-    assert blob == checkpoint_node(mirror)
+    snapshot = checkpoint_node(node)
+    assert snapshot == checkpoint_node(mirror)
     wipe_node(node)
-    restore_node(node, blob)
+    restore_node(node, snapshot)
     for proc in range(NPROCS):
         assert node.peer_clock(proc) == mirror.peer_clock(proc)

@@ -25,8 +25,7 @@ def make_node(protocol="lh", nprocs=4, pages=4):
 def record(proc, index, vc_components, pages, nprocs=4):
     return IntervalRecord(proc=proc, index=index,
                           vc=VectorClock(vc_components),
-                          pages=frozenset(pages),
-                          pending_ranges={p: [(0, 4)] for p in pages})
+                          pages=frozenset(pages))
 
 
 class TestSealing:
