@@ -41,6 +41,9 @@ def checkpoint_node(node) -> dict:
         name = getattr(protocol, "name", protocol)
         raise ValueError(
             f"protocol {name!r} does not support checkpointing")
+    # The eager protocols' pages being fetched, and the flushes parked
+    # on them until the fetch installs (None for the lazy family).
+    eager = hasattr(protocol, "_miss_in_flight")
     return {
         "vc": node.vc,
         # peer_clock folds deferred observations so the snapshot
@@ -59,6 +62,12 @@ def checkpoint_node(node) -> dict:
         "unpropagated": {iid: set(pages) for iid, pages
                          in protocol.unpropagated.items()},
         "last_barrier_vc": protocol.last_barrier_vc,
+        "gc_prunable_vc": protocol._gc_prunable_vc,
+        "miss_in_flight": (set(protocol._miss_in_flight) if eager
+                           else None),
+        "poison_records": ({page: list(parked) for page, parked
+                            in protocol._poison_records.items()}
+                           if eager else None),
     }
 
 
@@ -94,6 +103,10 @@ def wipe_node(node) -> None:
     protocol.unpropagated.clear()
     protocol._dirty_pages.clear()
     protocol.last_barrier_vc = VectorClock.zero(nprocs)
+    protocol._gc_prunable_vc = None
+    if hasattr(protocol, "_miss_in_flight"):
+        protocol._miss_in_flight.clear()
+        protocol._poison_records.clear()
 
 
 def restore_node(node, snapshot: dict) -> None:
@@ -135,3 +148,8 @@ def restore_node(node, snapshot: dict) -> None:
     for iid, pages in snapshot["unpropagated"].items():
         protocol.unpropagated[iid] = set(pages)
     protocol.last_barrier_vc = snapshot["last_barrier_vc"]
+    protocol._gc_prunable_vc = snapshot["gc_prunable_vc"]
+    if snapshot["miss_in_flight"] is not None:
+        protocol._miss_in_flight.update(snapshot["miss_in_flight"])
+        for page, parked in snapshot["poison_records"].items():
+            protocol._poison_records[page] = list(parked)

@@ -22,7 +22,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.mem.wire import (HOST_WORD_BYTES, RUN_HEADER_BYTES,
-                            accounted_size, encode_diff)
+                            accounted_size)
 
 __all__ = ["Diff", "RUN_HEADER_BYTES", "normalize_ranges",
            "ranges_word_count"]
@@ -198,13 +198,6 @@ class Diff:
                     f"page of {size} words")
             target[start:end] = words[cursor:cursor + count]
             cursor += count
-
-    # -- canonical serialization (repro.mem.wire) ----------------------
-
-    def encode(self) -> bytes:
-        """Serialize into the canonical RDIF wire format (the inverse
-        is :func:`repro.mem.wire.decode_diff`)."""
-        return encode_diff(self)
 
     def overlaps(self, other: "Diff") -> bool:
         mine = normalize_ranges(self.ranges())

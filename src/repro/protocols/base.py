@@ -211,29 +211,33 @@ class BaseProtocol:
             node.tracer.emit("protocol.notices_in", node=node.proc,
                              records=len(records),
                              pages=sum(len(r.pages) for r in records))
+        me = node.proc
+        interval_log = node.interval_log
+        known = interval_log._records
+        # Own and already-logged records drop out in one pass: barrier
+        # departures broadcast the union to everyone, so most records
+        # are known, and a miss's DIFF_REPLY carries only known ones.
+        fresh = [record for record in records
+                 if record.proc != me and record.interval_id not in known]
+        if not fresh:
+            return
         get_copy = node.pagetable.copies.get
         masks = node.copysets._masks
         masks_get = masks.get
-        interval_log = node.interval_log
-        known = interval_log._records
         by_proc = interval_log._by_proc
         orphans = self.orphan_notices
-        me = node.proc
         received = 0
         # A processor's clock is non-decreasing across its intervals,
         # so its highest-index record's vector time dominates the rest
         # — one peer-clock observation per source proc replaces one
         # per record.
         latest: Dict[int, IntervalRecord] = {}
-        for record in records:
-            proc = record.proc
-            if proc == me:
-                continue
-            # Duplicate quick-reject: barrier departures broadcast the
-            # union to everyone, so most records are already known.
+        for record in fresh:
+            # A batch may name one record twice.
             interval_id = record.interval_id
             if interval_id in known:
                 continue
+            proc = record.proc
             if proc < 0:
                 raise ValueError("invalid notice")
             index = record.index
@@ -253,18 +257,22 @@ class BaseProtocol:
             received += len(record.pages)
             # The writer's copyset bit is fixed for the whole record.
             bit = 1 << proc
-            for notice in record.notices():
+            notices = record._notices
+            if notices is None:
+                notices = record.notices()
+            for notice in notices:
                 page = notice.page
                 copy = get_copy(page)
                 if copy is None:
                     # An orphan: a notice for a page this node has
-                    # no copy of yet.
+                    # no copy of yet.  The record is new to the log,
+                    # so its notice is new to the bucket.
                     bucket = orphans.get(page)
                     if bucket is None:
-                        bucket = orphans[page] = {}
-                    if interval_id not in bucket:
+                        orphans[page] = {interval_id: notice}
+                    else:
                         bucket[interval_id] = notice
-                        masks[page] = masks_get(page, 0) | bit
+                    masks[page] = masks_get(page, 0) | bit
                 elif (copy.applied.get(proc, 0) < index
                       and interval_id not in copy._pending_ids):
                     copy._pending_ids.add(interval_id)
@@ -431,7 +439,9 @@ class BaseProtocol:
 
     def master_combine(self, arrivals: Dict[int, dict]) -> Dict[int, dict]:
         """Default master: union every arrival's records and hand the
-        union (plus the merged clock) to everyone."""
+        union, the pages it names (ascending) and the merged clock to
+        everyone — the page list is built here once, not by each
+        departing node."""
         merged_vc = self.node.vc
         seen: Dict[IntervalId, IntervalRecord] = {}
         for payload in arrivals.values():
@@ -439,7 +449,9 @@ class BaseProtocol:
             for record in payload["records"]:
                 seen.setdefault(record.interval_id, record)
         records = sorted(seen.values(), key=BY_ORDER)
-        depart = {"records": records, "vc": merged_vc}
+        pages = sorted({page for record in records
+                        for page in record.pages})
+        depart = {"records": records, "pages": pages, "vc": merged_vc}
         return {proc: depart for proc in arrivals}
 
     def apply_depart(self, payload: dict) -> Generator:

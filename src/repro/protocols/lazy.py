@@ -122,7 +122,7 @@ class LazyBase(BaseProtocol):
         # before anything is applied.
         get = self.node.diff_store.get
         page = copy.page
-        notices = sorted(due, key=BY_ORDER)
+        notices = sorted(due, key=BY_ORDER) if len(due) > 1 else due
         diffs = []
         for notice in notices:
             diff = get(notice.proc, notice.index, page)
@@ -136,7 +136,13 @@ class LazyBase(BaseProtocol):
             proc = notice.proc
             if notice.index > applied.get(proc, 0):
                 applied[proc] = notice.index
-        copy.remove_notices({n.interval_id for n in due})
+        if len(due) == len(copy._pending_notices):
+            # Every pending notice was due (the due list is a subset
+            # of the pending list): nothing is left to filter.
+            copy._pending_notices = []
+            copy._pending_ids.clear()
+        else:
+            copy.remove_notices({n.interval_id for n in due})
         copy.valid = True
         if self.node.tracer.sink.enabled:
             self.node.tracer.emit("protocol.diff_apply",
@@ -146,9 +152,11 @@ class LazyBase(BaseProtocol):
 
     def store_diffs(self,
                     diffs: Sequence[Tuple[IntervalId, Diff]]) -> None:
+        # DiffStore.put inlined: one store lookup, one counter add.
+        store = self.node.diff_store._diffs
         for (proc, index), diff in diffs:
-            self.node.diff_store.put(proc, index, diff)
-            self.node.ins.diffs_applied.value += 1
+            store.setdefault((proc, index, diff.page), diff)
+        self.node.ins.diffs_applied.value += len(diffs)
 
     # -- access misses -------------------------------------------------------
 
@@ -250,6 +258,25 @@ class LazyBase(BaseProtocol):
         diff its writer failed to supply breaks the retention
         invariant."""
         node = self.node
+        if len(pending) == 1:
+            # One pending notice: its writer is the only concurrent
+            # last modifier, so the general assignment reduces to
+            # asking the writer, unless it is us or the diff is here.
+            notice = pending[0]
+            writer = notice.proc
+            if writer == node.proc:
+                return [], {}
+            if node.diff_store.has(writer, notice.index, page):
+                return [writer], {}
+            interval_id = notice.interval_id
+            if interval_id in writer_requested:
+                raise ProtocolError(
+                    f"node {node.proc}: writer {writer} "
+                    f"failed to supply diff {interval_id} "
+                    f"for page {page}")
+            escalated.add(interval_id)
+            writer_requested.add(interval_id)
+            return [writer], {writer: [notice]}
         wanted = [n for n in pending
                   if n.proc != node.proc
                   and not node.diff_store.has(n.proc, n.index, page)]
@@ -410,17 +437,30 @@ class LazyBase(BaseProtocol):
         node.handler_send(reply)
 
     def _serve_diff_request(self, message: Message) -> None:
+        """DIFF_REQ service: the requested diffs we hold (as
+        :meth:`_collect_diffs` finds them), their records and their
+        data bytes, built in one pass."""
         node = self.node
         page = message.payload["page"]
-        diffs = self._collect_diffs(page, message.payload["wanted"])
+        get_diff = node.diff_store.get
+        get_record = node.interval_log.get
+        diff_bytes = self.diff_bytes
+        diffs = []
+        records = []
+        data_bytes = 0
+        for proc, index in message.payload["wanted"]:
+            diff = get_diff(proc, index, page)
+            if diff is not None:
+                interval_id = (proc, index)
+                diffs.append((interval_id, diff))
+                records.append(get_record(interval_id))
+                data_bytes += diff_bytes(diff)
         node.copysets.add(page, message.src)
         node.handler_send(Message(
             src=node.proc, dst=message.src, kind=MsgKind.DIFF_REPLY,
             reply_to=message.msg_id,
-            payload={"page": page, "diffs": diffs,
-                     "records": [node.interval_log.get(iid)
-                                 for iid, _d in diffs]},
-            data_bytes=sum(self.diff_bytes(d) for _iid, d in diffs)))
+            payload={"page": page, "diffs": diffs, "records": records},
+            data_bytes=data_bytes))
 
     def _collect_diffs(self, page: int,
                        wanted: Sequence[Tuple[int, int]]
@@ -614,10 +654,7 @@ class LazyBase(BaseProtocol):
         self.last_barrier_vc = payload["vc"]
         # The master's departure carried all our notices to everyone.
         self.unpropagated = {}
-        affected = sorted({page
-                           for record in payload["records"]
-                           for page in record.pages})
-        yield from self.resolve_pages(affected)
+        yield from self.resolve_pages(payload["pages"])
 
     def validate_all(self) -> Generator:
         """GC support: fetch and apply every outstanding due notice so
@@ -648,13 +685,35 @@ class LazyBase(BaseProtocol):
     # -- the policy point: what to do with noticed pages ---------------------------
 
     def resolve_pages(self, pages: List[int]) -> Generator:
+        """Act on the noticed ``pages`` (ascending) this node holds."""
         raise NotImplementedError
 
+    def _held(self, pages: List[int]
+              ) -> Generator[PageCopy, None, None]:
+        """The copies this node holds of ``pages`` (ascending), in page
+        order: a departure names every page written anywhere, a node
+        holds a few of them.  Page copies are never dropped, so a page
+        table that grew while the caller was suspended between copies
+        (a sibling thread's miss installed a page) is the only change
+        that matters: the pages still ahead are filtered again, as a
+        scan of ``pages`` would find them."""
+        copies = self.node.pagetable.copies
+        size = len(copies)
+        held = [copies[page] for page in pages if page in copies]
+        position = 0
+        while position < len(held):
+            copy = held[position]
+            yield copy
+            position += 1
+            if len(copies) != size:
+                size = len(copies)
+                page = copy.page
+                held[position:] = [copies[later] for later in pages
+                                   if later > page and later in copies]
+
     def _seal_if_any_dirty(self, pages: List[int]) -> Generator:
-        node = self.node
-        for page in pages:
-            copy = node.pagetable.copies.get(page)
-            if copy is not None and copy.dirty:
+        for copy in self._held(pages):
+            if copy.dirty:
                 yield from self.seal_from_app()
                 return
 
@@ -667,12 +726,11 @@ class LazyInvalidate(LazyBase):
     push_at_barrier = False
 
     def resolve_pages(self, pages: List[int]) -> Generator:
-        node = self.node
         yield from self._seal_if_any_dirty(pages)
-        for page in pages:
-            copy = node.pagetable.copies.get(page)
-            if copy is not None and self.due_notices(copy):
-                self.invalidate_page(page)
+        due_notices = self.due_notices
+        for copy in self._held(pages):
+            if copy._pending_notices and due_notices(copy):
+                self.invalidate_page(copy.page)
 
 
 class LazyUpdate(LazyBase):
@@ -684,11 +742,9 @@ class LazyUpdate(LazyBase):
     push_needs_acks = True
 
     def resolve_pages(self, pages: List[int]) -> Generator:
-        node = self.node
-        for page in pages:
-            copy = node.pagetable.copies.get(page)
-            if copy is not None and self.due_notices(copy):
-                yield from self.fetch_pending(page)
+        for copy in self._held(pages):
+            if self.due_notices(copy):
+                yield from self.fetch_pending(copy.page)
 
 
 class LazyHybrid(LazyBase):
@@ -700,11 +756,9 @@ class LazyHybrid(LazyBase):
     push_needs_acks = False
 
     def resolve_pages(self, pages: List[int]) -> Generator:
-        node = self.node
         yield from self._seal_if_any_dirty(pages)
-        for page in pages:
-            copy = node.pagetable.copies.get(page)
-            if copy is None or not self.due_notices(copy):
+        for copy in self._held(pages):
+            if not self.due_notices(copy):
                 continue
             if not copy.dirty and self.apply_pending(copy):
                 continue
@@ -714,4 +768,4 @@ class LazyHybrid(LazyBase):
                 yield from self.seal_from_app()
                 if self.apply_pending(copy):
                     continue
-            self.invalidate_page(page)
+            self.invalidate_page(copy.page)

@@ -122,7 +122,7 @@ def test_observability_doc_tables_every_trace_event():
 
 
 #: A backtick span holding exactly one CamelCase identifier — how
-#: docs/memory.md names classes.  Dotted spans (`Diff.encode()`),
+#: docs/memory.md names classes.  Dotted spans (`Diff.apply()`),
 #: ALL-CAPS constants, and lowercase names deliberately don't match.
 CLASS_TOKEN_RE = re.compile(r"`([A-Z][a-z][A-Za-z0-9]*)`")
 

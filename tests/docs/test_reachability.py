@@ -11,7 +11,12 @@ definition of that name (so a call through a base class reaches each
 override).  An ``import`` or an ``__all__`` string is a re-export, not
 a use: it runs the module's body and reaches nothing by name.  Being
 name-based the walk over-approximates — what it reports has no
-spelling of its name anywhere a root can get to.
+spelling of its name anywhere a root can get to.  The limit is the
+bare name: a method call is not resolved to its receiver's type, so
+``path.encode()`` on a ``str`` reaches every method named ``encode``,
+and a method that shares its name with a ``str`` or ``bytes`` method
+can be dead and still pass.  ``test_single_accounting_path.py`` keeps
+such a method deleted once it is found.
 
 The same walk over calls keeps ``core/config.py`` honest: every field
 of its dataclasses is one that some call in ``src/repro``,

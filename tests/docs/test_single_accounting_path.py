@@ -41,7 +41,8 @@ varies is a module constant, not a config field; and the happens-before
 DAG nothing walked is gone.  A crash checkpoint is a snapshot of
 objects, not a byte format (no ``RCKP``, no ``struct`` in
 ``mem/checkpoint.py``), and the interval record's unread
-``pending_ranges`` and the diff's encode memo are gone.  This scans
+``pending_ranges``, the diff's encode memo and its ``encode`` method
+(only tests called it) are gone.  This scans
 ``src/repro``
 (comments and docstrings included — a stale mention misleads as well
 as a stale call) so the second accounting path cannot grow back one
@@ -183,6 +184,8 @@ FORBIDDEN = [
      "at seal time)", re.compile(r"\bpending_ranges\b"), ()),
     ("Diff._encoded memo (nothing encodes a diff twice)",
      re.compile(r"\b_encoded\b"), ()),
+    ("Diff.encode (repro.mem.wire.encode_diff is the RDIF encoder)",
+     re.compile(r"\bdef encode\b"), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -425,6 +428,7 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("                                pending_ranges=pending_ranges)",
      49),
     ("    blob = diff._encoded", 50),
+    ("    def encode(self) -> bytes:", 51),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

@@ -81,6 +81,52 @@ def test_round_trip_after_interval_gc():
         assert node.interval_log.records_after(zero) == served
 
 
+def test_gc_threshold_is_saved_wiped_and_restored():
+    """The vector time a GC barrier validated (pruned at the next one)
+    is node state: a crash erases it and only the checkpoint brings
+    it back."""
+    machine = Machine(MachineConfig(
+        nprocs=4, network=NetworkConfig.ideal(), gc_barrier_interval=1),
+        protocol="lh")
+    machine.run_app(create_app("jacobi", n=16, iterations=6))
+    node = machine.nodes[1]
+    threshold = node.protocol._gc_prunable_vc
+    assert threshold is not None  # past at least one GC barrier
+    snapshot = checkpoint_node(node)
+    wipe_node(node)
+    assert node.protocol._gc_prunable_vc is None
+    restore_node(node, snapshot)
+    assert node.protocol._gc_prunable_vc is threshold
+    assert checkpoint_node(node) == snapshot
+
+
+def test_eager_fetch_in_flight_is_saved_wiped_and_restored():
+    """An eager node fetching a page holds the page in
+    ``_miss_in_flight`` and the flushes that raced the fetch in
+    ``_poison_records``; both are wiped by a crash and restored from
+    the checkpoint."""
+    machine = machine_after_run(protocol="eu")
+    node = machine.nodes[1]
+    protocol = node.protocol
+    record = next(record for record in node.interval_log.all_records()
+                  if record.proc != node.proc)
+    page = min(record.pages)
+    diff = node.diff_store.get(record.proc, record.index, page)
+    protocol._miss_in_flight.add(page)
+    protocol._poison_records[page] = [(record, diff), (record, None)]
+    in_flight = set(protocol._miss_in_flight)
+    parked = {key: list(value)
+              for key, value in protocol._poison_records.items()}
+    snapshot = checkpoint_node(node)
+    wipe_node(node)
+    assert not protocol._miss_in_flight
+    assert not protocol._poison_records
+    restore_node(node, snapshot)
+    assert protocol._miss_in_flight == in_flight
+    assert protocol._poison_records == parked
+    assert checkpoint_node(node) == snapshot
+
+
 def test_copyset_wider_than_64_procs_survives():
     machine = Machine(MachineConfig(nprocs=72,
                                     network=NetworkConfig.ideal()),

@@ -10,7 +10,7 @@ import pytest
 
 from repro.mem import Diff, instrument
 from repro.mem.pages import PageTable
-from repro.mem.wire import decode_diff
+from repro.mem.wire import decode_diff, encode_diff
 from repro.obs import MEM_CATALOG, MetricsRegistry
 
 
@@ -27,7 +27,7 @@ def _exercise_substrate():
     copy.make_twin()
     copy.make_twin()  # no-op: twin already frozen
     diff = Diff(0, [(1, np.array([2.0, 3.0])), (5, np.array([7.0]))])
-    decode_diff(diff.encode())
+    decode_diff(encode_diff(diff))
     return table
 
 

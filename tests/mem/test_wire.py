@@ -58,14 +58,14 @@ GOLDEN_TWO_RUNS = bytes.fromhex(
 
 def test_golden_empty_diff():
     diff = Diff(0, [], word_size=4)
-    assert diff.encode() == GOLDEN_EMPTY
+    assert encode_diff(diff) == GOLDEN_EMPTY
     assert diff.size_bytes == 0
     assert decode_diff(GOLDEN_EMPTY) == diff
 
 
 def test_golden_single_run():
     diff = Diff(7, [(2, np.array([1.0, 2.0, 3.0]))], word_size=4)
-    assert diff.encode() == GOLDEN_SINGLE_RUN
+    assert encode_diff(diff) == GOLDEN_SINGLE_RUN
     # Accounted wire cost: one 8-byte run header + 3 4-byte words.
     assert diff.size_bytes == 8 + 3 * 4 == 20
     assert len(GOLDEN_SINGLE_RUN) == 16 + 8 + 3 * 8 == 48
@@ -76,7 +76,7 @@ def test_golden_two_runs():
     diff = Diff(0x01020304,
                 [(0, np.array([-1.5])), (5, np.array([0.0, 5e-324]))],
                 word_size=8)
-    assert diff.encode() == GOLDEN_TWO_RUNS
+    assert encode_diff(diff) == GOLDEN_TWO_RUNS
     assert diff.size_bytes == 2 * 8 + 3 * 8 == 40
     back = decode_diff(GOLDEN_TWO_RUNS)
     assert back == diff
@@ -145,7 +145,7 @@ def test_decoder_never_crashes_on_noise(blob):
 # -- validation errors --------------------------------------------------
 
 def _valid_blob():
-    return Diff(7, [(2, np.array([1.0, 2.0, 3.0]))]).encode()
+    return encode_diff(Diff(7, [(2, np.array([1.0, 2.0, 3.0]))]))
 
 
 def test_rejects_short_blob():
@@ -189,7 +189,7 @@ def test_rejects_empty_run():
 
 def test_rejects_overlapping_runs():
     diff = Diff(0, [(0, np.array([1.0])), (4, np.array([2.0]))])
-    blob = bytearray(diff.encode())
+    blob = bytearray(encode_diff(diff))
     blob[24:28] = (0).to_bytes(4, "little")  # second run offset -> 0
     with pytest.raises(WireFormatError, match="overlaps"):
         decode_diff(bytes(blob))
@@ -202,13 +202,8 @@ def test_rejects_payload_length_mismatch():
 
 def test_rejects_unsorted_runs():
     diff = Diff(0, [(0, np.array([1.0])), (8, np.array([2.0]))])
-    blob = bytearray(diff.encode())
+    blob = bytearray(encode_diff(diff))
     # Swap the two run entries: (8,1) before (0,1).
     blob[16:24], blob[24:32] = blob[24:32], blob[16:24]
     with pytest.raises(WireFormatError, match="overlaps"):
         decode_diff(bytes(blob))
-
-
-def test_diff_methods_wrap_module_functions():
-    diff = Diff(3, [(1, np.array([4.0, 5.0]))])
-    assert diff.encode() == encode_diff(diff)
