@@ -36,10 +36,6 @@ from repro.sim.events import Event
 class Node:
     """One processor of the simulated DSM machine."""
 
-    #: Deferred peer-clock observations per peer before a fold (keeps
-    #: the pending batch small; see observe_peer_vc).
-    PEER_VC_FOLD = 64
-
     def __init__(self, machine, proc: int) -> None:
         self.machine = machine
         self.proc = proc
@@ -57,20 +53,10 @@ class Node:
         self.interval_log = IntervalLog()
         self.diff_store = DiffStore()
         self.vc = VectorClock.zero(self.config.nprocs)
-        # Best known vector clock of every peer (for push filtering).
-        # Observations are *deferred*: observe_peer_vc appends to the
-        # pending list and peer_clock folds the batch in one
-        # componentwise-max pass.  Max-merging is order-insensitive and
-        # associative, so the folded clock is value-identical to eager
-        # per-observation merges — but reads are rare (barrier pushes,
-        # checkpoints) while observations arrive with every
-        # notice-carrying message and every lock grant, so the
-        # per-observation merge cost collapses to a list append.
-        self.peer_vc: Dict[int, VectorClock] = {
-            p: VectorClock.zero(self.config.nprocs)
-            for p in range(self.config.nprocs)}
-        self._peer_vc_pending: List[List[VectorClock]] = [
-            [] for _ in range(self.config.nprocs)]
+        # The highest of our own interval indices each peer is known
+        # to have seen (for push filtering): all a peer's clock says
+        # about our intervals is its component for us.
+        self.peer_seen: List[int] = [0] * self.config.nprocs
 
         # CPU/interrupt model.  The overhead formula's constants are
         # pre-fetched: it runs twice per message (send + receive), and
@@ -128,32 +114,12 @@ class Node:
         return self.machine.page_owner(page)
 
     def observe_peer_vc(self, proc: int, vc: VectorClock) -> None:
-        """Remember the freshest vector clock seen from ``proc``.
-        Deferred: the merge happens at the next :meth:`peer_clock`
-        read (capped so the pending batch stays small)."""
+        """Remember that ``proc`` has seen our intervals up to
+        ``vc[self.proc]``."""
         if proc != self.proc:
-            pending = self._peer_vc_pending[proc]
-            pending.append(vc)
-            if len(pending) >= self.PEER_VC_FOLD:
-                self.peer_clock(proc)
-
-    def peer_clock(self, proc: int) -> VectorClock:
-        """Best known vector clock of ``proc``, folding any deferred
-        observations first (one componentwise-max pass — same value as
-        merging each observation eagerly)."""
-        current = self.peer_vc[proc]
-        pending = self._peer_vc_pending[proc]
-        if pending:
-            if len(pending) == 1:
-                current = current.merged(pending[0])
-            else:
-                combined = tuple(map(max, current.components,
-                                     *[vc.components for vc in pending]))
-                if combined != current.components:
-                    current = VectorClock._of(combined)
-            del pending[:]
-            self.peer_vc[proc] = current
-        return current
+            seen = vc.components[self.proc]
+            if seen > self.peer_seen[proc]:
+                self.peer_seen[proc] = seen
 
     def memory_footprint(self) -> Dict[str, int]:
         """Consistency-metadata sizes (what barrier GC reclaims)."""

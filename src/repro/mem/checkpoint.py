@@ -46,10 +46,7 @@ def checkpoint_node(node) -> dict:
     eager = hasattr(protocol, "_miss_in_flight")
     return {
         "vc": node.vc,
-        # peer_clock folds deferred observations so the snapshot
-        # carries the same value an eager-merging node would hold.
-        "peer_vc": [node.peer_clock(proc)
-                    for proc in range(node.config.nprocs)],
+        "peer_seen": list(node.peer_seen),
         "pages": {page: _page_state(copy)
                   for page, copy in node.pagetable.copies.items()},
         "intervals": node.interval_log.all_records(),
@@ -86,7 +83,6 @@ def wipe_node(node) -> None:
         copy.pending_notices = []
         copy.vc = None
         copy.applied = {}
-        copy.due_cache = None
     log = node.interval_log
     log._records.clear()
     log._by_proc.clear()
@@ -94,9 +90,7 @@ def wipe_node(node) -> None:
     node.copysets.clear()
     nprocs = node.config.nprocs
     node.vc = VectorClock.zero(nprocs)
-    for proc in range(nprocs):
-        node.peer_vc[proc] = VectorClock.zero(nprocs)
-        node._peer_vc_pending[proc].clear()
+    node.peer_seen[:] = [0] * nprocs
     protocol = node.protocol
     protocol.orphan_notices.clear()
     protocol.own_page_intervals.clear()
@@ -117,8 +111,7 @@ def restore_node(node, snapshot: dict) -> None:
     wipe_node(node)
     protocol = node.protocol
     node.vc = snapshot["vc"]
-    for proc, vc in enumerate(snapshot["peer_vc"]):
-        node.peer_vc[proc] = vc
+    node.peer_seen[:] = snapshot["peer_seen"]
     # The wipe left every page copy in place as a husk, so each saved
     # page refills its own PageCopy object.
     copies = node.pagetable.copies

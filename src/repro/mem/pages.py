@@ -39,7 +39,7 @@ class PageCopy:
 
     __slots__ = ("page", "words", "buffer", "raw", "values", "twin",
                  "valid", "written", "_pending_notices", "_pending_ids",
-                 "vc", "applied", "due_cache")
+                 "vc", "applied")
 
     def __init__(self, page: int, words: int,
                  values=None,
@@ -61,11 +61,6 @@ class PageCopy:
         # Write notices received whose modifications are not yet applied.
         self._pending_notices: List[WriteNotice] = []
         self._pending_ids: set = set()
-        # Memo for LazyBase.due_notices: (node vc, pending list,
-        # pending length, result).  Valid while the clock object and
-        # the list (object and length) are unchanged — every mutation
-        # path either swaps the list object or appends to it.
-        self.due_cache: Optional[tuple] = None
         self.vc = vc
         # Highest interval index per processor whose modification of this
         # page is reflected in ``values`` (coverage map).
@@ -133,8 +128,6 @@ class PageCopy:
         if pending and pending[-1].interval_id == interval_id:
             pending.pop()
             self._pending_ids.discard(interval_id)
-            # The due/stray memo assumes the list only grows in place.
-            self.due_cache = None
         elif interval_id in self._pending_ids:
             self.remove_notices({interval_id})
 

@@ -59,10 +59,8 @@ class VectorClock:
         # builtin call for each, about twice the cost at width 32.
         combined = tuple([a if a >= b else b for a, b in zip(mine, theirs)])
         # Identity-preserving: when one side already dominates, return
-        # that clock instead of an equal new one.  Downstream memos key
-        # on clock object identity (PageCopy.due_cache), so keeping the
-        # object stable turns value-equal merges into cache hits — and
-        # the ``_total`` memo survives with it.
+        # that clock instead of an equal new one, so the ``_total``
+        # memo survives with it.
         if combined == mine:
             return self
         if combined == theirs:
@@ -81,13 +79,6 @@ class VectorClock:
             if a < b:
                 return False
         return True
-
-    def strictly_dominates(self, other: "VectorClock") -> bool:
-        """True iff self >= other and self != other (other -> self)."""
-        return self.dominates(other) and self.components != other.components
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return not self.dominates(other) and not other.dominates(self)
 
     def total(self) -> int:
         """Sum of components: any linear extension key of hb1 (if

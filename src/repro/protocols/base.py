@@ -226,12 +226,8 @@ class BaseProtocol:
         masks_get = masks.get
         by_proc = interval_log._by_proc
         orphans = self.orphan_notices
+        peer_seen = node.peer_seen
         received = 0
-        # A processor's clock is non-decreasing across its intervals,
-        # so its highest-index record's vector time dominates the rest
-        # — one peer-clock observation per source proc replaces one
-        # per record.
-        latest: Dict[int, IntervalRecord] = {}
         for record in fresh:
             # A batch may name one record twice.
             interval_id = record.interval_id
@@ -278,17 +274,12 @@ class BaseProtocol:
                     copy._pending_ids.add(interval_id)
                     copy._pending_notices.append(notice)
                     masks[page] = masks_get(page, 0) | bit
-            current = latest.get(proc)
-            if current is None or index > current.index:
-                latest[proc] = record
+            # The writer had seen our intervals up to its clock's
+            # component for us.
+            seen = record.vc.components[me]
+            if seen > peer_seen[proc]:
+                peer_seen[proc] = seen
         node.ins.notices_received.value += received
-        pending_vcs = node._peer_vc_pending
-        fold_at = node.PEER_VC_FOLD
-        for proc, record in latest.items():
-            pending = pending_vcs[proc]
-            pending.append(record.vc)
-            if len(pending) >= fold_at:
-                node.peer_clock(proc)
 
     def invalidate_page(self, page: int) -> None:
         copy = self.node.pagetable.copies.get(page)

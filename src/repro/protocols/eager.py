@@ -260,6 +260,8 @@ class EagerBase(BaseProtocol):
         copies = node.pagetable.copies
         known = node.interval_log._records
         by_proc = node.interval_log._by_proc
+        me = node.proc
+        peer_seen = node.peer_seen
         emit = node.tracer.emit if node.tracer.sink.enabled else None
         # Our copyset of each flushed page as it stood before the
         # flusher was added, returned so a stale flusher learns of
@@ -296,10 +298,9 @@ class EagerBase(BaseProtocol):
                 logged.insert(position, record)
                 if copy.applied.get(proc, 0) < index:
                     masks[page] = masks_get(page, 0) | 1 << proc
-                pending_vcs = node._peer_vc_pending[proc]
-                pending_vcs.append(record.vc)
-                if len(pending_vcs) >= node.PEER_VC_FOLD:
-                    node.peer_clock(proc)
+                seen = record.vc.components[me]
+                if seen > peer_seen[proc]:
+                    peer_seen[proc] = seen
                 received += 1
             else:
                 self.incorporate_records([record])

@@ -47,7 +47,7 @@ class LazyBase(BaseProtocol):
 
     def due_notices(self, copy: PageCopy) -> List["WriteNotice"]:
         """Pending notices inside this node's causal cone (vector time
-        dominated by the node's clock).
+        dominated by the node's clock), in pending-list order.
 
         The node's knowledge of intervals is complete below its own
         vector time (grants and departures ship every record above the
@@ -57,53 +57,14 @@ class LazyBase(BaseProtocol):
         back.  Notices *outside* the cone (delivered by opportunistic
         update pushes) must wait for the acquire that brings them in:
         applying them early could order them before an unknown
-        predecessor."""
-        pending = copy.pending_notices
-        if not pending:
-            return []
-        # Memoized per copy, incrementally: a node's clock only ever
-        # advances, so a notice once due stays due until applied —
-        # re-filtering needs to look only at previous strays plus
-        # notices appended since the last call, not the whole list.
-        # Keys are object identities (clocks are immutable; the pending
-        # list only ever grows in place or is swapped wholesale).
-        vc = self.node.vc
-        cached = copy.due_cache
-        # The result must preserve pending-list order (it feeds request
-        # construction and hence message ordering), so the incremental
-        # path only fires when the prior prefix provably keeps its
-        # order: either the clock is unchanged (strays stay strays) or
-        # there were no strays (a monotone clock keeps every prior
-        # entry due, in place).
-        if (cached is not None and cached[1] is pending
-                and (cached[0] is vc or not cached[4])):
-            seen = cached[2]
-            if cached[0] is vc and seen == len(pending):
-                return cached[3]
-            tail = pending[seen:]
-            if not tail:
-                copy.due_cache = (vc, pending, seen,
-                                  cached[3], cached[4])
-                return cached[3]
-            due = list(cached[3])
-            strays = list(cached[4])
-        else:
-            tail = pending
-            due = []
-            strays = []
-        # Inlined VectorClock.dominates: this filter runs on every
-        # acquire/barrier resolution and every miss — the method-call
-        # version dominated whole-run profiles.
-        mine = vc.components
-        for n in tail:
-            for a, b in zip(mine, n.vc.components):
-                if a < b:
-                    strays.append(n)
-                    break
-            else:
-                due.append(n)
-        copy.due_cache = (vc, pending, len(pending), due, strays)
-        return due
+        predecessor.
+
+        One component decides: every clock a node holds is a
+        processor's clock or a componentwise max of such, so it
+        dominates the vector time of interval ``(q, i)`` exactly when
+        its ``q`` component is at least ``i`` (docs/protocols.md)."""
+        mine = self.node.vc.components
+        return [n for n in copy._pending_notices if mine[n.proc] >= n.index]
 
     def apply_pending(self, copy: PageCopy) -> bool:
         """Apply every due notice's diff, in a happened-before-1 linear
@@ -179,15 +140,10 @@ class LazyBase(BaseProtocol):
                 pending = self.due_notices(copy)
             else:
                 mine = node.vc.components
-                pending = []
                 bucket = self.orphan_notices.get(page)
-                if bucket:
-                    for n in bucket.values():
-                        for a, b in zip(mine, n.vc.components):
-                            if a < b:
-                                break
-                        else:
-                            pending.append(n)
+                pending = ([n for n in bucket.values()
+                            if mine[n.proc] >= n.index]
+                           if bucket else [])
             modifiers, assignment = self._assign_requests(
                 page, pending, escalated, writer_requested)
             requests = []
@@ -309,10 +265,13 @@ class LazyBase(BaseProtocol):
             # Single known modifier (the common case in phase-parallel
             # apps): nobody can dominate it.
             return list(latest)
+        # A later modification covers this one when its clock has seen
+        # the interval (distinct writers never share a clock).
         modifiers = []
         for proc, notice in latest.items():
+            index = notice.index
             dominated = any(
-                other.vc.strictly_dominates(notice.vc)
+                other.vc.components[proc] >= index
                 for other_proc, other in latest.items()
                 if other_proc != proc)
             if not dominated:
@@ -345,7 +304,8 @@ class LazyBase(BaseProtocol):
             else:
                 for modifier in modifiers:
                     vc = latest_vc.get(modifier)
-                    if vc is not None and vc.dominates(notice.vc):
+                    if (vc is not None
+                            and vc.components[notice.proc] >= notice.index):
                         target = modifier
                         break
             if target is None:
@@ -581,11 +541,12 @@ class LazyBase(BaseProtocol):
             return
         node = self.node
         me = node.proc
-        # Each peer's view of our intervals, read once: nothing below
-        # yields before the bundles are built, so none can change.
+        # The highest of our intervals each peer is known to have seen:
+        # nothing below yields before the bundles are built, so none
+        # can change.
         peers = [dest for dest in range(node.config.nprocs)
                  if dest != me]
-        seen = {dest: node.peer_clock(dest)[me] for dest in peers}
+        seen = node.peer_seen
         believes_cached = node.copysets.believes_cached
         get_diff = node.diff_store.get
         bundles: Dict[int, List[Tuple[IntervalRecord,
@@ -668,19 +629,6 @@ class LazyBase(BaseProtocol):
                 yield from self.fetch_pending(page)
             if not copy.valid and not copy.pending_notices:
                 copy.valid = True
-
-    def collect_garbage(self) -> Generator:
-        """Base prune plus lazy-specific memo release.
-
-        The due/stray partition memos (``PageCopy.due_cache``) and the
-        cached per-record notice lists hold references into the
-        pruned history; dropping the memos here lets the collected
-        records, notices, and their cached RDIF blobs actually be
-        freed.  Pure cache invalidation — the partitions are
-        recomputed on demand with identical results."""
-        yield from super().collect_garbage()
-        for copy in self.node.pagetable.copies.values():
-            copy.due_cache = None
 
     # -- the policy point: what to do with noticed pages ---------------------------
 

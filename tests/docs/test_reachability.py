@@ -48,8 +48,6 @@ ALLOW = {
         "run-list size Diff.word_count and RDIF lengths must equal",
     "mem/wire.py::encoded_size":
         "RDIF size model encode_diff's output length must equal",
-    "mem/timestamps.py::VectorClock.concurrent_with":
-        "concurrency, as the vector-clock property tests state it",
     "apps/cholesky.py::sequential_cholesky":
         "dense oracle for the symbolic and the DSM factorization",
     # Documented library surface with no in-repo driver.

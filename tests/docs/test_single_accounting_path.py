@@ -42,8 +42,10 @@ DAG nothing walked is gone.  A crash checkpoint is a snapshot of
 objects, not a byte format (no ``RCKP``, no ``struct`` in
 ``mem/checkpoint.py``), and the interval record's unread
 ``pending_ranges``, the diff's encode memo and its ``encode`` method
-(only tests called it) are gone.  This scans
-``src/repro``
+(only tests called it) are gone.  A notice's place in the causal
+cone is one clock component: the due memo, the per-peer clock table
+and its deferred fold are gone, and no protocol walks two clocks
+component by component.  This scans ``src/repro``
 (comments and docstrings included — a stale mention misleads as well
 as a stale call) so the second accounting path cannot grow back one
 site at a time.
@@ -186,6 +188,14 @@ FORBIDDEN = [
      re.compile(r"\b_encoded\b"), ()),
     ("Diff.encode (repro.mem.wire.encode_diff is the RDIF encoder)",
      re.compile(r"\bdef encode\b"), ()),
+    ("due-notice memo (a due test is one clock component, "
+     "vc[q] >= i)", re.compile(r"\bdue_cache\b"), ()),
+    ("peer-clock table (a node keeps one int per peer, peer_seen)",
+     re.compile(r"\b_peer_vc_pending\b|\bPEER_VC_FOLD\b"
+                r"|\bpeer_clock\("), ()),
+    ("componentwise dominance loop outside VectorClock (a notice's "
+     "place in the causal cone is vc[notice.proc] >= notice.index)",
+     re.compile(r"\bzip\(mine\b"), ("mem/timestamps.py",)),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -429,6 +439,13 @@ def test_machine_transmit_is_bound_once_not_a_method():
      49),
     ("    blob = diff._encoded", 50),
     ("    def encode(self) -> bytes:", 51),
+    ("        cached = copy.due_cache", 52),
+    ("        copy.due_cache = None", 52),
+    ("        pending_vcs = node._peer_vc_pending", 53),
+    ("        fold_at = node.PEER_VC_FOLD", 53),
+    ("        seen = {dest: node.peer_clock(dest)[me] for dest in peers}",
+     53),
+    ("            for a, b in zip(mine, n.vc.components):", 54),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

@@ -6,13 +6,15 @@ Each rewritten piece is checked against the formulation it replaced:
   vs ``tuple(map(max, ...))``, with both identity-preserving returns;
 - :meth:`repro.protocols.lazy.LazyBase._assign_requests` (a direct
   answer for a one-notice miss) vs the general assignment, copied
-  here, over generated pending sets: returns, both round sets and the
-  raised error;
+  here, over pending sets drawn from generated histories (the clocks
+  a run can hold, ``test_causal_cone.py``): returns, both round sets
+  and the raised error;
 - the departure's page list (built once by ``master_combine``) vs the
   union each departing node used to rebuild from the records;
 - :meth:`repro.protocols.lazy.LazyBase.apply_pending` (which resets
   the pending list when every notice was due) vs the version that
-  always filtered through ``PageCopy.remove_notices``.
+  always filtered through ``PageCopy.remove_notices``, at a node clock
+  and notices drawn from generated histories.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.mem.diffs import Diff
 from repro.mem.intervals import BY_ORDER, WriteNotice
 from repro.mem.timestamps import VectorClock
 from repro.protocols.base import ProtocolError
+from tests.properties.test_causal_cone import histories
 
 NPROCS = 4
 
@@ -119,21 +122,15 @@ def _reference_assign_requests(self, page, pending, escalated,
 
 @st.composite
 def miss_scenarios(draw):
-    """0-3 pending notices of page 0 (own or remote writer, diff held
-    locally or not) and the two round sets, possibly pre-filled."""
-    ids = draw(st.lists(st.tuples(st.integers(0, NPROCS - 1),
-                                  st.integers(1, 3)),
-                        max_size=3, unique=True))
-    notices = []
-    local_diffs = []
-    for proc, index in ids:
-        parts = draw(st.lists(st.integers(0, 3), min_size=NPROCS,
-                              max_size=NPROCS))
-        parts[proc] = index
-        notices.append(WriteNotice(page=0, proc=proc, index=index,
-                                   vc=VectorClock(parts)))
-        if draw(st.booleans()):
-            local_diffs.append((proc, index))
+    """0-3 pending notices of page 0, intervals of a generated history
+    (own or remote writer, diff held locally or not), and the two
+    round sets, possibly pre-filled."""
+    history = draw(histories(NPROCS))
+    ids = draw(st.lists(st.sampled_from(sorted(history.intervals)),
+                        max_size=3, unique=True)
+               if history.intervals else st.just([]))
+    notices = history.notices(ids)
+    local_diffs = [iid for iid in ids if draw(st.booleans())]
     escalated = {iid for iid in ids if draw(st.booleans())}
     writer_requested = {iid for iid in ids if draw(st.booleans())}
     return notices, local_diffs, escalated, writer_requested
@@ -231,23 +228,22 @@ def _reference_apply_pending(self, copy):
 
 @st.composite
 def pending_scenarios(draw):
-    """1-4 remote notices of page 0, each due or a stray at the node's
-    clock, each with its diff (a few overlapping words) held or
-    missing.  A stray names an interval of node 0 the node has not
-    reached; the clock covers every due notice."""
-    ids = draw(st.lists(st.tuples(st.integers(1, NPROCS - 1),
-                                  st.integers(1, 3)),
-                        min_size=1, max_size=4, unique=True))
-    clock = [0] + [draw(st.integers(0, 1)) for _ in range(NPROCS - 1)]
+    """1-4 remote notices of page 0, intervals of a generated history,
+    at node 0's clock once it has caught up with some peers: each
+    notice is due or a stray at that clock, and its diff (a few
+    overlapping words) is held or missing."""
+    history = draw(histories(NPROCS, min_steps=10))
+    if not any(proc for proc, _index in history.intervals):
+        history.play("seal", draw(st.integers(1, NPROCS - 1)), 0)
+    for src in draw(st.sets(st.integers(1, NPROCS - 1))):
+        history.sync(0, src)
+    remote = sorted(iid for iid in history.intervals if iid[0])
+    ids = draw(st.lists(st.sampled_from(remote), min_size=1,
+                        max_size=4, unique=True))
+    clock = list(history.clock(0).components)
     entries = []
     for proc, index in ids:
-        parts = [0] + [draw(st.integers(0, 3))
-                       for _ in range(NPROCS - 1)]
-        parts[proc] = index
-        if draw(st.integers(0, 3)) == 0:
-            parts[0] = 1
-        else:
-            clock = [max(a, b) for a, b in zip(clock, parts)]
+        parts = list(history.intervals[proc, index].components)
         start = draw(st.integers(0, 6))
         values = draw(st.lists(st.integers(1, 99), min_size=1,
                                max_size=4))

@@ -4,10 +4,10 @@ Most grants in a lock-heavy run are empty (a queue-lock poll that
 wrote nothing): the granter has no interval the requester lacks, so
 the grant carries no records and no diffs.  Such a grant must only
 move the acquirer's clock — no notice incorporation, no diff store, no
-page resolution — under every lazy protocol.  And the granter no
-longer folds the requester's clock in on the spot: it *observes* it,
-and the fold happens at the next ``peer_clock`` read, which must give
-the value the eager merge gave, across a crash checkpoint too.
+page resolution — under every lazy protocol.  And the granter keeps
+one int per peer, not the peer's clock: ``peer_seen[requester]`` is
+the highest of the granter's own intervals the requester has been
+granted, across a crash checkpoint too.
 """
 
 import random
@@ -115,12 +115,7 @@ def test_consistency_info_is_slotted_and_takes_every_field():
         ConsistencyInfo(VectorClock.zero(2))
 
 
-# -- the granter's view of the requester's clock ---------------------------
-
-
-def _eager(node, proc, vc):
-    """The eager merge a grant used to make on the spot."""
-    node.peer_vc[proc] = node.peer_clock(proc).merged(vc)
+# -- the granter's knowledge of the requester ------------------------------
 
 
 def _random_clock(rng):
@@ -128,40 +123,27 @@ def _random_clock(rng):
 
 
 @pytest.mark.parametrize("count", [1, 5, 63, 64, 150])
-def test_deferred_grant_observations_fold_to_the_eager_merge(count):
-    """Grants observe the requester's clock; the fold at the next read
-    (or at the 64-entry cap) equals merging at every grant."""
+def test_grants_keep_the_highest_granter_component(count):
+    """Each grant observes the granter's clock on the requester's
+    behalf: ``peer_seen[requester]`` is the max of ``vc[granter]`` over
+    every grant to it, at every read, and a checkpoint, wipe and
+    restore keeps it."""
     rng = random.Random(count)
-    deferred, eager = make_machine("lh"), make_machine("lh")
-    granter, mirror = deferred.nodes[1], eager.nodes[1]
-    expected = VectorClock.zero(NPROCS)
+    granter = make_machine("lh").nodes[1]
+    seen = granter.peer_seen
+    expected = [0] * NPROCS
     for _ in range(count):
-        vc = _random_clock(rng)
-        granter.vc = mirror.vc = vc
-        granter.protocol.grant_payload(0, VectorClock.zero(NPROCS))
-        _eager(mirror, 0, vc)
-        expected = expected.merged(vc)
-        if rng.random() < 0.1:                # an occasional early read
-            assert granter.peer_clock(0) == mirror.peer_clock(0)
-    assert granter.peer_clock(0) == expected == mirror.peer_clock(0)
-
-
-def test_deferred_peer_clock_survives_the_crash_checkpoint():
-    """A checkpoint taken with grant observations still pending
-    carries the eagerly merged clock: restoring it gives the same
-    ``peer_clock``, and the snapshot equals an eager-merging node's."""
-    rng = random.Random(7)
-    deferred, eager = make_machine("lh"), make_machine("lh")
-    node, mirror = deferred.nodes[2], eager.nodes[2]
-    for _ in range(20):
-        requester = rng.choice([0, 1, 3])
-        node.vc = mirror.vc = vc = _random_clock(rng)
-        node.protocol.grant_payload(requester, VectorClock.zero(NPROCS))
-        _eager(mirror, requester, vc)
-    assert any(node._peer_vc_pending)          # still deferred
-    snapshot = checkpoint_node(node)
-    assert snapshot == checkpoint_node(mirror)
-    wipe_node(node)
-    restore_node(node, snapshot)
-    for proc in range(NPROCS):
-        assert node.peer_clock(proc) == mirror.peer_clock(proc)
+        requester = rng.choice([0, 2, 3])
+        granter.vc = vc = _random_clock(rng).incremented(1)
+        granter.protocol.grant_payload(requester,
+                                       VectorClock.zero(NPROCS))
+        expected[requester] = max(expected[requester], vc[1])
+        assert granter.peer_seen == expected
+    assert any(expected)
+    snapshot = checkpoint_node(granter)
+    assert snapshot["peer_seen"] == expected
+    wipe_node(granter)
+    assert granter.peer_seen == [0] * NPROCS
+    restore_node(granter, snapshot)
+    assert granter.peer_seen is seen and seen == expected
+    assert checkpoint_node(granter) == snapshot

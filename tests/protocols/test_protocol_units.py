@@ -269,8 +269,7 @@ def receiver_state(node):
                      in node.protocol._poison_records.items()},
         "masks": dict(node.copysets._masks),
         "diffs": sorted(node.diff_store._diffs),
-        "peer_vcs": [[vc.components for vc in pending]
-                     for pending in node._peer_vc_pending],
+        "peer_seen": list(node.peer_seen),
         "notices_received": node.ins.notices_received.value,
         "diffs_applied": node.ins.diffs_applied.value,
     }
