@@ -123,11 +123,9 @@ class Node:
 
     def memory_footprint(self) -> Dict[str, int]:
         """Consistency-metadata sizes (what barrier GC reclaims)."""
-        orphans = getattr(self.protocol, "orphan_notices", {})
         return {
             "interval_records": len(self.interval_log),
             "stored_diffs": len(self.diff_store),
-            "orphan_notices": sum(len(v) for v in orphans.values()),
             "page_copies": len(self.pagetable),
         }
 

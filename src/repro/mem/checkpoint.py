@@ -49,13 +49,10 @@ def checkpoint_node(node) -> dict:
         "peer_seen": list(node.peer_seen),
         "pages": {page: _page_state(copy)
                   for page, copy in node.pagetable.copies.items()},
-        "intervals": node.interval_log.all_records(),
+        # Insertion order: a cold miss reads the log in this order.
+        "intervals": list(node.interval_log._records.values()),
         "diffs": dict(node.diff_store._diffs),
         "copysets": node.copysets.items(),
-        "orphan_notices": {page: dict(notices) for page, notices
-                           in protocol.orphan_notices.items()},
-        "own_page_intervals": {page: list(indices) for page, indices
-                               in protocol.own_page_intervals.items()},
         "unpropagated": {iid: set(pages) for iid, pages
                          in protocol.unpropagated.items()},
         "last_barrier_vc": protocol.last_barrier_vc,
@@ -92,8 +89,6 @@ def wipe_node(node) -> None:
     node.vc = VectorClock.zero(nprocs)
     node.peer_seen[:] = [0] * nprocs
     protocol = node.protocol
-    protocol.orphan_notices.clear()
-    protocol.own_page_intervals.clear()
     protocol.unpropagated.clear()
     protocol._dirty_pages.clear()
     protocol.last_barrier_vc = VectorClock.zero(nprocs)
@@ -134,10 +129,6 @@ def restore_node(node, snapshot: dict) -> None:
     node.diff_store._diffs.update(snapshot["diffs"])
     for page, mask in snapshot["copysets"]:
         node.copysets.merge(page, mask)
-    for page, notices in snapshot["orphan_notices"].items():
-        protocol.orphan_notices[page] = dict(notices)
-    for page, indices in snapshot["own_page_intervals"].items():
-        protocol.own_page_intervals[page] = list(indices)
     for iid, pages in snapshot["unpropagated"].items():
         protocol.unpropagated[iid] = set(pages)
     protocol.last_barrier_vc = snapshot["last_barrier_vc"]

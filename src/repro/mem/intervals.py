@@ -26,6 +26,8 @@ IntervalId = Tuple[int, int]  # (proc, interval index)
 
 #: Sort key of records and notices: ascending happened-before-1 order.
 BY_ORDER = attrgetter("order")
+#: Key of a record's page-ascending notice list.
+BY_PAGE = attrgetter("page")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +86,11 @@ class IntervalRecord:
                      for page in sorted(self.pages)]
             self._notices = built
         return built
+
+    def notice(self, page: int) -> WriteNotice:
+        """The cached notice for ``page``, one of the record's pages."""
+        notices = self.notices()
+        return notices[bisect_left(notices, page, key=BY_PAGE)]
 
 
 class IntervalLog:
@@ -151,9 +158,6 @@ class IntervalLog:
         if len(found) > 1:
             found.sort(key=BY_ORDER)
         return found
-
-    def all_records(self) -> List[IntervalRecord]:
-        return sorted(self._records.values(), key=BY_ORDER)
 
     def prune_dominated(self, vc: VectorClock) -> List[IntervalId]:
         """Drop every record whose vector time is dominated by ``vc``

@@ -242,9 +242,6 @@ class PageTable:
             ins.page_installs.inc()
         return copy
 
-    def drop(self, page: int) -> None:
-        self.copies.pop(page, None)
-
     def pages(self) -> List[int]:
         return sorted(self.copies)
 

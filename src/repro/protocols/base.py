@@ -35,8 +35,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import WORD_SIZE
 from repro.mem.diffs import Diff
-from repro.mem.intervals import (BY_ORDER, IntervalId, IntervalRecord,
-                                 WriteNotice)
+from repro.mem.intervals import BY_ORDER, IntervalId, IntervalRecord
 from repro.mem.pages import PageCopy
 from repro.mem.timestamps import VectorClock
 from repro.net.message import Message
@@ -75,11 +74,11 @@ class BaseProtocol:
     TUNABLES: Dict[str, tuple] = {"price_diffs_as_pages": (False, True)}
 
     #: Whether :mod:`repro.mem.checkpoint` can snapshot this
-    #: protocol's consistency state (the base orphan/own/unpropagated
-    #: dicts and the barrier clock).  Subclasses carrying state the
-    #: checkpoint does not cover must opt out, which turns node-crash
-    #: faults into an explicit configuration error instead of a
-    #: silently incomplete restore.
+    #: protocol's consistency state (the unpropagated intervals, the
+    #: barrier and GC clocks, and the eager fetch state).  Subclasses
+    #: carrying state the checkpoint does not cover must opt out,
+    #: which turns node-crash faults into an explicit configuration
+    #: error instead of a silently incomplete restore.
     supports_checkpoint = True
 
     def __init__(self, node) -> None:
@@ -88,13 +87,6 @@ class BaseProtocol:
         # DSM without run-length encoding (data volume only; the
         # multiple-writer merge still needs the word-level content).
         self.price_diffs_as_pages = False
-        # Notices for pages we hold no copy of (merged in at install):
-        # page -> {interval id: notice}.  One dict doubles as ordered
-        # list (insertion order) and O(1) dedup set.
-        self.orphan_notices: Dict[int, Dict[IntervalId,
-                                            WriteNotice]] = {}
-        # Own intervals that modified each page (indices, ascending).
-        self.own_page_intervals: Dict[int, List[int]] = {}
         # Own modifications not yet flushed/pushed to other cachers:
         # interval id -> set of pages still to propagate.
         self.unpropagated: Dict[IntervalId, Set[int]] = {}
@@ -167,7 +159,6 @@ class BaseProtocol:
                                     assume_normalized=True)
             node.diff_store.put(node.proc, index, diff)
             copy.mark_applied(node.proc, index)
-            self.own_page_intervals.setdefault(page, []).append(index)
             words_created += diff.word_count
             cost += per_diff_cost
         created = len(dirty)
@@ -199,7 +190,10 @@ class BaseProtocol:
     def incorporate_records(self,
                             records: Sequence[IntervalRecord]) -> None:
         """Merge received interval records: log them and attach write
-        notices to the affected page copies (or the orphan list).
+        notices to the affected page copies.  A page this node holds
+        no copy of only gains the writer's copyset bit: its notices
+        stay in the log, where a lazy cold miss reads them
+        (``LazyBase.logged_notices``).
 
         One frame for the whole batch: IntervalLog.add_if_new,
         PageCopy.add_notice, CopysetTable.add and Node.observe_peer_vc
@@ -225,7 +219,6 @@ class BaseProtocol:
         masks = node.copysets._masks
         masks_get = masks.get
         by_proc = interval_log._by_proc
-        orphans = self.orphan_notices
         peer_seen = node.peer_seen
         received = 0
         for record in fresh:
@@ -260,14 +253,6 @@ class BaseProtocol:
                 page = notice.page
                 copy = get_copy(page)
                 if copy is None:
-                    # An orphan: a notice for a page this node has
-                    # no copy of yet.  The record is new to the log,
-                    # so its notice is new to the bucket.
-                    bucket = orphans.get(page)
-                    if bucket is None:
-                        orphans[page] = {interval_id: notice}
-                    else:
-                        bucket[interval_id] = notice
                     masks[page] = masks_get(page, 0) | bit
                 elif (copy.applied.get(proc, 0) < index
                       and interval_id not in copy._pending_ids):
@@ -306,11 +291,10 @@ class BaseProtocol:
     def collect_garbage(self) -> Generator:
         """Reclaim consistency metadata (called at GC barriers).
 
-        Phase P (prune): drop interval records, stored diffs, and
-        orphan notices dominated by the vector time validated at the
-        *previous* GC barrier — by then every node has validated its
-        copies past that point, so nothing that old can be requested
-        again.
+        Phase P (prune): drop interval records and stored diffs
+        dominated by the vector time validated at the *previous* GC
+        barrier — by then every node has validated its copies past
+        that point, so nothing that old can be requested again.
 
         Phase V (validate): bring every local copy up to date with the
         just-departed barrier's knowledge (fetching diffs if needed),
@@ -323,22 +307,6 @@ class BaseProtocol:
             vc = self._gc_prunable_vc
             dropped = node.interval_log.prune_dominated(vc)
             node.diff_store.prune_intervals(dropped)
-            for page in list(self.orphan_notices):
-                kept = {iid: n
-                        for iid, n in self.orphan_notices[page].items()
-                        if not vc.dominates(n.vc)}
-                if kept:
-                    self.orphan_notices[page] = kept
-                else:
-                    del self.orphan_notices[page]
-            dropped_set = set(dropped)
-            for page in list(self.own_page_intervals):
-                kept_idx = [i for i in self.own_page_intervals[page]
-                            if (node.proc, i) not in dropped_set]
-                if kept_idx:
-                    self.own_page_intervals[page] = kept_idx
-                else:
-                    del self.own_page_intervals[page]
         yield from self.validate_all()
         self._gc_prunable_vc = self.last_barrier_vc
 

@@ -98,9 +98,9 @@ class EagerBase(BaseProtocol):
 
     def _reapply_unpropagated(self, page: int, copy) -> None:
         node = self.node
-        for index in self.own_page_intervals.get(page, ()):
-            interval_id = (node.proc, index)
-            if page in self.unpropagated.get(interval_id, ()):
+        # Seal order: ascending interval index.
+        for (_proc, index), pages in self.unpropagated.items():
+            if page in pages:
                 diff = node.diff_store.get(node.proc, index, page)
                 if diff is None:
                     raise ProtocolError(

@@ -119,6 +119,17 @@ class LazyBase(BaseProtocol):
             store.setdefault((proc, index, diff.page), diff)
         self.node.ins.diffs_applied.value += len(diffs)
 
+    def logged_notices(self, page: int) -> List[WriteNotice]:
+        """Other processors' notices for ``page`` in this node's log,
+        in log order: what a node with no copy of the page has been
+        told about it.  Page copies are never dropped, so every such
+        record arrived while the page had no copy and is still to be
+        merged in at the cold miss."""
+        me = self.node.proc
+        return [record.notice(page)
+                for record in self.node.interval_log._records.values()
+                if record.proc != me and page in record.pages]
+
     # -- access misses -------------------------------------------------------
 
     def resolve_miss(self, page: int, for_write: bool) -> Generator:
@@ -140,10 +151,8 @@ class LazyBase(BaseProtocol):
                 pending = self.due_notices(copy)
             else:
                 mine = node.vc.components
-                bucket = self.orphan_notices.get(page)
-                pending = ([n for n in bucket.values()
-                            if mine[n.proc] >= n.index]
-                           if bucket else [])
+                pending = [n for n in self.logged_notices(page)
+                           if mine[n.proc] >= n.index]
             modifiers, assignment = self._assign_requests(
                 page, pending, escalated, writer_requested)
             requests = []
@@ -344,18 +353,16 @@ class LazyBase(BaseProtocol):
         copy.applied = dict(payload["applied"])
         copy.pending_notices = []
         node.ins.page_transfers.value += 1
-        # Merge notices parked while we had no copy.
-        parked = self.orphan_notices.pop(page, None)
-        if parked:
-            for notice in parked.values():
-                copy.add_notice(notice)
+        # Merge the notices logged while we had no copy.
+        for notice in self.logged_notices(page):
+            copy.add_notice(notice)
         # Our own sealed intervals the source did not cover must be
-        # re-applied on top (their diffs are local).
-        for index in self.own_page_intervals.get(page, ()):
-            if not copy.is_applied(node.proc, index):
-                record = node.interval_log.get((node.proc, index))
-                copy.add_notice(WriteNotice(page=page, proc=node.proc,
-                                            index=index, vc=record.vc))
+        # re-applied on top (their diffs are local), ascending.
+        me = node.proc
+        _indices, own = node.interval_log._by_proc.get(me, ((), ()))
+        for record in own:
+            if page in record.pages:
+                copy.add_notice(record.notice(page))
 
     # -- serving misses and diff requests ----------------------------------------
 

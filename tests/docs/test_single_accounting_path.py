@@ -196,6 +196,9 @@ FORBIDDEN = [
     ("componentwise dominance loop outside VectorClock (a notice's "
      "place in the causal cone is vc[notice.proc] >= notice.index)",
      re.compile(r"\bzip\(mine\b"), ("mem/timestamps.py",)),
+    ("per-page notice index beside the interval log (a cold miss "
+     "reads the log, LazyBase.logged_notices)",
+     re.compile(r"\borphan_notices\b|\bown_page_intervals\b"), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -446,6 +449,8 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("        seen = {dest: node.peer_clock(dest)[me] for dest in peers}",
      53),
     ("            for a, b in zip(mine, n.vc.components):", 54),
+    ("        parked = self.orphan_notices.pop(page, None)", 55),
+    ("        for index in self.own_page_intervals.get(page, ()):", 55),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

@@ -13,6 +13,7 @@ from repro.apps import create_app
 from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.machine import Machine
 from repro.mem.checkpoint import checkpoint_node, restore_node, wipe_node
+from repro.mem.intervals import IntervalRecord
 from repro.mem.timestamps import VectorClock
 
 
@@ -35,18 +36,21 @@ def machine_after_run(protocol="li", nprocs=2, app="jacobi"):
     return machine
 
 
+def logged(node):
+    """The node's log in iteration order, object-free."""
+    return [(record.interval_id, record.order)
+            for record in node.interval_log._records.values()]
+
+
 def assert_round_trip(node):
     snapshot = checkpoint_node(node)
     assert checkpoint_node(node) == snapshot  # read-only
-    live = {record.interval_id: record.order
-            for record in node.interval_log.all_records()}
+    live = logged(node)
     wipe_node(node)
     assert checkpoint_node(node) != snapshot  # wipe really erased
     restore_node(node, snapshot)
     assert checkpoint_node(node) == snapshot
-    restored = {record.interval_id: record.order
-                for record in node.interval_log.all_records()}
-    assert restored == live
+    assert logged(node) == live
     return snapshot
 
 
@@ -81,6 +85,29 @@ def test_round_trip_after_interval_gc():
         assert node.interval_log.records_after(zero) == served
 
 
+def test_round_trip_keeps_a_log_out_of_hb1_order():
+    """A cold miss reads a page's notices in log order, so a restore
+    keeps the log's insertion order even where it is not the
+    happened-before-1 extension records sort by."""
+    machine = Machine(MachineConfig(nprocs=4,
+                                    network=NetworkConfig.ideal()),
+                      protocol="li")
+    node = machine.nodes[0]
+    page = 37  # never allocated: node 0 holds no copy
+    later = IntervalRecord(proc=2, index=1, vc=VectorClock((0, 1, 1, 0)),
+                           pages=frozenset([page]))
+    earlier = IntervalRecord(proc=1, index=1,
+                             vc=VectorClock((0, 1, 0, 0)),
+                             pages=frozenset([page, page + 1]))
+    node.protocol.incorporate_records([later, earlier])
+    assert later.order > earlier.order
+    assert list(node.interval_log._records) == [(2, 1), (1, 1)]
+    notices = node.protocol.logged_notices(page)
+    assert [n.interval_id for n in notices] == [(2, 1), (1, 1)]
+    assert_round_trip(node)  # the log's iteration order included
+    assert node.protocol.logged_notices(page) == notices
+
+
 def test_gc_threshold_is_saved_wiped_and_restored():
     """The vector time a GC barrier validated (pruned at the next one)
     is node state: a crash erases it and only the checkpoint brings
@@ -108,7 +135,8 @@ def test_eager_fetch_in_flight_is_saved_wiped_and_restored():
     machine = machine_after_run(protocol="eu")
     node = machine.nodes[1]
     protocol = node.protocol
-    record = next(record for record in node.interval_log.all_records()
+    zero = VectorClock.zero(node.config.nprocs)
+    record = next(record for record in node.interval_log.records_after(zero)
                   if record.proc != node.proc)
     page = min(record.pages)
     diff = node.diff_store.get(record.proc, record.index, page)

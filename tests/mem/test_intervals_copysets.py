@@ -50,11 +50,11 @@ class TestIntervalLog:
         totals = [r.vc.total() for r in after]
         assert totals == sorted(totals)
 
-    def test_all_records(self):
+    def test_len_and_membership(self):
         log = IntervalLog()
         log.add(record(0, 1, (1, 0, 0), [0]))
         log.add(record(1, 1, (0, 1, 0), [0]))
-        assert len(log.all_records()) == 2
+        assert len(log) == 2
         assert (0, 1) in log
         assert (5, 5) not in log
 

@@ -59,12 +59,6 @@ class TestPageTable:
         table.install(1, values=np.ones(4))
         assert (table.get(1).values == 1).all()
 
-    def test_drop(self):
-        table = PageTable(words_per_page=4)
-        table.install(2)
-        table.drop(2)
-        assert not table.has_copy(2)
-
 
 class TestAddressSpace:
     def test_allocation_is_page_aligned(self):

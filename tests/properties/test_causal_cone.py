@@ -4,7 +4,7 @@ Every clock the simulator holds is a processor's clock or a
 componentwise max or min of such clocks.  For those clocks
 (Fidge/Mattern) a clock ``V`` dominates the vector time ``vc(q, i)``
 of interval ``(q, i)`` exactly when ``V[q] >= i``.  The lazy due test,
-the cold-miss orphan filter, ``concurrent_last_modifiers``,
+the cold-miss filter, ``concurrent_last_modifiers``,
 ``_assign_wanted`` and the barrier push's peer knowledge read that one
 component.  This file tests the precondition they rest on:
 
@@ -12,14 +12,14 @@ component.  This file tests the precondition they rest on:
   every clock a processor holds and every componentwise min of two of
   them;
 - in real runs, after every barrier departure and at the end of the
-  run, for each node's clock against every record in its log, every
-  pending notice and every orphan notice, and for the log holding
-  every interval the clock covers (the cone the due test trusts is
-  complete, and a clock names no interval nobody sealed): seven
-  protocols, four
-  applications, ATM and Ethernet, each clean, lossy, across a crash
-  and restore, at two threads per node (Cholesky, the one app with
-  ``worker_thread``) and with GC at every barrier;
+  run, for each node's clock against every record in its log (which
+  holds every notice a cold miss reads) and every pending notice, and
+  for the log holding every interval the clock covers (the cone the
+  due test trusts is complete, and a clock names no interval nobody
+  sealed): seven protocols, four applications, ATM and Ethernet, each
+  clean, lossy, across a crash and restore, at two threads per node
+  (Cholesky, the one app with ``worker_thread``) and with GC at every
+  barrier;
 - and the two rewritten modifier rules against the dominance
   formulations they replaced, over notices drawn from histories.
 
@@ -287,11 +287,9 @@ def _cone_check(node):
     vc = node.vc
     mine = vc.components
     log = node.interval_log
-    items = list(log.all_records())
+    items = list(log._records.values())
     for copy in node.pagetable.copies.values():
         items.extend(copy.pending_notices)
-    for bucket in node.protocol.orphan_notices.values():
-        items.extend(bucket.values())
     wrong = [("cone", node.proc, vc, item.interval_id, item.vc)
              for item in items
              if vc.dominates(item.vc) != (mine[item.proc] >= item.index)]

@@ -48,8 +48,6 @@ def _state(node):
                      bytes(copy.buffer))
               for page, copy in node.pagetable.copies.items()}
     return (copies, len(node.interval_log), len(node.diff_store),
-            {page: dict(bucket) for page, bucket
-             in node.protocol.orphan_notices.items()},
             node.ins.diffs_applied.value, node.ins.invalidations.value,
             node.ins.notices_received.value)
 

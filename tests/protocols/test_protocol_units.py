@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps import create_app
 from repro.core import Machine, MachineConfig, NetworkConfig
+from repro.mem.diffs import Diff
 from repro.mem.intervals import IntervalRecord, WriteNotice
 from repro.mem.timestamps import VectorClock
 from repro.net.message import Message, MsgKind
@@ -94,13 +95,14 @@ class TestIncorporate:
         node.protocol.incorporate_records([rec])
         assert node.pagetable.get(0).pending_notices == []
 
-    def test_uncached_page_goes_to_orphans(self):
+    def test_uncached_page_notice_stays_in_the_log(self):
         machine, node = make_node()
         # Page 37 was never allocated/cached at node 0.
         rec = record(1, 1, (0, 1, 0, 0), [37])
         node.protocol.incorporate_records([rec])
+        assert node.pagetable.get(37) is None
         assert [n.interval_id for n in
-                node.protocol.orphan_notices[37].values()] == [(1, 1)]
+                node.protocol.logged_notices(37)] == [(1, 1)]
 
 
 class TestConcurrentLastModifiers:
@@ -154,6 +156,42 @@ class TestDueNotices:
         assert node.protocol.apply_pending(copy)  # vacuously succeeds
         assert copy.pending_notices == [ahead]
         assert copy.valid
+
+
+class TestColdInstall:
+    def test_own_interval_the_source_lacks_is_reapplied(self):
+        """A cold install lays our own logged intervals that the
+        source's ``applied`` map does not cover back over the fetched
+        contents, as pending notices ``apply_pending`` applies."""
+        machine, node = make_node()
+        page = 1  # homed at node 1: node 0 holds no copy
+        assert node.pagetable.get(page) is None
+        written = np.zeros(machine.config.words_per_page)
+        written[3] = 7.0
+        node.diff_store.put(0, 1, Diff.from_ranges(page, written,
+                                                   [(3, 4)]))
+        node.vc = VectorClock((1, 0, 0, 0))
+        node.interval_log.add(record(0, 1, (1, 0, 0, 0), [page, 2]))
+        node.protocol._install_base(page, {
+            "values": bytes(8 * machine.config.words_per_page),
+            "applied": {1: 4}})
+        copy = node.pagetable.get(page)
+        assert [(n.page, n.interval_id)
+                for n in copy.pending_notices] == [(page, (0, 1))]
+        assert not copy.valid
+        assert node.protocol.apply_pending(copy)
+        assert copy.valid and copy.pending_notices == []
+        assert copy.values[3] == 7.0
+        assert copy.applied == {0: 1, 1: 4}
+
+    def test_own_interval_the_source_covers_is_not_pending(self):
+        machine, node = make_node()
+        node.vc = VectorClock((1, 0, 0, 0))
+        node.interval_log.add(record(0, 1, (1, 0, 0, 0), [1]))
+        node.protocol._install_base(1, {
+            "values": bytes(8 * machine.config.words_per_page),
+            "applied": {0: 1}})
+        assert node.pagetable.get(1).pending_notices == []
 
 
 class TestInvalidation:
@@ -261,8 +299,6 @@ def receiver_state(node):
                           [(n.page, n.interval_id)
                            for n in copy.pending_notices])
                    for page, copy in node.pagetable.copies.items()},
-        "orphans": {page: list(bucket)
-                    for page, bucket in node.protocol.orphan_notices.items()},
         "poisoned": {page: [(r.interval_id, d is not None)
                             for r, d in raced]
                      for page, raced
@@ -510,6 +546,27 @@ class TestEagerFlush:
         assert misser.pagetable.get(1).values[0] == 3.0
         assert misser.pagetable.get(1).is_applied(0, record.index)
         assert 1 not in misser.protocol._poison_records
+
+    @pytest.mark.parametrize("protocol", ["eu", "ei"])
+    def test_refetch_reapplies_only_unflushed_own_writes_of_the_page(
+            self, protocol):
+        """A miss on a page we wrote but have not flushed fetches the
+        home's copy, which lacks our write: the unpropagated intervals
+        that wrote the page are laid back over it, in seal order, and
+        no other interval's diff is."""
+        machine = make_machine(protocol)
+        misser = machine.nodes[2]
+        first = write_and_seal(misser, 1, 9.0)
+        last = write_and_seal(misser, 1, 7.0)
+        write_and_seal(misser, 5, 4.0)    # page 5's diff, not page 1's
+        assert list(misser.protocol.unpropagated) == [
+            (2, first.index), (2, last.index), (2, last.index + 1)]
+        misser.pagetable.get(1).valid = False
+        drive(machine, misser.protocol.ensure_valid(1, False))
+        copy = misser.pagetable.get(1)
+        assert copy.valid and copy.values[0] == 7.0
+        assert copy.applied[2] == last.index
+        assert machine.nodes[1].pagetable.get(1).values[0] == 0.0
 
     @pytest.mark.parametrize("protocol", ["eu", "li"])
     def test_page_reply_copyset_mask_is_merged_not_assigned(
