@@ -32,7 +32,7 @@ from repro.core.config import (WORD_SIZE, CrashSpec, FaultConfig,
                                MachineConfig, NetworkConfig, StallSpec)
 from repro.core.metrics import RunResult
 from repro.lab import DEFAULT_CACHE_DIR, Lab, RunSpec
-from repro.protocols import PROTOCOL_NAMES
+from repro.protocols import ALL_PROTOCOL_NAMES, PROTOCOL_NAMES
 from repro.serve.workload import SERVE_APP_PARAMS
 
 #: Apps the CLI accepts: the paper suite plus the serving workload
@@ -121,7 +121,7 @@ def _name_arg(what: str, names: List[str]):
     return parse
 
 
-_protocol_list = _list_arg(_name_arg("protocol", PROTOCOL_NAMES))
+_protocol_list = _list_arg(_name_arg("protocol", ALL_PROTOCOL_NAMES))
 _network_list = _list_arg(_name_arg("network", NETWORK_NAMES))
 
 
@@ -754,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument("app", choices=CLI_APP_CHOICES)
         flag("--procs", type=_positive_int, default=8)
-        flag("--protocol", choices=PROTOCOL_NAMES,
+        flag("--protocol", choices=ALL_PROTOCOL_NAMES,
              default="lh")
         flag("--network", choices=NETWORK_NAMES, default="atm")
         flag("--bandwidth", type=_positive_hw_rate, default=100.0,
@@ -864,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.add_argument("--protocols", type=_protocol_list,
                         default=",".join(PROTOCOL_NAMES),
                         help="comma-separated protocol subset "
-                             "(default: all five)")
+                             "(default: the paper's five)")
     p_loss.set_defaults(func=cmd_losssweep, loss=0.0)
 
     p_crash = sub.add_parser("crashsweep", help=cmd_crashsweep.__doc__)

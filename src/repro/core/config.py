@@ -127,10 +127,10 @@ class StallSpec:
 @dataclass(frozen=True)
 class CrashSpec:
     """One scheduled node crash: ``proc`` fails at simulated time
-    ``at_us`` and, for crash-recover, restarts ``down_us`` later from
-    a checkpoint of its state at the crash instant.  ``down_us=None``
-    is a crash-stop: the node never returns, so ``Machine.run`` bounds
-    the run with an event budget and returns a partial result.
+    ``at_us`` and, for crash-recover, restarts ``down_us`` later with
+    the state it held at the crash instant.  ``down_us=None`` is a
+    crash-stop: the node never returns, so ``Machine.run`` bounds the
+    run with an event budget and returns a partial result.
 
     ``at_us`` must be strictly positive so worker processes exist by
     the time the crash fires (they spawn at t=0)."""

@@ -121,7 +121,7 @@ class Machine:
                 self.lifecycle.gate(self.transport.on_network_delivery))
             self.lifecycle.install()
 
-        self._worker_procs: Dict[int, List] = {}
+        self._node_procs: Dict[int, List] = {}
         self._finished: List[Optional[float]] = [None] * config.nprocs
         self._app_results: List[object] = [None] * config.nprocs
         self._unfinished = config.nprocs
@@ -218,10 +218,18 @@ class Machine:
 
     # -- execution ---------------------------------------------------------------
 
-    def worker_processes(self, proc: int):
-        """The application processes running on node ``proc`` (the
-        lifecycle manager freezes these across a crash)."""
-        return self._worker_procs.get(proc, ())
+    def node_processes(self, proc: int):
+        """The processes running on node ``proc``: its workers and the
+        protocol work it runs beside them (:meth:`adopt`).  The
+        lifecycle manager freezes these across a crash."""
+        return self._node_procs.get(proc, ())
+
+    def adopt(self, proc: int, process) -> None:
+        """Run ``process`` as part of node ``proc``: a crash of the
+        node freezes it with the workers.  Only a crash plan looks, so
+        a run without one keeps no list of finished processes."""
+        if self.lifecycle is not None:
+            self._node_procs[proc].append(process)
 
     def run(self, worker_factory: Callable[..., Generator],
             max_events: Optional[int] = None,
@@ -251,7 +259,7 @@ class Machine:
         self._finished = [None] * nworkers
         self._app_results = [None] * nworkers
         self._unfinished = nworkers
-        self._worker_procs = {p: [] for p in range(self.config.nprocs)}
+        self._node_procs = {p: [] for p in range(self.config.nprocs)}
         if threads_per_proc > 1:
             for node in self.nodes:
                 node.enable_multithreading()
@@ -264,13 +272,13 @@ class Machine:
                     self._wrap_worker(proc * threads_per_proc + thread,
                                       generator),
                     name=f"worker-{proc}.{thread}")
-                self._worker_procs[proc].append(process)
+                self._node_procs[proc].append(process)
         else:
             for proc in range(self.config.nprocs):
                 process = self.sim.spawn(
                     self._wrap_worker(proc, worker_factory(proc)),
                     name=f"worker-{proc}")
-                self._worker_procs[proc].append(process)
+                self._node_procs[proc].append(process)
         self._done = self.sim.event("all-workers-done")
         crash_stop = self.lifecycle is not None and any(
             ev.down_us is None for ev in self.lifecycle.plan)

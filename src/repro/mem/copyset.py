@@ -17,7 +17,7 @@ set bits themselves (``low = mask & -mask``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 
 class CopysetTable:
@@ -50,12 +50,3 @@ class CopysetTable:
 
     def believes_cached(self, page: int, proc: int) -> bool:
         return bool(self._masks.get(page, 0) & (1 << proc))
-
-    # -- checkpoint support (repro.mem.checkpoint) ------------------------
-
-    def items(self) -> List[Tuple[int, int]]:
-        """Every ``(page, mask)`` entry, pages ascending."""
-        return sorted(self._masks.items())
-
-    def clear(self) -> None:
-        self._masks.clear()

@@ -149,10 +149,10 @@ ROBUSTNESS_CATALOG: Tuple[MetricSpec, ...] = (
                "Packets discarded at the NIC because their "
                "destination node was down."),
     MetricSpec("faults.recoveries_total", COUNTER, "recoveries",
-               "Node restorations from the crash-instant checkpoint."),
+               "Crashed nodes brought back up after their outage."),
     MetricSpec("faults.recovery_outage_cycles", HISTOGRAM, "cycles",
                "Length of each completed outage (crash instant to "
-               "restore)."),
+               "recovery)."),
     MetricSpec("faults.recovery_replayed_total", COUNTER, "messages",
                "Logged messages re-dispatched to a node after its "
                "recovery."),

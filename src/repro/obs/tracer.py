@@ -89,10 +89,10 @@ TRACE_EVENTS: Dict[str, str] = {
         "the reliable transport retransmitted a packet (src, dst, "
         "seq, rto)",
     "node.crash":
-        "a node crashed: workers frozen, NIC dead, DSM state "
-        "checkpointed (node, down_cycles or crash-stop)",
+        "a node crashed: processes frozen, NIC dead, incoming "
+        "messages logged (node, down_cycles or crash-stop)",
     "node.recover":
-        "a crashed node restored its checkpoint and rejoined (node, "
+        "a crashed node replayed its receive log and rejoined (node, "
         "outage_cycles, replayed)",
     "req.arrive":
         "a serving request was dequeued by its node's worker (req, "

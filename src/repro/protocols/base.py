@@ -73,14 +73,6 @@ class BaseProtocol:
     #: knob -> the values it accepts.
     TUNABLES: Dict[str, tuple] = {"price_diffs_as_pages": (False, True)}
 
-    #: Whether :mod:`repro.mem.checkpoint` can snapshot this
-    #: protocol's consistency state (the unpropagated intervals, the
-    #: barrier and GC clocks, and the eager fetch state).  Subclasses
-    #: carrying state the checkpoint does not cover must opt out,
-    #: which turns node-crash faults into an explicit configuration
-    #: error instead of a silently incomplete restore.
-    supports_checkpoint = True
-
     def __init__(self, node) -> None:
         self.node = node
         # Ablation: charge every diff at full page size, modelling a

@@ -25,7 +25,7 @@ the next conflicting access).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, Optional, Set, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.net.message import Message, MsgKind
 from repro.protocols.base import BaseProtocol, ProtocolError
@@ -54,9 +54,6 @@ class SequentialInvalidate(BaseProtocol):
     # A valid copy may be read-only (mode READ): writes must still go
     # through ensure_valid's ownership transaction.
     valid_copy_serves_writes = False
-    # The ownership directory (managed/mode/_fault_done) is outside
-    # the crash checkpoint; crash faults reject SC runs.
-    supports_checkpoint = False
 
     def __init__(self, node) -> None:
         super().__init__(node)
@@ -66,6 +63,14 @@ class SequentialInvalidate(BaseProtocol):
         self.managed: Dict[int, _ManagedPage] = {}
         # In-flight fault completions, keyed by page.
         self._fault_done: Dict[int, object] = {}
+        # Pages whose in-flight read grant a later transaction has
+        # already invalidated (see handle): the grant installs nothing.
+        self._revoked: Set[int] = set()
+        # Pages a write grant made ours that no hand-over has taken
+        # away, and requests that reached us as owner before that
+        # grant did (see _park_early).
+        self._owned: Set[int] = set()
+        self._early: Dict[int, List[Message]] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -159,9 +164,12 @@ class SequentialInvalidate(BaseProtocol):
             return
         state.busy = True
         requester, for_write = state.pending.popleft()
-        self.node.sim.spawn(
+        # The transaction is the manager node's work: a crash of the
+        # node freezes it with the node's workers.
+        node = self.node
+        node.machine.adopt(node.proc, node.sim.spawn(
             self._run_transaction(page, state, requester, for_write),
-            name=f"sc-txn-{page}-{requester}")
+            name=f"sc-txn-{page}-{requester}"))
 
     def _run_transaction(self, page: int, state: _ManagedPage,
                          requester: int,
@@ -266,6 +274,7 @@ class SequentialInvalidate(BaseProtocol):
             copy.valid = False
             self.node.ins.invalidations.inc()
         self.mode.pop(page, None)
+        self._owned.discard(page)
 
     # ------------------------------------------------------------------
     # message handlers
@@ -279,17 +288,26 @@ class SequentialInvalidate(BaseProtocol):
                                       payload["requester"],
                                       payload["write"])
         elif kind == MsgKind.PAGE_FWD and payload.get("sc"):
-            self._serve_forward(message)
+            if not self._park_early(payload["page"], message):
+                self._serve_forward(message)
         elif kind == MsgKind.PAGE_REPLY and "sc_grant" in payload:
             self._receive_grant(message)
         elif kind == MsgKind.FLUSH and "sc_invalidate" in payload:
-            self._drop_local(payload["sc_invalidate"])
+            page = payload["sc_invalidate"]
+            if page in self._fault_done and self._local_mode(page) is None:
+                # The manager committed our read before its grant got
+                # here (it commits on the owner's ack), and the next
+                # write transaction has overtaken that grant.
+                self._revoked.add(page)
+            self._drop_local(page)
             self.node.handler_send(Message(
                 src=self.node.proc, dst=message.src,
                 kind=MsgKind.FLUSH_ACK, reply_to=message.msg_id,
                 payload={}))
         elif kind == MsgKind.DIFF_REQ and "sc_fetch" in payload:
             page = payload["sc_fetch"]
+            if self._park_early(page, message):
+                return
             copy = self.node.pagetable.copies.get(page)
             if copy is None:
                 raise ProtocolError(
@@ -304,6 +322,16 @@ class SequentialInvalidate(BaseProtocol):
                 self._drop_local(page)
         else:
             raise ProtocolError(f"sc cannot handle {message}")
+
+    def _park_early(self, page: int, message: Message) -> bool:
+        """Hold a request that reached us before our own write grant
+        did.  The manager commits a write when the old owner acks the
+        hand-over, not when the grant lands, so the next transaction's
+        forward or fetch can overtake the grant on another stream."""
+        if page not in self._fault_done or page in self._owned:
+            return False
+        self._early.setdefault(page, []).append(message)
+        return True
 
     def _serve_forward(self, message: Message) -> None:
         """Owner side: ship the page to the requester and ack the
@@ -333,11 +361,22 @@ class SequentialInvalidate(BaseProtocol):
         node = self.node
         payload = message.payload
         page = payload["sc_grant"]
-        if payload["values"] is not None:
-            node.pagetable.install(page, values=payload["values"],
-                                   valid=True)
-            node.ins.page_transfers.inc()
-        self.mode[page] = WRITE if payload["write"] else READ
+        # A revoked read grant is a stale copy: it installs nothing,
+        # and the woken fault faults again (resolve_miss).
+        stale = page in self._revoked and not payload["write"]
+        self._revoked.discard(page)
+        if not stale:
+            if payload["values"] is not None:
+                node.pagetable.install(page, values=payload["values"],
+                                       valid=True)
+                node.ins.page_transfers.inc()
+            if payload["write"]:
+                self.mode[page] = WRITE
+                self._owned.add(page)
+                for early in self._early.pop(page, ()):
+                    self.handle(early)
+            else:
+                self.mode[page] = READ
         done = self._fault_done.get(page)
         if done is not None and not done.triggered:
             if node.tracer.sink.enabled:

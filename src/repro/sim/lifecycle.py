@@ -1,52 +1,44 @@
 """Node crash/recovery lifecycle (the robustness layer's fault tier
 above packet faults — docs/robustness.md).
 
-Crash model: **crash-stop / crash-recover with checkpoint at the
-crash instant**.  When a node's scheduled crash fires, the manager
+Crash model: **crash-stop / crash-recover, memory intact**.  A crash
+is an outage, not a loss of state: the recovered node resumes with
+exactly what it held at the crash instant, as if from a checkpoint
+taken then.  When a node's scheduled crash fires, the manager freezes
+the node's processes — its application workers and the protocol work
+it runs beside them (``Machine.adopt``) — whose deferred resumes are
+queued by :meth:`repro.sim.engine.Process.pause`, and kills its NIC.
+Nothing touches the node's DSM or sync state until it recovers.
 
-1. freezes the node's application workers (their deferred resumes are
-   queued by :meth:`repro.sim.engine.Process.pause`),
-2. snapshots the node's entire DSM state — page copies, twins,
-   vector clocks, interval log, stored diffs, copysets, protocol
-   queues (:func:`repro.mem.checkpoint.checkpoint_node`) — and the
-   sync layer (lock tokens/queues, barrier episodes), and
-3. wipes the live state in place, so the node holds nothing the
-   checkpoint does not.
+While down, every packet addressed to the node is dropped at the
+delivery gate (counted in ``faults.crash_dropped_packets_total`` so
+the conservation invariant extends to ``received + drops +
+crash_dropped == sent + dups``), and the reliable transport neither
+transmits nor backs off on its behalf.  Messages that had already
+cleared receive-overhead accounting before the crash land in the
+node's receive log instead of dispatching — pessimistic message
+logging, replayed in order at recovery so no write notice or grant is
+lost.  Packets already in flight *from* the crashed node still
+deliver (the wire does not know the sender died).
 
-While down, the node's NIC is dead: every packet addressed to it is
-dropped at the delivery gate (counted in
-``faults.crash_dropped_packets_total`` so the conservation invariant
-extends to ``received + drops + crash_dropped == sent + dups``), and
-the reliable transport neither transmits nor backs off on its behalf.
-Messages that had already cleared receive-overhead accounting before
-the crash land in the node's receive log instead of dispatching —
-pessimistic message logging, replayed in order after restore so no
-write notice or grant is lost.  Packets already in flight *from* the
-crashed node still deliver (the wire does not know the sender died).
-
-Recovery restores the checkpoint into the same objects (paused worker
-continuations hold references to page copies and lock records, so
-identity must survive the round trip), charges the whole outage as
-stolen interrupt cycles (in-progress computation pays for the
-downtime), replays the receive log, resets the transport sessions
-touching the node — peers' capped-backoff retransmissions bridge the
-outage — and unfreezes the workers.  A crash with no recovery time is
-crash-stop: the node stays dark, the run cannot drain, and
-``Machine.run`` returns a partial result when its event budget runs
-out (an unfinished node's finish time is 0.0).
+Recovery charges the whole outage as stolen interrupt cycles
+(in-progress computation pays for the downtime), replays the receive
+log, resets the transport sessions touching the node — peers'
+capped-backoff retransmissions bridge the outage — and unfreezes the
+processes.  A crash with no recovery time is crash-stop: the node stays
+dark, the run cannot drain, and ``Machine.run`` returns a partial
+result when its event budget runs out (an unfinished node's finish
+time is 0.0).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
-
-from repro.mem.checkpoint import checkpoint_node, restore_node, wipe_node
-from repro.sim.engine import SimulationError
+from typing import Callable, Dict, List
 
 
 class NodeLifecycleManager:
-    """Schedules the injector's crash plan and coordinates the
-    checkpoint/wipe/restore cycle across mem, sync, and transport."""
+    """Schedules the injector's crash plan and takes each crashed node
+    off the machine (processes, NIC, receive log) for its outage."""
 
     def __init__(self, machine, injector, transport, obs) -> None:
         self.machine = machine
@@ -56,15 +48,7 @@ class NodeLifecycleManager:
         self.transport = transport
         self.tracer = obs.tracer
         self._down: List[bool] = [False] * machine.config.nprocs
-        # proc -> (DSM snapshot, lock snapshot, barrier snapshot).
-        self._checkpoints: Dict[int, Tuple[dict, dict, dict]] = {}
         self._crash_time: Dict[int, float] = {}
-        if self.plan and not machine.nodes[0].protocol.supports_checkpoint:
-            raise SimulationError(
-                f"protocol {machine.protocol_name!r} does not support "
-                "crash checkpointing (supports_checkpoint is False); "
-                "crash faults require one of the interval-based "
-                "protocols")
         from repro.obs import ROBUSTNESS_CATALOG, install
         registry = obs.registry
         install(registry, ROBUSTNESS_CATALOG)
@@ -114,12 +98,8 @@ class NodeLifecycleManager:
             # later event — and its recovery — is ignored.
             return
         node = self.machine.nodes[proc]
-        for process in self.machine.worker_processes(proc):
+        for process in self.machine.node_processes(proc):
             process.pause()
-        self._checkpoints[proc] = (checkpoint_node(node),
-                                   node.lock_manager.checkpoint_state(),
-                                   node.barrier_manager.checkpoint_state())
-        wipe_node(node)
         node._down = True
         self._down[proc] = True
         self._crash_time[proc] = self.sim.now
@@ -137,10 +117,6 @@ class NodeLifecycleManager:
 
     def _recover(self, proc: int) -> None:
         node = self.machine.nodes[proc]
-        snapshot, locks, barriers = self._checkpoints.pop(proc)
-        restore_node(node, snapshot)
-        node.lock_manager.restore_state(locks)
-        node.barrier_manager.restore_state(barriers)
         outage = self.sim.now - self._crash_time.pop(proc)
         # The outage is stolen CPU, like one giant interrupt: any
         # computation straddling the crash repays it through the
@@ -158,7 +134,7 @@ class NodeLifecycleManager:
             self.sim.schedule(0.0, node._dispatch, message)
         node._crash_rx_log.clear()
         self.transport.on_node_recovered(proc)
-        for process in self.machine.worker_processes(proc):
+        for process in self.machine.node_processes(proc):
             process.unpause()
         self._obs["recoveries"].inc()
         self._obs["outage"].observe(outage)

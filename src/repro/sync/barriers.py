@@ -133,40 +133,6 @@ class BarrierManager:
             self._master[key] = state
         return state
 
-    # -- crash checkpoint/restore ---------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        """Serializable snapshot of barrier progress: episode
-        counters, GC progress, and the master-side arrival maps.
-        Arrival payloads are protocol data (records + clocks, shared
-        immutably); the live events (``all_arrived``, worker
-        departure waits) stay with the frozen continuations and are
-        re-attached by :meth:`restore_state`."""
-        return {
-            "episode": dict(self._episode),
-            "completed": self._episodes_completed,
-            "master": {key: dict(state.arrived)
-                       for key, state in self._master.items()},
-        }
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Rebuild barrier state from a crash checkpoint, preserving
-        ``_Episode`` object identities and their events so a master
-        frozen mid-episode resumes collecting arrivals — the re-arrival
-        path for peers whose BARRIER_ARRIVE was retransmitted across
-        the outage."""
-        self._episode = dict(snapshot["episode"])
-        self._episodes_completed = snapshot["completed"]
-        for key in list(self._master):
-            if key not in snapshot["master"]:
-                del self._master[key]
-        for key, arrived in snapshot["master"].items():
-            state = self._master.get(key)
-            if state is None:
-                state = _Episode()
-                self._master[key] = state
-            state.arrived = dict(arrived)
-
     # -- message handlers ----------------------------------------------
 
     def handle(self, message: Message) -> None:

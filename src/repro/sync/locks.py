@@ -220,59 +220,6 @@ class LockManager:
                      "queue": remainder},
             data_bytes=data_bytes))
 
-    # -- crash checkpoint/restore ------------------------------------------
-
-    def checkpoint_state(self) -> Dict[int, dict]:
-        """Serializable snapshot of every lock's token/queue state.
-
-        Live :class:`~repro.sim.events.Event` objects (``waiting``,
-        ``local_waiters``) are deliberately excluded: they belong to
-        continuations frozen by the lifecycle manager and are carried
-        across the outage by :meth:`restore_state`.  Vector clocks are
-        immutable and shared by reference."""
-        return {
-            lock_id: {
-                "has_token": state.has_token,
-                "held": state.held,
-                "queue": list(state.queue),
-                "early_forwards": list(state.early_forwards),
-                "last_granted_to": state.last_granted_to,
-                "probable_tail": state.probable_tail,
-            }
-            for lock_id, state in self._locks.items()}
-
-    def restore_state(self, snapshot: Dict[int, dict]) -> None:
-        """Regenerate lock-token state from a crash checkpoint.
-
-        Existing ``_LockState`` objects keep their identity (frozen
-        acquire continuations hold references to them) and their live
-        events; every data field is overwritten from the snapshot.
-        A token-audit pass re-validates the restored invariants so an
-        incomplete snapshot fails loudly instead of deadlocking."""
-        for lock_id in list(self._locks):
-            if lock_id not in snapshot:
-                del self._locks[lock_id]
-        for lock_id, data in snapshot.items():
-            state = self._locks.get(lock_id)
-            if state is None:
-                state = _LockState()
-                self._locks[lock_id] = state
-            state.has_token = data["has_token"]
-            state.held = data["held"]
-            state.queue = list(data["queue"])
-            state.early_forwards = list(data["early_forwards"])
-            state.last_granted_to = data["last_granted_to"]
-            state.probable_tail = data["probable_tail"]
-        for lock_id, state in self._locks.items():
-            if state.held and not state.has_token:
-                raise SimulationError(
-                    f"restored lock {lock_id} is held without its "
-                    "token")
-            if state.queue and not state.has_token:
-                raise SimulationError(
-                    f"restored lock {lock_id} queues requesters "
-                    "without holding the token")
-
     # -- message handlers --------------------------------------------------
 
     # Node.bind_handlers routes LOCK_REQ, LOCK_FWD and LOCK_GRANT

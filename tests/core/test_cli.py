@@ -174,6 +174,24 @@ def test_crashsweep_composes_message_faults_with_the_crash_plan(capsys):
     assert lossy != plain and "100.00%" in lossy
 
 
+def test_crashsweep_reaches_sc(capsys):
+    """``--protocols`` names every protocol, and SC rides out crashes
+    like the others: every cell completes."""
+    assert main(["crashsweep", "jacobi", "--protocols", "sc",
+                 "--mttfs", "0,30000"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] == ["sc"]]
+    assert len(rows) == 4
+    assert all("100.00%" in row for row in rows)
+
+
+@pytest.mark.parametrize("protocol", ["sc", "ec"])
+def test_run_names_every_protocol(protocol, capsys):
+    assert main(["run", "jacobi", "--procs", "2", "--scale", "small",
+                 "--protocol", protocol]) == 0
+    assert f"jacobi/{protocol} on 2 procs" in capsys.readouterr().out
+
+
 def test_run_with_loss_reports_transport_stats(capsys):
     assert main(["run", "jacobi", "--procs", "4", "--scale", "small",
                  "--network", "ethernet", "--loss", "0.01"]) == 0

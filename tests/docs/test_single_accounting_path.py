@@ -38,9 +38,9 @@ availability study's and the trace recorder's included) goes through
 tests called are gone.  The fault injector reads one rate tuple for
 every link and injects no delay but the reorder hold; a value no run
 varies is a module constant, not a config field; and the happens-before
-DAG nothing walked is gone.  A crash checkpoint is a snapshot of
-objects, not a byte format (no ``RCKP``, no ``struct`` in
-``mem/checkpoint.py``), and the interval record's unread
+DAG nothing walked is gone.  A crash freezes the node for its outage:
+nothing is checkpointed, wiped or restored (no ``RCKP`` codec, no
+snapshot, no per-protocol opt-out), and the interval record's unread
 ``pending_ranges``, the diff's encode memo and its ``encode`` method
 (only tests called it) are gone.  A notice's place in the causal
 cone is one clock component: the due memo, the per-peer clock table
@@ -179,8 +179,8 @@ FORBIDDEN = [
      "RunResult; the serving columns are joined when windows are "
      "read)",
      re.compile(r"\btrace_dir\b|--trace-dir|\brecord_request\b"), ()),
-    ("crash-checkpoint byte codec (a checkpoint is an in-memory "
-     "snapshot, saved like the lock and barrier state)",
+    ("crash-checkpoint byte codec (a crash outage freezes the node; "
+     "nothing is encoded)",
      re.compile(r"\bRCKP\b|\bCheckpointError\b"), ()),
     ("IntervalRecord.pending_ranges (seal_interval creates every diff "
      "at seal time)", re.compile(r"\bpending_ranges\b"), ()),
@@ -199,6 +199,12 @@ FORBIDDEN = [
     ("per-page notice index beside the interval log (a cold miss "
      "reads the log, LazyBase.logged_notices)",
      re.compile(r"\borphan_notices\b|\bown_page_intervals\b"), ()),
+    ("checkpoint (a crash outage freezes the node's processes and "
+     "logs its messages; nothing is saved, wiped or restored, and no "
+     "protocol opts out)",
+     re.compile(r"\bcheckpoint_node\b|\bwipe_node\b|\brestore_node\b"
+                r"|\bcheckpoint_state\b|\brestore_state\b"
+                r"|\bsupports_checkpoint\b"), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -451,6 +457,10 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("            for a, b in zip(mine, n.vc.components):", 54),
     ("        parked = self.orphan_notices.pop(page, None)", 55),
     ("        for index in self.own_page_intervals.get(page, ()):", 55),
+    ("        self._checkpoints[proc] = (checkpoint_node(node),", 56),
+    ("        wipe_node(node)", 56),
+    ("        node.lock_manager.restore_state(locks)", 56),
+    ("    supports_checkpoint = False", 56),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)
@@ -468,14 +478,3 @@ def test_the_patterns_catch_what_was_deleted(line, index):
 def test_the_patterns_pass_the_current_idioms(line):
     assert not any(pattern.search(line)
                    for _what, pattern, _exempt in FORBIDDEN[:2])
-
-
-def test_the_checkpoint_packs_no_bytes():
-    """``mem/checkpoint.py`` imports no ``struct``: the snapshot holds
-    objects, not an encoding of them."""
-    tree = ast.parse((SRC / "mem" / "checkpoint.py").read_text())
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)}
-    assert "struct" not in imported

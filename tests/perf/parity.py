@@ -154,6 +154,18 @@ def cases():
                                 drop_prob=0.02, crash_mttf_us=2000.0,
                                 crash_mttr_us=300.0,
                                 crash_horizon_us=20000.0)))))
+    # The same crash plan under eager invalidate: outages land on
+    # nodes with page fetches in flight and flushes parked on them.
+    # Captured while a crash still snapshotted, wiped and restored the
+    # node, to pin that the outage alone is what differs.
+    out.append(("water_ei_atm4_crash",
+                RunSpec("water", _PARAMS["water"], protocol="ei",
+                        config=MachineConfig(
+                            nprocs=4, network=NetworkConfig.atm(),
+                            faults=FaultConfig(
+                                drop_prob=0.02, crash_mttf_us=2000.0,
+                                crash_mttr_us=300.0,
+                                crash_horizon_us=20000.0)))))
     # The protocol-skeleton goldens: the paths the matrix above leaves
     # unpinned — EC's bound-page grants (1054 messages to LH's 993 on
     # this run), SC's manager transactions, an eager lock grant,

@@ -17,7 +17,7 @@ component.  This file tests the precondition they rest on:
   for the log holding every interval the clock covers (the cone the
   due test trusts is complete, and a clock names no interval nobody
   sealed): seven protocols, four applications, ATM and Ethernet, each
-  clean, lossy, across a crash and restore, at two threads per node
+  clean, lossy, across a crash outage, at two threads per node
   (Cholesky, the one app with ``worker_thread``) and with GC at every
   barrier;
 - and the two rewritten modifier rules against the dominance
@@ -40,7 +40,6 @@ from repro.core.config import (CrashSpec, FaultConfig, MachineConfig,
 from repro.mem.intervals import WriteNotice
 from repro.mem.timestamps import VectorClock
 from repro.protocols.lazy import LazyBase
-from repro.sim.engine import SimulationError
 
 # -- generated histories ----------------------------------------------------
 
@@ -247,33 +246,15 @@ VARIANTS = {
 }
 
 
-#: Cells that fail on a defect of SC under packet loss, not on the
-#: clocks: Water's answer is wrong on lossy Ethernet and Cholesky
-#: never finishes (the same runs fail without the cone check).  Strict,
-#: so the mark has to go when SC is mended.
-SC_UNDER_LOSS = pytest.mark.xfail(
-    strict=True, raises=(AssertionError, SimulationError),
-    reason="SC under packet loss: wrong Water answer on Ethernet, "
-           "Cholesky hangs")
-KNOWN_FAILURES = {("sc", "water", "ethernet", "lossy"),
-                  ("sc", "cholesky", "atm", "lossy"),
-                  ("sc", "cholesky", "ethernet", "lossy")}
-
-
 def _cases():
     for protocol in PROTOCOLS:
         for app in APPS:
             for network in NETWORKS:
                 for variant in VARIANTS:
-                    if variant == "crash" and protocol == "sc":
-                        continue  # SC does not checkpoint
                     if variant == "threads2" and app != "cholesky":
                         continue  # the one app with worker_thread
                     case = (protocol, app, network, variant)
-                    marks = (SC_UNDER_LOSS,) if case in KNOWN_FAILURES \
-                        else ()
-                    yield pytest.param(*case, marks=marks,
-                                       id="-".join(case))
+                    yield pytest.param(*case, id="-".join(case))
 
 
 def _cone_check(node):

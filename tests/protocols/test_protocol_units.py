@@ -597,7 +597,7 @@ class TestEagerFlush:
         same FLUSH or a later round, or a record already known) is
         retired when its diff is applied.  Either way no copy ends a
         run holding a pending notice its own coverage map already
-        covers (checkpoints serialize them)."""
+        covers."""
         machine = Machine(MachineConfig(nprocs=4,
                                         network=NetworkConfig.atm()),
                           protocol=protocol)

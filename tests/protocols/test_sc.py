@@ -6,6 +6,7 @@ import pytest
 from repro.apps import Cholesky, Jacobi, Tsp, Water
 from repro.core import (DsmApi, Machine, MachineConfig, NetworkConfig,
                         run_app)
+from repro.net.message import Message, MsgKind
 
 
 def make_machine(nprocs=4):
@@ -101,3 +102,92 @@ def test_sc_single_processor_free():
     result = run_app(Jacobi(n=16, iterations=2),
                      MachineConfig(nprocs=1), protocol="sc")
     assert result.total_messages == 0
+
+
+# -- grants overtaken by the next transaction ------------------------------
+#
+# The manager commits a transaction when the old owner acks the
+# hand-over, not when the requester has the page, so the next
+# transaction's messages can reach the requester before its grant does
+# (they travel on the manager's stream, the grant on the old owner's).
+
+
+def _page_of(machine, value):
+    """Page 0 (managed by node 0) and a page image of ``value``."""
+    seg = machine.allocate("data", 8, owner=0)
+    words = machine.nodes[0].pagetable.words_per_page
+    return seg.pages[0], np.full(words, value).tobytes()
+
+
+def test_an_invalidation_that_overtakes_a_read_grant_revokes_it():
+    """A reader whose read grant is still in flight is invalidated by
+    the next write transaction: the late grant is a stale copy, so it
+    installs nothing and wakes the fault, which faults again."""
+    machine = make_machine()
+    page, image = _page_of(machine, 3.0)
+    reader = machine.nodes[2]
+    fault = reader.protocol._fault_done[page] = machine.sim.event("fault")
+    reader.protocol.handle(Message(
+        src=0, dst=2, kind=MsgKind.FLUSH, payload={"sc_invalidate": page}))
+    reader.protocol.handle(Message(
+        src=1, dst=2, kind=MsgKind.PAGE_REPLY,
+        payload={"sc_grant": page, "write": False, "values": image}))
+    assert reader.pagetable.get(page) is None
+    assert page not in reader.protocol.mode
+    assert fault.triggered
+    # The revocation is spent: the retried fault's grant installs.
+    reader.protocol.handle(Message(
+        src=1, dst=2, kind=MsgKind.PAGE_REPLY,
+        payload={"sc_grant": page, "write": False, "values": image}))
+    assert reader.pagetable.get(page).valid
+    assert reader.protocol.mode[page] == "read"
+
+
+def test_a_fetch_that_overtakes_a_write_grant_waits_for_it():
+    """The new owner still holds its old read copy when the next
+    transaction's fetch arrives.  Served then, it would hand over that
+    stale copy and the grant would install a second writable one: the
+    fetch waits for the grant and ships the granted page."""
+    machine = make_machine()
+    page, granted = _page_of(machine, 5.0)
+    manager, owner = machine.nodes[0], machine.nodes[3]
+    owner.pagetable.install(page, valid=True)   # its old read copy
+    owner.protocol._fault_done[page] = machine.sim.event("fault")
+    fetch = Message(src=0, dst=3, kind=MsgKind.DIFF_REQ,
+                    payload={"sc_fetch": page, "relinquish": True})
+    reply = manager.expect_reply(fetch)
+    owner.protocol.handle(fetch)
+    machine.sim.run()
+    assert not reply.triggered
+    assert owner.pagetable.get(page).valid
+    owner.protocol.handle(Message(
+        src=1, dst=3, kind=MsgKind.PAGE_REPLY,
+        payload={"sc_grant": page, "write": True, "values": granted}))
+    machine.sim.run_until(reply)
+    assert reply.value.payload["values"] == granted
+    assert not owner.pagetable.get(page).valid
+    assert page not in owner.protocol.mode
+
+
+def test_an_owner_read_down_still_serves_while_it_faults_to_write():
+    """An owner whose copy a reader's transaction turned read-only,
+    and which now waits to write, is still the owner: the forward of
+    the transaction ahead of its own is served at once."""
+    machine = make_machine()
+    page, granted = _page_of(machine, 7.0)
+    manager, owner = machine.nodes[0], machine.nodes[3]
+    owner.protocol._fault_done[page] = machine.sim.event("write fault")
+    owner.protocol.handle(Message(
+        src=1, dst=3, kind=MsgKind.PAGE_REPLY,
+        payload={"sc_grant": page, "write": True, "values": granted}))
+    owner.protocol.mode[page] = "read"          # read down
+    owner.protocol._fault_done[page] = machine.sim.event("write fault")
+    forward = Message(src=0, dst=3, kind=MsgKind.PAGE_FWD,
+                      payload={"sc": True, "page": page, "requester": 2,
+                               "write": False})
+    acked = manager.expect_reply(forward)
+    owner.protocol.handle(forward)
+    machine.sim.run()
+    assert acked.triggered
+    assert machine.nodes[2].pagetable.get(page).values[0] == 7.0
+    assert owner.pagetable.get(page).valid

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core import DsmApi, Machine, MachineConfig, NetworkConfig
+from repro.apps import create_app
+from repro.core import (DsmApi, Machine, MachineConfig, NetworkConfig,
+                        run_app)
+from repro.core.config import FaultConfig
 from repro.net.message import MsgKind
 from repro.sim.engine import SimulationError
 
@@ -173,3 +176,30 @@ def test_lock_messages_classified_as_synchronization():
     assert by_kind.get(MsgKind.LOCK_REQ.value, 0) == 1
     assert by_kind.get(MsgKind.LOCK_GRANT.value, 0) == 1
     assert result.sync_messages == result.total_messages
+
+
+# -- broadcast locks: two known defects, pinned --------------------------
+#
+# Strict, so each mark has to go when its defect is mended.  Both runs
+# finish without ``lock_broadcast`` (TSP in 3.44 M cycles after 535
+# messages; Cholesky in 7.66 M cycles).
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError,
+                   reason="broadcast-lock livelock on Ethernet: the "
+                          "run never finishes (suspected: rebroadcasts "
+                          "outpace the shared wire)")
+def test_broadcast_locks_finish_tsp_on_ethernet():
+    run_app(create_app("tsp", ncities=8),
+            MachineConfig(nprocs=4, network=NetworkConfig.ethernet()),
+            protocol="li", lock_broadcast=True, max_events=100_000)
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError,
+                   reason="broadcast lock under packet loss: an "
+                          "unsolicited grant of lock 0")
+def test_broadcast_locks_survive_loss_on_atm():
+    run_app(create_app("cholesky", k=4),
+            MachineConfig(nprocs=4, network=NetworkConfig.atm(),
+                          faults=FaultConfig(drop_prob=0.02)),
+            protocol="li", lock_broadcast=True, max_events=100_000)
