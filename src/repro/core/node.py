@@ -100,12 +100,13 @@ class Node:
         routes through (once, after the machine has set the protocol
         and the sync managers)."""
         locks = self.lock_manager
-        sync = {MsgKind.LOCK_REQ: locks._handle_request,
-                MsgKind.LOCK_FWD: locks._handle_forward,
-                MsgKind.LOCK_GRANT: locks._handle_grant,
-                MsgKind.BARRIER_ARRIVE: self.barrier_manager.handle,
-                MsgKind.BARRIER_DEPART: self.barrier_manager.handle}
-        self.handlers = {kind: sync.get(kind, self.protocol.handle)
+        table = {**self.protocol.handlers(),
+                 MsgKind.LOCK_REQ: locks._handle_request,
+                 MsgKind.LOCK_FWD: locks._handle_forward,
+                 MsgKind.LOCK_GRANT: locks._handle_grant,
+                 MsgKind.BARRIER_ARRIVE: self.barrier_manager.handle,
+                 MsgKind.BARRIER_DEPART: self.barrier_manager.handle}
+        self.handlers = {kind: table.get(kind, self.protocol.unhandled)
                          for kind in MsgKind}
 
     # -- identity helpers -------------------------------------------------
@@ -288,7 +289,7 @@ class Node:
         # Constant name: one f-string per request/reply pair showed up
         # in whole-run profiles; the correlating id lives in
         # _pending_replies and in the message itself.
-        event = self.sim.event("reply")
+        event = Event(self.sim, "reply")
         self._pending_replies[request.msg_id] = event
         return event
 

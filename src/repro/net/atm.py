@@ -34,8 +34,12 @@ class AtmNetwork(Network):
         now = self.sim.now
         size = message.size_bytes
         wire = size * 8.0 / self._wire_bps * self._cycles_per_second
-        start = max(now, self._out_free[message.src],
-                    self._in_free[message.dst])
+        start = self._out_free[message.src]
+        if now > start:
+            start = now
+        in_free = self._in_free[message.dst]
+        if in_free > start:
+            start = in_free
         waited = start - now
         end = start + wire
         self._out_free[message.src] = end

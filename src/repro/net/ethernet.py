@@ -42,7 +42,9 @@ class EthernetNetwork(Network):
         size = message.size_bytes
         wire = size * 8.0 / self._wire_bps * self._cycles_per_second
         stats = self.stats
-        start = max(now, self._free_at)
+        start = self._free_at
+        if now > start:
+            start = now
         waited = start - now
         if self.collisions and start > now:
             # The medium was busy: model a CSMA/CD collision episode

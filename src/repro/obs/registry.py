@@ -70,9 +70,11 @@ class _HistogramChild:
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        if self.min is None or value < self.min:
+        if self.min is None:
+            self.min = self.max = value
+        elif value < self.min:
             self.min = value
-        if self.max is None or value > self.max:
+        elif value > self.max:
             self.max = value
         # First bucket with bound >= value — bisect_left on the sorted
         # bounds is the C-speed equivalent of the linear <= scan (the

@@ -31,14 +31,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Generator, List, NoReturn, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.core.config import WORD_SIZE
 from repro.mem.diffs import Diff
 from repro.mem.intervals import BY_ORDER, IntervalId, IntervalRecord
 from repro.mem.pages import PageCopy
 from repro.mem.timestamps import VectorClock
-from repro.net.message import Message
+from repro.net.message import Message, MsgKind
 from repro.sim.engine import SimulationError
 
 
@@ -409,5 +410,11 @@ class BaseProtocol:
         return
         yield  # pragma: no cover - makes this a generator
 
-    def handle(self, message: Message) -> None:
+    def handlers(self) -> Dict[MsgKind, Callable[[Message], None]]:
+        """Each message kind this protocol serves, mapped to its bound
+        handler (``Node.bind_handlers`` installs the table)."""
+        return {}
+
+    def unhandled(self, message: Message) -> NoReturn:
+        """The handler of every kind :meth:`handlers` does not map."""
         raise ProtocolError(f"{self.name} cannot handle {message}")

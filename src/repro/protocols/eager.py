@@ -27,7 +27,7 @@ message per excess modifier, 'v' in Table 1).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Generator, List, Set, Tuple
+from typing import Callable, Dict, Generator, List, Set, Tuple
 
 from repro.mem.intervals import IntervalRecord
 from repro.net.message import Message, MsgKind
@@ -165,7 +165,8 @@ class EagerBase(BaseProtocol):
         sent: Dict[int, int] = dict.fromkeys(home_bit, 0)
         mask_of = node.copysets.mask
         recheck = node.multithreaded
-        diff_bytes = self.diff_bytes
+        as_pages = self.price_diffs_as_pages  # diff_bytes, inlined below
+        page_size = node.config.page_size
         while True:
             plan = self._flush_entries(pending, home_bit, sent)
             reply_events = []
@@ -183,7 +184,7 @@ class EagerBase(BaseProtocol):
                 data = 0
                 for _record, _page, diff in entries:
                     if diff is not None:
-                        data += diff_bytes(diff)
+                        data += page_size if as_pages else diff.size_bytes
                 message = Message(
                     src=node.proc, dst=bit.bit_length() - 1,
                     kind=MsgKind.FLUSH,
@@ -245,9 +246,10 @@ class EagerBase(BaseProtocol):
 
     def _absorb_flush_ack(self, reply: Message) -> None:
         copysets = self.node.copysets
+        masks = copysets._masks
         payload = reply.payload
         for page, mask in payload["copysets"].items():
-            copysets.merge(page, mask)
+            masks[page] = masks.get(page, 0) | mask
         for page in payload["not_cached"]:
             copysets.remove(page, reply.src)
 
@@ -270,14 +272,15 @@ class EagerBase(BaseProtocol):
         # Insertion-ordered dedup (a page can recur across records).
         not_cached: Dict[int, None] = {}
         received = applied = 0
-        for _record, page, diff in entries:
-            if diff is None:
-                copy = copies.get(page)
-                if copy is not None and copy.dirty:
-                    # Local concurrent modifications survive as sealed
-                    # diffs and reach the home at our own next release.
-                    self.seal_in_handler()
-                    break
+        if not self.flush_with_diffs:
+            # EI's bare notices invalidate: local concurrent writes
+            # are sealed first and reach the home at our next release.
+            for _record, page, diff in entries:
+                if diff is None:
+                    copy = copies.get(page)
+                    if copy is not None and copy.dirty:
+                        self.seal_in_handler()
+                        break
         for record, page, diff in entries:
             copy = copies.get(page)
             interval_id = record.interval_id
@@ -286,24 +289,36 @@ class EagerBase(BaseProtocol):
                     and len(record.pages) == 1 and copy is not None
                     and copy.valid and page not in self._miss_in_flight
                     and interval_id not in copy._pending_ids):
-                # A one-page record whose diff is applied below: all
-                # incorporate_records would do but file its notice.
+                # A new one-page record with its diff, in one step:
+                # logged, masked, applied and stored (no notice filed).
                 if emit:
                     emit("protocol.notices_in", node=node.proc,
                          records=1, pages=1)
                 known[interval_id] = record
-                indices, logged = by_proc.setdefault(proc, ([], []))
-                position = bisect_left(indices, index)
-                indices.insert(position, index)
-                logged.insert(position, record)
-                if copy.applied.get(proc, 0) < index:
-                    masks[page] = masks_get(page, 0) | 1 << proc
+                indices, logged = (by_proc.get(proc)
+                                   or by_proc.setdefault(proc, ([], [])))
+                if not indices or index > indices[-1]:
+                    indices.append(index)
+                    logged.append(record)
+                else:
+                    position = bisect_left(indices, index)
+                    indices.insert(position, index)
+                    logged.insert(position, record)
                 seen = record.vc.components[me]
                 if seen > peer_seen[proc]:
                     peer_seen[proc] = seen
+                mask = masks_get(page, 0)
+                if copy.applied.get(proc, 0) < index:
+                    mask |= 1 << proc
+                    copy.applied[proc] = index
+                ack_masks[page] = mask
+                masks[page] = mask | 1 << src
+                diff.apply(copy)
+                node.diff_store._diffs.setdefault((proc, index, page), diff)
                 received += 1
-            else:
-                self.incorporate_records([record])
+                applied += 1
+                continue
+            self.incorporate_records([record])
             mask = ack_masks[page] = masks_get(page, 0)
             masks[page] = mask | 1 << src
             if page in self._miss_in_flight:
@@ -359,14 +374,9 @@ class EagerBase(BaseProtocol):
 
     # -- message dispatch -----------------------------------------------------
 
-    def handle(self, message: Message) -> None:
-        kind = message.kind
-        if kind == MsgKind.PAGE_REQ:
-            self._serve_eager_page_request(message)
-        elif kind == MsgKind.FLUSH:
-            self._handle_flush(message)
-        else:
-            super().handle(message)
+    def handlers(self) -> Dict[MsgKind, Callable[[Message], None]]:
+        return {MsgKind.PAGE_REQ: self._serve_eager_page_request,
+                MsgKind.FLUSH: self._handle_flush}
 
 
 class EagerInvalidate(EagerBase):

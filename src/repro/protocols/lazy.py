@@ -23,7 +23,8 @@ on invalidation alone.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Generator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.mem.diffs import Diff
 from repro.mem.intervals import (BY_ORDER, IntervalId, IntervalRecord,
@@ -66,13 +67,15 @@ class LazyBase(BaseProtocol):
         mine = self.node.vc.components
         return [n for n in copy._pending_notices if mine[n.proc] >= n.index]
 
-    def apply_pending(self, copy: PageCopy) -> bool:
+    def apply_pending(self, copy: PageCopy, due=None) -> bool:
         """Apply every due notice's diff, in a happened-before-1 linear
         extension (ascending vector-time totals).  Returns True and
         revalidates the copy on success (not-yet-due pushed notices may
         remain pending — reading around them is release-consistent);
-        returns False (no changes) if some due diff is missing."""
-        due = self.due_notices(copy)
+        returns False (no changes) if some due diff is missing.  A
+        caller holding the copy's :meth:`due_notices` passes ``due``."""
+        if due is None:
+            due = self.due_notices(copy)
         if not due:
             # Nothing in the causal cone: trivially applied (pushed
             # strays may remain pending — reading around them is
@@ -143,12 +146,12 @@ class LazyBase(BaseProtocol):
             copy = node.pagetable.copies.get(page)
             if copy is not None and copy.valid:
                 return
-            if copy is not None and self.apply_pending(copy):
-                return
             # Only notices inside our causal cone are fetched; pushed
             # strays wait for the acquire that makes them due.
             if copy is not None:
                 pending = self.due_notices(copy)
+                if self.apply_pending(copy, pending):
+                    return
             else:
                 mine = node.vc.components
                 pending = [n for n in self.logged_notices(page)
@@ -193,13 +196,11 @@ class LazyBase(BaseProtocol):
         writer_requested = set()
         while True:
             copy = node.pagetable.copies.get(page)
-            if copy is None or not self.due_notices(copy):
-                return
-            if self.apply_pending(copy):
+            due = self.due_notices(copy) if copy is not None else None
+            if not due or self.apply_pending(copy, due):
                 return
             _modifiers, assignment = self._assign_requests(
-                page, self.due_notices(copy), escalated,
-                writer_requested)
+                page, due, escalated, writer_requested)
             if not assignment:
                 raise ProtocolError(
                     f"node {node.proc}: pending notices on page {page} "
@@ -366,16 +367,10 @@ class LazyBase(BaseProtocol):
 
     # -- serving misses and diff requests ----------------------------------------
 
-    def handle(self, message: Message) -> None:
-        kind = message.kind
-        if kind == MsgKind.PAGE_REQ:
-            self._serve_page_request(message)
-        elif kind == MsgKind.DIFF_REQ:
-            self._serve_diff_request(message)
-        elif kind == MsgKind.UPDATE_PUSH:
-            self._handle_update_push(message)
-        else:
-            super().handle(message)
+    def handlers(self) -> Dict[MsgKind, Callable[[Message], None]]:
+        return {MsgKind.PAGE_REQ: self._serve_page_request,
+                MsgKind.DIFF_REQ: self._serve_diff_request,
+                MsgKind.UPDATE_PUSH: self._handle_update_push}
 
     def _serve_page_request(self, message: Message) -> None:
         """PAGE_REQ service: page contents + coverage map + our pending
@@ -713,9 +708,10 @@ class LazyHybrid(LazyBase):
     def resolve_pages(self, pages: List[int]) -> Generator:
         yield from self._seal_if_any_dirty(pages)
         for copy in self._held(pages):
-            if not self.due_notices(copy):
+            due = self.due_notices(copy)
+            if not due:
                 continue
-            if not copy.dirty and self.apply_pending(copy):
+            if not copy.dirty and self.apply_pending(copy, due):
                 continue
             if copy.dirty:
                 # Racy corner: a write landed between the dirtiness

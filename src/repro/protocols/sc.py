@@ -25,7 +25,8 @@ the next conflicting access).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import (Callable, Deque, Dict, Generator, List, Optional, Set,
+                    Tuple)
 
 from repro.net.message import Message, MsgKind
 from repro.protocols.base import BaseProtocol, ProtocolError
@@ -64,7 +65,8 @@ class SequentialInvalidate(BaseProtocol):
         # In-flight fault completions, keyed by page.
         self._fault_done: Dict[int, object] = {}
         # Pages whose in-flight read grant a later transaction has
-        # already invalidated (see handle): the grant installs nothing.
+        # already invalidated (see _handle_invalidate): the grant
+        # installs nothing.
         self._revoked: Set[int] = set()
         # Pages a write grant made ours that no hand-over has taken
         # away, and requests that reached us as owner before that
@@ -280,48 +282,58 @@ class SequentialInvalidate(BaseProtocol):
     # message handlers
     # ------------------------------------------------------------------
 
-    def handle(self, message: Message) -> None:
+    def handlers(self) -> Dict[MsgKind, Callable[[Message], None]]:
+        return {MsgKind.PAGE_REQ: self._handle_request,
+                MsgKind.PAGE_FWD: self._serve_forward,
+                MsgKind.PAGE_REPLY: self._receive_grant,
+                MsgKind.FLUSH: self._handle_invalidate,
+                MsgKind.DIFF_REQ: self._serve_fetch}
+
+    def _handle_request(self, message: Message) -> None:
         payload = message.payload
-        kind = message.kind
-        if kind == MsgKind.PAGE_REQ and payload.get("sc"):
-            self._enqueue_transaction(payload["page"],
-                                      payload["requester"],
-                                      payload["write"])
-        elif kind == MsgKind.PAGE_FWD and payload.get("sc"):
-            if not self._park_early(payload["page"], message):
-                self._serve_forward(message)
-        elif kind == MsgKind.PAGE_REPLY and "sc_grant" in payload:
-            self._receive_grant(message)
-        elif kind == MsgKind.FLUSH and "sc_invalidate" in payload:
-            page = payload["sc_invalidate"]
-            if page in self._fault_done and self._local_mode(page) is None:
-                # The manager committed our read before its grant got
-                # here (it commits on the owner's ack), and the next
-                # write transaction has overtaken that grant.
-                self._revoked.add(page)
+        if not payload.get("sc"):
+            self.unhandled(message)
+        self._enqueue_transaction(payload["page"], payload["requester"],
+                                  payload["write"])
+
+    def _handle_invalidate(self, message: Message) -> None:
+        payload = message.payload
+        if "sc_invalidate" not in payload:
+            self.unhandled(message)
+        page = payload["sc_invalidate"]
+        if page in self._fault_done and self._local_mode(page) is None:
+            # The manager committed our read before its grant got
+            # here (it commits on the owner's ack), and the next
+            # write transaction has overtaken that grant.
+            self._revoked.add(page)
+        self._drop_local(page)
+        self.node.handler_send(Message(
+            src=self.node.proc, dst=message.src,
+            kind=MsgKind.FLUSH_ACK, reply_to=message.msg_id,
+            payload={}))
+
+    def _serve_fetch(self, message: Message) -> None:
+        """Owner side of the manager's fetch: ship the copy."""
+        payload = message.payload
+        if "sc_fetch" not in payload:
+            self.unhandled(message)
+        page = payload["sc_fetch"]
+        if self._park_early(page, message):
+            return
+        copy = self.node.pagetable.copies.get(page)
+        if copy is None:
+            raise ProtocolError(
+                f"sc node {self.node.proc} asked for page {page} "
+                "it does not hold")
+        self.node.handler_send(Message(
+            src=self.node.proc, dst=message.src,
+            kind=MsgKind.DIFF_REPLY, reply_to=message.msg_id,
+            payload={"values": copy.snapshot()},
+            data_bytes=self.node.config.page_size))
+        if payload.get("relinquish"):
             self._drop_local(page)
-            self.node.handler_send(Message(
-                src=self.node.proc, dst=message.src,
-                kind=MsgKind.FLUSH_ACK, reply_to=message.msg_id,
-                payload={}))
-        elif kind == MsgKind.DIFF_REQ and "sc_fetch" in payload:
-            page = payload["sc_fetch"]
-            if self._park_early(page, message):
-                return
-            copy = self.node.pagetable.copies.get(page)
-            if copy is None:
-                raise ProtocolError(
-                    f"sc node {self.node.proc} asked for page {page} "
-                    "it does not hold")
-            self.node.handler_send(Message(
-                src=self.node.proc, dst=message.src,
-                kind=MsgKind.DIFF_REPLY, reply_to=message.msg_id,
-                payload={"values": copy.snapshot()},
-                data_bytes=self.node.config.page_size))
-            if payload.get("relinquish"):
-                self._drop_local(page)
         else:
-            raise ProtocolError(f"sc cannot handle {message}")
+            self.mode[page] = READ  # our writes must fault now
 
     def _park_early(self, page: int, message: Message) -> bool:
         """Hold a request that reached us before our own write grant
@@ -338,7 +350,11 @@ class SequentialInvalidate(BaseProtocol):
         manager so the transaction can commit."""
         node = self.node
         payload = message.payload
+        if not payload.get("sc"):
+            self.unhandled(message)
         page = payload["page"]
+        if self._park_early(page, message):
+            return
         copy = node.pagetable.copies.get(page)
         if copy is None or not copy.valid:
             raise ProtocolError(
@@ -360,6 +376,8 @@ class SequentialInvalidate(BaseProtocol):
     def _receive_grant(self, message: Message) -> None:
         node = self.node
         payload = message.payload
+        if "sc_grant" not in payload:
+            self.unhandled(message)
         page = payload["sc_grant"]
         # A revoked read grant is a stale copy: it installs nothing,
         # and the woken fault faults again (resolve_miss).
@@ -374,7 +392,7 @@ class SequentialInvalidate(BaseProtocol):
                 self.mode[page] = WRITE
                 self._owned.add(page)
                 for early in self._early.pop(page, ()):
-                    self.handle(early)
+                    node.handlers[early.kind](early)
             else:
                 self.mode[page] = READ
         done = self._fault_done.get(page)

@@ -30,12 +30,14 @@ timed in one frame (``BaseProtocol.ensure_valid``); EC is LH with
 another piggyback rule, not a second grant loop; and the lazy
 machinery lives in ``LazyBase``, not in the skeleton every protocol
 inherits.  Lock messages reach their ``LockManager`` handler in one
-hop, and an API or protocol layer that would only ``yield from`` the
-next one returns its generator instead.  A crash-stop run is a partial
-result by its crash plan, not by an option, so every run (the
-availability study's and the trace recorder's included) goes through
-``Machine.run_app``; the window merge and the inspection helpers only
-tests called are gone.  The fault injector reads one rate tuple for
+hop, protocol messages reach their handler in one hop (the node's
+table holds each protocol's ``handlers()``), and an API or protocol
+layer that would only ``yield from`` the next one returns its
+generator instead.  A crash-stop run is a partial result by its crash
+plan, not by an option, so every run (the availability study's and
+the trace recorder's included) goes through ``Machine.run_app``;
+the window merge and the inspection helpers only tests called are
+gone.  The fault injector reads one rate tuple for
 every link and injects no delay but the reorder hold; a value no run
 varies is a module constant, not a config field; and the happens-before
 DAG nothing walked is gone.  A crash freezes the node for its outage:
@@ -205,6 +207,9 @@ FORBIDDEN = [
      re.compile(r"\bcheckpoint_node\b|\bwipe_node\b|\brestore_node\b"
                 r"|\bcheckpoint_state\b|\brestore_state\b"
                 r"|\bsupports_checkpoint\b"), ()),
+    ("protocol handle chain (Node.bind_handlers installs each "
+     "protocol's handler table)",
+     re.compile(r"\bprotocol\.handle\b|\bsuper\(\)\.handle\("), ()),
 ]
 
 #: The first benchmark harness and the modules no root reached,
@@ -334,6 +339,18 @@ def test_lock_hand_off_layers_stay_deleted():
     assert "advance_peer_clock" not in vars(Node)
 
 
+def test_protocol_handle_chains_stay_deleted():
+    """Protocol messages reach their handler through the node's table:
+    no protocol family dispatches on the message kind itself."""
+    from repro.protocols.base import BaseProtocol
+    from repro.protocols.eager import EagerBase
+    from repro.protocols.lazy import LazyBase
+    from repro.protocols.sc import SequentialInvalidate
+    for family in (BaseProtocol, LazyBase, EagerBase,
+                   SequentialInvalidate):
+        assert "handle" not in vars(family), family.__name__
+
+
 #: (file under ``src/repro``, class, method): layers that only hand
 #: the caller the generator below them.
 PASS_THROUGH = [
@@ -461,6 +478,10 @@ def test_machine_transmit_is_bound_once_not_a_method():
     ("        wipe_node(node)", 56),
     ("        node.lock_manager.restore_state(locks)", 56),
     ("    supports_checkpoint = False", 56),
+    ("        self.handlers = {kind: sync.get(kind, self.protocol.handle)",
+     57),
+    ("        reader.protocol.handle(Message(", 57),
+    ("            super().handle(message)", 57),
 ])
 def test_the_patterns_catch_what_was_deleted(line, index):
     assert FORBIDDEN[index][1].search(line)

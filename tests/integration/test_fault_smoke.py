@@ -2,8 +2,8 @@
 lossy Ethernet.
 
 At 1% message loss the reliable transport must mask every fault: all
-four applications terminate under all five protocols with *correct
-results* (each app's ``finish`` hook asserts its answer — Jacobi
+four applications terminate under all five protocols and SC with
+*correct results* (each app's ``finish`` hook asserts its answer — Jacobi
 against a sequential solve, TSP against the known best tour, and so
 on), having actually exercised the retransmission path.
 """
@@ -20,7 +20,7 @@ LOSSY = MachineConfig(nprocs=4, network=NetworkConfig.ethernet(),
                       faults=FaultConfig(drop_prob=0.01))
 
 
-@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES + ["sc"])
 @pytest.mark.parametrize("app_name", sorted(APP_PARAMS["small"]))
 def test_apps_survive_one_percent_loss(app_name, protocol):
     params = APP_PARAMS["small"][app_name]

@@ -254,6 +254,51 @@ class TestGrantPayload:
         assert data == 0
 
 
+# -- message dispatch ----------------------------------------------------
+
+#: protocol -> {kind: name of the protocol method that serves it}.
+SERVED = {
+    **dict.fromkeys(["ei", "eu"], {
+        MsgKind.PAGE_REQ: "_serve_eager_page_request",
+        MsgKind.FLUSH: "_handle_flush"}),
+    **dict.fromkeys(["li", "lu", "lh", "ec"], {
+        MsgKind.PAGE_REQ: "_serve_page_request",
+        MsgKind.DIFF_REQ: "_serve_diff_request",
+        MsgKind.UPDATE_PUSH: "_handle_update_push"}),
+    "sc": {MsgKind.PAGE_REQ: "_handle_request",
+           MsgKind.PAGE_FWD: "_serve_forward",
+           MsgKind.PAGE_REPLY: "_receive_grant",
+           MsgKind.FLUSH: "_handle_invalidate",
+           MsgKind.DIFF_REQ: "_serve_fetch"},
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(SERVED))
+def test_every_message_kind_reaches_its_handler_in_one_hop(protocol):
+    """The node's table maps each kind a protocol serves to the bound
+    method that serves it, the sync kinds to the lock and barrier
+    managers, and every other kind to the protocol's raiser."""
+    _machine, node = make_node(protocol)
+    served = {kind: getattr(node.protocol, name)
+              for kind, name in SERVED[protocol].items()}
+    locks, barriers = node.lock_manager, node.barrier_manager
+    sync = {MsgKind.LOCK_REQ: locks._handle_request,
+            MsgKind.LOCK_FWD: locks._handle_forward,
+            MsgKind.LOCK_GRANT: locks._handle_grant,
+            MsgKind.BARRIER_ARRIVE: barriers.handle,
+            MsgKind.BARRIER_DEPART: barriers.handle}
+    assert set(node.handlers) == set(MsgKind)
+    for kind in MsgKind:
+        handler = node.handlers[kind]
+        if kind in served or kind in sync:
+            assert handler == {**served, **sync}[kind], kind
+            continue
+        message = Message(src=1, dst=0, kind=kind, payload={})
+        with pytest.raises(ProtocolError) as raised:
+            handler(message)
+        assert str(raised.value) == f"{protocol} cannot handle {message}"
+
+
 # -- eager flush mechanics (copysets travel as int masks) ------------------
 
 def make_machine(protocol):
@@ -436,6 +481,16 @@ def _pending_but_unlogged(flusher, receiver):
     return [pushed(flusher, record, [1])]
 
 
+def _out_of_order(flusher, receiver):
+    # The later interval arrives first: the earlier one is logged
+    # below the last index held from its writer (a bisect, not an
+    # append).
+    _valid(receiver, 1, 5)
+    first = write_and_seal(flusher, 1, 3.0)
+    second = write_and_seal(flusher, 5, 4.0)
+    return [pushed(flusher, second, [5]), pushed(flusher, first, [1])]
+
+
 def _ei_bare_notices(flusher, receiver):
     _valid(receiver, 1)         # page 5 is never cached here
     record = seal_pages(flusher, [1, 5], 6.0)
@@ -452,6 +507,7 @@ FLUSH_SHAPES = {
     "miss-in-flight": ("eu", _miss_in_flight),
     "already-applied": ("eu", _already_applied),
     "pending-but-unlogged": ("eu", _pending_but_unlogged),
+    "out-of-order": ("eu", _out_of_order),
     "ei-bare-notices": ("ei", _ei_bare_notices),
 }
 
@@ -533,7 +589,7 @@ class TestEagerFlush:
                         data_bytes=diff.size_bytes)
         acked = flusher.expect_reply(flush)
         sent = tap(machine)
-        misser.protocol.handle(flush)
+        misser.handlers[flush.kind](flush)
         assert misser.protocol._poison_records[1] == [(record, diff)]
         assert misser.copysets.believes_cached(1, 0)
         machine.sim.run_until(acked)
@@ -622,10 +678,11 @@ class TestEagerFlush:
         with pytest.raises(ProtocolError,
                            match=f"flush diff for page 1 arrived at a "
                                  f"{state} copy"):
-            receiver.protocol.handle(Message(
+            flush = Message(
                 src=0, dst=2, kind=MsgKind.FLUSH,
                 payload={"entries": [(record, 1, diff)], "update": True},
-                data_bytes=diff.size_bytes))
+                data_bytes=diff.size_bytes)
+            receiver.handlers[flush.kind](flush)
         assert receiver.ins.diffs_applied.value == 0
         assert not receiver.diff_store.has(0, record.index, 1)
         copy = receiver.pagetable.copies.get(1)
@@ -642,7 +699,8 @@ class TestEagerFlush:
         protocol, setup = FLUSH_SHAPES[shape]
         results = []
         for handle in (_reference_handle_flush,
-                       lambda proto, message: proto.handle(message)):
+                       lambda proto, message:
+                       proto.node.handlers[message.kind](message)):
             machine = make_machine(protocol)
             flusher, receiver = machine.nodes[0], machine.nodes[2]
             sent = tap(machine)

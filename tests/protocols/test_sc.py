@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.apps import Cholesky, Jacobi, Tsp, Water
+from repro.apps import Cholesky, Jacobi, Tsp, Water, create_app
 from repro.core import (DsmApi, Machine, MachineConfig, NetworkConfig,
                         run_app)
+from repro.core.config import FaultConfig
 from repro.net.message import Message, MsgKind
+from repro.protocols.base import ProtocolError
 
 
 def make_machine(nprocs=4):
@@ -112,6 +114,12 @@ def test_sc_single_processor_free():
 # (they travel on the manager's stream, the grant on the old owner's).
 
 
+def handle(node, message):
+    """Dispatch ``message`` on ``node`` as delivery does, through the
+    node's handler table."""
+    node.handlers[message.kind](message)
+
+
 def _page_of(machine, value):
     """Page 0 (managed by node 0) and a page image of ``value``."""
     seg = machine.allocate("data", 8, owner=0)
@@ -127,16 +135,16 @@ def test_an_invalidation_that_overtakes_a_read_grant_revokes_it():
     page, image = _page_of(machine, 3.0)
     reader = machine.nodes[2]
     fault = reader.protocol._fault_done[page] = machine.sim.event("fault")
-    reader.protocol.handle(Message(
+    handle(reader, Message(
         src=0, dst=2, kind=MsgKind.FLUSH, payload={"sc_invalidate": page}))
-    reader.protocol.handle(Message(
+    handle(reader, Message(
         src=1, dst=2, kind=MsgKind.PAGE_REPLY,
         payload={"sc_grant": page, "write": False, "values": image}))
     assert reader.pagetable.get(page) is None
     assert page not in reader.protocol.mode
     assert fault.triggered
     # The revocation is spent: the retried fault's grant installs.
-    reader.protocol.handle(Message(
+    handle(reader, Message(
         src=1, dst=2, kind=MsgKind.PAGE_REPLY,
         payload={"sc_grant": page, "write": False, "values": image}))
     assert reader.pagetable.get(page).valid
@@ -156,11 +164,11 @@ def test_a_fetch_that_overtakes_a_write_grant_waits_for_it():
     fetch = Message(src=0, dst=3, kind=MsgKind.DIFF_REQ,
                     payload={"sc_fetch": page, "relinquish": True})
     reply = manager.expect_reply(fetch)
-    owner.protocol.handle(fetch)
+    handle(owner, fetch)
     machine.sim.run()
     assert not reply.triggered
     assert owner.pagetable.get(page).valid
-    owner.protocol.handle(Message(
+    handle(owner, Message(
         src=1, dst=3, kind=MsgKind.PAGE_REPLY,
         payload={"sc_grant": page, "write": True, "values": granted}))
     machine.sim.run_until(reply)
@@ -177,7 +185,7 @@ def test_an_owner_read_down_still_serves_while_it_faults_to_write():
     page, granted = _page_of(machine, 7.0)
     manager, owner = machine.nodes[0], machine.nodes[3]
     owner.protocol._fault_done[page] = machine.sim.event("write fault")
-    owner.protocol.handle(Message(
+    handle(owner, Message(
         src=1, dst=3, kind=MsgKind.PAGE_REPLY,
         payload={"sc_grant": page, "write": True, "values": granted}))
     owner.protocol.mode[page] = "read"          # read down
@@ -186,8 +194,51 @@ def test_an_owner_read_down_still_serves_while_it_faults_to_write():
                       payload={"sc": True, "page": page, "requester": 2,
                                "write": False})
     acked = manager.expect_reply(forward)
-    owner.protocol.handle(forward)
+    handle(owner, forward)
     machine.sim.run()
     assert acked.triggered
     assert machine.nodes[2].pagetable.get(page).values[0] == 7.0
     assert owner.pagetable.get(page).valid
+
+
+# -- a manager's read fetch reads the owner down ------------------------------
+
+
+def test_a_read_fetch_reads_the_owner_down():
+    """The manager's own read fetch leaves the owner a readable copy
+    it may no longer write: its next write faults for ownership, as
+    after a forwarded read (``_serve_forward``)."""
+    machine = make_machine()
+    page, image = _page_of(machine, 2.0)
+    manager, owner = machine.nodes[0], machine.nodes[3]
+    owner.pagetable.install(page, values=image, valid=True)
+    owner.protocol.mode[page] = "write"
+    owner.protocol._owned.add(page)
+    fetch = Message(src=0, dst=3, kind=MsgKind.DIFF_REQ,
+                    payload={"sc_fetch": page, "relinquish": False})
+    reply = manager.expect_reply(fetch)
+    handle(owner, fetch)
+    machine.sim.run_until(reply)
+    assert reply.value.payload["values"] == image
+    copy = owner.pagetable.get(page)
+    assert copy.valid and owner.protocol.mode[page] == "read"
+    assert owner.protocol.is_hit(page, copy, for_write=False)
+    assert not owner.protocol.is_hit(page, copy, for_write=True)
+    with pytest.raises(ProtocolError, match="without ownership"):
+        owner.protocol.record_write(page, 0, 1)
+
+
+def test_kvstore_counters_survive_crash_recover_outages():
+    """Under these outages node 0, managing key 1's page, fetches it
+    for reading from node 2, which owns it and writes key 1 after the
+    fetch.  Left writable, node 2's write never reaches node 0's copy,
+    so node 0's final read of the counter returns 0 where the schedule
+    wants 1 (kvstore's ``finish`` checks every key's counter)."""
+    config = MachineConfig(
+        nprocs=4, network=NetworkConfig.atm(),
+        faults=FaultConfig(seed=7, crash_mttf_us=2000, crash_mttr_us=300,
+                           crash_horizon_us=20000))
+    app = create_app("kvstore", nkeys=16, value_words=8, shards=4,
+                     requests=60)
+    result = run_app(app, config, protocol="sc")
+    assert all(result.finish_times)
