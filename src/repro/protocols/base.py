@@ -143,6 +143,10 @@ class BaseProtocol:
         cost = 0.0
         per_diff_cost = node.diff_creation_cost()
         words_created = 0
+        me = node.proc
+        # DiffStore.put and PageCopy.mark_applied inlined: the interval
+        # is new, so no diff is stored under it and no copy covers it.
+        store = node.diff_store._diffs
         for page, copy in dirty:
             ranges = copy.take_written_ranges()
             # record_write keeps the ranges normalized incrementally.
@@ -150,16 +154,24 @@ class BaseProtocol:
             diff = Diff.from_ranges(page, copy, ranges,
                                     word_size=WORD_SIZE,
                                     assume_normalized=True)
-            node.diff_store.put(node.proc, index, diff)
-            copy.mark_applied(node.proc, index)
+            store[(me, index, page)] = diff
+            copy.applied[me] = index
             words_created += diff.word_count
             cost += per_diff_cost
         created = len(dirty)
         node.ins.diffs_created.value += created
         node.ins.diff_words.value += words_created
-        record = IntervalRecord(proc=node.proc, index=index, vc=node.vc,
+        record = IntervalRecord(proc=me, index=index, vc=node.vc,
                                 pages=frozenset(page for page, _ in dirty))
-        node.interval_log.add(record)
+        # IntervalLog.add inlined: our newest interval goes at the end
+        # of our own index.
+        interval_log = node.interval_log
+        interval_log._records[record.interval_id] = record
+        indices, logged = (interval_log._by_proc.get(me)
+                           or interval_log._by_proc.setdefault(
+                               me, ([], [])))
+        indices.append(index)
+        logged.append(record)
         node.ins.notices_created.value += len(record.pages)
         if node.tracer.sink.enabled:
             node.tracer.emit("protocol.seal", node=node.proc,

@@ -23,6 +23,7 @@ on invalidation alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import (Callable, Dict, Generator, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -188,15 +189,18 @@ class LazyBase(BaseProtocol):
             yield from self._fetch(page, requests)
             # Loop: new notices may have raced in; normally one pass.
 
-    def fetch_pending(self, page: int) -> Generator:
+    def fetch_pending(self, page: int, due=None) -> Generator:
         """Obtain and apply every pending diff for ``page`` (LU's
-        acquire-time pull); works whether the copy is valid or not."""
+        acquire-time pull); works whether the copy is valid or not.  A
+        caller holding the copy's :meth:`due_notices` passes ``due``
+        for the first pass; later passes filter again."""
         node = self.node
         escalated = set()
         writer_requested = set()
         while True:
             copy = node.pagetable.copies.get(page)
-            due = self.due_notices(copy) if copy is not None else None
+            if due is None and copy is not None:
+                due = self.due_notices(copy)
             if not due or self.apply_pending(copy, due):
                 return
             _modifiers, assignment = self._assign_requests(
@@ -211,6 +215,7 @@ class LazyBase(BaseProtocol):
                         payload={"page": page,
                                  "wanted": self._wanted_ids(their)})
                 for modifier, their in sorted(assignment.items())))
+            due = None
 
     def _assign_requests(self, page: int, pending: Sequence[WriteNotice],
                          escalated: Set[Tuple[int, int]],
@@ -470,43 +475,49 @@ class LazyBase(BaseProtocol):
         node = self.node
         records = node.interval_log.records_after(requester_vc)
         diffs = []
+        data_bytes = 0
         policy = self.piggyback_policy
         if self.piggyback_diffs and records and policy != "never":
-            # Batched piggyback assembly: one pass over the records'
-            # cached page-ascending notices (no per-grant sort), with
-            # the policy's page rule resolved once per page — hot pages
-            # recur across the granted intervals.
-            filtered = policy != "always"
+            # One pass over the records' pages, ascending (no notice
+            # objects): the page rule is one bit of the requester's
+            # copyset mask (or EC's bound pages), the diff one store
+            # lookup, and its bytes are summed as it goes.
+            bound = None
             if policy == "bound":
                 bound = (node.machine.pages_bound_to(lock_id)
                          if lock_id is not None else frozenset())
-
-                def rule(page: int, _requester: int) -> bool:
-                    return page in bound
-            else:
-                rule = node.copysets.believes_cached
-            get_diff = node.diff_store.get
-            cached_ok: Dict[int, bool] = {}
+            by_copyset = policy == "copyset"
+            masks_get = node.copysets._masks.get
+            bit = 1 << requester
+            get_diff = node.diff_store._diffs.get
+            as_pages = self.price_diffs_as_pages  # diff_bytes, inlined
+            page_size = node.config.page_size
             for record in records:
                 proc = record.proc
                 index = record.index
                 interval_id = record.interval_id
-                for notice in record.notices():
-                    page = notice.page
-                    if filtered:
-                        ok = cached_ok.get(page)
-                        if ok is None:
-                            ok = cached_ok[page] = rule(page, requester)
-                        if not ok:
+                pages = record.pages
+                if len(pages) > 1:
+                    pages = sorted(pages)
+                for page in pages:
+                    if bound is not None:
+                        if page not in bound:
                             continue
-                    diff = get_diff(proc, index, page)
+                    elif by_copyset and not masks_get(page, 0) & bit:
+                        continue
+                    diff = get_diff((proc, index, page))
                     if diff is not None:
                         diffs.append((interval_id, diff))
-        node.observe_peer_vc(requester, node.vc)
-        info = ConsistencyInfo(node.vc, records, diffs)
-        if not diffs:
-            return info, 0
-        return info, sum(self.diff_bytes(d) for _iid, d in diffs)
+                        data_bytes += (page_size if as_pages
+                                       else diff.size_bytes)
+        # Node.observe_peer_vc inlined: the requester is granted our
+        # intervals up to our own component.
+        me = node.proc
+        if requester != me:
+            seen = node.vc.components[me]
+            if seen > node.peer_seen[requester]:
+                node.peer_seen[requester] = seen
+        return ConsistencyInfo(node.vc, records, diffs), data_bytes
 
     def apply_grant(self, info: Optional[ConsistencyInfo]) -> Generator:
         if info is None:
@@ -627,8 +638,9 @@ class LazyBase(BaseProtocol):
             copy = node.pagetable.copies.get(page)
             if copy is None:
                 continue
-            if self.due_notices(copy):
-                yield from self.fetch_pending(page)
+            due = self.due_notices(copy)
+            if due:
+                yield from self.fetch_pending(page, due)
             if not copy.valid and not copy.pending_notices:
                 copy.valid = True
 
@@ -693,8 +705,9 @@ class LazyUpdate(LazyBase):
 
     def resolve_pages(self, pages: List[int]) -> Generator:
         for copy in self._held(pages):
-            if self.due_notices(copy):
-                yield from self.fetch_pending(copy.page)
+            due = self.due_notices(copy)
+            if due:
+                yield from self.fetch_pending(copy.page, due)
 
 
 class LazyHybrid(LazyBase):
@@ -704,6 +717,134 @@ class LazyHybrid(LazyBase):
     piggyback_diffs = True
     push_at_barrier = True
     push_needs_acks = False
+
+    def apply_grant(self, info: Optional[ConsistencyInfo]):
+        """Apply a grant with records in one pass when no copy is dirty
+        (no seal can run, nothing yields) and return ``()``; any other
+        grant returns :meth:`LazyBase.apply_grant`'s generator.  Either
+        way the caller runs the result with ``yield from`` at once.
+
+        The pass leaves exactly what incorporate_records, store_diffs,
+        the clock merge and :meth:`resolve_pages` leave.  A fresh
+        record for a held copy with nothing pending joins a per-page
+        list instead of being filed as a notice; a page whose list is
+        all due under the merged clock, with every diff in the store,
+        has the diffs applied in list order (records arrive in
+        ``BY_ORDER``, as ``records_after`` sorts them), and any other
+        page has its list filed and is resolved as
+        :meth:`resolve_pages` resolves it."""
+        if info is None or not info.records or self._dirty_pages:
+            return super().apply_grant(info)
+        node = self.node
+        records = info.records
+        node.vc = vc = node.vc.merged(info.sender_vc)
+        mine = vc.components
+        me = node.proc
+        emit = node.tracer.emit if node.tracer.sink.enabled else None
+        if emit:
+            emit("protocol.notices_in", node=me, records=len(records),
+                 pages=sum(len(r.pages) for r in records))
+        # store_diffs inlined.
+        store = node.diff_store._diffs
+        for (proc, index), diff in info.diffs:
+            store.setdefault((proc, index, diff.page), diff)
+        node.ins.diffs_applied.value += len(info.diffs)
+        # incorporate_records inlined, except that a fresh record for
+        # a held copy with nothing pending joins the page's list here
+        # instead of being filed as a notice.
+        known = node.interval_log._records
+        by_proc = node.interval_log._by_proc
+        get_copy = node.pagetable.copies.get
+        masks = node.copysets._masks
+        masks_get = masks.get
+        peer_seen = node.peer_seen
+        unfiled: Dict[int, List[IntervalRecord]] = {}
+        received = 0
+        for record in records:
+            interval_id = record.interval_id
+            proc = record.proc
+            if proc == me or interval_id in known:
+                continue
+            if proc < 0:
+                raise ValueError("invalid notice")
+            index = record.index
+            known[interval_id] = record
+            indices, logged = (by_proc.get(proc)
+                               or by_proc.setdefault(proc, ([], [])))
+            if not indices or index > indices[-1]:
+                indices.append(index)
+                logged.append(record)
+            else:
+                position = bisect_left(indices, index)
+                indices.insert(position, index)
+                logged.insert(position, record)
+            pages = record.pages
+            received += len(pages)
+            if len(pages) > 1:
+                pages = sorted(pages)
+            bit = 1 << proc
+            for page in pages:
+                copy = get_copy(page)
+                if copy is None:
+                    masks[page] = masks_get(page, 0) | bit
+                elif copy.applied.get(proc, 0) < index:
+                    listed = unfiled.get(page)
+                    if listed is not None:
+                        listed.append(record)
+                    elif not copy._pending_notices:
+                        unfiled[page] = [record]
+                    elif interval_id in copy._pending_ids:
+                        continue
+                    else:
+                        copy._pending_ids.add(interval_id)
+                        copy._pending_notices.append(record.notice(page))
+                    masks[page] = masks_get(page, 0) | bit
+            seen = record.vc.components[me]
+            if seen > peer_seen[proc]:
+                peer_seen[proc] = seen
+        node.ins.notices_received.value += received
+        # resolve_pages, over every page the grant names (ascending).
+        store_get = store.get
+        for page in sorted({page for record in records
+                            for page in record.pages}):
+            copy = get_copy(page)
+            if copy is None:
+                continue
+            listed = unfiled.get(page)
+            if listed is not None:
+                diffs = []
+                for record in listed:
+                    proc = record.proc
+                    index = record.index
+                    if mine[proc] < index:
+                        break
+                    diff = store_get((proc, index, page))
+                    if diff is None:
+                        break
+                    diffs.append(diff)
+                else:
+                    # Each listed index is above the copy's coverage of
+                    # its writer and a writer's records ascend.
+                    applied = copy.applied
+                    for record, diff in zip(listed, diffs):
+                        diff.apply(copy)
+                        applied[record.proc] = record.index
+                    copy.valid = True
+                    if emit:
+                        emit("protocol.diff_apply", page=copy.page,
+                             node=me, diffs=len(listed))
+                    continue
+                # A record not yet due or a diff missing: file the list
+                # (the copy's was empty) and resolve the page as below.
+                copy._pending_notices = [record.notice(page)
+                                         for record in listed]
+                copy._pending_ids.update(record.interval_id
+                                         for record in listed)
+            if copy._pending_notices:
+                due = self.due_notices(copy)
+                if due and not self.apply_pending(copy, due):
+                    self.invalidate_page(page)
+        return ()
 
     def resolve_pages(self, pages: List[int]) -> Generator:
         yield from self._seal_if_any_dirty(pages)

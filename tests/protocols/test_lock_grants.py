@@ -79,7 +79,10 @@ def test_empty_grant_only_merges_the_clock(protocol):
 
 @pytest.mark.parametrize("protocol", ["li", "lu", "lh", "ec"])
 def test_grant_with_records_still_resolves(protocol):
-    """The empty-grant shortcut must not swallow a real grant."""
+    """The empty-grant shortcut must not swallow a real grant.  LI and
+    LU resolve its pages through ``resolve_pages``; LH and EC apply it
+    in one pass, so their cells check the effect: the piggybacked diff
+    is applied to the acquirer's copy."""
     machine = make_machine(protocol)
     acquirer, granter = machine.nodes[0], machine.nodes[1]
     copy = granter.pagetable.get(1)
@@ -87,20 +90,35 @@ def test_grant_with_records_still_resolves(protocol):
     granter.protocol.record_write(1, 0, 1)
     granter.protocol.seal_interval()
     granter.copysets.add(1, 0)
+    if protocol == "ec":
+        # EC ships exactly the diffs of the lock's bound pages.
+        words = machine.config.words_per_page
+        machine.bind_lock(0, machine.address_space._segments["seg"],
+                          words, 2 * words)
     info, _data = granter.protocol.grant_payload(0, acquirer.vc,
                                                  lock_id=0)
     assert [r.interval_id for r in info.records] == [(1, 1)]
-    resolved = []
-    real = acquirer.protocol.resolve_pages
+    if protocol in ("lh", "ec"):
+        assert [iid for iid, _diff in info.diffs] == [(1, 1)]
+        acquirer.pagetable.install(1, valid=True)
+        for _ in acquirer.protocol.apply_grant(info):
+            pass
+        held = acquirer.pagetable.get(1)
+        assert held.valid and held.values[0] == 7.0
+        assert held.applied[1] == 1
+        assert held.pending_notices == []
+    else:
+        resolved = []
+        real = acquirer.protocol.resolve_pages
 
-    def spy(pages):
-        resolved.append(pages)
-        return real(pages)
+        def spy(pages):
+            resolved.append(pages)
+            return real(pages)
 
-    acquirer.protocol.resolve_pages = spy
-    for _ in acquirer.protocol.apply_grant(info):
-        pass
-    assert resolved == [[1]]
+        acquirer.protocol.resolve_pages = spy
+        for _ in acquirer.protocol.apply_grant(info):
+            pass
+        assert resolved == [[1]]
     assert (1, 1) in acquirer.interval_log
     assert acquirer.vc == VectorClock((0, 1, 0, 0))
 
