@@ -60,7 +60,9 @@ def symbolic_factorization(a: np.ndarray) -> List[List[int]]:
     """Fill pattern of L: ``structs[j]`` is the sorted list of row
     indices below the diagonal of column j (elimination-tree fill)."""
     n = len(a)
-    structs = [set(np.nonzero(a[j + 1:, j])[0] + j + 1)
+    # Python ints, not numpy scalars: the rows become lock ids, word
+    # indices and page numbers, which traces write and dicts key on.
+    structs = [set((np.nonzero(a[j + 1:, j])[0] + j + 1).tolist())
                for j in range(n)]
     for j in range(n):
         if structs[j]:

@@ -139,7 +139,15 @@ class LazyBase(BaseProtocol):
     def resolve_miss(self, page: int, for_write: bool) -> Generator:
         """Resolve an access miss the lazy way: contact each concurrent
         last modifier once (2m messages), fetching the page contents
-        from the first when we hold no copy at all."""
+        from the first when we hold no copy at all.
+
+        A warm pass that has asked for nothing yet, whose due notices
+        have distinct writers other than us with no notice's interval
+        covered by another's clock, has each writer as its own
+        concurrent last modifier: it asks the writer of each missing
+        diff directly, in due order, waits in this frame and stores
+        the replies' diffs (the general assignment sends exactly
+        these requests)."""
         node = self.node
         escalated: Set[Tuple[int, int]] = set()
         writer_requested: Set[Tuple[int, int]] = set()
@@ -153,6 +161,44 @@ class LazyBase(BaseProtocol):
                 pending = self.due_notices(copy)
                 if self.apply_pending(copy, pending):
                     return
+                if not escalated and self._writers_concurrent(pending):
+                    has = node.diff_store._diffs.__contains__
+                    wanted = [notice for notice in pending
+                              if not has((notice.proc, notice.index,
+                                          page))]
+                    # Built before the first is sent: message ids are
+                    # drawn in the order the general path draws them.
+                    requests = []
+                    for notice in wanted:
+                        interval_id = notice.interval_id
+                        escalated.add(interval_id)
+                        writer_requested.add(interval_id)
+                        requests.append(Message(
+                            src=node.proc, dst=notice.proc,
+                            kind=MsgKind.DIFF_REQ,
+                            payload={"page": page,
+                                     "wanted": [interval_id]}))
+                    reply_events = []
+                    for message in requests:
+                        reply_events.append(node.expect_reply(message))
+                        yield from node.app_send(message)
+                    replies = yield node.sim.all_of(reply_events)
+                    store = node.diff_store._diffs
+                    known = node.interval_log._records
+                    tracing = node.tracer.sink.enabled
+                    stored = 0
+                    for reply in replies:
+                        payload = reply.payload
+                        records = payload["records"]
+                        if tracing or any(record.interval_id not in known
+                                          for record in records):
+                            self.incorporate_records(records)
+                        for (proc, index), diff in payload["diffs"]:
+                            store.setdefault((proc, index, diff.page),
+                                             diff)
+                        stored += len(payload["diffs"])
+                    node.ins.diffs_applied.value += stored
+                    continue
             else:
                 mine = node.vc.components
                 pending = [n for n in self.logged_notices(page)
@@ -188,6 +234,21 @@ class LazyBase(BaseProtocol):
                     "unsatisfiable without requests")
             yield from self._fetch(page, requests)
             # Loop: new notices may have raced in; normally one pass.
+
+    def _writers_concurrent(self, due: Sequence[WriteNotice]) -> bool:
+        """Whether each of the ``due`` notices is its writer's only
+        one, the writer is not us, and no other due notice's clock
+        covers it: then the concurrent last modifiers are exactly the
+        writers, and each wanted diff goes to its writer."""
+        me = self.node.proc
+        if len(due) == 1:
+            return due[0].proc != me
+        writers = {notice.proc for notice in due}
+        if me in writers or len(writers) < len(due):
+            return False
+        return not any(other.vc.components[notice.proc] >= notice.index
+                       for notice in due for other in due
+                       if other is not notice)
 
     def fetch_pending(self, page: int, due=None) -> Generator:
         """Obtain and apply every pending diff for ``page`` (LU's
@@ -409,20 +470,23 @@ class LazyBase(BaseProtocol):
         data bytes, built in one pass."""
         node = self.node
         page = message.payload["page"]
-        get_diff = node.diff_store.get
-        get_record = node.interval_log.get
-        diff_bytes = self.diff_bytes
+        get_diff = node.diff_store._diffs.get
+        get_record = node.interval_log._records.get
+        as_pages = self.price_diffs_as_pages  # diff_bytes, inlined
+        page_size = node.config.page_size
         diffs = []
         records = []
         data_bytes = 0
         for proc, index in message.payload["wanted"]:
-            diff = get_diff(proc, index, page)
+            diff = get_diff((proc, index, page))
             if diff is not None:
                 interval_id = (proc, index)
                 diffs.append((interval_id, diff))
                 records.append(get_record(interval_id))
-                data_bytes += diff_bytes(diff)
-        node.copysets.add(page, message.src)
+                data_bytes += page_size if as_pages else diff.size_bytes
+        # CopysetTable.add inlined.
+        masks = node.copysets._masks
+        masks[page] = masks.get(page, 0) | (1 << message.src)
         node.handler_send(Message(
             src=node.proc, dst=message.src, kind=MsgKind.DIFF_REPLY,
             reply_to=message.msg_id,
@@ -621,9 +685,73 @@ class LazyBase(BaseProtocol):
                 reply_to=message.msg_id,
                 payload={"not_cached": sorted(set(not_cached))}))
 
+    def master_combine(self, arrivals: Dict[int, dict]) -> Dict[int, dict]:
+        """The default departure plus one row per record, built here
+        once for every departing node: the record, its id, writer,
+        index and writer bit, its pages ascending and its clock's
+        components (what :meth:`apply_depart` folds)."""
+        departures = super().master_combine(arrivals)
+        # Every departing node is handed the one departure dict.
+        depart = departures[next(iter(departures))]
+        depart["rows"] = [
+            (record, record.interval_id, record.proc, record.index,
+             1 << record.proc, sorted(record.pages), record.vc.components)
+            for record in depart["records"]]
+        return departures
+
     def apply_depart(self, payload: dict) -> Generator:
+        """Fold the departure's records, merge the clock and resolve
+        the pages they name.  The fold is :meth:`incorporate_records`
+        over the master's rows (:meth:`master_combine`), in one loop
+        that reads no record field: each record is logged (appended,
+        or inserted below its writer's last index), and each of its
+        pages gains the writer's copyset bit and, when held and not
+        yet covered, a pending notice; the writer's clock folds into
+        ``peer_seen``."""
         node = self.node
-        self.incorporate_records(payload["records"])
+        rows = payload["rows"]
+        me = node.proc
+        if node.tracer.sink.enabled and rows:
+            node.tracer.emit("protocol.notices_in", node=me,
+                             records=len(rows),
+                             pages=sum(len(row[5]) for row in rows))
+        interval_log = node.interval_log
+        known = interval_log._records
+        by_proc = interval_log._by_proc
+        get_copy = node.pagetable.copies.get
+        masks = node.copysets._masks
+        masks_get = masks.get
+        peer_seen = node.peer_seen
+        received = 0
+        for record, interval_id, proc, index, bit, pages, clock in rows:
+            if proc == me or interval_id in known:
+                continue
+            known[interval_id] = record
+            per_proc = by_proc.get(proc)
+            if per_proc is None:
+                by_proc[proc] = ([index], [record])
+            else:
+                indices, logged = per_proc
+                if index > indices[-1]:
+                    indices.append(index)
+                    logged.append(record)
+                else:
+                    position = bisect_left(indices, index)
+                    indices.insert(position, index)
+                    logged.insert(position, record)
+            received += len(pages)
+            for page in pages:
+                copy = get_copy(page)
+                if copy is None:
+                    masks[page] = masks_get(page, 0) | bit
+                elif (copy.applied.get(proc, 0) < index
+                      and interval_id not in copy._pending_ids):
+                    copy._pending_ids.add(interval_id)
+                    copy._pending_notices.append(record.notice(page))
+                    masks[page] = masks_get(page, 0) | bit
+            if clock[me] > peer_seen[proc]:
+                peer_seen[proc] = clock[me]
+        node.ins.notices_received.value += received
         node.vc = node.vc.merged(payload["vc"])
         self.last_barrier_vc = payload["vc"]
         # The master's departure carried all our notices to everyone.
@@ -688,11 +816,23 @@ class LazyInvalidate(LazyBase):
     push_at_barrier = False
 
     def resolve_pages(self, pages: List[int]) -> Generator:
-        yield from self._seal_if_any_dirty(pages)
-        due_notices = self.due_notices
-        for copy in self._held(pages):
-            if copy._pending_notices and due_notices(copy):
-                self.invalidate_page(copy.page)
+        """Invalidate each valid held copy with a due notice.  The
+        held copies are listed once, and again only after a seal (the
+        one point that yields, where a sibling thread's miss may
+        install a page); a copy is invalidated at its first due
+        notice."""
+        copies = self.node.pagetable.copies
+        held = [copies[page] for page in pages if page in copies]
+        if self._dirty_pages and any(copy.dirty for copy in held):
+            yield from self.seal_from_app()
+            held = [copies[page] for page in pages if page in copies]
+        mine = self.node.vc.components
+        for copy in held:
+            if copy.valid:
+                for notice in copy._pending_notices:
+                    if mine[notice.proc] >= notice.index:
+                        self.invalidate_page(copy.page)
+                        break
 
 
 class LazyUpdate(LazyBase):

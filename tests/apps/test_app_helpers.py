@@ -130,3 +130,32 @@ class TestWaterLayout:
         per_page = machine.config.words_per_page // MOL_WORDS
         assert per_page >= 64  # all 64 molecules share one page
         assert shared.force_seg.npages == 1
+
+
+class TestPythonIntIdentifiers:
+    """Lock ids and page numbers reach the protocols as Python ints:
+    a numpy scalar keys the same dicts but is written to a trace as a
+    string, and costs more to hash and compare."""
+
+    SMALL = {"jacobi": dict(n=24, iterations=2),
+             "tsp": dict(ncities=7),
+             "water": dict(nmols=12, steps=1),
+             "cholesky": dict(k=4),
+             "kvstore": dict(nkeys=16, value_words=8, shards=4,
+                             requests=60)}
+
+    @pytest.mark.parametrize("protocol", ["li", "lh"])
+    @pytest.mark.parametrize("app", sorted(SMALL))
+    def test_logged_pages_and_lock_keys_are_ints(self, app, protocol):
+        machine = Machine(MachineConfig(nprocs=4,
+                                        network=NetworkConfig.atm()),
+                          protocol=protocol)
+        machine.run_app(create_app(app, **self.SMALL[app]))
+        pages = [page for node in machine.nodes
+                 for record in node.interval_log._records.values()
+                 for page in record.pages]
+        locks = [lock for node in machine.nodes
+                 for lock in node.lock_manager._locks]
+        assert pages
+        assert {type(page) for page in pages} == {int}
+        assert {type(lock) for lock in locks} <= {int}
